@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import time
@@ -44,6 +45,8 @@ from .sensing_sim import (
     SimEngine,
     cached_system,
 )
+
+logger = logging.getLogger(__name__)
 
 POSITIONS = ("upper", "middle", "lower")
 DIAMETERS_MM = (15, 25, 35)
@@ -479,8 +482,8 @@ def tune_epsilon(out_dir: Path, seed: int = 0, n_trials: int = 150,
         rmse = {eps: float(np.sqrt(np.mean(np.square(e)))) for eps, e in errors.items()}
         best = min(eps_grid, key=lambda e: rmse[e])
         if rmse[best] >= rmse[default_eps]:
-            print(f"candidate {ci}: search did not improve on default, keeping {default_eps:g}",
-                  file=sys.stderr)
+            logger.warning("candidate %d: search did not improve on default, keeping %g",
+                           ci, default_eps)
             best = default_eps
         schedule[f"epsilon.{ci}"] = float(best)
     schedule["meta.force_max_n"] = NORMALIZATION_RANGE_N

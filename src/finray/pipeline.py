@@ -97,10 +97,14 @@ _COMPLIANCE_CACHE: dict = {}
 
 
 def cached_compliance(system, effector_ids, candidate_ids):
+    """Compliance operators per (system, effector set, candidate set). Each
+    entry holds its system, so the system's ``id`` in the key cannot be
+    reused by another object while the entry exists."""
     key = (id(system), effector_ids.tobytes(), candidate_ids.tobytes())
     if key not in _COMPLIANCE_CACHE:
-        _COMPLIANCE_CACHE[key] = precompute_compliance(system, effector_ids, candidate_ids)
-    return _COMPLIANCE_CACHE[key]
+        _COMPLIANCE_CACHE[key] = (system, precompute_compliance(system, effector_ids,
+                                                                candidate_ids))
+    return _COMPLIANCE_CACHE[key][1]
 
 
 class JawEstimator:

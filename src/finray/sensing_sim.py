@@ -14,6 +14,7 @@ rotated half a turn about z.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -24,7 +25,9 @@ from .contact_localizer import PoseTransform, look_at, rot_z, rotation_about
 from .fem_core import MaterialModel, StiffnessSystem, assemble
 from .fixtures import JawFixture, JawParams, ShapeSpec, canonical_jaw, generate_jaw, make_object_mesh, make_sdf
 from .mesh_calibration import CameraModel, PointCloud, partial_view
-from .mesh_model import SurfaceMesh
+from .mesh_model import DeformableSurface, SurfaceMesh
+
+logger = logging.getLogger(__name__)
 
 
 class ContactConvergenceError(RuntimeError):
@@ -202,17 +205,16 @@ class ForwardContactModel:
     def _node_displacements(self, forces: np.ndarray) -> np.ndarray:
         return np.einsum("aibd,ad->ib", self.self_compliance, forces)
 
-    def _implicit_normal_forces(self, eligible: np.ndarray, depth: np.ndarray,
+    def _implicit_normal_forces(self, idx: np.ndarray, c_sub_t: np.ndarray,
+                                eye_k: np.ndarray, depth: np.ndarray,
                                 normals: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Non-negative normal force magnitudes solving the linearized
-        penalty equilibrium lam = k * depth(lam) on the eligible set."""
-        k = self.cfg.stiffness
-        idx = np.flatnonzero(eligible)
-        if len(idx) == 0:
-            return np.zeros_like(lam)
+        penalty equilibrium lam = k * depth(lam) on the eligible nodes
+        ``idx``. ``c_sub_t`` is their self-compliance block with the two
+        node axes' components swapped, and ``eye_k`` the identity over them
+        divided by the penalty stiffness; both are fixed within a solve."""
         n_sub = normals[idx]
-        c_sub = self.self_compliance[np.ix_(idx, idx)]
-        g = np.einsum("ab,abcd,cd->ac", n_sub, np.swapaxes(c_sub, 1, 2), n_sub)
+        g = np.einsum("ab,abcd,cd->ac", n_sub, c_sub_t, n_sub)
         # depth at zero normal force under the local linear model
         d_free = depth[idx] + g @ lam[idx]
         active = d_free > 0.0
@@ -221,7 +223,7 @@ class ForwardContactModel:
             if not active.any():
                 break
             a = np.flatnonzero(active)
-            m = g[np.ix_(a, a)] + np.eye(len(a)) / k
+            m = g[np.ix_(a, a)] + eye_k[np.ix_(a, a)]
             sol = np.linalg.solve(m, d_free[a])
             lam_new[:] = 0.0
             lam_new[a] = sol
@@ -261,6 +263,9 @@ class ForwardContactModel:
             zero = np.zeros((n, 3))
             return zero, np.zeros(3), None, -1
 
+        idx = np.flatnonzero(eligible)
+        c_sub_t = np.swapaxes(self.self_compliance[np.ix_(idx, idx)], 1, 2)
+        eye_k = np.eye(len(idx)) / cfg.stiffness
         lam = np.zeros(n)
         if forces0 is not None:
             lam = np.linalg.norm(forces0, axis=1)
@@ -273,7 +278,7 @@ class ForwardContactModel:
             d, normals_obj = sdf(pts_obj)
             depth = -d
             normals = normals_obj @ jaw_from_obj.rotation.T
-            lam_target = self._implicit_normal_forces(eligible, depth, normals, lam)
+            lam_target = self._implicit_normal_forces(idx, c_sub_t, eye_k, depth, normals, lam)
             residual = float(np.abs(lam_target - lam).max())
             lam = lam + cfg.relaxation * (lam_target - lam)
             if residual < cfg.tol:
@@ -380,6 +385,10 @@ class SimEngine:
             self.rigs.append(JawRig(side, fixture, system, model, rot,
                                     scenario.gap / 2.0 + depth / 2.0))
         self.fixture = fixture
+        # each jaw occludes the other's keypoints: one surface per rig,
+        # refit to that jaw's deformation on every observation
+        self._occluders = ([DeformableSurface(fixture.mesh.surface()) for _ in self.rigs]
+                           if len(self.rigs) > 1 and scenario.occlusion_mode != "off" else [])
         self.object_mesh = make_object_mesh(scenario.shape)
         self.sdf = make_sdf(scenario.shape)
         self.camera_pose = look_at(np.asarray(scenario.camera_eye),
@@ -414,18 +423,23 @@ class SimEngine:
 
     # -- ground truth -------------------------------------------------------
 
-    def _jaw_truth(self, idx: int, closure: float, object_x: float) -> JawTruth:
-        rig = self.rigs[idx]
-        sc = self.scenario
-        world_from_jaw = rig.world_from_jaw(closure)
-        world_from_obj = _object_world_pose(sc, object_x, self.z_contact)
+    def _solve_contact(self, idx: int, closure: float, object_x: float):
+        """Object pose in the jaw frame and the jaw's penalty solve,
+        warm-started from and updating the jaw's previous node forces."""
+        world_from_jaw = self.rigs[idx].world_from_jaw(closure)
+        world_from_obj = _object_world_pose(self.scenario, object_x, self.z_contact)
         r = world_from_jaw.rotation.T @ world_from_obj.rotation
         t = world_from_jaw.rotation.T @ (world_from_obj.translation - world_from_jaw.translation)
         jaw_from_obj = PoseTransform(r, t, "o", "g")
-        forces, net, contact_point, candidate = rig.contact_model.solve(
+        result = self.rigs[idx].contact_model.solve(
             jaw_from_obj, self.sdf, self._prev_forces[idx])
-        self._prev_forces[idx] = forces
-        disp = rig.contact_model.full_displacement(forces)
+        self._prev_forces[idx] = result[0]
+        return jaw_from_obj, result
+
+    def _jaw_truth(self, idx: int, closure: float, object_x: float) -> JawTruth:
+        jaw_from_obj, (forces, net, contact_point, candidate) = self._solve_contact(
+            idx, closure, object_x)
+        disp = self.rigs[idx].contact_model.full_displacement(forces)
         return JawTruth(
             force=net,
             force_scalar=float(-net[0]),
@@ -438,8 +452,8 @@ class SimEngine:
     def _net_object_force_x(self, closure: float, object_x: float) -> float:
         total = 0.0
         for idx, rig in enumerate(self.rigs):
-            truth = self._jaw_truth(idx, closure, object_x)
-            f_world = rig.rot_world_from_jaw @ truth.force
+            _, (_, net, _, _) = self._solve_contact(idx, closure, object_x)
+            f_world = rig.rot_world_from_jaw @ net
             total -= f_world[0]  # reaction on the object
         return total
 
@@ -463,17 +477,26 @@ class SimEngine:
             a, fa = b, fb
             step *= 1.8
         else:
+            logger.warning("no object equilibrium bracket at closure %.9g m: net force "
+                           "%.3g N at x = %.9g m; keeping the previous position",
+                           closure, f, x)
             return x
         for _ in range(100):
             mid = 0.5 * (a + b)
             fm = self._net_object_force_x(closure, mid)
-            if abs(fm) <= 1e-7 or abs(b - a) < 1e-15:
+            if abs(fm) <= 1e-7:
                 return mid
+            if abs(b - a) < 1e-15:
+                break
             if fa * fm <= 0.0:
                 b, fb = mid, fm
             else:
                 a, fa = mid, fm
-        return 0.5 * (a + b)
+        else:
+            mid = 0.5 * (a + b)
+        logger.warning("object equilibrium bisection at closure %.9g m stopped with "
+                       "residual net force %.3g N", closure, fm)
+        return mid
 
     def step_truth(self, t: float, closure: float, stage: str = "",
                    recording: bool = False, dt: float | None = None) -> GroundTruthFrame:
@@ -511,6 +534,9 @@ class SimEngine:
     # -- synthetic sensor ---------------------------------------------------
 
     def render_observation(self, truth: GroundTruthFrame, jaw_index: int) -> Observation:
+        """Synthetic camera frame for one jaw. With occlusion on, rays to
+        the keypoints are cast against the object and the other jaw; the
+        other jaw's surface is refit to its deformation, not rebuilt."""
         sc = self.scenario
         rig = self.rigs[jaw_index]
         jt = truth.jaws[jaw_index]
@@ -535,9 +561,8 @@ class SimEngine:
                 if other == jaw_index:
                     continue
                 other_rig = self.rigs[other]
-                surf = SurfaceMesh(
-                    other_rig.fixture.mesh.vertices + truth.jaws[other].displacements,
-                    other_rig.fixture.mesh.surface().triangles)
+                surf = self._occluders[other]
+                surf.update(other_rig.fixture.mesh.vertices + truth.jaws[other].displacements)
                 occluder_meshes.append((other_rig.world_from_jaw(truth.closure), surf))
             for world_from_frame, mesh in occluder_meshes:
                 frame_from_world = world_from_frame.inverse()

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -5,6 +7,7 @@ import scipy.optimize
 from finray.contact_localizer import PoseTransform
 from finray.fem_core import MaterialModel
 from finray.fixtures import ShapeSpec, make_object_mesh, make_sdf
+from finray.mesh_model import SurfaceMesh, TriangleBVH
 from finray.sensing_sim import (
     ContactModelConfig,
     ForwardContactModel,
@@ -307,6 +310,117 @@ class TestRunScenario:
         late = f_el > 1.0
         # same displacements, relaxed truth force strictly below elastic
         assert np.all(f_cr[late] < f_el[late])
+
+
+def dual_grasp_scenario(**kw):
+    base = dict(shape=ShapeSpec.cylinder(0.025), contact_position="middle",
+                schedule=ScheduleConfig(kind="grasp", closing_speed_mm_s=8.0,
+                                        target_force=3.0, hold_s=0.2),
+                noise=NoiseConfig.ideal(), contact=ContactModelConfig(model="point"),
+                dual_jaw=True, occlusion_mode="confidence", seed=1)
+    base.update(kw)
+    return Scenario(**base)
+
+
+def touch_closure(eng):
+    """Closure at which the jaws first reach the centred object."""
+    return (eng.rigs[0].base_offset - eng.fixture.params.depth / 2.0
+            - eng._object_half_extent_x())
+
+
+class TestOracleFastPaths:
+    def test_refit_occluder_matches_rebuilt_bvh(self, jaw):
+        # reference: the fresh SurfaceMesh and BVH the renderer used to
+        # build for the other jaw on every observation; exact agreement
+        eng = SimEngine(dual_grasp_scenario())
+        surf = eng._occluders[1]
+        model = eng.rigs[1].contact_model
+        rest = jaw.mesh.vertices
+        triangles = jaw.mesh.surface().triangles
+        lo, hi = rest.min(axis=0), rest.max(axis=0)
+        rng = np.random.default_rng(7)
+        n_rays = 200
+        hits = 0
+        for _ in range(100):
+            forces = np.zeros((len(model.node_ids), 3))
+            loaded = rng.choice(len(forces), size=int(rng.integers(1, 4)), replace=False)
+            forces[loaded] = rng.normal(scale=30.0, size=(len(loaded), 3))
+            vertices = rest + model.full_displacement(forces)
+            surf.update(vertices)
+            dirs = rng.normal(size=(n_rays, 3))
+            origins = 0.5 * (lo + hi) + 0.1 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+            targets = rng.uniform(lo, hi, (n_rays, 3))
+            refit = surf.bvh().first_hit_fraction(origins, targets, t_hi=1.0 - 1e-6)
+            rebuilt = SurfaceMesh(vertices, triangles).bvh().first_hit_fraction(
+                origins, targets, t_hi=1.0 - 1e-6)
+            assert np.array_equal(refit, rebuilt)
+            hits += int(np.isfinite(refit).sum())
+        assert hits > 5000
+
+    def test_occluder_bvh_built_once_per_rig(self, jaw, monkeypatch):
+        jaw_triangles = jaw.mesh.surface().triangles
+        builds = []
+        build = TriangleBVH.__init__
+
+        def counting_build(self, vertices, triangles, *args, **kwargs):
+            builds.append(np.array_equal(triangles, jaw_triangles))
+            build(self, vertices, triangles, *args, **kwargs)
+
+        monkeypatch.setattr(TriangleBVH, "__init__", counting_build)
+        result = run_scenario(dual_grasp_scenario())
+        assert len(result.frames) > 20
+        assert sum(builds) == 2
+
+    def test_net_force_matches_jaw_truth(self):
+        # the bisection's net-force-only evaluation against the full
+        # per-jaw truth it replaces, on twin engines; bitwise agreement
+        fast, ref = SimEngine(dual_grasp_scenario()), SimEngine(dual_grasp_scenario())
+        c0 = touch_closure(fast)
+        nets = []
+        for closure, x in [(c0 - 0.002, 0.0), (c0 - 0.0005, 3e-4), (c0 + 0.001, 0.0),
+                           (c0 + 0.002, 4e-4), (c0 + 0.003, -3e-4), (c0 + 0.003, 0.0)]:
+            net = fast._net_object_force_x(closure, x)
+            expect = 0.0
+            for idx, rig in enumerate(ref.rigs):
+                expect -= (rig.rot_world_from_jaw @ ref._jaw_truth(idx, closure, x).force)[0]
+            assert np.float64(net).tobytes() == np.float64(expect).tobytes()
+            for mine, theirs in zip(fast._prev_forces, ref._prev_forces):
+                assert np.array_equal(mine, theirs)
+            nets.append(net)
+        assert nets[0] == 0.0 and max(abs(n) for n in nets) > 0.1
+
+    def test_equilibrium_without_bracket_warns(self, monkeypatch, caplog):
+        eng = SimEngine(dual_grasp_scenario())
+        x0 = eng._object_x
+        monkeypatch.setattr(eng, "_net_object_force_x", lambda closure, x: 2.5)
+        with caplog.at_level(logging.WARNING, logger="finray.sensing_sim"):
+            x = eng._solve_object_equilibrium(0.004)
+        assert x == x0
+        (record,) = caplog.records
+        assert "no object equilibrium bracket" in record.getMessage()
+        assert "0.004" in record.getMessage() and "2.5 N" in record.getMessage()
+
+    def test_equilibrium_stalled_bisection_warns(self, monkeypatch, caplog):
+        # a force jump with no balanced position: the bisection closes on
+        # the jump and stops with the full jump as residual
+        eng = SimEngine(dual_grasp_scenario())
+        jump = eng._object_x + 3e-4
+        monkeypatch.setattr(eng, "_net_object_force_x",
+                            lambda closure, x: 1.5 if x < jump else -1.5)
+        with caplog.at_level(logging.WARNING, logger="finray.sensing_sim"):
+            x = eng._solve_object_equilibrium(0.004)
+        assert abs(x - jump) <= 1e-15
+        (record,) = caplog.records
+        assert "stopped with residual net force" in record.getMessage()
+        assert "1.5 N" in record.getMessage()
+
+    def test_balanced_equilibrium_is_silent(self, caplog):
+        eng = SimEngine(dual_grasp_scenario(shape=ShapeSpec.wedge()))
+        closure = touch_closure(eng) + 0.002
+        with caplog.at_level(logging.WARNING, logger="finray.sensing_sim"):
+            x = eng._solve_object_equilibrium(closure)
+        assert abs(eng._net_object_force_x(closure, x)) <= 1e-7
+        assert not caplog.records
 
 
 class TestSyntheticScan:
