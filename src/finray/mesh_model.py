@@ -3,6 +3,14 @@ contact localizer needs: watertight surface extraction, ray-parity point
 containment over a BVH, sampled boolean-intersection approximation, and
 closest-point projection onto the inner contact surface.
 
+Ray queries traverse the BVH for all rays at once: the slab test runs
+level by level over every (node, ray) pair of the frontier, and one
+Moller-Trumbore pass covers every (leaf, ray) pair that reaches a leaf,
+with leaves padded to a common size. The intersection samples only the
+triangles near the two meshes' mutual box and tests each distinct sample
+point once; the answers, and so the samples kept, are those of testing
+every sample on its own.
+
 All coordinates are meters. Meshes are treated as immutable after
 construction (arrays are write-locked); ``DeformedState`` is the one
 mutable companion and carries per-vertex displacements index-aligned with
@@ -204,9 +212,11 @@ class SurfaceMesh:
 class DeformableSurface:
     """Fixed-topology surface whose vertices move between queries.
 
-    Watertightness is checked once at construction; ``update`` refits the
-    BVH in place. Duck-compatible with SurfaceMesh for the containment and
-    intersection queries (single-writer, as with DeformedState).
+    Watertightness is checked once at construction; ``update`` stores the
+    new vertices and ``bvh`` refits the tree in place on first use after
+    that, so a surface whose box misses the other's is never refit.
+    Duck-compatible with SurfaceMesh for the containment and intersection
+    queries (single-writer, as with DeformedState).
     """
 
     def __init__(self, template: SurfaceMesh):
@@ -216,17 +226,24 @@ class DeformableSurface:
         self.vertices = np.array(template.vertices)
         self.watertight = True
         self._bvh = TriangleBVH(self.vertices, self.triangles)
+        self._stale = False
+        self._vertex_ids = np.unique(self.triangles)
 
     def update(self, vertices: np.ndarray) -> None:
         self.vertices = np.asarray(vertices, dtype=np.float64)
-        self._bvh.refit(self.vertices)
+        self._stale = True
 
     def bvh(self) -> "TriangleBVH":
+        if self._stale:
+            self._bvh.refit(self.vertices)
+            self._stale = False
         return self._bvh
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        root = self._bvh
-        return root.node_min[0].copy(), root.node_max[0].copy()
+        """Box of the vertices the triangles use: the BVH's root box,
+        without a refit."""
+        v = self.vertices[self._vertex_ids]
+        return v.min(axis=0), v.max(axis=0)
 
 
 def boundary_faces(tets: np.ndarray) -> np.ndarray:
@@ -275,9 +292,13 @@ def _seeded_directions(n: int) -> np.ndarray:
 # surface; after these casts the last parity answer stands
 _FALLBACK_DIRECTIONS = _seeded_directions(4)
 
+# (leaf, ray) pairs per Moller-Trumbore batch: bounds the pass's
+# temporaries, each (pairs, leaf_size, 3) float array then under 100 kB
+_PAIR_CHUNK = 256
+
 
 class TriangleBVH:
-    """Median-split AABB tree over triangles with vectorized frontier
+    """Median-split AABB tree over triangles with a batched, level-by-level
     traversal. Topology is fixed at build time; ``refit`` updates the
     boxes for deformed vertex positions."""
 
@@ -311,6 +332,7 @@ class TriangleBVH:
         leaf_mask = self.node_count > 0
         self._leaf_ids = np.flatnonzero(leaf_mask)
         self._leaf_starts = self.node_start[self._leaf_ids]
+        self._sorted_triangles = self.triangles[self.tri_order]
         depth = np.zeros(len(self.node_left), dtype=np.int64)
         for i in range(len(self.node_left)):
             if not leaf_mask[i]:
@@ -322,6 +344,15 @@ class TriangleBVH:
             for d in range(int(depth.max(initial=0)), -1, -1)
         ]
         self._internal_levels = [lvl for lvl in self._internal_levels if len(lvl)]
+        # each leaf's triangles (positions in tri_order) padded to leaf_size
+        # with copies of its first one for the batched intersection pass;
+        # copies leave the grazing flags and first hits unchanged, and
+        # ``_leaf_valid`` keeps them out of the crossing counts
+        slot = np.arange(leaf_size)
+        self._leaf_valid = slot < self.node_count[self._leaf_ids][:, None]
+        self._leaf_slots = self._leaf_starts[:, None] + np.where(self._leaf_valid, slot, 0)
+        self._leaf_row = np.full(len(self.node_left), -1)
+        self._leaf_row[self._leaf_ids] = np.arange(len(self._leaf_ids))
         self.refit(verts)
 
     def _build(self, tv, centroids, lo, hi) -> int:
@@ -348,67 +379,74 @@ class TriangleBVH:
     def refit(self, vertices: np.ndarray) -> None:
         """Recompute node boxes bottom-up for new vertex positions."""
         self.vertices = np.asarray(vertices, dtype=np.float64)
-        tv = self.vertices[self.triangles[self.tri_order]]
-        tmin = tv.min(axis=1)
-        tmax = tv.max(axis=1)
+        tv = np.take(self.vertices, self._sorted_triangles, axis=0)
+        c0, c1, c2 = tv[:, 0], tv[:, 1], tv[:, 2]
+        tmin = np.minimum(np.minimum(c0, c1), c2)
+        tmax = np.maximum(np.maximum(c0, c1), c2)
         self.node_min[self._leaf_ids] = np.minimum.reduceat(tmin, self._leaf_starts)
         self.node_max[self._leaf_ids] = np.maximum.reduceat(tmax, self._leaf_starts)
         for lvl in self._internal_levels:
             l, r = self.node_left[lvl], self.node_right[lvl]
             self.node_min[lvl] = np.minimum(self.node_min[l], self.node_min[r])
             self.node_max[lvl] = np.maximum(self.node_max[l], self.node_max[r])
-        self._tv0 = tv[:, 0]
-        self._e1 = tv[:, 1] - tv[:, 0]
-        self._e2 = tv[:, 2] - tv[:, 0]
+        self._tv0 = c0.copy()  # a view would keep every gathered corner alive
+        self._e1 = c1 - c0
+        self._e2 = c2 - c0
+        self._scale = np.linalg.norm(self._e1, axis=1) * np.linalg.norm(self._e2, axis=1)
 
-    def _leaves_for(self, origins: np.ndarray, dirs: np.ndarray, t_max: float):
-        """Yield (leaf_index, ray_index_array) pairs for rays possibly
-        hitting each leaf within parameter range (0, t_max]."""
+    def _leaf_pairs(self, origins: np.ndarray, dirs: np.ndarray, t_max: float):
+        """(leaf row, ray index) pairs for rays possibly hitting each leaf
+        within parameter range (0, t_max]: the slab test runs level by level
+        over all (node, ray) pairs of the frontier at once."""
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / dirs
-        stack = [(0, np.arange(len(origins)))]
         node_min, node_max = self.node_min, self.node_max
-        while stack:
-            node, rays = stack.pop()
-            o = origins[rays]
-            iv = inv[rays]
-            t1 = (node_min[node] - o) * iv
-            t2 = (node_max[node] - o) * iv
+        nodes = np.zeros(len(origins), dtype=np.int64)
+        rays = np.arange(len(origins))
+        leaf_rows, leaf_rays = [], []
+        while True:
+            o = np.take(origins, rays, axis=0)
+            iv = np.take(inv, rays, axis=0)
+            t1 = (np.take(node_min, nodes, axis=0) - o) * iv
+            t2 = (np.take(node_max, nodes, axis=0) - o) * iv
             # fmin/fmax drop the NaNs from 0 * inf on degenerate axes
             near = np.fmin(t1, t2)
             far = np.fmax(t1, t2)
             lo = np.fmax(np.fmax(near[:, 0], near[:, 1]), near[:, 2])
             hi = np.fmin(np.fmin(far[:, 0], far[:, 1]), far[:, 2])
             hit = (hi >= np.maximum(lo, 0.0)) & (lo <= t_max)
-            rays = rays[hit]
+            nodes, rays = nodes[hit], rays[hit]
+            row = self._leaf_row[nodes]
+            leaf = row >= 0
+            leaf_rows.append(row[leaf])
+            leaf_rays.append(rays[leaf])
+            nodes, rays = nodes[~leaf], rays[~leaf]
             if rays.size == 0:
-                continue
-            if self.node_count[node] > 0:
-                yield node, rays
-            else:
-                stack.append((self.node_left[node], rays))
-                stack.append((self.node_right[node], rays))
+                return np.concatenate(leaf_rows), np.concatenate(leaf_rays)
+            nodes = np.concatenate([self.node_left[nodes], self.node_right[nodes]])
+            rays = np.concatenate([rays, rays])
 
-    def _intersect_leaf(self, node: int, origins, dirs):
-        """Moller-Trumbore over one leaf. Returns (t, u, v, det_ok) arrays of
-        shape (n_rays, n_tris)."""
-        s, c = self.node_start[node], self.node_count[node]
-        v0 = self._tv0[s:s + c]
-        e1 = self._e1[s:s + c]
-        e2 = self._e2[s:s + c]
-        d = dirs[:, None, :]
-        h = _cross(d, e2[None, :, :])
-        a = np.einsum("ij,kij->ki", e1, h)
-        scale = np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
-        det_ok = np.abs(a) > 1e-14 * np.maximum(scale, 1e-300)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = np.where(det_ok, 1.0 / a, 0.0)
-        srel = origins[:, None, :] - v0[None, :, :]
-        u = f * np.einsum("kij,kij->ki", srel, h)
-        q = _cross(srel, e1[None, :, :])
-        v = f * np.einsum("kj,kij->ki", dirs, q)
-        t = f * np.einsum("ij,kij->ki", e2, q)
-        return t, u, v, det_ok
+    def _leaf_hits(self, origins: np.ndarray, dirs: np.ndarray, t_max: float):
+        """Moller-Trumbore over all (leaf, ray) pairs from ``_leaf_pairs``,
+        in chunks of pairs. Yields (ray_index, t, u, v, det_ok, valid) with
+        (pairs, leaf_size) arrays; ``valid`` masks the leaves' padding."""
+        rows, rays = self._leaf_pairs(origins, dirs, t_max)
+        for lo in range(0, len(rays), _PAIR_CHUNK):
+            r, k = rows[lo:lo + _PAIR_CHUNK], rays[lo:lo + _PAIR_CHUNK]
+            tris = np.take(self._leaf_slots, r, axis=0)
+            v0, e1, e2 = (np.take(x, tris, axis=0) for x in (self._tv0, self._e1, self._e2))
+            d = np.take(dirs, k, axis=0)
+            h = _cross(d[:, None, :], e2)
+            a = np.einsum("pij,pij->pi", e1, h)
+            det_ok = np.abs(a) > 1e-14 * np.maximum(np.take(self._scale, tris), 1e-300)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                f = np.where(det_ok, 1.0 / a, 0.0)
+            srel = np.take(origins, k, axis=0)[:, None, :] - v0
+            u = f * np.einsum("pij,pij->pi", srel, h)
+            q = _cross(srel, e1)
+            v = f * np.einsum("pj,pij->pi", d, q)
+            t = f * np.einsum("pij,pij->pi", e2, q)
+            yield k, t, u, v, det_ok, self._leaf_valid[r]
 
     def count_crossings(self, points: np.ndarray, direction: np.ndarray,
                         eps: float = 1e-9):
@@ -421,15 +459,14 @@ class TriangleBVH:
         counts = np.zeros(n, dtype=np.int64)
         suspect = np.zeros(n, dtype=bool)
         dirs = np.broadcast_to(direction, (n, 3))
-        for node, rays in self._leaves_for(points, dirs, np.inf):
-            t, u, v, det_ok = self._intersect_leaf(node, points[rays], dirs[rays])
+        for rays, t, u, v, det_ok, valid in self._leaf_hits(points, dirs, np.inf):
             w = 1.0 - u - v
             interior = det_ok & (u > eps) & (v > eps) & (w > eps) & (t > eps)
             grazing = (~det_ok) | (
                 (np.minimum(np.minimum(np.abs(u), np.abs(v)), np.abs(w)) <= eps)
                 & (u > -eps) & (v > -eps) & (w > -eps) & (t > -eps)
             ) | (np.abs(t) <= eps)
-            np.add.at(counts, rays, interior.sum(axis=1))
+            np.add.at(counts, rays, (interior & valid).sum(axis=1))
             np.logical_or.at(suspect, rays, grazing.any(axis=1))
         return counts, suspect
 
@@ -439,8 +476,7 @@ class TriangleBVH:
         (t_lo, t_hi), or +inf when unobstructed."""
         dirs = targets - origins
         best = np.full(len(origins), np.inf)
-        for node, rays in self._leaves_for(origins, dirs, t_hi):
-            t, u, v, det_ok = self._intersect_leaf(node, origins[rays], dirs[rays])
+        for rays, t, u, v, det_ok, _ in self._leaf_hits(origins, dirs, t_hi):
             ok = det_ok & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > t_lo) & (t < t_hi)
             t = np.where(ok, t, np.inf)
             np.minimum.at(best, rays, t.min(axis=1))
@@ -496,19 +532,37 @@ class IntersectionResult:
         return self.sample_count == 0
 
 
+def _lattice(tri_vertices: np.ndarray, density: int) -> np.ndarray:
+    """Barycentric lattice samples on each triangle of a (t, 3, 3) array,
+    triangle by triangle."""
+    if density < 1:
+        raise ValueError("density must be >= 1")
+    n = density
+    ij = np.array([(i, j) for i in range(n + 1) for j in range(n + 1 - i)], dtype=np.float64)
+    bary = np.column_stack([ij[:, 0], ij[:, 1], n - ij[:, 0] - ij[:, 1]]) / n
+    return np.einsum("sb,tbx->tsx", bary, tri_vertices).reshape(-1, 3)
+
+
 def surface_sample_points(mesh: SurfaceMesh, density: int = 3) -> np.ndarray:
     """Barycentric lattice samples on every triangle.
 
     ``density`` is the edge subdivision count; density 1 yields triangle
     corners only.
     """
-    if density < 1:
-        raise ValueError("density must be >= 1")
-    n = density
-    ij = np.array([(i, j) for i in range(n + 1) for j in range(n + 1 - i)], dtype=np.float64)
-    bary = np.column_stack([ij[:, 0], ij[:, 1], n - ij[:, 0] - ij[:, 1]]) / n
-    tv = mesh.vertices[mesh.triangles]
-    return np.einsum("sb,tbx->tsx", bary, tv).reshape(-1, 3)
+    return _lattice(mesh.vertices[mesh.triangles], density)
+
+
+def _samples_in_box(mesh: SurfaceMesh, density: int, box_lo: np.ndarray,
+                    box_hi: np.ndarray) -> np.ndarray:
+    """The lattice samples of ``surface_sample_points`` that lie in the box,
+    in the same order. Triangles whose boxes miss it (widened by a margin
+    far above the lattice's rounding) are dropped before sampling."""
+    tv = np.take(mesh.vertices, mesh.triangles, axis=0)
+    c0, c1, c2 = tv[:, 0], tv[:, 1], tv[:, 2]
+    near = np.all((np.maximum(np.maximum(c0, c1), c2) >= box_lo - 1e-12)
+                  & (np.minimum(np.minimum(c0, c1), c2) <= box_hi + 1e-12), axis=1)
+    samples = _lattice(tv[near], density)
+    return samples[np.all((samples >= box_lo) & (samples <= box_hi), axis=1)]
 
 
 def intersect_approx(gripper: SurfaceMesh, obj: SurfaceMesh,
@@ -517,6 +571,8 @@ def intersect_approx(gripper: SurfaceMesh, obj: SurfaceMesh,
 
     Samples each surface and keeps points strictly inside the other mesh;
     the centroid of the union stands in for the intersection's center.
+    Neighbouring triangles share lattice samples, so each distinct sample
+    is tested once and its answer copied to its duplicates.
     """
     for m, name in ((gripper, "gripper"), (obj, "object")):
         if not m.watertight:
@@ -525,22 +581,18 @@ def intersect_approx(gripper: SurfaceMesh, obj: SurfaceMesh,
     lo_o, hi_o = obj.bounds()
     if np.any(lo_g > hi_o) or np.any(lo_o > hi_g):
         return IntersectionResult(0, None)
-    samples_o = surface_sample_points(obj, density)
-    samples_g = surface_sample_points(gripper, density)
-    # cull to the mutual bounding box before the parity tests
+    # only samples in the mutual bounding box can lie inside the other mesh
     box_lo = np.maximum(lo_g, lo_o) - 1e-12
     box_hi = np.minimum(hi_g, hi_o) + 1e-12
-    samples_o = samples_o[np.all((samples_o >= box_lo) & (samples_o <= box_hi), axis=1)]
-    samples_g = samples_g[np.all((samples_g >= box_lo) & (samples_g <= box_hi), axis=1)]
     hits = []
     # samples lying exactly on the other surface bound the overlap region
     # and count as penetrating (coincident-contact case)
-    if len(samples_o):
-        ins, on = point_inside(gripper, samples_o, return_on_surface=True)
-        hits.append(samples_o[ins | on])
-    if len(samples_g):
-        ins, on = point_inside(obj, samples_g, return_on_surface=True)
-        hits.append(samples_g[ins | on])
+    for sampled, other in ((obj, gripper), (gripper, obj)):
+        samples = _samples_in_box(sampled, density, box_lo, box_hi)
+        if len(samples):
+            unique, inverse = np.unique(samples, axis=0, return_inverse=True)
+            ins, on = point_inside(other, unique, return_on_surface=True)
+            hits.append(samples[(ins | on)[inverse.ravel()]])
     pts = np.concatenate(hits) if hits else np.empty((0, 3))
     if len(pts) == 0:
         return IntersectionResult(0, None)

@@ -30,6 +30,7 @@ from .contact_localizer import (
 from .fem_core import precompute_compliance
 from .inverse_solver import (
     ContactCandidateSet,
+    DegenerateSolveError,
     EffectorSet,
     ForceSolution,
     InsufficientEffectorsError,
@@ -210,7 +211,7 @@ class JawEstimator:
         degraded = pose_degraded and not stable
         try:
             sol = solve(self.compliance, self.effectors, self.candidates)
-        except InsufficientEffectorsError:
+        except (InsufficientEffectorsError, DegenerateSolveError):
             sol = replace(self.last_solution, degraded=True,
                           mounted_index=self.candidates.mounted_index)
             degraded = True

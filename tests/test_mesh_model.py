@@ -10,6 +10,7 @@ from finray.mesh_model import (
     MeshError,
     SurfaceMesh,
     TetMesh,
+    TriangleBVH,
     WatertightError,
     closest_point_on_triangles,
     enclosed_volume,
@@ -115,6 +116,30 @@ class TestPointInside:
             point_inside(open_mesh, np.zeros(3))
 
 
+def random_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+def full_lattice_intersection(gripper, obj, density):
+    """Reference for intersect_approx: every lattice sample of both
+    surfaces, culled to the mutual box, each tested on its own."""
+    lo_g, hi_g = gripper.bounds()
+    lo_o, hi_o = obj.bounds()
+    if np.any(lo_g > hi_o) or np.any(lo_o > hi_g):
+        return np.empty((0, 3))
+    box_lo = np.maximum(lo_g, lo_o) - 1e-12
+    box_hi = np.minimum(hi_g, hi_o) + 1e-12
+    hits = [np.empty((0, 3))]
+    for sampled, other in ((obj, gripper), (gripper, obj)):
+        s = surface_sample_points(sampled, density)
+        s = s[np.all((s >= box_lo) & (s <= box_hi), axis=1)]
+        if len(s):
+            ins, on = point_inside(other, s, return_on_surface=True)
+            hits.append(s[ins | on])
+    return np.concatenate(hits)
+
+
 class TestIntersectApprox:
     def test_disjoint(self):
         a = unit_cube()
@@ -153,6 +178,49 @@ class TestIntersectApprox:
         n3 = len(surface_sample_points(a, 3))
         assert n1 == 12 * 3
         assert n3 == 12 * 10
+
+    def test_matches_full_lattice(self, jaw, compliance):
+        rng = np.random.default_rng(21)
+        jaw_template = jaw.mesh.surface()
+        objects = [make_object_mesh(ShapeSpec.cylinder(0.025)),
+                   make_object_mesh(ShapeSpec.wedge()),
+                   make_object_mesh(ShapeSpec.cuboid((0.03, 0.08, 0.03)))]
+        jaw_surface = DeformableSurface(jaw_template)
+        twins = [DeformableSurface(o) for o in objects]
+        face_x = jaw.mesh.vertices[:, 0].max()
+        # overlapping poses per kind: [empty, non-empty]
+        outcomes = {"disjoint": [0, 0], "touching": [0, 0], "deep": [0, 0]}
+        for k in range(200):
+            obj = objects[k % 3]
+            kind = list(outcomes)[(k // 3) % 3]
+            gap = {"disjoint": rng.uniform(1e-3, 1e-2),
+                   "touching": rng.uniform(-2e-4, 2e-4),
+                   "deep": -rng.uniform(2e-3, 1e-2)}[kind]
+            posed = obj.vertices @ random_rotation(rng).T
+            posed -= posed.mean(axis=0)
+            posed += np.array([face_x + gap - posed[:, 0].min(),
+                               rng.uniform(-0.01, 0.01), rng.uniform(0.01, 0.07)])
+            c = int(rng.integers(compliance.n_candidates))
+            deformed = jaw.mesh.vertices + compliance.fields[c] @ rng.normal(scale=5.0, size=3)
+            density = 2 + k % 2
+            jaw_surface.update(deformed)
+            twins[k % 3].update(posed)
+            pairs = ((SurfaceMesh(deformed, jaw_template.triangles),
+                      SurfaceMesh(posed, obj.triangles)),
+                     (jaw_surface, twins[k % 3]))
+            for gripper, twin in pairs:
+                want = full_lattice_intersection(gripper, twin, density)
+                got = intersect_approx(gripper, twin, density=density, keep_points=True)
+                assert got.sample_count == len(want)
+                if len(want):
+                    assert np.array_equal(got.centroid, want.mean(axis=0))
+                    assert np.array_equal(got.points, want)
+                else:
+                    assert got.centroid is None
+            outcomes[kind][len(want) > 0] += 1
+        assert outcomes["disjoint"][1] == 0
+        assert min(outcomes["touching"]) > 0
+        assert outcomes["deep"][1] > 3 * outcomes["deep"][0]
 
 
 class TestProjectToInnerSurface:
@@ -222,6 +290,155 @@ class TestDeformableSurface:
         surf.update(shift)
         assert not point_inside(surf, probe)
         assert point_inside(surf, probe + np.array([0.05, 0.0, 0.0]))
+
+    def test_bounds_equal_root_box(self, jaw, compliance, rng):
+        surf = DeformableSurface(jaw.mesh.surface())
+        for c in range(compliance.n_candidates):
+            surf.update(jaw.mesh.vertices + compliance.fields[c] @ rng.normal(scale=30.0, size=3))
+            lo, hi = surf.bounds()
+            bvh = surf.bvh()
+            assert np.array_equal(lo, bvh.node_min[0])
+            assert np.array_equal(hi, bvh.node_max[0])
+
+    def test_refit_on_first_query_only(self, jaw, monkeypatch):
+        surf = DeformableSurface(jaw.mesh.surface())
+        calls = []
+        refit = TriangleBVH.refit
+        monkeypatch.setattr(TriangleBVH, "refit",
+                            lambda self, v: calls.append(self) or refit(self, v))
+        surf.update(jaw.mesh.vertices + 1e-3)
+        surf.update(jaw.mesh.vertices + 2e-3)
+        assert calls == []
+        probe = jaw.mesh.vertices.mean(axis=0) + 2e-3
+        point_inside(surf, probe)
+        point_inside(surf, probe)
+        assert len(calls) == 1
+        assert np.array_equal(surf.bvh().node_min[0], jaw.mesh.vertices.min(axis=0) + 2e-3)
+
+
+def subdivided(mesh):
+    """Each triangle split into four at its edge midpoints; the surface
+    stays closed and each face gains coplanar neighbours."""
+    t = mesh.triangles
+    edges = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
+    uniq, inverse = np.unique(edges, axis=0, return_inverse=True)
+    ab, bc, ca = len(mesh.vertices) + inverse.reshape(3, -1)
+    verts = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[uniq[:, 0]]
+                                             + mesh.vertices[uniq[:, 1]])])
+    a, b, c = t.T
+    tris = np.vstack([np.column_stack(f) for f in
+                      ((a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca))])
+    return SurfaceMesh(verts, tris)
+
+
+def brute_force_mt(vertices, triangles, origins, dirs):
+    """Moller-Trumbore of every ray against every triangle, no tree.
+    Returns (t, u, v, det_ok) of shape (n_rays, n_triangles)."""
+    tv = vertices[triangles]
+    v0, e1, e2 = tv[:, 0], tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]
+    h = np.cross(dirs[:, None, :], e2[None, :, :])
+    a = np.einsum("ij,kij->ki", e1, h)
+    scale = np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
+    det_ok = np.abs(a) > 1e-14 * np.maximum(scale, 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(det_ok, 1.0 / a, 0.0)
+    srel = origins[:, None, :] - v0[None, :, :]
+    u = f * np.einsum("kij,kij->ki", srel, h)
+    q = np.cross(srel, e1[None, :, :])
+    v = f * np.einsum("kj,kij->ki", dirs, q)
+    t = f * np.einsum("ij,kij->ki", e2, q)
+    return t, u, v, det_ok
+
+
+def brute_force_crossings(vertices, triangles, points, direction, eps=1e-9):
+    """Returns (counts, suspect over all triangles, suspect over the
+    triangles whose own box the ray enters)."""
+    dirs = np.broadcast_to(direction, points.shape).copy()
+    t, u, v, det_ok = brute_force_mt(vertices, triangles, points, dirs)
+    w = 1.0 - u - v
+    interior = det_ok & (u > eps) & (v > eps) & (w > eps) & (t > eps)
+    grazing = (~det_ok) | (
+        (np.minimum(np.minimum(np.abs(u), np.abs(v)), np.abs(w)) <= eps)
+        & (u > -eps) & (v > -eps) & (w > -eps) & (t > -eps)
+    ) | (np.abs(t) <= eps)
+    tv = vertices[triangles]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (tv.min(axis=1)[None] - points[:, None]) / direction
+        t2 = (tv.max(axis=1)[None] - points[:, None]) / direction
+    lo = np.fmax.reduce(np.fmin(t1, t2), axis=2)
+    hi = np.fmin.reduce(np.fmax(t1, t2), axis=2)
+    enters = hi >= np.maximum(lo, 0.0)
+    return interior.sum(axis=1), grazing.any(axis=1), (grazing & enters).any(axis=1)
+
+
+def brute_force_first_hit(vertices, triangles, origins, targets, t_lo, t_hi):
+    t, u, v, det_ok = brute_force_mt(vertices, triangles, origins, targets - origins)
+    ok = det_ok & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > t_lo) & (t < t_hi)
+    return np.where(ok, t, np.inf).min(axis=1)
+
+
+class TestBatchedTraversal:
+    """The BVH's batched traversal against Moller-Trumbore over all
+    triangles, no tree: equal crossing counts and first hits, inf
+    included. A ray is also suspect when it starts within eps of the
+    plane of a triangle it never comes near, or runs parallel to one, but
+    only if that triangle shares a leaf with one the ray passes; the tree
+    decides those flags. So the BVH's suspect flags lie between the
+    reference's over the triangles whose boxes the ray enters and over
+    all triangles, and equal both wherever those agree."""
+
+    def states(self, jaw, compliance, rng):
+        rest = jaw.mesh.vertices
+        triangles = jaw.mesh.surface().triangles
+        for _ in range(100):
+            c = int(rng.integers(compliance.n_candidates))
+            force = rng.normal(scale=20.0, size=3)
+            yield rest + compliance.fields[c] @ force, triangles
+        wedge = subdivided(subdivided(make_object_mesh(ShapeSpec.wedge())))
+        for base in (make_object_mesh(ShapeSpec.cylinder(0.025)), wedge):
+            for _ in range(10):
+                yield (base.vertices @ random_rotation(rng).T
+                       + rng.normal(scale=0.01, size=3)), base.triangles
+
+    def test_matches_brute_force(self, jaw, compliance):
+        rng = np.random.default_rng(11)
+        hits = suspects = 0
+        for vertices, triangles in self.states(jaw, compliance, rng):
+            bvh = TriangleBVH(vertices, triangles)
+            lo, hi = vertices.min(axis=0), vertices.max(axis=0)
+            tv = vertices[triangles]
+            probes = np.concatenate([
+                rng.uniform(lo, hi, (150, 3)),
+                tv[rng.integers(len(tv), size=25), 0],
+                0.5 * (tv[:, 0] + tv[:, 1])[rng.integers(len(tv), size=25)],
+            ])
+            direction = rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            counts, suspect = bvh.count_crossings(probes, direction)
+            want, suspect_all, suspect_near = brute_force_crossings(
+                vertices, triangles, probes, direction)
+            assert np.array_equal(counts, want)
+            assert not np.any(suspect_near & ~suspect)
+            assert not np.any(suspect & ~suspect_all)
+            assert np.mean(suspect_near == suspect_all) > 0.99
+            suspects += int(suspect.sum())
+
+            dirs = rng.normal(size=(150, 3))
+            origins = 0.5 * (lo + hi) + 0.1 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+            targets = rng.uniform(lo, hi, (150, 3))
+            got = bvh.first_hit_fraction(origins, targets, t_hi=1.0 - 1e-6)
+            want = brute_force_first_hit(vertices, triangles, origins, targets,
+                                         1e-9, 1.0 - 1e-6)
+            assert np.array_equal(got, want)
+            hits += int(np.isfinite(got).sum())
+        assert hits >= 5000
+        assert suspects >= 50 * 100  # the vertex and midpoint probes graze
+
+    def test_partly_filled_leaves(self, jaw):
+        # the padding mask is exercised: the jaw's leaves hold 8, 9 or 16
+        bvh = jaw.mesh.surface().bvh()
+        counts = bvh.node_count[bvh.node_count > 0]
+        assert (counts < bvh.leaf_size).any() and (counts == bvh.leaf_size).any()
 
 
 class TestMeshIO:

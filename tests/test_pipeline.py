@@ -7,6 +7,7 @@ import pytest
 
 from finray.fem_core import MaterialModel, StiffnessSystem
 from finray.fixtures import ShapeSpec
+from finray.mesh_model import TriangleBVH
 from finray.pipeline import (
     EstimatorSettings,
     JawEstimator,
@@ -125,6 +126,25 @@ class TestDegradedFrames:
         assert fe2.n_active == 0
         assert np.array_equal(fe2.lam, fe1.lam)
 
+    def test_degenerate_solve_holds_last(self, jaw, compliance):
+        # at eps = 0 an all-zero effector response leaves the stationarity
+        # system singular: the frame is degraded instead of aborting
+        class ZeroOps:
+            n_effectors = compliance.n_effectors
+            w_ea = np.zeros_like(compliance.w_ea)
+            w_aa = compliance.w_aa
+            fields = compliance.fields
+
+        engine = SimEngine(quick_static())
+        est = JawEstimator(engine, 0, EstimatorSettings(epsilons=0.0), compliance=ZeroOps)
+        dt = 1.0 / 30.0
+        for k, closure in enumerate((0.0, 0.006)):
+            pkt = engine.frame(k * dt, closure, "load", True, dt)
+            fe = est.step(pkt.observations[0], k * dt, pkt.truth.jaws[0].candidate)
+            assert fe.degraded
+            assert np.array_equal(fe.lam, np.zeros(3))
+            assert fe.mounted_index == est.candidates.mounted_index
+
     def test_stale_pose_flags_degraded(self):
         scenario = quick_static(pose_hz=10.0)
         engine = SimEngine(scenario)
@@ -167,6 +187,40 @@ class TestPreEstimationNoInfluence:
             assert (r_on.column("true_candidate") < 0).all(), "scene made contact"
             diffs.append(np.abs(n_on - n_off).max())
         assert max(diffs) <= 1e-9
+
+
+class TestLazyRefit:
+    def count_refits(self, monkeypatch):
+        refit = TriangleBVH.refit
+        calls = []
+
+        def counting_refit(self, vertices):
+            calls.append(self)
+            return refit(self, vertices)
+
+        monkeypatch.setattr(TriangleBVH, "refit", counting_refit)
+        return calls
+
+    def test_disjoint_step_refits_nothing(self, monkeypatch):
+        engine = SimEngine(quick_static(plateaus=(0, 0), clearance_mm=3.0))
+        est = JawEstimator(engine, 0, EstimatorSettings(pre_estimate=False))
+        calls = self.count_refits(monkeypatch)
+        pkt = engine.frame(0.0, 0.0, "pre", False, 1.0 / 30.0)
+        fe = est.step(pkt.observations[0], 0.0, -1)
+        assert fe.pose_source == "fresh" and not fe.status
+        (lo_j, hi_j), (lo_t, hi_t) = est.jaw_surface.bounds(), est.twin.bounds()
+        assert np.any(lo_j > hi_t) or np.any(lo_t > hi_j)
+        assert calls == []
+
+    def test_overlapping_step_refits_each_surface_once(self, monkeypatch):
+        engine = SimEngine(quick_static())
+        est = JawEstimator(engine, 0, EstimatorSettings())
+        calls = self.count_refits(monkeypatch)
+        pkt = engine.frame(0.0, 0.006, "load", True, 1.0 / 30.0)
+        fe = est.step(pkt.observations[0], 0.0, pkt.truth.jaws[0].candidate)
+        assert fe.status
+        assert sorted(map(id, calls)) == sorted(
+            map(id, (est.jaw_surface.bvh(), est.twin.bvh())))
 
 
 class TestComplianceCache:
