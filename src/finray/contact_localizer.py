@@ -1,27 +1,23 @@
-"""Frame transforms and the iterative contact localization step.
+"""Frame transforms and the building blocks of contact localization.
 
-Each simulation iteration places an object twin in the jaw frame (pose
+Each estimator iteration places an object twin in the jaw frame (pose
 chained from the camera, or pre-estimated along the grasp axis before
 contact), intersects it with the deformed jaw surface, and snaps the
 intersection center through the undeformed mesh onto the nearest contact
-candidate. A rate gate models the slow pose stream feeding a faster
-camera loop.
+candidate. That iteration, with the ``ContactState`` transition, is
+``pipeline.localize``; this module holds its pieces (the state, the
+pre-estimate and the candidate snap). A rate gate models the slow pose
+stream feeding a faster camera loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .mesh_model import (
-    IntersectionResult,
-    SurfaceMesh,
-    TetMesh,
-    intersect_approx,
-    project_to_inner_surface,
-)
+from .mesh_model import SurfaceMesh, TetMesh, project_to_inner_surface
 
 if TYPE_CHECKING:
     from .inverse_solver import ContactCandidateSet
@@ -138,15 +134,6 @@ def pre_estimate_translation(state: ContactState, rotation: np.ndarray,
     return state.l0 + 0.5 * extent
 
 
-@dataclass(frozen=True)
-class LocalizeResult:
-    state: ContactState
-    remount_to: Optional[int]
-    intersection: IntersectionResult
-    twin_translation: np.ndarray
-    pre_estimated: bool
-
-
 def select_candidate(centroid: np.ndarray, deformed_vertices: np.ndarray,
                      surface_vertex_ids: np.ndarray, undeformed: TetMesh,
                      candidates: "ContactCandidateSet") -> int:
@@ -162,47 +149,6 @@ def select_candidate(centroid: np.ndarray, deformed_vertices: np.ndarray,
     q_p = project_to_inner_surface(undeformed, undeformed.vertices[j])
     dists = np.linalg.norm(candidates.positions - q_p, axis=1)
     return int(np.argmin(dists))
-
-
-def localize_step(state: ContactState, gripper_deformed: SurfaceMesh,
-                  undeformed: TetMesh, obj: SurfaceMesh, pose: PoseTransform,
-                  candidates: "ContactCandidateSet", density: int = 3,
-                  surface_vertex_ids: np.ndarray | None = None) -> LocalizeResult:
-    """One localization iteration.
-
-    Places the twin (pose translation when in contact, pre-estimated
-    x-translation otherwise), intersects with the deformed jaw, and on
-    overlap selects the candidate nearest the projected intersection
-    center. Lowest index wins ties. Returns the updated state and the
-    remount decision (None when no contact).
-    """
-    translation = pose.translation.copy()
-    pre_estimated = not state.status
-    if pre_estimated:
-        translation[0] = pre_estimate_translation(state, pose.rotation, obj)
-    twin = obj.transformed(rotation=pose.rotation, translation=translation)
-    inter = intersect_approx(gripper_deformed, twin, density=density)
-
-    new_state = replace(state)
-    remount_to: Optional[int] = None
-    if inter.is_empty:
-        new_state.status = False
-        new_state.stable_frames = 0
-        new_state.centroid = None
-    else:
-        if surface_vertex_ids is None:
-            surface_vertex_ids = np.unique(gripper_deformed.triangles)
-        c = select_candidate(inter.centroid, gripper_deformed.vertices,
-                             surface_vertex_ids, undeformed, candidates)
-        remount_to = c
-        if state.status and c == state.mounted_index:
-            new_state.stable_frames = state.stable_frames + 1
-        else:
-            new_state.stable_frames = 1
-        new_state.status = True
-        new_state.mounted_index = c
-        new_state.centroid = inter.centroid
-    return LocalizeResult(new_state, remount_to, inter, translation, pre_estimated)
 
 
 @dataclass

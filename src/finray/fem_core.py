@@ -1,14 +1,21 @@
 """Linear-elastic tetrahedral FEM: stiffness assembly over free DOFs,
-cached factorization, and precomputation of the compliance operators the
-inverse force solver consumes.
+cached factorization, the unit-load field bank, and the compliance
+operators the inverse force solver consumes.
 
 Small-strain linear elements keep the compliance maps constant, which is
 what the inverse objective requires. Dense Cholesky below 2000 free DOFs,
 sparse LU above (the refined oracle mesh).
+
+Each ``StiffnessSystem`` owns one bank of unit-load displacement fields,
+one per loaded vertex. A request solves the vertices not yet in the bank
+in a single multi-right-hand-side solve, under the system's lock, and
+every consumer (the forward contact oracle and the inverse solver's
+``ComplianceOperators``) reads the same read-only arrays from it.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -84,9 +91,13 @@ def element_stiffnesses(vertices: np.ndarray, tets: np.ndarray,
 
 
 class StiffnessSystem:
-    """Assembled stiffness with fixed DOFs eliminated and a cached
-    factorization. Immutable after construction; concurrent solves against
-    the factorization are safe."""
+    """Assembled stiffness with fixed DOFs eliminated, a cached
+    factorization and the bank of unit-load fields solved against it.
+
+    The matrices and the factorization do not change after construction,
+    so concurrent solves are safe. The bank only grows: ``unit_load_fields``
+    fills it under ``_bank_lock``, so threads that ask for overlapping
+    vertices solve each field once and read the same arrays."""
 
     def __init__(self, mesh: TetMesh, material: MaterialModel):
         if len(mesh.fixed_vertex_ids) == 0:
@@ -118,14 +129,14 @@ class StiffnessSystem:
                 raise SolveError(f"stiffness not positive definite: {exc}") from exc
         else:
             self._sparse_lu = scipy.sparse.linalg.splu(k_ff.tocsc())
+        self._bank: dict[int, np.ndarray] = {}
+        self._bank_lock = threading.Lock()
 
     def solve_free(self, rhs: np.ndarray) -> np.ndarray:
         """Solve K_ff u = rhs for one or more right-hand sides."""
         if self._dense is not None:
             return scipy.linalg.cho_solve(self._dense, rhs)
-        if rhs.ndim == 1:
-            return self._sparse_lu.solve(rhs)
-        return np.column_stack([self._sparse_lu.solve(rhs[:, i]) for i in range(rhs.shape[1])])
+        return self._sparse_lu.solve(rhs)
 
     def solve_displacement(self, loads: np.ndarray) -> DeformedState:
         """Displacement under per-vertex loads; loads on fixed vertices must
@@ -140,18 +151,34 @@ class StiffnessSystem:
         u.ravel()[self.free_dofs] = u_free
         return DeformedState(u)
 
+    def unit_load_fields(self, vertex_ids) -> list[np.ndarray]:
+        """Read-only (n_vertices, 3, 3) displacement fields for unit loads
+        along each axis at each vertex: ``field[:, :, d]`` is the response
+        to axis d. Vertices missing from the bank are solved together in
+        one ``solve_free`` call and stored; the rest are shared."""
+        vertex_ids = [int(v) for v in vertex_ids]
+        with self._bank_lock:
+            missing = list(dict.fromkeys(v for v in vertex_ids if v not in self._bank))
+            if missing:
+                dofs = (3 * np.asarray(missing)[:, None] + np.arange(3)).ravel()
+                cols = np.searchsorted(self.free_dofs, dofs)
+                bad = self.free_dofs[np.minimum(cols, self.n_free - 1)] != dofs
+                if bad.any():
+                    raise SolveError(f"vertex {int(dofs[bad][0]) // 3} is fixed; "
+                                     "no compliance column")
+                rhs = np.zeros((self.n_free, len(dofs)))
+                rhs[cols, np.arange(len(dofs))] = 1.0
+                full = np.zeros((self.mesh.n_vertices * 3, len(dofs)))
+                full[self.free_dofs] = self.solve_free(rhs)
+                block = np.ascontiguousarray(
+                    full.reshape(self.mesh.n_vertices, 3, len(missing), 3).transpose(2, 0, 1, 3))
+                block.flags.writeable = False
+                self._bank.update(zip(missing, block))
+            return [self._bank[v] for v in vertex_ids]
+
     def point_load_field(self, vertex_id: int) -> np.ndarray:
-        """(n_vertices, 3, 3) displacement fields for unit loads along each
-        axis at one vertex: field[:, :, d] is the response to axis d."""
-        cols = np.flatnonzero(np.isin(self.free_dofs, 3 * vertex_id + np.arange(3)))
-        if len(cols) != 3:
-            raise SolveError(f"vertex {vertex_id} is fixed; no compliance column")
-        rhs = np.zeros((self.n_free, 3))
-        rhs[cols, np.arange(3)] = 1.0
-        u_free = self.solve_free(rhs)
-        field = np.zeros((self.mesh.n_vertices * 3, 3))
-        field[self.free_dofs] = u_free
-        return field.reshape(self.mesh.n_vertices, 3, 3)
+        """The bank's unit-load field at one vertex."""
+        return self.unit_load_fields([vertex_id])[0]
 
     def strain_energy(self, state: DeformedState) -> float:
         u = state.displacements.ravel()
@@ -163,12 +190,14 @@ def assemble(mesh: TetMesh, material: MaterialModel) -> StiffnessSystem:
 
 
 class ComplianceOperators:
-    """Precomputed unit-load responses for every contact candidate.
+    """Unit-load responses for every contact candidate, gathered from the
+    system's field bank.
 
     ``w_ea[i]`` maps a force at candidate i to effector displacement
     components (3E x 3); ``w_aa[i]`` is the candidate's own 3x3 compliance.
-    Full displacement fields are kept so deformation reconstruction is a
-    single matrix-vector product.
+    ``fields[i]`` is candidate i's full (n_vertices, 3, 3) field, the bank's
+    read-only array itself, so deformation reconstruction is a single
+    matrix-vector product.
     """
 
     def __init__(self, system: StiffnessSystem, effector_ids: np.ndarray,
@@ -181,10 +210,10 @@ class ComplianceOperators:
                 raise SolveError(f"{name} id out of range")
         self.effector_ids = effector_ids
         self.candidate_ids = candidate_ids
-        fields = np.stack([system.point_load_field(c) for c in candidate_ids])
-        self.fields = fields  # (n_c, n_v, 3, 3)
-        self.w_ea = fields[:, effector_ids].reshape(len(candidate_ids), -1, 3)
-        self.w_aa = fields[np.arange(len(candidate_ids)), candidate_ids]
+        self.fields = tuple(system.unit_load_fields(candidate_ids))
+        self.w_ea = np.stack([f[effector_ids] for f in self.fields]).reshape(
+            len(candidate_ids), -1, 3)
+        self.w_aa = np.stack([f[c] for f, c in zip(self.fields, candidate_ids)])
 
     @property
     def n_candidates(self) -> int:

@@ -16,7 +16,6 @@ import json
 import logging
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config as cfgmod
-from .fem_core import MaterialModel
+from .fem_core import MaterialModel, precompute_compliance
 from .fixtures import JawParams, ShapeSpec, canonical_jaw, generate_jaw, save_fixture
 from .inverse_solver import ContactCandidateSet, EffectorSet, solve
 from .mesh_calibration import CameraModel, calibrate, chamfer_distance, load_point_cloud
@@ -36,7 +35,7 @@ from .metrics_force import (
     ThresholdTrigger,
     rmse_nrmsd,
 )
-from .pipeline import EstimatorSettings, JawEstimator, RunResult, cached_compliance, run_estimation
+from .pipeline import EstimatorSettings, JawEstimator, RunResult, run_estimation
 from .sensing_sim import (
     ContactModelConfig,
     NoiseConfig,
@@ -450,7 +449,7 @@ def tune_epsilon(out_dir: Path, seed: int = 0, n_trials: int = 150,
     out_dir.mkdir(parents=True, exist_ok=True)
     fixture = canonical_jaw()
     system = cached_system(fixture.mesh, MaterialModel())
-    ops = cached_compliance(system, fixture.keypoint_ids, fixture.candidate_ids)
+    ops = precompute_compliance(system, fixture.keypoint_ids, fixture.candidate_ids)
     if eps_grid is None:
         eps_grid = [0.0] + list(np.logspace(-7, -2, 14))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -493,40 +492,6 @@ def tune_epsilon(out_dir: Path, seed: int = 0, n_trials: int = 150,
     path = out_dir / "epsilon_schedule.cfg"
     cfgmod.save_config(schedule, path)
     return path
-
-
-def benchmark(n_frames: int = 120) -> dict:
-    """Per-jaw estimator-iteration rate and full dual-jaw pipeline rate on
-    the canonical fixture, in steady contact."""
-    scenario = default_ideal_scenario(
-        shape=ShapeSpec.cylinder(0.025), contact_position="middle", dual_jaw=True,
-        schedule=ScheduleConfig(kind="grasp"))
-    engine = SimEngine(scenario)
-    settings = EstimatorSettings()
-    estimators = [JawEstimator(engine, i, settings) for i in range(2)]
-    dt = 1.0 / scenario.camera_hz
-    closure = engine.rigs[0].base_offset - engine.fixture.params.depth / 2.0 \
-        - engine._object_half_extent_x() + 0.004
-    packets = [engine.frame(i * dt, closure, "hold", True, dt) for i in range(n_frames)]
-    for pkt in packets[:10]:
-        for i, est in enumerate(estimators):
-            est.step(pkt.observations[i], pkt.truth.timestamp, pkt.truth.jaws[i].candidate)
-    t0 = time.perf_counter()
-    for k, pkt in enumerate(packets):
-        estimators[0].step(pkt.observations[0], pkt.truth.timestamp + 1.0 + k * dt,
-                           pkt.truth.jaws[0].candidate)
-    t_single = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for k, pkt in enumerate(packets):
-        for i, est in enumerate(estimators):
-            est.step(pkt.observations[i], pkt.truth.timestamp + 10.0 + k * dt,
-                     pkt.truth.jaws[i].candidate)
-    t_dual = time.perf_counter() - t0
-    return {
-        "hz_per_jaw": n_frames / t_single,
-        "hz_dual": n_frames / t_dual,
-        "n_frames": n_frames,
-    }
 
 
 def _write_report(out_dir: Path, report: MetricsReport) -> None:
@@ -647,13 +612,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    out = _out_dir(args, "sweep")
-    _, ok = suite_sweep(out, seed=args.seed)
-    print(f"sweep -> {out}")
-    return 0 if ok else 1
-
-
 def cmd_tune_epsilon(args) -> int:
     out = _out_dir(args, "tune-epsilon")
     path = tune_epsilon(out, seed=args.seed, n_trials=args.trials)
@@ -699,11 +657,6 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("sweep", help="closing-speed sweep")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("tune-epsilon", help="tune per-candidate regularization")
     p.add_argument("--seed", type=int, default=0)

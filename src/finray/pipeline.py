@@ -1,6 +1,6 @@
 """Per-jaw estimation pipeline: keypoint filtering, rate-gated pose
-chaining, the iterative contact localization loop, and the force solve,
-streamed over a scenario's synthetic observations.
+chaining, the iterative contact localization step (``localize``), and the
+force solve, streamed over a scenario's synthetic observations.
 
 Run outputs are a per-frame CSV (force solution, residuals, activation
 mask, localization trace) plus a JSON manifest sufficient to reproduce the
@@ -35,11 +35,12 @@ from .inverse_solver import (
     ForceSolution,
     InsufficientEffectorsError,
     KeypointFilter,
+    estimate_deformation,
     remount,
     set_targets,
     solve,
 )
-from .mesh_model import DeformableSurface, intersect_approx
+from .mesh_model import DeformableSurface, TetMesh, intersect_approx
 from .metrics_force import decompose
 from .sensing_sim import (
     FramePacket,
@@ -94,18 +95,37 @@ class FrameEstimate:
     centroid: Optional[np.ndarray]
 
 
-_COMPLIANCE_CACHE: dict = {}
+def localize(state: ContactState, pose: PoseTransform, jaw_surface,
+             twin: DeformableSurface, twin_base: np.ndarray, undeformed: TetMesh,
+             surface_ids: np.ndarray, candidates: ContactCandidateSet,
+             density: int, pre_estimate: bool) -> tuple[Optional[int], bool]:
+    """One localization iteration; updates ``state`` in place.
 
-
-def cached_compliance(system, effector_ids, candidate_ids):
-    """Compliance operators per (system, effector set, candidate set). Each
-    entry holds its system, so the system's ``id`` in the key cannot be
-    reused by another object while the entry exists."""
-    key = (id(system), effector_ids.tobytes(), candidate_ids.tobytes())
-    if key not in _COMPLIANCE_CACHE:
-        _COMPLIANCE_CACHE[key] = (system, precompute_compliance(system, effector_ids,
-                                                                candidate_ids))
-    return _COMPLIANCE_CACHE[key][1]
+    Places the twin (``twin_base`` vertices under ``pose``). Before
+    contact its grasp-axis translation is pre-estimated instead, unless
+    ``pre_estimate`` is off; the extent is taken from ``twin`` as it was
+    last placed. Intersects the twin with the deformed jaw surface and, on
+    overlap, snaps the intersection center to the nearest candidate (lowest
+    index on ties). Returns (candidate to mount, or None when there is no
+    contact; whether the frame was a pre-estimation frame).
+    """
+    translation = pose.translation.copy()
+    pre_estimated = not state.status
+    if pre_estimated and pre_estimate:
+        translation[0] = pre_estimate_translation(state, pose.rotation, twin)
+    twin.update(twin_base @ pose.rotation.T + translation)
+    inter = intersect_approx(jaw_surface, twin, density=density)
+    if inter.is_empty:
+        state.status, state.stable_frames, state.centroid = False, 0, None
+        return None, pre_estimated
+    c = select_candidate(inter.centroid, jaw_surface.vertices, surface_ids,
+                         undeformed, candidates)
+    if state.status and c == state.mounted_index:
+        state.stable_frames += 1
+    else:
+        state.stable_frames = 1
+    state.status, state.mounted_index, state.centroid = True, c, inter.centroid
+    return c, pre_estimated
 
 
 class JawEstimator:
@@ -118,7 +138,7 @@ class JawEstimator:
         rig = engine.rigs[jaw_index]
         self.settings = settings
         self.fixture = rig.fixture
-        self.compliance = compliance or cached_compliance(
+        self.compliance = compliance or precompute_compliance(
             rig.system, rig.fixture.keypoint_ids, rig.fixture.candidate_ids)
         self.effectors = EffectorSet.from_fixture(rig.fixture)
         eps = settings.resolved_epsilons(len(rig.fixture.candidate_ids))
@@ -152,25 +172,6 @@ class JawEstimator:
         t = self.ref_jaw - r @ observation.reference
         return PoseTransform(r, t, "c", "g")
 
-    def _localize(self, pose_jaw_from_obj: PoseTransform) -> tuple[bool, Optional[int], Optional[np.ndarray], bool]:
-        """Returns (status, remount_to, centroid, pre_estimated)."""
-        state = self.contact_state
-        translation = pose_jaw_from_obj.translation.copy()
-        pre_estimated = not state.status
-        if pre_estimated:
-            if self.settings.pre_estimate:
-                translation[0] = pre_estimate_translation(
-                    state, pose_jaw_from_obj.rotation, self.twin)
-        self.twin.update(self.twin_base @ pose_jaw_from_obj.rotation.T + translation)
-        self.jaw_surface.update(self.fixture.mesh.vertices + self.last_displacements)
-        inter = intersect_approx(self.jaw_surface, self.twin,
-                                 density=self.settings.intersect_density)
-        if inter.is_empty:
-            return False, None, None, pre_estimated
-        c = select_candidate(inter.centroid, self.jaw_surface.vertices,
-                             self.surface_ids, self.fixture.mesh, self.candidates)
-        return True, c, inter.centroid, pre_estimated
-
     def step(self, observation: Observation, t: float,
              truth_candidate: int = -1) -> FrameEstimate:
         settings = self.settings
@@ -192,21 +193,15 @@ class JawEstimator:
         elif settings.mount_mode == "fixed":
             status = True
         elif settings.localize and pose_cam_from_obj is not None:
-            pose_jaw_from_obj = chain_pose(jaw_from_cam, pose_cam_from_obj)
-            status, remount_to, centroid, pre_estimated = self._localize(pose_jaw_from_obj)
-            state = self.contact_state
-            if status:
-                if state.status and remount_to == state.mounted_index:
-                    state.stable_frames += 1
-                else:
-                    state.stable_frames = 1
-                state.mounted_index = remount_to
-                if remount_to != self.candidates.mounted_index:
-                    self.candidates = remount(self.candidates, remount_to)
-            else:
-                state.stable_frames = 0
-            state.status = status
-            state.centroid = centroid
+            self.jaw_surface.update(self.fixture.mesh.vertices + self.last_displacements)
+            remount_to, pre_estimated = localize(
+                self.contact_state, chain_pose(jaw_from_cam, pose_cam_from_obj),
+                self.jaw_surface, self.twin, self.twin_base, self.fixture.mesh,
+                self.surface_ids, self.candidates, settings.intersect_density,
+                settings.pre_estimate)
+            if remount_to is not None and remount_to != self.candidates.mounted_index:
+                self.candidates = remount(self.candidates, remount_to)
+            status, centroid = self.contact_state.status, self.contact_state.centroid
 
         degraded = pose_degraded and not stable
         try:
@@ -216,8 +211,8 @@ class JawEstimator:
                           mounted_index=self.candidates.mounted_index)
             degraded = True
         self.last_solution = sol
-        self.last_displacements = (
-            self.compliance.fields[sol.mounted_index] @ sol.lam)
+        self.last_displacements = estimate_deformation(
+            self.compliance, sol.lam, sol.mounted_index).displacements
 
         mask = 0
         for i, a in enumerate(self.effectors.active):

@@ -14,8 +14,10 @@ rotated half a turn about z.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -182,8 +184,9 @@ class ScenarioResult:
 class ForwardContactModel:
     """Quasi-static penalty contact for one jaw against an analytic SDF.
 
-    Iterates force <-> deformation to a fixed point using precomputed
-    unit-load displacement fields at the eligible contact nodes.
+    Iterates force <-> deformation to a fixed point using the system's
+    unit-load displacement fields at the eligible contact nodes. Holds no
+    state between solves, so the jaws of one engine share a model.
     """
 
     def __init__(self, system: StiffnessSystem, fixture: JawFixture,
@@ -197,7 +200,7 @@ class ForwardContactModel:
             self.node_ids = fixture.mesh.inner_surface_ids.copy()
         else:
             raise ValueError(f"unknown contact model {cfg.model!r}")
-        fields = np.stack([system.point_load_field(v) for v in self.node_ids])
+        fields = np.stack(system.unit_load_fields(self.node_ids))
         self.fields = fields  # (n_e, n_v, 3, 3)
         self.self_compliance = fields[:, self.node_ids]  # (n_e, n_e, 3, 3)
         self.rest = fixture.mesh.vertices[self.node_ids]
@@ -334,32 +337,21 @@ def _object_world_pose(scenario: Scenario, x_center: float, z_center: float) -> 
 
 
 _SYSTEM_CACHE: dict = {}
-_CONTACT_CACHE: dict = {}
+_SYSTEM_LOCK = threading.Lock()
 
 
 def cached_system(mesh, material: MaterialModel) -> StiffnessSystem:
-    """Stiffness assembly/factorization cache; systems are immutable and
-    shared freely across engines and jaws."""
-    key = (id(mesh), material.youngs_modulus, material.poisson_ratio)
-    if key not in _SYSTEM_CACHE:
-        _SYSTEM_CACHE[key] = assemble(mesh, material)
-    return _SYSTEM_CACHE[key]
-
-
-def _cached_contact_model(system: StiffnessSystem, fixture: JawFixture,
-                          cfg: ContactModelConfig) -> ForwardContactModel:
-    """The unit-load fields depend only on the model kind; share them and
-    clone the lightweight wrapper when penalty parameters differ."""
-    key = (id(system), cfg.model)
-    if key not in _CONTACT_CACHE:
-        _CONTACT_CACHE[key] = ForwardContactModel(system, fixture, cfg)
-    cached = _CONTACT_CACHE[key]
-    if cached.cfg == cfg:
-        return cached
-    clone = ForwardContactModel.__new__(ForwardContactModel)
-    clone.__dict__.update(cached.__dict__)
-    clone.cfg = cfg
-    return clone
+    """One stiffness system, with its factorization and field bank, per
+    mesh content and material; shared across engines, jaws and threads."""
+    digest = hashlib.sha256()
+    for arr in (mesh.vertices, mesh.tets, mesh.fixed_vertex_ids, mesh.inner_surface_ids):
+        digest.update(repr(arr.shape).encode())
+        digest.update(arr.tobytes())
+    key = (digest.hexdigest(), material.youngs_modulus, material.poisson_ratio)
+    with _SYSTEM_LOCK:
+        if key not in _SYSTEM_CACHE:
+            _SYSTEM_CACHE[key] = assemble(mesh, material)
+        return _SYSTEM_CACHE[key]
 
 
 class SimEngine:
@@ -378,9 +370,9 @@ class SimEngine:
         sides = ("left", "right") if scenario.dual_jaw else ("left",)
         self.rigs: list[JawRig] = []
         depth = fixture.params.depth
+        system = cached_system(fixture.mesh, material)
+        model = ForwardContactModel(system, fixture, scenario.contact)
         for side in sides:
-            system = cached_system(fixture.mesh, material)
-            model = _cached_contact_model(system, fixture, scenario.contact)
             rot = np.eye(3) if side == "left" else rot_z(math.pi)
             self.rigs.append(JawRig(side, fixture, system, model, rot,
                                     scenario.gap / 2.0 + depth / 2.0))

@@ -9,7 +9,6 @@ from finray.contact_localizer import (
     PoseRateGate,
     PoseTransform,
     chain_pose,
-    localize_step,
     pre_estimate_translation,
     rotation_about,
     rot_z,
@@ -17,7 +16,8 @@ from finray.contact_localizer import (
 from finray.fem_core import MaterialModel
 from finray.fixtures import ShapeSpec, make_object_mesh, make_sdf
 from finray.inverse_solver import ContactCandidateSet
-from finray.mesh_model import extract_surface, DeformedState
+from finray.mesh_model import DeformableSurface, DeformedState, extract_surface
+from finray.pipeline import localize
 from finray.sensing_sim import ContactModelConfig, ForwardContactModel, cached_system
 
 
@@ -97,8 +97,15 @@ class TestPreEstimateTranslation:
             pre_estimate_translation(state, np.eye(3), squashed)
 
 
+def localize_at(state, surf, jaw, twin, obj, pose, cands):
+    """``pipeline.localize`` at density 3 with the twin placed from ``obj``'s
+    vertices; returns the remount decision and the pre-estimation flag."""
+    return localize(state, pose, surf, twin, obj.vertices, jaw.mesh,
+                    np.unique(surf.triangles), cands, density=3, pre_estimate=True)
+
+
 class LocalizerScene:
-    """Oracle scene driving localize_step the way the estimation loop
+    """Oracle scene driving ``localize`` the way the estimation loop
     does: the jaw surface the localizer sees is the deformation of the
     PREVIOUS iteration, so fresh penetration is visible while loading."""
 
@@ -106,6 +113,7 @@ class LocalizerScene:
         self.jaw = jaw
         self.spec = ShapeSpec.cylinder(diameter, 0.05)
         self.mesh = make_object_mesh(self.spec)
+        self.twin = DeformableSurface(self.mesh)
         self.sdf = make_sdf(self.spec)
         system = cached_system(jaw.mesh, MaterialModel())
         self.model = ForwardContactModel(system, jaw,
@@ -131,18 +139,19 @@ class LocalizerScene:
             displacements = np.zeros_like(self.jaw.mesh.vertices)
         return extract_surface(self.jaw.mesh, DeformedState(displacements))
 
+    def localize(self, state, surf, pose, cands):
+        return localize_at(state, surf, self.jaw, self.twin, self.mesh, pose, cands)
+
     def run_loading(self, z, state, cands, n_frames=8):
         """Ramp the press from zero; surface lags truth by one frame."""
-        results = []
+        mounts = []
         disp = None
         for press in np.linspace(0.0, self.press, n_frames):
             pose = self.pose_at(z, press)
-            res = localize_step(state, self.surface(disp), self.jaw.mesh,
-                                self.mesh, pose, cands)
-            state = res.state
+            remount_to, _ = self.localize(state, self.surface(disp), pose, cands)
             disp = self.truth_displacements(pose)
-            results.append(res)
-        return results, state
+            mounts.append(remount_to)
+        return mounts, state
 
 
 class TestLocalizeStep:
@@ -150,18 +159,20 @@ class TestLocalizeStep:
         state = ContactState(l0=jaw.l0)
         cands = ContactCandidateSet.from_fixture(jaw)
         obj = make_object_mesh(ShapeSpec.cylinder(0.015, 0.05))
+        twin = DeformableSurface(obj)
         pose = PoseTransform(np.eye(3), np.array([0.2, 0.0, 0.04]), "o", "g")
         surf = jaw.mesh.surface()
         # twin placed by pose: far away, no intersection, status stays off
         state.status = True
-        res = localize_step(state, surf, jaw.mesh, obj, pose, cands)
-        assert not res.state.status
-        assert res.remount_to is None
+        remount_to, _ = localize_at(state, surf, jaw, twin, obj, pose, cands)
+        assert not state.status
+        assert remount_to is None
         # next pass pre-estimates: twin pushed just into the surface
-        res2 = localize_step(res.state, surf, jaw.mesh, obj, pose, cands)
-        assert res2.pre_estimated
-        assert res2.twin_translation[0] == pytest.approx(jaw.l0 + 0.0075, rel=1e-3)
-        assert res2.state.status  # pre-estimated twin overlaps by the offset
+        _, pre_estimated = localize_at(state, surf, jaw, twin, obj, pose, cands)
+        assert pre_estimated
+        twin_translation = twin.vertices[0] - obj.vertices[0]
+        assert twin_translation[0] == pytest.approx(jaw.l0 + 0.0075, rel=1e-3)
+        assert state.status  # pre-estimated twin overlaps by the offset
 
     def test_contact_at_candidate_three(self, jaw):
         scene = LocalizerScene(jaw, 3)
@@ -169,7 +180,7 @@ class TestLocalizeStep:
         z = jaw.candidate_positions[3][2]
         results, _ = scene.run_loading(z, ContactState(l0=jaw.l0),
                                        ContactCandidateSet.from_fixture(jaw))
-        mounts = [r.remount_to for r in results if r.remount_to is not None]
+        mounts = [m for m in results if m is not None]
         assert mounts, "never detected contact"
         assert mounts[0] in (2, 3, 4)
         assert 3 in mounts[:3]
@@ -187,12 +198,10 @@ class TestLocalizeStep:
         disp = None
         for z in np.linspace(z3, z10, 40):
             pose = scene.pose_at(z, scene.press)
-            res = localize_step(state, scene.surface(disp), jaw.mesh,
-                                scene.mesh, pose, cands)
-            state = res.state
+            remount_to, _ = scene.localize(state, scene.surface(disp), pose, cands)
             disp = scene.truth_displacements(pose)
-            if res.remount_to is not None:
-                seq.append(res.remount_to)
+            if remount_to is not None:
+                seq.append(remount_to)
         assert seq, "sweep never made contact"
         assert all(b >= a for a, b in zip(seq, seq[1:]))
         assert seq[-1] == 10
@@ -204,9 +213,9 @@ class TestLocalizeStep:
         state = ContactState(l0=jaw.l0)
         cands = ContactCandidateSet.from_fixture(jaw)
         surf = scene.surface()  # pre-contact estimate: undeformed
-        res = localize_step(state, surf, jaw.mesh, scene.mesh, scene.pose, cands)
-        assert res.state.status
-        centroid = res.intersection.centroid
+        remount_to, _ = scene.localize(state, surf, scene.pose, cands)
+        assert state.status
+        centroid = state.centroid
         # independent scan: nearest surface vertex, index map, projection
         sel_ids = np.unique(surf.triangles)
         d = np.linalg.norm(surf.vertices[sel_ids] - centroid, axis=1)
@@ -216,18 +225,19 @@ class TestLocalizeStep:
         _, d2 = closest_point_on_triangles(q_p, jaw.mesh.vertices[tris])
         assert np.sqrt(d2.min()) <= 1e-12
         expect = int(np.argmin(np.linalg.norm(cands.positions - q_p, axis=1)))
-        assert res.remount_to == expect
+        assert remount_to == expect
 
     def test_determinism(self, jaw):
         scene = LocalizerScene(jaw, 6)
         surf = scene.surface()
         cands = ContactCandidateSet.from_fixture(jaw)
-        r1 = localize_step(ContactState(l0=jaw.l0), surf, jaw.mesh, scene.mesh,
-                           scene.pose, cands)
-        r2 = localize_step(ContactState(l0=jaw.l0), surf, jaw.mesh, scene.mesh,
-                           scene.pose, cands)
-        assert r1.remount_to == r2.remount_to
-        assert np.array_equal(r1.intersection.centroid, r2.intersection.centroid)
+        s1, s2 = ContactState(l0=jaw.l0), ContactState(l0=jaw.l0)
+        r1, _ = localize_at(s1, surf, jaw, DeformableSurface(scene.mesh), scene.mesh,
+                            scene.pose, cands)
+        r2, _ = localize_at(s2, surf, jaw, DeformableSurface(scene.mesh), scene.mesh,
+                            scene.pose, cands)
+        assert r1 == r2
+        assert np.array_equal(s1.centroid, s2.centroid)
 
     def test_static_fixed_point_within_ten_iterations(self, jaw):
         # constant pose; surface fed back from the previous iteration's
@@ -239,11 +249,9 @@ class TestLocalizeStep:
         disp = None
         mounts = []
         for _ in range(10):
-            res = localize_step(state, scene.surface(disp), jaw.mesh,
-                                scene.mesh, scene.pose, cands)
-            state = res.state
-            if res.remount_to is not None:
-                mounts.append(res.remount_to)
+            remount_to, _ = scene.localize(state, scene.surface(disp), scene.pose, cands)
+            if remount_to is not None:
+                mounts.append(remount_to)
                 disp = scene.truth_displacements(scene.pose)
         assert mounts
         assert state.mounted_index == 5

@@ -1,15 +1,22 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from finray import sensing_sim
 from finray.fem_core import (
     ComplianceOperators,
     MaterialModel,
     SolveError,
+    StiffnessSystem,
     assemble,
     precompute_compliance,
 )
-from finray.fixtures import JawParams, generate_jaw
+from finray.fixtures import JawParams, ShapeSpec, generate_jaw
 from finray.mesh_model import DeformedState, TetMesh
+from finray.pipeline import EstimatorSettings, JawEstimator
+from finray.sensing_sim import ContactModelConfig, Scenario, SimEngine
 
 
 def reference_element_stiffness(verts, material):
@@ -175,6 +182,77 @@ class TestCompliance:
                                   jaw.mesh.fixed_vertex_ids[:1])
 
 
+def count_solved_columns(monkeypatch, delay=0.0):
+    """Right-hand sides passed to ``StiffnessSystem.solve_free`` from now
+    on, one entry per call; ``delay`` holds each call open that long."""
+    solve_free = StiffnessSystem.solve_free
+    columns = []
+
+    def counting(self, rhs):
+        columns.append(1 if rhs.ndim == 1 else rhs.shape[1])
+        time.sleep(delay)
+        return solve_free(self, rhs)
+
+    monkeypatch.setattr(StiffnessSystem, "solve_free", counting)
+    return columns
+
+
+class TestFieldBank:
+    @pytest.mark.parametrize("model, n_fields", [("point", 14), ("distributed", 105)])
+    def test_engine_and_estimators_solve_each_field_once(self, monkeypatch, model, n_fields):
+        # a fresh system: the oracle's contact model and both jaws'
+        # compliance operators read one bank, filled by one block solve
+        monkeypatch.setattr(sensing_sim, "_SYSTEM_CACHE", {})
+        columns = count_solved_columns(monkeypatch)
+        engine = SimEngine(Scenario(shape=ShapeSpec.cylinder(0.025), dual_jaw=True,
+                                    contact=ContactModelConfig(model=model)))
+        estimators = [JawEstimator(engine, i, EstimatorSettings()) for i in range(2)]
+        system = engine.rigs[0].system
+        assert engine.rigs[1].system is system
+        bank = system.unit_load_fields(engine.fixture.candidate_ids)
+        for est in estimators:
+            assert all(a is b for a, b in zip(est.compliance.fields, bank))
+        assert columns == [3 * n_fields]
+
+    def test_fields_match_unit_load_solves(self, jaw, system):
+        ids = np.concatenate([jaw.candidate_ids[[0, 7, 13]], jaw.keypoint_ids[[2, 9]],
+                              jaw.mesh.inner_surface_ids[[5, 60]]])
+        loads = np.zeros((jaw.mesh.n_vertices, 3))
+        for v, field in zip(ids, system.unit_load_fields(ids)):
+            assert not field.flags.writeable
+            for axis in range(3):
+                loads[:] = 0.0
+                loads[v, axis] = 1.0
+                u = system.solve_displacement(loads).displacements
+                assert np.abs(field[:, :, axis] - u).max() <= 1e-12 * np.abs(u).max()
+
+    def test_overlapping_threads_share_fields(self, jaw, monkeypatch):
+        system = StiffnessSystem(jaw.mesh, MaterialModel())
+        # each solve stays open long enough for the other thread to ask
+        columns = count_solved_columns(monkeypatch, delay=0.2)
+        ids = [jaw.mesh.inner_surface_ids[:60], jaw.mesh.inner_surface_ids[40:]]
+        start = threading.Barrier(2)
+        out = [None, None]
+
+        def ask(k):
+            start.wait()
+            out[k] = dict(zip(ids[k].tolist(), system.unit_load_fields(ids[k])))
+
+        threads = [threading.Thread(target=ask, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert sum(columns) == 3 * len(jaw.mesh.inner_surface_ids)
+        shared = set(out[0]) & set(out[1])
+        assert len(shared) == 20
+        for v in shared:
+            assert out[0][v] is out[1][v]
+        reference = StiffnessSystem(jaw.mesh, MaterialModel())
+        for v, field in out[1].items():
+            assert np.array_equal(field, reference.point_load_field(v))
+
+
 class TestRefinedMesh:
     def test_refined_generation_sparse_path(self):
         params = JawParams().refined(2)
@@ -186,3 +264,14 @@ class TestRefinedMesh:
         loads[fixture.candidate_ids[7]] = [-1.0, 0.0, 0.0]
         u = system.solve_displacement(loads)
         assert u.displacements[fixture.candidate_ids[7], 0] < 0.0
+        # the block solve behind the field bank equals solving column by
+        # column, bit for bit
+        ids = fixture.candidate_ids[[2, 7, 11]]
+        cols = np.searchsorted(system.free_dofs, (3 * ids[:, None] + np.arange(3)).ravel())
+        rhs = np.zeros((system.n_free, len(cols)))
+        rhs[cols, np.arange(len(cols))] = 1.0
+        per_column = np.column_stack([system.solve_free(rhs[:, j]) for j in range(len(cols))])
+        assert np.array_equal(system.solve_free(rhs), per_column)
+        for k, field in enumerate(system.unit_load_fields(ids)):
+            assert np.array_equal(field.reshape(-1, 3)[system.free_dofs],
+                                  per_column[:, 3 * k:3 * k + 3])

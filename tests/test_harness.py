@@ -1,22 +1,31 @@
 import json
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from finray import harness_cli
+from finray import harness_cli, sensing_sim
 from finray.config import dump_config, load_config, parse_config, save_config, section
 from finray.fixtures import ShapeSpec, load_fixture, make_object_mesh
 from finray.harness_cli import (
-    benchmark,
     candidate_for_position,
     load_epsilon_schedule,
     main,
+    run_grid,
     suite_chip,
     tune_epsilon,
 )
 from finray.mesh_calibration import CameraModel
 from finray.mesh_model import SurfaceMesh, save_obj
-from finray.sensing_sim import synthetic_scan
+from finray.pipeline import EstimatorSettings
+from finray.sensing_sim import (
+    ContactModelConfig,
+    NoiseConfig,
+    Scenario,
+    ScheduleConfig,
+    synthetic_scan,
+)
 
 
 class TestConfigFormat:
@@ -218,7 +227,35 @@ class TestSuiteUtilities:
             # stop latency bounded by one frame of force growth
             assert r["overshoot"] <= r["max_frame_increment"] + 0.25
 
-    def test_benchmark_smoke(self):
-        stats = benchmark(n_frames=20)
-        assert stats["hz_per_jaw"] > 0
-        assert stats["hz_dual"] > 0
+    def test_threaded_grid_writes_serial_bytes(self, tmp_path, monkeypatch):
+        # two cells asking one fresh system for their fields at once
+        schedule = ScheduleConfig(kind="static", plateaus_mm=(0, 6, 0), ramp_s=0.1,
+                                  settle_s=0.1, record_s=0.1, cycles=1)
+        cells = {model: Scenario(shape=ShapeSpec.cylinder(0.025), schedule=schedule,
+                                 noise=NoiseConfig(), seed=3,
+                                 contact=ContactModelConfig(model=model))
+                 for model in ("point", "distributed")}
+        settings_for = {label: EstimatorSettings() for label in cells}
+        written = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("FINRAY_THREADS", threads)
+            monkeypatch.setattr(sensing_sim, "_SYSTEM_CACHE", {})
+            out = tmp_path / threads
+            out.mkdir()
+            for label, res in run_grid(cells, settings_for).items():
+                res.to_csv(out / f"{label}.csv")
+                res.write_manifest(out / f"{label}.json")
+            written[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(written["1"]) == 4
+        assert written["2"] == written["1"]
+
+
+class TestTraceTargets:
+    def test_every_traced_name_exists(self):
+        # perfbench wraps these by name; a missing one stops a traced run
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spans = types.ModuleType("perfbench_spans")
+        exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+        missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+                   for owner, attr, _, _ in spans.TARGETS if attr not in owner.__dict__]
+        assert missing == []

@@ -1,17 +1,13 @@
-import gc
 import json
-import weakref
 
 import numpy as np
 import pytest
 
-from finray.fem_core import MaterialModel, StiffnessSystem
 from finray.fixtures import ShapeSpec
 from finray.mesh_model import TriangleBVH
 from finray.pipeline import (
     EstimatorSettings,
     JawEstimator,
-    cached_compliance,
     load_run_csv,
     run_estimation,
 )
@@ -221,16 +217,3 @@ class TestLazyRefit:
         assert fe.status
         assert sorted(map(id, calls)) == sorted(
             map(id, (est.jaw_surface.bvh(), est.twin.bvh())))
-
-
-class TestComplianceCache:
-    def test_entry_keeps_its_system_alive(self, jaw):
-        # the key holds the system's id(); were the system collected, a
-        # new object at the same address would be served its fields
-        system = StiffnessSystem(jaw.mesh, MaterialModel(youngs_modulus=31e6))
-        ref = weakref.ref(system)
-        ops = cached_compliance(system, jaw.keypoint_ids, jaw.candidate_ids)
-        del system
-        gc.collect()
-        assert ref() is not None
-        assert cached_compliance(ref(), jaw.keypoint_ids, jaw.candidate_ids) is ops

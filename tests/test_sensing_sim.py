@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from finray import sensing_sim
 from finray.contact_localizer import PoseTransform
 from finray.fem_core import MaterialModel
-from finray.fixtures import ShapeSpec, make_object_mesh, make_sdf
-from finray.mesh_model import SurfaceMesh, TriangleBVH
+from finray.fixtures import JawParams, ShapeSpec, generate_jaw, make_object_mesh, make_sdf
+from finray.mesh_model import SurfaceMesh, TetMesh, TriangleBVH
 from finray.sensing_sim import (
     ContactModelConfig,
     ForwardContactModel,
@@ -436,3 +437,19 @@ class TestSyntheticScan:
         assert len(clean.points) == len(noisy.points)
         d = np.linalg.norm(noisy.points - clean.points, axis=1)
         assert 0.0005 <= d.std() <= 0.0015
+
+
+class TestSystemCache:
+    def test_keyed_by_mesh_content_and_material(self, monkeypatch):
+        monkeypatch.setattr(sensing_sim, "_SYSTEM_CACHE", {})
+        a, b = generate_jaw(JawParams()).mesh, generate_jaw(JawParams()).mesh
+        assert a is not b
+        system = cached_system(a, MaterialModel())
+        assert cached_system(b, MaterialModel()) is system
+        assert cached_system(b, MaterialModel(youngs_modulus=30e6)) is not system
+        free = np.setdiff1d(np.arange(a.n_vertices), a.fixed_vertex_ids)[0]
+        vertices = np.array(a.vertices)
+        vertices[free, 1] += 1e-7
+        moved = TetMesh(vertices, a.tets, a.fixed_vertex_ids, a.inner_surface_ids)
+        assert cached_system(moved, MaterialModel()) is not system
+        assert len(sensing_sim._SYSTEM_CACHE) == 3
