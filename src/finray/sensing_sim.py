@@ -36,6 +36,14 @@ class ContactConvergenceError(RuntimeError):
     """Penalty fixed point failed to converge."""
 
 
+# active-set passes per linearised penalty step before giving up on it
+_ACTIVE_SET_PASSES = 40
+# fraction of the linearised penalty step taken per pass: the full step,
+# then, when it does not converge (it can cycle where the SDF normals jump
+# between the faces of a polyhedron), the half step from the same start
+_PENALTY_STEPS = (1.0, 0.5)
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     keypoint_sigma: float = 0.001
@@ -62,10 +70,16 @@ class ContactModelConfig:
     slow stress-relaxation surrogate; ``hysteresis_gamma`` > 0 drops the
     truth force on the unloading branch (elastomer loop surrogate), both
     applied to the reported force only, never to the deformation.
+
+    ``stiffness`` is the penalty stiffness in N/m. Each pass of a solve
+    takes the full linearised penalty step; the solve has converged once a
+    pass changes no component of an eligible node's force by ``tol`` (N)
+    or more. After ``max_iters`` passes without converging it starts again
+    with half steps, and after as many more raises
+    ``ContactConvergenceError``.
     """
 
     stiffness: float = 1e6
-    relaxation: float = 0.5
     tol: float = 1e-8
     max_iters: int = 200
     model: str = "point"
@@ -184,9 +198,22 @@ class ScenarioResult:
 class ForwardContactModel:
     """Quasi-static penalty contact for one jaw against an analytic SDF.
 
-    Iterates force <-> deformation to a fixed point using the system's
-    unit-load displacement fields at the eligible contact nodes. Holds no
-    state between solves, so the jaws of one engine share a model.
+    Builds two matrices from the system's unit-load fields at its n contact
+    nodes once. ``load_fields`` (3n x 3 n_vertices): row (a, d) is the
+    displacement of every jaw vertex under a unit load on node a along
+    axis d. ``node_compliance`` (3n x 3n): row (i, b) and column (a, d)
+    hold node i's displacement along axis b under that load.
+
+    A solve gathers the node-compliance block W of its m eligible nodes,
+    those the undeformed jaw pushes into the object, and iterates on that
+    block alone. Each pass evaluates the SDF at the deformed eligible
+    nodes, linearises the penalty law there with g = B^T W B (B the
+    block-diagonal matrix of the current normals), solves it for the
+    normal forces and takes that solution whole. Where that iteration
+    cycles, as it can when the SDF normals jump between the faces of a
+    polyhedron, the solve starts again from the same state with half steps
+    and logs a warning. Holds no state between solves, so the jaws of one
+    engine share a model.
     """
 
     def __init__(self, system: StiffnessSystem, fixture: JawFixture,
@@ -200,29 +227,26 @@ class ForwardContactModel:
             self.node_ids = fixture.mesh.inner_surface_ids.copy()
         else:
             raise ValueError(f"unknown contact model {cfg.model!r}")
-        fields = np.stack(system.unit_load_fields(self.node_ids))
-        self.fields = fields  # (n_e, n_v, 3, 3)
-        self.self_compliance = fields[:, self.node_ids]  # (n_e, n_e, 3, 3)
+        # (loaded node, load axis, vertex, axis): one bank field per node
+        fields = np.stack([f.transpose(2, 0, 1) for f in system.unit_load_fields(self.node_ids)])
+        self.load_fields = fields.reshape(3 * len(self.node_ids), -1)
+        self.node_compliance = np.ascontiguousarray(self.load_fields[:, _dofs(self.node_ids)].T)
         self.rest = fixture.mesh.vertices[self.node_ids]
 
-    def _node_displacements(self, forces: np.ndarray) -> np.ndarray:
-        return np.einsum("aibd,ad->ib", self.self_compliance, forces)
-
-    def _implicit_normal_forces(self, idx: np.ndarray, c_sub_t: np.ndarray,
-                                eye_k: np.ndarray, depth: np.ndarray,
-                                normals: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    def _implicit_normal_forces(self, g: np.ndarray, eye_k: np.ndarray,
+                                depth: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Non-negative normal force magnitudes solving the linearized
-        penalty equilibrium lam = k * depth(lam) on the eligible nodes
-        ``idx``. ``c_sub_t`` is their self-compliance block with the two
-        node axes' components swapped, and ``eye_k`` the identity over them
-        divided by the penalty stiffness; both are fixed within a solve."""
-        n_sub = normals[idx]
-        g = np.einsum("ab,abcd,cd->ac", n_sub, c_sub_t, n_sub)
+        penalty equilibrium lam = k * depth(lam) on the eligible nodes.
+        ``g`` maps their normal forces to their normal displacements,
+        ``eye_k`` is the identity divided by the penalty stiffness and
+        ``depth`` the penetration under the current forces ``lam``. If the
+        active set has not settled after ``_ACTIVE_SET_PASSES`` passes, logs
+        a warning and returns the last solution clipped at zero."""
         # depth at zero normal force under the local linear model
-        d_free = depth[idx] + g @ lam[idx]
+        d_free = depth + g @ lam
         active = d_free > 0.0
-        lam_new = np.zeros(len(idx))
-        for _ in range(40):
+        lam_new = np.zeros(len(lam))
+        for _ in range(_ACTIVE_SET_PASSES):
             if not active.any():
                 break
             a = np.flatnonzero(active)
@@ -239,10 +263,11 @@ class ForwardContactModel:
                 active |= violated
             else:
                 active[a[sol < 0.0]] = False
-        lam_new = np.clip(lam_new, 0.0, None)
-        out = np.zeros_like(lam)
-        out[idx] = lam_new
-        return out
+        else:
+            logger.warning("penalty active set did not settle in %d passes (%d of %d "
+                           "eligible nodes active); using the clipped last solution",
+                           _ACTIVE_SET_PASSES, int(active.sum()), len(lam))
+        return np.clip(lam_new, 0.0, None)
 
     def solve(self, jaw_from_obj: PoseTransform,
               sdf: Callable, forces0: np.ndarray | None = None):
@@ -250,56 +275,65 @@ class ForwardContactModel:
 
         Point mode loads only the candidate with the deepest undeformed
         penetration (lowest index on ties); distributed mode resolves
-        penalty forces on every penetrating inner node.
+        penalty forces on every penetrating inner node. ``forces0`` warm-
+        starts the force magnitudes. Each pass solves the penalty
+        equilibrium linearised at the current deformation and takes that
+        solution whole; the solve stops once no component of an eligible
+        node's force differs by ``tol`` or more from the force that gave
+        the pass its deformation.
         """
         cfg = self.cfg
         obj_from_jaw = jaw_from_obj.inverse()
-        n = len(self.node_ids)
+        forces = np.zeros((len(self.node_ids), 3))
         d0, _ = sdf(obj_from_jaw.apply(self.rest))
-        eligible = np.zeros(n, dtype=bool)
+        idx = np.flatnonzero(d0 < 0.0)
+        if len(idx) == 0:
+            return forces, np.zeros(3), None, -1
         if cfg.model == "point":
-            if d0.min() < 0.0:
-                eligible[int(np.argmin(d0))] = True
-        else:
-            eligible[d0 < 0.0] = True
-        if not eligible.any():
-            zero = np.zeros((n, 3))
-            return zero, np.zeros(3), None, -1
+            idx = np.array([np.argmin(d0)])
 
-        idx = np.flatnonzero(eligible)
-        c_sub_t = np.swapaxes(self.self_compliance[np.ix_(idx, idx)], 1, 2)
-        eye_k = np.eye(len(idx)) / cfg.stiffness
-        lam = np.zeros(n)
-        if forces0 is not None:
-            lam = np.linalg.norm(forces0, axis=1)
-        normals = np.zeros((n, 3))
-        converged = False
-        for _ in range(cfg.max_iters):
-            forces = lam[:, None] * normals
-            disp = self._node_displacements(forces)
-            pts_obj = obj_from_jaw.apply(self.rest + disp)
-            d, normals_obj = sdf(pts_obj)
-            depth = -d
-            normals = normals_obj @ jaw_from_obj.rotation.T
-            lam_target = self._implicit_normal_forces(idx, c_sub_t, eye_k, depth, normals, lam)
-            residual = float(np.abs(lam_target - lam).max())
-            lam = lam + cfg.relaxation * (lam_target - lam)
+        m = len(idx)
+        dofs = _dofs(idx)
+        w = self.node_compliance[np.ix_(dofs, dofs)]
+        rest = self.rest[idx]
+        eye_k = np.eye(m) / cfg.stiffness
+        lam0 = np.zeros(m) if forces0 is None else np.linalg.norm(forces0[idx], axis=1)
+        for step in _PENALTY_STEPS:
+            lam, normals, residual = lam0, np.zeros((m, 3)), np.inf
+            for _ in range(cfg.max_iters):
+                # the normals are zero before the first pass, so it
+                # evaluates the SDF at the rest shape
+                applied = lam[:, None] * normals
+                disp = (w @ applied.ravel()).reshape(m, 3)
+                d, normals_obj = sdf(obj_from_jaw.apply(rest + disp))
+                normals = normals_obj @ jaw_from_obj.rotation.T
+                # g = B^T W B, B the (3m x m) block-diagonal matrix of the normals
+                wb = (w.reshape(3 * m, m, 3) * normals).sum(axis=2)
+                g = (normals[:, :, None] * wb.reshape(m, 3, m)).sum(axis=1)
+                lam_target = self._implicit_normal_forces(g, eye_k, -d, lam)
+                residual = float(np.abs(lam_target[:, None] * normals - applied).max())
+                lam = lam + step * (lam_target - lam)
+                if residual < cfg.tol:
+                    break
             if residual < cfg.tol:
-                converged = True
                 break
-        if not converged:
+            logger.warning("penalty fixed point with step %g did not converge in %d "
+                           "iterations: last residual %.3g N over %d eligible nodes",
+                           step, cfg.max_iters, residual, m)
+        else:
             raise ContactConvergenceError(
-                f"penalty fixed point did not converge in {cfg.max_iters} iterations")
-        forces = lam[:, None] * normals
-        net = forces.sum(axis=0)
+                f"penalty fixed point did not converge in {cfg.max_iters} iterations: "
+                f"last residual {residual:.3g} N over {m} eligible nodes")
+        block = lam[:, None] * normals
+        forces[idx] = block
+        net = block.sum(axis=0)
         candidate = -1
         contact_point = None
         if lam.max() > 0.0:
-            disp = self._node_displacements(forces)
-            pts = self.rest + disp
+            pts = rest + (w @ block.ravel()).reshape(m, 3)
             contact_point = (pts * lam[:, None]).sum(axis=0) / lam.sum()
-            loaded = int(np.argmax(lam))
-            if self.cfg.model == "point":
+            loaded = int(idx[np.argmax(lam)])
+            if cfg.model == "point":
                 candidate = loaded
             else:
                 candidate = int(np.argmin(
@@ -309,7 +343,15 @@ class ForwardContactModel:
         return forces, net, contact_point, candidate
 
     def full_displacement(self, forces: np.ndarray) -> np.ndarray:
-        return np.einsum("avbd,ad->vb", self.fields, forces)
+        """Displacement of every jaw vertex under per-node ``forces``, from
+        the ``load_fields`` rows of the nodes that carry force."""
+        rows = _dofs(np.flatnonzero(forces.any(axis=1)))
+        return (forces.ravel()[rows] @ self.load_fields[rows]).reshape(-1, 3)
+
+
+def _dofs(nodes: np.ndarray) -> np.ndarray:
+    """Row or column indices (node, axis) of ``nodes`` in a 3-per-node matrix."""
+    return (3 * nodes[:, None] + np.arange(3)).ravel()
 
 
 # ---------------------------------------------------------------------------
