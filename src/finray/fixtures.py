@@ -10,7 +10,7 @@ default parameters pin the canonical 522-vertex test fixture.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -82,7 +82,6 @@ class JawFixture:
     keypoint_is_outer: np.ndarray
     reference_id: int
     l0: float
-    inner_normal: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
 
     @property
     def candidate_positions(self) -> np.ndarray:

@@ -14,9 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from .metrics_force import (
     MetricsReport,
     NORMALIZATION_RANGE_N,
     ThresholdTrigger,
+    decompose,
     rmse_nrmsd,
 )
 from .pipeline import EstimatorSettings, JawEstimator, RunResult, run_estimation
@@ -52,10 +52,6 @@ DIAMETERS_MM = (15, 25, 35)
 FORCE_LEVELS = {"L": 2.0, "M": 5.0, "H": 9.0}
 
 _EPSILON_FILE = Path(__file__).parent / "data" / "epsilon_schedule.cfg"
-
-
-def thread_count() -> int:
-    return max(1, int(os.environ.get("FINRAY_THREADS", "1")))
 
 
 def load_epsilon_schedule(path: str | Path | None = None) -> tuple | None:
@@ -151,23 +147,10 @@ def split_cycles(result: RunResult, jaw: int = 0):
     return sims, gts
 
 
-def _run_cell(args):
-    scenario, settings = args
-    return run_estimation(scenario, settings)
-
-
 def run_grid(cells: dict, settings_for: dict) -> dict:
-    """Run labeled scenarios, optionally across a thread pool; results come
-    back in label-sorted order."""
-    labels = sorted(cells)
-    jobs = [(cells[k], settings_for[k]) for k in labels]
-    n = thread_count()
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            results = list(pool.map(_run_cell, jobs))
-    else:
-        results = [_run_cell(j) for j in jobs]
-    return dict(zip(labels, results))
+    """Run labeled scenarios one after another, each with its own settings;
+    results come back keyed by label, in label-sorted order."""
+    return {k: run_estimation(cells[k], settings_for[k]) for k in sorted(cells)}
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +389,7 @@ def suite_chip(out_dir: Path, seed: int = 0, thresholds=(1.0, 2.0, 3.0, 4.0, 5.0
             scalars = [estimators[i].step(pkt.observations[i], t,
                                           pkt.truth.jaws[i].candidate).scalar
                        for i in range(2)]
-            grasp_est = min(abs(s) for s in scalars)
+            grasp_est = decompose(*scalars)[0]
             grasp_true = min(j.force_scalar for j in pkt.truth.jaws)
             history.append((t, grasp_est, grasp_true))
             if trigger.update(grasp_est) and fired_frame is None:
@@ -585,9 +568,6 @@ def cmd_run(args) -> int:
             _, ok = suite_onrobot(out, seed=seed, quick=args.quick)
         elif args.suite == "sweep":
             _, ok = suite_sweep(out, seed=seed)
-        elif args.suite == "tune-epsilon":
-            tune_epsilon(out, seed=seed)
-            ok = True
         elif args.suite == "chip":
             _, ok = suite_chip(out, seed=seed)
         else:
@@ -649,8 +629,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="run a scenario config or an evaluation suite")
     p.add_argument("--config", help="scenario config file")
-    p.add_argument("--suite", choices=["static", "ablation", "onrobot", "sweep",
-                                       "tune-epsilon", "chip"])
+    p.add_argument("--suite", choices=["static", "ablation", "onrobot", "sweep", "chip"])
     p.add_argument("--ideal", action="store_true",
                    help="noiseless matched-mount mode (static suite)")
     p.add_argument("--quick", action="store_true", help="reduced grids")

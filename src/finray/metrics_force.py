@@ -1,4 +1,4 @@
-"""Force decomposition, error metrics, phase segmentation, and report
+"""Force decomposition, error metrics, the threshold trigger, and report
 tables.
 
 Grasp force is the smaller jaw force magnitude; manipulation force is the
@@ -18,8 +18,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 NORMALIZATION_RANGE_N = 11.04
-
-PHASES = ("pre", "load", "hold", "unload", "post")
 
 
 def decompose(f_left: float, f_right: float) -> tuple[float, float]:
@@ -46,60 +44,6 @@ def rmse_nrmsd(sim: Sequence[float], gt: Sequence[float],
         raise ValueError("series must align and be non-empty")
     rmse = float(np.sqrt(np.mean((sim - gt) ** 2)))
     return rmse, rmse / force_range * 100.0
-
-
-def align_series(t_sim: np.ndarray, sim: np.ndarray, t_gt: np.ndarray, gt: np.ndarray,
-                 max_gap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-neighbor timestamp alignment within half a frame."""
-    t_sim = np.asarray(t_sim)
-    t_gt = np.asarray(t_gt)
-    idx = np.searchsorted(t_gt, t_sim)
-    idx = np.clip(idx, 1, len(t_gt) - 1)
-    left = idx - 1
-    choose_left = np.abs(t_sim - t_gt[left]) <= np.abs(t_gt[idx] - t_sim)
-    nearest = np.where(choose_left, left, idx)
-    ok = np.abs(t_gt[nearest] - t_sim) <= max_gap
-    if not ok.any():
-        raise ValueError("no overlapping samples within the alignment gap")
-    return np.asarray(sim)[ok], np.asarray(gt)[nearest[ok]]
-
-
-def segment_phases(timestamps: np.ndarray, stage_times: dict) -> np.ndarray:
-    """Phase labels from the run manifest's stage timestamps.
-
-    Expects stage1..stage4 marks (grasp onset, full grasp, release begin,
-    fully released); the load phase spans stage1 to stage2.
-    """
-    required = ("stage1", "stage2", "stage3", "stage4")
-    if not stage_times or any(k not in stage_times for k in required):
-        raise ValueError("manifest lacks the four stage timestamps")
-    t = np.asarray(timestamps, dtype=np.float64)
-    s1, s2, s3, s4 = (stage_times[k] for k in required)
-    labels = np.full(len(t), "post", dtype=object)
-    labels[t < s1] = "pre"
-    labels[(t >= s1) & (t < s2)] = "load"
-    labels[(t >= s2) & (t < s3)] = "hold"
-    labels[(t >= s3) & (t < s4)] = "unload"
-    return labels
-
-
-@dataclass
-class ForceRecord:
-    """One dual-jaw frame in report form."""
-
-    timestamp: float
-    f_left: float
-    f_right: float
-    grasp: float
-    manipulation: float
-    f_gt: float
-    stage: str
-
-    @classmethod
-    def from_scalars(cls, timestamp: float, f_left: float, f_right: float,
-                     f_gt: float, stage: str) -> "ForceRecord":
-        grasp, manip = decompose(f_left, f_right)
-        return cls(timestamp, f_left, f_right, grasp, manip, f_gt, stage)
 
 
 class ThresholdTrigger:

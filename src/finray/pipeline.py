@@ -68,13 +68,6 @@ class EstimatorSettings:
     pose_timeout: float = 0.5
     stable_frames: int = 5
     initial_mount: Optional[int] = None
-    stationarity_tol: float = 1e-9
-
-    def resolved_epsilons(self, n: int):
-        if self.epsilons is None:
-            return np.full(n, 1e-4)
-        eps = np.asarray(self.epsilons, dtype=np.float64)
-        return np.broadcast_to(eps, (n,)).copy()
 
 
 @dataclass
@@ -141,12 +134,11 @@ class JawEstimator:
         self.compliance = compliance or precompute_compliance(
             rig.system, rig.fixture.keypoint_ids, rig.fixture.candidate_ids)
         self.effectors = EffectorSet.from_fixture(rig.fixture)
-        eps = settings.resolved_epsilons(len(rig.fixture.candidate_ids))
         mount0 = settings.initial_mount
         if settings.mount_mode == "fixed":
             mount0 = settings.fixed_index
         self.candidates = ContactCandidateSet.from_fixture(
-            rig.fixture, epsilons=eps, mounted_index=mount0)
+            rig.fixture, epsilons=settings.epsilons, mounted_index=mount0)
         lo, hi = rig.fixture.bbox(settings.bbox_margin)
         self.filter = KeypointFilter(settings.confidence_threshold,
                                      tuple(lo), tuple(hi))

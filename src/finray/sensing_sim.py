@@ -25,7 +25,7 @@ import numpy as np
 
 from .contact_localizer import PoseTransform, look_at, rot_z, rotation_about
 from .fem_core import MaterialModel, StiffnessSystem, assemble
-from .fixtures import JawFixture, JawParams, ShapeSpec, canonical_jaw, generate_jaw, make_object_mesh, make_sdf
+from .fixtures import JawFixture, ShapeSpec, canonical_jaw, make_object_mesh, make_sdf
 from .mesh_calibration import CameraModel, PointCloud, partial_view
 from .mesh_model import DeformableSurface, SurfaceMesh
 
@@ -53,7 +53,6 @@ class NoiseConfig:
     confidence_occluded: tuple[float, float] = (0.2, 0.1)
     confidence_drift: tuple[float, float] = (0.9, 0.05)
     drift_background_prob: float = 0.3
-    depth_sigma: float = 0.001
 
     @classmethod
     def ideal(cls) -> "NoiseConfig":
@@ -67,9 +66,8 @@ class ContactModelConfig:
     ``model`` selects single-node contact at the deepest candidate
     ("point", identifiable by a point-force estimator) or penalty forces on
     every inner-surface node ("distributed"). ``viscous_gamma`` > 0 adds a
-    slow stress-relaxation surrogate; ``hysteresis_gamma`` > 0 drops the
-    truth force on the unloading branch (elastomer loop surrogate), both
-    applied to the reported force only, never to the deformation.
+    slow stress-relaxation surrogate with time constant ``viscous_tau``
+    (s), applied to the reported force only, never to the deformation.
 
     ``stiffness`` is the penalty stiffness in N/m. Each pass of a solve
     takes the full linearised penalty step; the solve has converged once a
@@ -85,8 +83,6 @@ class ContactModelConfig:
     model: str = "point"
     viscous_gamma: float = 0.0
     viscous_tau: float = 25.0
-    hysteresis_gamma: float = 0.0
-    hysteresis_tau: float = 0.8
 
 
 @dataclass(frozen=True)
@@ -127,7 +123,6 @@ class Scenario:
     camera_target: tuple[float, float, float] = (0.0, 0.0, 0.045)
     material_e: float = 26e6
     material_nu: float = 0.48
-    refine_oracle: bool = False
 
     def __post_init__(self):
         if self.camera_hz <= 0 or self.pose_hz <= 0:
@@ -400,13 +395,9 @@ class SimEngine:
     """Builds the scene for a scenario and steps ground truth plus
     synthetic observations under a commanded closure."""
 
-    def __init__(self, scenario: Scenario, jaw_params: JawParams | None = None):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        params = jaw_params or JawParams()
-        if scenario.refine_oracle:
-            fixture = generate_jaw(params.refined(2))
-        else:
-            fixture = canonical_jaw() if params == JawParams() else generate_jaw(params)
+        fixture = canonical_jaw()
         material = MaterialModel(scenario.material_e, scenario.material_nu)
         self.material = material
         sides = ("left", "right") if scenario.dual_jaw else ("left",)
@@ -433,9 +424,6 @@ class SimEngine:
         self.rng = np.random.default_rng(np.random.SeedSequence(scenario.seed))
         self._prev_forces = [None for _ in self.rigs]
         self._rho = [0.0 for _ in self.rigs]  # viscous relaxation state
-        self._unloading = 0.0  # smoothed unload-branch indicator
-        self._branch = 0.0  # latched branch: 1 after unloading began
-        self._prev_closure: Optional[float] = None
         self._object_x = self._initial_object_x()
         self._pose_frame_period = max(1, round(scenario.camera_hz / scenario.pose_hz))
 
@@ -539,30 +527,20 @@ class SimEngine:
             self._object_x = self._solve_object_equilibrium(closure)
         jaws = tuple(self._jaw_truth(i, closure, self._object_x)
                      for i in range(len(self.rigs)))
-        cfg = sc.contact
-        if dt is not None and (cfg.viscous_gamma > 0.0 or cfg.hysteresis_gamma > 0.0):
-            if self._prev_closure is not None:
-                # the branch latches at constant displacement: an unload
-                # curve stays below the load curve until loading resumes
-                if closure < self._prev_closure - 1e-12:
-                    self._branch = 1.0
-                elif closure > self._prev_closure + 1e-12:
-                    self._branch = 0.0
-                self._unloading += dt * (self._branch - self._unloading) / cfg.hysteresis_tau
-            self._prev_closure = closure
+        if dt is not None and sc.contact.viscous_gamma > 0.0:
             jaws = tuple(self._apply_inelastic(i, jt, dt) for i, jt in enumerate(jaws))
         return GroundTruthFrame(t, stage, recording, closure, jaws)
 
     def _apply_inelastic(self, idx: int, jt: JawTruth, dt: float) -> JawTruth:
-        """Surrogate non-elastic truth effects: slow stress relaxation and
-        an unload-branch force drop. Deformation stays elastic."""
+        """Surrogate slow stress relaxation: the reported force decays by
+        the jaw's relaxation state while in contact and recovers out of
+        it. Deformation stays elastic."""
         cfg = self.scenario.contact
         in_contact = 1.0 if jt.candidate >= 0 else 0.0
         rho = self._rho[idx]
         rho += dt * (cfg.viscous_gamma * in_contact - rho) / cfg.viscous_tau
         self._rho[idx] = rho
-        factor = (1.0 - rho) * (1.0 - cfg.hysteresis_gamma * self._unloading)
-        force = factor * jt.force
+        force = (1.0 - rho) * jt.force
         return replace(jt, force=force, force_scalar=float(-force[0]))
 
     # -- synthetic sensor ---------------------------------------------------

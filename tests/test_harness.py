@@ -5,27 +5,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finray import harness_cli, sensing_sim
-from finray.config import dump_config, load_config, parse_config, save_config, section
+from finray import harness_cli
+from finray.config import ConfigError, dump_config, load_config, parse_config, save_config, section
 from finray.fixtures import ShapeSpec, load_fixture, make_object_mesh
 from finray.harness_cli import (
     candidate_for_position,
     load_epsilon_schedule,
     main,
     run_grid,
+    scenario_from_config,
     suite_chip,
     tune_epsilon,
 )
 from finray.mesh_calibration import CameraModel
 from finray.mesh_model import SurfaceMesh, save_obj
-from finray.pipeline import EstimatorSettings
-from finray.sensing_sim import (
-    ContactModelConfig,
-    NoiseConfig,
-    Scenario,
-    ScheduleConfig,
-    synthetic_scan,
-)
+from finray.sensing_sim import synthetic_scan
 
 
 class TestConfigFormat:
@@ -53,9 +47,18 @@ class TestConfigFormat:
         assert out == {"x": 1, "y": 2}
 
     def test_bad_line(self):
-        from finray.config import ConfigError
         with pytest.raises(ConfigError):
             parse_config("not a key value line\n")
+
+    @pytest.mark.parametrize("key,value", [
+        ("contact.hysteresis_gamma", 0.5),
+        ("scenario.refine_oracle", True),
+        ("noise.depth_sigma", 0.001),
+        ("solver.stationarity_tol", 1e-9),
+    ])
+    def test_removed_keys_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key.split(".")[1]):
+            scenario_from_config({key: value})
 
 
 class TestEpsilonSchedule:
@@ -116,6 +119,18 @@ class TestCLI:
         assert fixture.mesh.n_vertices == 522
         assert len(fixture.candidate_ids) == 14
         assert len(fixture.keypoint_ids) == 15
+
+    def test_out_defaults_to_stamped_runs_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["genmesh"]) == 0
+        assert len(list(tmp_path.glob("runs/genmesh-*/jaw.off"))) == 1
+
+    def test_tune_epsilon_is_not_a_suite(self, capsys):
+        # tuning has one entry point, the tune-epsilon subcommand
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--suite", "tune-epsilon"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_genmesh_with_config(self, tmp_path):
         cfg = tmp_path / "jaw.cfg"
@@ -227,27 +242,10 @@ class TestSuiteUtilities:
             # stop latency bounded by one frame of force growth
             assert r["overshoot"] <= r["max_frame_increment"] + 0.25
 
-    def test_threaded_grid_writes_serial_bytes(self, tmp_path, monkeypatch):
-        # two cells asking one fresh system for their fields at once
-        schedule = ScheduleConfig(kind="static", plateaus_mm=(0, 6, 0), ramp_s=0.1,
-                                  settle_s=0.1, record_s=0.1, cycles=1)
-        cells = {model: Scenario(shape=ShapeSpec.cylinder(0.025), schedule=schedule,
-                                 noise=NoiseConfig(), seed=3,
-                                 contact=ContactModelConfig(model=model))
-                 for model in ("point", "distributed")}
-        settings_for = {label: EstimatorSettings() for label in cells}
-        written = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("FINRAY_THREADS", threads)
-            monkeypatch.setattr(sensing_sim, "_SYSTEM_CACHE", {})
-            out = tmp_path / threads
-            out.mkdir()
-            for label, res in run_grid(cells, settings_for).items():
-                res.to_csv(out / f"{label}.csv")
-                res.write_manifest(out / f"{label}.json")
-            written[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        assert len(written["1"]) == 4
-        assert written["2"] == written["1"]
+    def test_run_grid_pairs_cells_with_settings_in_label_order(self, monkeypatch):
+        monkeypatch.setattr(harness_cli, "run_estimation", lambda sc, st: (sc, st))
+        out = run_grid({"b": "scen-b", "a": "scen-a"}, {"a": "set-a", "b": "set-b"})
+        assert list(out.items()) == [("a", ("scen-a", "set-a")), ("b", ("scen-b", "set-b"))]
 
 
 class TestTraceTargets:

@@ -5,15 +5,12 @@ from hypothesis import strategies as st
 
 from finray.metrics_force import (
     ConditionMetrics,
-    ForceRecord,
     MetricsReport,
     NORMALIZATION_RANGE_N,
     ThresholdTrigger,
-    align_series,
     decompose,
     max_error,
     rmse_nrmsd,
-    segment_phases,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-100, max_value=100)
@@ -78,30 +75,6 @@ class TestRmseNrmsd:
         with pytest.raises(ValueError):
             rmse_nrmsd([], [])
 
-    def test_align_series_nearest(self):
-        t_gt = np.arange(0, 1.0, 0.01)
-        gt = np.sin(t_gt)
-        t_sim = t_gt + 0.004
-        sim, gt_matched = align_series(t_sim, np.sin(t_sim), t_gt, gt, max_gap=0.005)
-        assert len(sim) == len(gt_matched) > 0
-
-
-class TestSegmentPhases:
-    def test_labels_partition(self):
-        t = np.linspace(0, 10, 101)
-        marks = {"stage1": 2.0, "stage2": 4.0, "stage3": 6.0, "stage4": 8.0}
-        labels = segment_phases(t, marks)
-        assert set(labels) == {"pre", "load", "hold", "unload", "post"}
-        assert (labels[t < 2.0] == "pre").all()
-        assert (labels[(t >= 2.0) & (t < 4.0)] == "load").all()
-        assert (labels[(t >= 8.0)] == "post").all()
-        # no gaps: every frame got exactly one label
-        assert len(labels) == len(t)
-
-    def test_missing_manifest(self):
-        with pytest.raises(ValueError):
-            segment_phases(np.arange(4.0), {"stage1": 0.0})
-
 
 class TestThresholdTrigger:
     def test_fires_at_threshold(self):
@@ -141,8 +114,3 @@ class TestReports:
         md = report.markdown()
         assert "middle-d15" in md
         assert "0.24 ± 0.02" in md
-
-    def test_force_record_from_scalars(self):
-        rec = ForceRecord.from_scalars(1.0, 3.0, 2.0, 2.5, "load")
-        assert rec.grasp == 2.0
-        assert rec.manipulation == 1.0
