@@ -6,8 +6,10 @@ contact), intersects it with the deformed jaw surface, and snaps the
 intersection center through the undeformed mesh onto the nearest contact
 candidate. That iteration, with the ``ContactState`` transition, is
 ``pipeline.localize``; this module holds its pieces (the state, the
-pre-estimate and the candidate snap). A rate gate models the slow pose
-stream feeding a faster camera loop.
+pre-estimate and the candidate snap). The mounted candidate is not part of
+that state: the estimator's ``ContactCandidateSet`` holds it, and
+``localize`` reads it from there. A rate gate models the slow pose stream
+feeding a faster camera loop.
 """
 
 from __future__ import annotations
@@ -108,14 +110,15 @@ def look_at(eye: np.ndarray, target: np.ndarray, up=(0.0, 0.0, 1.0)) -> PoseTran
 
 @dataclass
 class ContactState:
-    """Contact status flag, mounted candidate, and the pre-estimation
-    constants (grasp-axis offset and rotated object extent)."""
+    """The localizer's per-jaw state between frames: the contact status
+    flag, how many frames in a row snapped to the mounted candidate, the
+    last intersection center, and the grasp-axis offset ``l0`` used by the
+    pre-estimate. The mounted candidate itself is held only by the
+    estimator's ``ContactCandidateSet``."""
 
     status: bool = False
-    mounted_index: int = 7
     centroid: Optional[np.ndarray] = None
     l0: float = 0.0
-    l_bd: float = 0.0
     stable_frames: int = 0
 
     def is_stable(self, min_frames: int = 5) -> bool:
@@ -130,7 +133,6 @@ def pre_estimate_translation(state: ContactState, rotation: np.ndarray,
     extent = float(x.max() - x.min())
     if extent <= 0.0:
         raise ValueError("object has zero extent along the grasp axis")
-    state.l_bd = extent
     return state.l0 + 0.5 * extent
 
 

@@ -24,7 +24,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .mesh_model import DeformedState, TetMesh, tet_volumes
+from .mesh_model import DeformedState, TetMesh
 
 
 class SolveError(RuntimeError):

@@ -25,7 +25,7 @@ from . import __version__, config as cfgmod
 from .fem_core import MaterialModel, precompute_compliance
 from .fixtures import JawParams, ShapeSpec, canonical_jaw, generate_jaw, save_fixture
 from .inverse_solver import ContactCandidateSet, EffectorSet, solve
-from .mesh_calibration import CameraModel, calibrate, chamfer_distance, load_point_cloud
+from .mesh_calibration import CameraModel, calibrate, load_point_cloud
 from .mesh_model import load_obj, load_off, save_obj, save_off, SurfaceMesh
 from .metrics_force import (
     ConditionMetrics,
@@ -153,6 +153,12 @@ def run_grid(cells: dict, settings_for: dict) -> dict:
     return {k: run_estimation(cells[k], settings_for[k]) for k in sorted(cells)}
 
 
+def _write_run(res: RunResult, out_dir: Path, stem: str) -> None:
+    """``<stem>.csv`` and its ``<stem>.manifest.json``."""
+    res.to_csv(out_dir / f"{stem}.csv")
+    res.write_manifest(out_dir / f"{stem}.manifest.json")
+
+
 # ---------------------------------------------------------------------------
 # Suites
 
@@ -186,8 +192,7 @@ def suite_static(out_dir: Path, seed: int = 0, ideal: bool = False,
     conditions = []
     ok = True
     for label, res in results.items():
-        res.to_csv(out_dir / f"static-{label}.csv")
-        res.write_manifest(out_dir / f"static-{label}.manifest.json")
+        _write_run(res, out_dir, f"static-{label}")
         sims, gts = split_cycles(res)
         stage = res.column("stage")
         rec = res.recorded_mask()
@@ -241,7 +246,7 @@ def suite_ablation(out_dir: Path, seeds=(0, 1, 2, 3, 4),
             rec = res.recorded_mask()
             r, _ = rmse_nrmsd(res.column("f_sim_n")[rec], res.column("f_gt_n")[rec])
             table[real][cfg].append(r)
-            res.to_csv(out_dir / f"ablation-{real}-{cfg}-s{seed}.csv")
+            _write_run(res, out_dir, f"ablation-{real}-{cfg}-s{seed}")
     conditions = []
     ok = True
     for real in POSITIONS:
@@ -299,9 +304,7 @@ def suite_onrobot(out_dir: Path, seed: int = 0, quick: bool = False) -> tuple[Me
                             target_force=FORCE_LEVELS[lvl], hold_s=2.0),
                         contact=ContactModelConfig(model="point"))
                     res = run_estimation(scenario, EstimatorSettings(epsilons=tuned))
-                    label = f"{shape_name}-{pos}-{lvl}-r{rep}"
-                    res.to_csv(out_dir / f"onrobot-{label}.csv")
-                    res.write_manifest(out_dir / f"onrobot-{label}.manifest.json")
+                    _write_run(res, out_dir, f"onrobot-{shape_name}-{pos}-{lvl}-r{rep}")
                     grasp_sim = res.column("grasp_sim")
                     grasp_gt = res.column("grasp_gt")
                     in_run = np.isfinite(grasp_sim)
@@ -343,7 +346,7 @@ def suite_sweep(out_dir: Path, seed: int = 0,
                                     target_force=5.0, hold_s=1.0),
             contact=ContactModelConfig(model="point"))
         res = run_estimation(scenario, EstimatorSettings(epsilons=tuned))
-        res.to_csv(out_dir / f"sweep-v{v}.csv")
+        _write_run(res, out_dir, f"sweep-v{v}")
         grasp_sim = res.column("grasp_sim")
         grasp_gt = res.column("grasp_gt")
         t = res.column("t")
@@ -383,7 +386,6 @@ def suite_chip(out_dir: Path, seed: int = 0, thresholds=(1.0, 2.0, 3.0, 4.0, 5.0
         t = 0.0
         speed = speed_mm_s * 1e-3
         history = []
-        fired_frame = None
         for k in range(1200):
             pkt = engine.frame(t, closure, "grasp", True, dt)
             scalars = [estimators[i].step(pkt.observations[i], t,
@@ -392,18 +394,17 @@ def suite_chip(out_dir: Path, seed: int = 0, thresholds=(1.0, 2.0, 3.0, 4.0, 5.0
             grasp_est = decompose(*scalars)[0]
             grasp_true = min(j.force_scalar for j in pkt.truth.jaws)
             history.append((t, grasp_est, grasp_true))
-            if trigger.update(grasp_est) and fired_frame is None:
-                fired_frame = k
-            if fired_frame is None:
+            if not trigger.update(grasp_est):
                 closure += speed * dt
             t += dt
-            if fired_frame is not None and k >= fired_frame + 15:
+            if trigger.fired and k >= trigger.fire_index + 15:
                 break
         h = np.array(history)
-        if fired_frame is None:
+        if not trigger.fired:
             ok = False
             rows.append({"threshold": thr, "fired": False})
             continue
+        fired_frame = trigger.fire_index
         pre = h[max(0, fired_frame - 1), 1]
         peak = h[fired_frame:, 2].max()
         increment = np.diff(h[:fired_frame + 1, 2]).max() if fired_frame > 0 else 0.0

@@ -3,8 +3,9 @@ candidate from effector position targets.
 
 The solve minimizes  0.5 * lam' (W_ea' W_ea + eps W_aa) lam + lam' W_ea d
 over the unconstrained 3-vector lam, where d is the effector mismatch in
-the actuator-free configuration (free positions minus targets, active rows
-only). The stationarity system is 3x3 and solved directly.
+the actuator-free configuration (rest positions minus targets, active rows
+only) and eps the mounted candidate's weight. The stationarity system is
+3x3 and solved directly.
 """
 
 from __future__ import annotations
@@ -145,32 +146,26 @@ class ForceSolution:
     objective: float
     effector_residual: float
     stationarity_residual: float
-    mounted_index: int
-    n_active: int
-    degraded: bool = False
 
 
 def solve(compliance: ComplianceOperators, effectors: EffectorSet,
-          candidates: ContactCandidateSet, free_positions: np.ndarray | None = None,
-          epsilon: float | None = None) -> ForceSolution:
-    """Recover the actuator force for the currently mounted candidate.
+          candidates: ContactCandidateSet) -> ForceSolution:
+    """Recover the actuator force at the mounted candidate, with that
+    candidate's regularization weight.
 
-    ``free_positions`` defaults to the effector rest positions (the
+    The mismatch is measured from the effector rest positions (the
     zero-actuator-force configuration). Raises if fewer than three active
     effectors remain or the reduced system is numerically singular.
     """
     if effectors.n_active < MIN_ACTIVE_EFFECTORS:
         raise InsufficientEffectorsError(
             f"{effectors.n_active} active effectors (< {MIN_ACTIVE_EFFECTORS})")
-    if free_positions is None:
-        free_positions = effectors.rest_positions
     m = candidates.mounted_index
-    eps = candidates.mounted_epsilon if epsilon is None else float(epsilon)
     active = effectors.active
     w = compliance.w_ea[m].reshape(compliance.n_effectors, 3, 3)[active].reshape(-1, 3)
-    delta = (free_positions - effectors.targets)[active].ravel()
+    delta = (effectors.rest_positions - effectors.targets)[active].ravel()
     w_aa = compliance.w_aa[m]
-    a = w.T @ w + eps * w_aa
+    a = w.T @ w + candidates.mounted_epsilon * w_aa
     b = w.T @ delta
     # scale-aware singularity guard: w rows can be all zero for degenerate
     # effector selections at eps = 0
@@ -187,8 +182,6 @@ def solve(compliance: ComplianceOperators, effectors: EffectorSet,
         objective=objective,
         effector_residual=resid_eff,
         stationarity_residual=resid_stat,
-        mounted_index=m,
-        n_active=effectors.n_active,
     )
 
 

@@ -452,8 +452,9 @@ class TriangleBVH:
                         eps: float = 1e-9):
         """Ray-crossing counts from each point along one shared direction.
 
-        Returns (counts, suspect) where suspect marks rays that grazed a
-        triangle edge/vertex or plane and need a re-cast.
+        Returns (counts, suspect) where suspect marks rays that need a
+        re-cast: they grazed a triangle's edge or vertex, started on a
+        triangle, or ran parallel to one.
         """
         n = len(points)
         counts = np.zeros(n, dtype=np.int64)
@@ -462,10 +463,9 @@ class TriangleBVH:
         for rays, t, u, v, det_ok, valid in self._leaf_hits(points, dirs, np.inf):
             w = 1.0 - u - v
             interior = det_ok & (u > eps) & (v > eps) & (w > eps) & (t > eps)
-            grazing = (~det_ok) | (
-                (np.minimum(np.minimum(np.abs(u), np.abs(v)), np.abs(w)) <= eps)
-                & (u > -eps) & (v > -eps) & (w > -eps) & (t > -eps)
-            ) | (np.abs(t) <= eps)
+            on_triangle = (u > -eps) & (v > -eps) & (w > -eps)
+            on_edge = np.minimum(np.minimum(np.abs(u), np.abs(v)), np.abs(w)) <= eps
+            grazing = (~det_ok) | (on_triangle & ((on_edge & (t > -eps)) | (np.abs(t) <= eps)))
             np.add.at(counts, rays, (interior & valid).sum(axis=1))
             np.logical_or.at(suspect, rays, grazing.any(axis=1))
         return counts, suspect

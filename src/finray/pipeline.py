@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .sensing_sim import (
     Observation,
     RunManifest,
     Scenario,
-    ScenarioResult,
     SimEngine,
     run_scenario,
 )
@@ -62,17 +61,13 @@ class EstimatorSettings:
     bbox_margin: float = 0.012
     mount_mode: str = "estimator"  # estimator | fixed | matched
     fixed_index: int = 7
-    localize: bool = True
-    pre_estimate: bool = True
     intersect_density: int = 2
     pose_timeout: float = 0.5
     stable_frames: int = 5
-    initial_mount: Optional[int] = None
 
 
 @dataclass
 class FrameEstimate:
-    timestamp: float
     lam: np.ndarray
     scalar: float
     mounted_index: int
@@ -91,20 +86,22 @@ class FrameEstimate:
 def localize(state: ContactState, pose: PoseTransform, jaw_surface,
              twin: DeformableSurface, twin_base: np.ndarray, undeformed: TetMesh,
              surface_ids: np.ndarray, candidates: ContactCandidateSet,
-             density: int, pre_estimate: bool) -> tuple[Optional[int], bool]:
+             density: int) -> tuple[Optional[int], bool]:
     """One localization iteration; updates ``state`` in place.
 
     Places the twin (``twin_base`` vertices under ``pose``). Before
-    contact its grasp-axis translation is pre-estimated instead, unless
-    ``pre_estimate`` is off; the extent is taken from ``twin`` as it was
-    last placed. Intersects the twin with the deformed jaw surface and, on
-    overlap, snaps the intersection center to the nearest candidate (lowest
-    index on ties). Returns (candidate to mount, or None when there is no
-    contact; whether the frame was a pre-estimation frame).
+    contact its grasp-axis translation is pre-estimated instead; the
+    extent is taken from ``twin`` as it was last placed. Intersects the
+    twin with the deformed jaw surface and, on overlap, snaps the
+    intersection center to the nearest candidate (lowest index on ties).
+    A snap to ``candidates.mounted_index`` while in contact extends the
+    stable run; any other snap restarts it. The caller remounts.
+    Returns (candidate to mount, or None when there is no contact;
+    whether the frame was a pre-estimation frame).
     """
     translation = pose.translation.copy()
     pre_estimated = not state.status
-    if pre_estimated and pre_estimate:
+    if pre_estimated:
         translation[0] = pre_estimate_translation(state, pose.rotation, twin)
     twin.update(twin_base @ pose.rotation.T + translation)
     inter = intersect_approx(jaw_surface, twin, density=density)
@@ -113,11 +110,11 @@ def localize(state: ContactState, pose: PoseTransform, jaw_surface,
         return None, pre_estimated
     c = select_candidate(inter.centroid, jaw_surface.vertices, surface_ids,
                          undeformed, candidates)
-    if state.status and c == state.mounted_index:
+    if state.status and c == candidates.mounted_index:
         state.stable_frames += 1
     else:
         state.stable_frames = 1
-    state.status, state.mounted_index, state.centroid = True, c, inter.centroid
+    state.status, state.centroid = True, inter.centroid
     return c, pre_estimated
 
 
@@ -134,19 +131,16 @@ class JawEstimator:
         self.compliance = compliance or precompute_compliance(
             rig.system, rig.fixture.keypoint_ids, rig.fixture.candidate_ids)
         self.effectors = EffectorSet.from_fixture(rig.fixture)
-        mount0 = settings.initial_mount
-        if settings.mount_mode == "fixed":
-            mount0 = settings.fixed_index
         self.candidates = ContactCandidateSet.from_fixture(
-            rig.fixture, epsilons=settings.epsilons, mounted_index=mount0)
+            rig.fixture, epsilons=settings.epsilons,
+            mounted_index=settings.fixed_index if settings.mount_mode == "fixed" else None)
         lo, hi = rig.fixture.bbox(settings.bbox_margin)
         self.filter = KeypointFilter(settings.confidence_threshold,
                                      tuple(lo), tuple(hi))
         self.rot_jaw_from_cam = engine.jaw_cam_rotation(jaw_index)
         self.ref_jaw = rig.fixture.mesh.vertices[rig.fixture.reference_id]
         self.gate = PoseRateGate(timeout=settings.pose_timeout)
-        self.contact_state = ContactState(
-            mounted_index=self.candidates.mounted_index, l0=rig.fixture.l0)
+        self.contact_state = ContactState(l0=rig.fixture.l0)
         template = rig.fixture.mesh.surface()
         self.jaw_surface = DeformableSurface(template)
         self.surface_ids = np.unique(template.triangles)
@@ -155,8 +149,7 @@ class JawEstimator:
         self.twin = DeformableSurface(obj_mesh)
         self.last_solution = ForceSolution(
             lam=np.zeros(3), objective=0.0, effector_residual=0.0,
-            stationarity_residual=0.0, mounted_index=self.candidates.mounted_index,
-            n_active=0, degraded=True)
+            stationarity_residual=0.0)
         self.last_displacements = np.zeros_like(rig.fixture.mesh.vertices)
 
     def _jaw_from_cam(self, observation: Observation) -> PoseTransform:
@@ -176,7 +169,6 @@ class JawEstimator:
                                      self.filter)
 
         status = self.contact_state.status
-        centroid = self.contact_state.centroid
         pre_estimated = False
         if settings.mount_mode == "matched":
             if truth_candidate >= 0 and truth_candidate != self.candidates.mounted_index:
@@ -184,34 +176,29 @@ class JawEstimator:
             status = truth_candidate >= 0
         elif settings.mount_mode == "fixed":
             status = True
-        elif settings.localize and pose_cam_from_obj is not None:
+        elif pose_cam_from_obj is not None:
             self.jaw_surface.update(self.fixture.mesh.vertices + self.last_displacements)
             remount_to, pre_estimated = localize(
                 self.contact_state, chain_pose(jaw_from_cam, pose_cam_from_obj),
                 self.jaw_surface, self.twin, self.twin_base, self.fixture.mesh,
-                self.surface_ids, self.candidates, settings.intersect_density,
-                settings.pre_estimate)
+                self.surface_ids, self.candidates, settings.intersect_density)
             if remount_to is not None and remount_to != self.candidates.mounted_index:
                 self.candidates = remount(self.candidates, remount_to)
-            status, centroid = self.contact_state.status, self.contact_state.centroid
+            status = self.contact_state.status
+        # None in the matched and fixed modes, which never localize
+        centroid = self.contact_state.centroid
 
-        degraded = pose_degraded and not stable
+        # the gate flags no staleness once contact is stable
+        degraded = pose_degraded
         try:
-            sol = solve(self.compliance, self.effectors, self.candidates)
+            self.last_solution = solve(self.compliance, self.effectors, self.candidates)
         except (InsufficientEffectorsError, DegenerateSolveError):
-            sol = replace(self.last_solution, degraded=True,
-                          mounted_index=self.candidates.mounted_index)
-            degraded = True
-        self.last_solution = sol
+            degraded = True  # hold the last solution
+        sol = self.last_solution
         self.last_displacements = estimate_deformation(
-            self.compliance, sol.lam, sol.mounted_index).displacements
+            self.compliance, sol.lam, self.candidates.mounted_index).displacements
 
-        mask = 0
-        for i, a in enumerate(self.effectors.active):
-            if a:
-                mask |= 1 << i
         return FrameEstimate(
-            timestamp=t,
             lam=sol.lam,
             scalar=float(-sol.lam[0]),
             mounted_index=self.candidates.mounted_index,
@@ -220,7 +207,7 @@ class JawEstimator:
             pose_source=pose_source,
             degraded=degraded,
             n_active=self.effectors.n_active,
-            active_mask=mask,
+            active_mask=sum(1 << int(i) for i in np.flatnonzero(self.effectors.active)),
             objective=sol.objective,
             stationarity_residual=sol.stationarity_residual,
             effector_residual=sol.effector_residual,

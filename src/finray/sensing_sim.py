@@ -399,7 +399,6 @@ class SimEngine:
         self.scenario = scenario
         fixture = canonical_jaw()
         material = MaterialModel(scenario.material_e, scenario.material_nu)
-        self.material = material
         sides = ("left", "right") if scenario.dual_jaw else ("left",)
         self.rigs: list[JawRig] = []
         depth = fixture.params.depth
@@ -416,10 +415,9 @@ class SimEngine:
                            if len(self.rigs) > 1 and scenario.occlusion_mode != "off" else [])
         self.object_mesh = make_object_mesh(scenario.shape)
         self.sdf = make_sdf(scenario.shape)
-        self.camera_pose = look_at(np.asarray(scenario.camera_eye),
-                                   np.asarray(scenario.camera_target))
-        self.world_from_cam = self.camera_pose
-        self.cam_from_world = self.camera_pose.inverse()
+        self.world_from_cam = look_at(np.asarray(scenario.camera_eye),
+                                      np.asarray(scenario.camera_target))
+        self.cam_from_world = self.world_from_cam.inverse()
         self.z_contact = scenario.contact_height(fixture.params.height)
         self.rng = np.random.default_rng(np.random.SeedSequence(scenario.seed))
         self._prev_forces = [None for _ in self.rigs]

@@ -73,19 +73,18 @@ class TestPreEstimateTranslation:
         slab = make_object_mesh(ShapeSpec.cuboid((0.020, 0.05, 0.05)))
         tx = pre_estimate_translation(state, np.eye(3), slab)
         assert tx == pytest.approx(0.020, abs=1e-12)
-        assert state.l_bd == pytest.approx(0.020, abs=1e-12)
 
     def test_cylinder_extent(self):
         state = ContactState(l0=0.0)
         cyl = make_object_mesh(ShapeSpec.cylinder(0.015), n_seg=64)
-        pre_estimate_translation(state, np.eye(3), cyl)
-        assert state.l_bd == pytest.approx(0.015, rel=1e-3)
+        tx = pre_estimate_translation(state, np.eye(3), cyl)
+        assert 2.0 * tx == pytest.approx(0.015, rel=1e-3)
 
     def test_rotated_cuboid_extent(self):
         state = ContactState(l0=0.0)
         box = make_object_mesh(ShapeSpec.cuboid((0.020, 0.040, 0.040)))
-        pre_estimate_translation(state, rot_z(np.pi / 2.0), box)
-        assert state.l_bd == pytest.approx(0.040, abs=1e-12)
+        tx = pre_estimate_translation(state, rot_z(np.pi / 2.0), box)
+        assert 2.0 * tx == pytest.approx(0.040, abs=1e-12)
 
     def test_degenerate_object(self):
         state = ContactState(l0=0.0)
@@ -101,7 +100,7 @@ def localize_at(state, surf, jaw, twin, obj, pose, cands):
     """``pipeline.localize`` at density 3 with the twin placed from ``obj``'s
     vertices; returns the remount decision and the pre-estimation flag."""
     return localize(state, pose, surf, twin, obj.vertices, jaw.mesh,
-                    np.unique(surf.triangles), cands, density=3, pre_estimate=True)
+                    np.unique(surf.triangles), cands, density=3)
 
 
 class LocalizerScene:
@@ -254,7 +253,6 @@ class TestLocalizeStep:
                 mounts.append(remount_to)
                 disp = scene.truth_displacements(scene.pose)
         assert mounts
-        assert state.mounted_index == 5
         assert all(m == 5 for m in mounts[-3:])
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from finray import sensing_sim
 from finray.fem_core import (
-    ComplianceOperators,
     MaterialModel,
     SolveError,
     StiffnessSystem,
@@ -14,7 +13,7 @@ from finray.fem_core import (
     precompute_compliance,
 )
 from finray.fixtures import JawParams, ShapeSpec, generate_jaw
-from finray.mesh_model import DeformedState, TetMesh
+from finray.mesh_model import TetMesh
 from finray.pipeline import EstimatorSettings, JawEstimator
 from finray.sensing_sim import ContactModelConfig, Scenario, SimEngine
 

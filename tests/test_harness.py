@@ -15,6 +15,8 @@ from finray.harness_cli import (
     run_grid,
     scenario_from_config,
     suite_chip,
+    suite_static,
+    suite_sweep,
     tune_epsilon,
 )
 from finray.mesh_calibration import CameraModel
@@ -55,6 +57,9 @@ class TestConfigFormat:
         ("scenario.refine_oracle", True),
         ("noise.depth_sigma", 0.001),
         ("solver.stationarity_tol", 1e-9),
+        ("solver.localize", False),
+        ("solver.pre_estimate", False),
+        ("solver.initial_mount", 3),
     ])
     def test_removed_keys_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key.split(".")[1]):
@@ -241,6 +246,21 @@ class TestSuiteUtilities:
         for r in rows:
             # stop latency bounded by one frame of force growth
             assert r["overshoot"] <= r["max_frame_increment"] + 0.25
+
+    def test_ideal_static_suite_is_exact(self, tmp_path):
+        # ideal sensing, matched mount, eps = 0: every cell within 1e-5 N
+        report, ok = suite_static(tmp_path, ideal=True, quick=True, cycles=1)
+        assert ok
+        assert len(report.conditions) == 9
+        assert all(c.rmse_mean <= 1e-5 for c in report.conditions)
+
+    def test_sweep_writes_a_manifest_per_csv(self, tmp_path):
+        suite_sweep(tmp_path, speeds_mm_s=(8.0,))
+        csvs = sorted(tmp_path.glob("*.csv"))
+        assert [p.name for p in csvs] == ["sweep-v8.0.csv"]
+        for csv in csvs:
+            manifest = json.loads(csv.with_suffix(".manifest.json").read_text())
+            assert manifest["n_frames"] * 2 == len(csv.read_text().splitlines()) - 1
 
     def test_run_grid_pairs_cells_with_settings_in_label_order(self, monkeypatch):
         monkeypatch.setattr(harness_cli, "run_estimation", lambda sc, st: (sc, st))

@@ -17,7 +17,6 @@ from finray.mesh_calibration import (
     icp_align,
     load_point_cloud,
     partial_view,
-    sample_surface,
     save_point_cloud,
     umeyama_alignment,
 )

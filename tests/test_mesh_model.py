@@ -357,10 +357,9 @@ def brute_force_crossings(vertices, triangles, points, direction, eps=1e-9):
     t, u, v, det_ok = brute_force_mt(vertices, triangles, points, dirs)
     w = 1.0 - u - v
     interior = det_ok & (u > eps) & (v > eps) & (w > eps) & (t > eps)
-    grazing = (~det_ok) | (
-        (np.minimum(np.minimum(np.abs(u), np.abs(v)), np.abs(w)) <= eps)
-        & (u > -eps) & (v > -eps) & (w > -eps) & (t > -eps)
-    ) | (np.abs(t) <= eps)
+    on_triangle = (u > -eps) & (v > -eps) & (w > -eps)
+    on_edge = np.minimum(np.minimum(np.abs(u), np.abs(v)), np.abs(w)) <= eps
+    grazing = (~det_ok) | (on_triangle & ((on_edge & (t > -eps)) | (np.abs(t) <= eps)))
     tv = vertices[triangles]
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = (tv.min(axis=1)[None] - points[:, None]) / direction
@@ -380,12 +379,12 @@ def brute_force_first_hit(vertices, triangles, origins, targets, t_lo, t_hi):
 class TestBatchedTraversal:
     """The BVH's batched traversal against Moller-Trumbore over all
     triangles, no tree: equal crossing counts and first hits, inf
-    included. A ray is also suspect when it starts within eps of the
-    plane of a triangle it never comes near, or runs parallel to one, but
-    only if that triangle shares a leaf with one the ray passes; the tree
-    decides those flags. So the BVH's suspect flags lie between the
-    reference's over the triangles whose boxes the ray enters and over
-    all triangles, and equal both wherever those agree."""
+    included. A ray is also suspect when it runs parallel to a triangle
+    it never comes near, but only if that triangle shares a leaf with one
+    the ray passes; the tree decides those flags. So the BVH's suspect
+    flags lie between the reference's over the triangles whose boxes the
+    ray enters and over all triangles, and equal both wherever those
+    agree."""
 
     def states(self, jaw, compliance, rng):
         rest = jaw.mesh.vertices
@@ -439,6 +438,22 @@ class TestBatchedTraversal:
         bvh = jaw.mesh.surface().bvh()
         counts = bvh.node_count[bvh.node_count > 0]
         assert (counts < bvh.leaf_size).any() and (counts == bvh.leaf_size).any()
+
+    def test_origin_on_far_plane_not_suspect(self):
+        # an origin within eps of a triangle's plane grazes only when its
+        # barycentrics are in range, i.e. it lies on the triangle itself;
+        # both rays below enter the triangle's box, so the leaf is visited
+        tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        bvh = TriangleBVH(tri, np.array([[0, 1, 2]]))
+        direction = np.array([0.0, 0.0, 1.0])
+        points = np.array([[0.9, 0.9, -1e-12], [0.2, 0.3, -1e-12]])
+        counts, suspect = bvh.count_crossings(points, direction)
+        assert counts.tolist() == [0, 0]
+        assert suspect.tolist() == [False, True]
+        want, suspect_all, _ = brute_force_crossings(tri, np.array([[0, 1, 2]]),
+                                                     points, direction)
+        assert np.array_equal(counts, want)
+        assert np.array_equal(suspect, suspect_all)
 
 
 class TestMeshIO:

@@ -1,7 +1,6 @@
 import json
 
 import numpy as np
-import pytest
 
 from finray.fixtures import ShapeSpec
 from finray.mesh_model import TriangleBVH
@@ -160,7 +159,8 @@ class TestDegradedFrames:
 class TestPreEstimationNoInfluence:
     def test_pre_contact_identical_forces(self, rng):
         # random pre-contact poses: the solved force never differs between
-        # localization enabled and disabled
+        # the localizing estimator and a fixed mount at the initial middle
+        # candidate (fixed_index 7)
         diffs = []
         for k in range(10):
             offset = (float(rng.uniform(-0.004, 0.004)),
@@ -171,9 +171,9 @@ class TestPreEstimationNoInfluence:
                 plateaus=(0, 0), object_offset=offset, object_yaw_deg=yaw,
                 clearance_mm=3.0, seed=100 + k)
             r_on = run_estimation(scenario, EstimatorSettings(
-                mount_mode="estimator", localize=True, epsilons=0.0))
+                mount_mode="estimator", epsilons=0.0))
             r_off = run_estimation(scenario, EstimatorSettings(
-                mount_mode="estimator", localize=False, epsilons=0.0))
+                mount_mode="fixed", epsilons=0.0))
             n_on = np.linalg.norm(
                 np.column_stack([r_on.column("f_sim_x"), r_on.column("f_sim_y"),
                                  r_on.column("f_sim_z")]), axis=1)
@@ -198,8 +198,11 @@ class TestLazyRefit:
         return calls
 
     def test_disjoint_step_refits_nothing(self, monkeypatch):
-        engine = SimEngine(quick_static(plateaus=(0, 0), clearance_mm=3.0))
-        est = JawEstimator(engine, 0, EstimatorSettings(pre_estimate=False))
+        # the pre-estimate moves the twin along x only, so an object 0.2 m
+        # above the jaw stays clear of it
+        engine = SimEngine(quick_static(plateaus=(0, 0), clearance_mm=3.0,
+                                        object_offset=(0.0, 0.0, 0.2)))
+        est = JawEstimator(engine, 0, EstimatorSettings())
         calls = self.count_refits(monkeypatch)
         pkt = engine.frame(0.0, 0.0, "pre", False, 1.0 / 30.0)
         fe = est.step(pkt.observations[0], 0.0, -1)

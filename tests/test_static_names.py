@@ -1,9 +1,12 @@
-"""Every global name a module reads is bound in that module or is a builtin.
+"""Every global name a module reads is bound in that module or is a builtin,
+and every name a module imports at its top level is used or exported.
 
-Walks the symbol tables of the package and test sources, so a missing
-import fails here instead of on the first call that reaches it.
+Walks the symbol tables and syntax trees of the package and test sources,
+so a missing import fails here instead of on the first call that reaches
+it, and a stale one does not outlive the code that used it.
 """
 
+import ast
 import builtins
 import symtable
 from pathlib import Path
@@ -36,3 +39,24 @@ def undefined_globals(path: Path) -> set[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_undefined_globals(path):
     assert undefined_globals(path) == set()
+
+
+def unused_imports(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return imported - used - exported
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path) == set()
