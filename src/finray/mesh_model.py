@@ -1,7 +1,8 @@
 """Tetrahedral and surface mesh types with the spatial queries the
 contact localizer needs: watertight surface extraction, ray-parity point
-containment over a BVH, sampled boolean-intersection approximation, and
-closest-point projection onto the inner contact surface.
+containment over a BVH, containment in a rigidly placed surface from a
+cell grid, sampled boolean-intersection approximation, and closest-point
+projection onto the inner contact surface.
 
 Ray queries traverse the BVH for all rays at once: the slab test runs
 level by level over every (node, ray) pair of the frontier, and one
@@ -11,6 +12,16 @@ triangles near the two meshes' mutual box and tests each distinct sample
 point once; the answers, and so the samples kept, are those of testing
 every sample on its own.
 
+The deforming jaw (``DeformableSurface``) is refit and ray-cast. The
+object twin (``RigidSurface``) only moves rigidly, so its mesh, BVH and
+``ContainmentGrid`` stay in the object frame: query points and ray
+directions are mapped into that frame, points in cells the surface
+touches are ray-cast there, and every other point takes the answer of
+its cell's connected component. The answers are those of ray parity on
+the posed mesh, except within about 1e-9 m of a face that the pose
+leaves exactly on a box face, where the posed mesh's own answer turns
+on rounding in its box test.
+
 All coordinates are meters. Meshes are treated as immutable after
 construction (arrays are write-locked); ``DeformedState`` is the one
 mutable companion and carries per-vertex displacements index-aligned with
@@ -19,11 +30,20 @@ its owning mesh.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import logging
+import threading
+import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import scipy.ndimage
+
+logger = logging.getLogger(__name__)
 
 
 class MeshError(ValueError):
@@ -300,11 +320,15 @@ _PAIR_CHUNK = 256
 class TriangleBVH:
     """Median-split AABB tree over triangles with a batched, level-by-level
     traversal. Topology is fixed at build time; ``refit`` updates the
-    boxes for deformed vertex positions."""
+    boxes for deformed vertex positions. The ray slab test widens every
+    box by ``margin``, so a ray from within the margin of a triangle's box
+    always tests that triangle."""
 
-    def __init__(self, vertices: np.ndarray, triangles: np.ndarray, leaf_size: int = 16):
+    def __init__(self, vertices: np.ndarray, triangles: np.ndarray, leaf_size: int = 16,
+                 margin: float = 0.0):
         self.triangles = np.asarray(triangles, dtype=np.int64)
         self.leaf_size = leaf_size
+        self.margin = margin
         n = len(self.triangles)
         if n == 0:
             raise MeshError("empty triangle set")
@@ -401,6 +425,8 @@ class TriangleBVH:
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / dirs
         node_min, node_max = self.node_min, self.node_max
+        if self.margin:
+            node_min, node_max = node_min - self.margin, node_max + self.margin
         nodes = np.zeros(len(origins), dtype=np.int64)
         rays = np.arange(len(origins))
         leaf_rows, leaf_rays = [], []
@@ -484,13 +510,17 @@ class TriangleBVH:
 
 
 def point_inside(mesh: SurfaceMesh, points: np.ndarray,
-                 return_on_surface: bool = False):
+                 return_on_surface: bool = False,
+                 directions: np.ndarray = _FALLBACK_DIRECTIONS):
     """Ray-crossing parity containment test for one or many points.
 
     Deterministic for points not on the surface: grazing rays are re-cast
-    along the next seeded direction. Points that graze on every cast are
+    along the next of ``directions``. Points that graze on every cast are
     effectively on the surface; they settle with the last parity answer,
-    or are reported separately with ``return_on_surface``.
+    or are reported separately with ``return_on_surface``. Within about
+    1e-9 m of the surface the answer depends on the directions, so a
+    surface queried in another frame casts the seeded directions mapped
+    into that frame.
     """
     if not mesh.watertight:
         raise WatertightError("point containment requires a watertight mesh")
@@ -499,7 +529,7 @@ def point_inside(mesh: SurfaceMesh, points: np.ndarray,
     counts = np.zeros(len(pts), dtype=np.int64)
     on_surface = np.zeros(len(pts), dtype=bool)
     remaining = np.arange(len(pts))
-    for direction in _FALLBACK_DIRECTIONS:
+    for direction in directions:
         c, suspect = bvh.count_crossings(pts[remaining], direction)
         settled = ~suspect
         counts[remaining[settled]] = c[settled]
@@ -519,6 +549,157 @@ def point_inside(mesh: SurfaceMesh, points: np.ndarray,
     return inside
 
 
+# ---------------------------------------------------------------------------
+# Rigid surfaces: containment from a cell grid in the surface's own frame
+
+# cells per grid over the padded box: about 1 mm cells on the grasped
+# objects; a 0.5 mm grid costs more in labelling temporaries (tens of MB)
+# than it saves in ray casts
+_GRID_CELLS = 2 ** 17
+# twice count_crossings' eps, far above rounding. Triangle boxes widen by
+# this much before they mark cells, so a point in an unmarked cell is
+# farther than eps from the surface along any ray and no cast from it
+# grazes. The grid's tree widens its boxes as much, so a point mapped into
+# the object frame, where the objects' faces lie on box faces and rounding
+# can move a surface point just outside a box, still tests the triangles
+# it lies on, as it does on the posed mesh.
+_TWIN_MARGIN = 2e-9
+_TOUCHED = 2  # cell state next to 0 (outside) and 1 (inside)
+
+
+class ContainmentGrid:
+    """Cell grid over a watertight surface's box, padded by one cell, in
+    the surface's own frame.
+
+    A cell no triangle's widened box touches lies in one face-connected
+    component of such cells; no path inside the component crosses the
+    surface, so the component has one answer, settled by one parity test
+    of a representative cell centre. Points in touched cells are tested
+    by ``point_inside`` on the grid's own tree (so the grid stands in for
+    the mesh there). Points off the grid are outside.
+    """
+
+    watertight = True
+
+    def __init__(self, mesh: SurfaceMesh):
+        start = time.perf_counter()
+        self._bvh = TriangleBVH(mesh.vertices, mesh.triangles, margin=_TWIN_MARGIN)
+        tv = mesh.vertices[mesh.triangles]
+        lo, hi = tv.min(axis=(0, 1)), tv.max(axis=(0, 1))
+        ext = hi - lo
+        # the second bound keeps a near-flat surface from asking for
+        # millions of cells along its other axes
+        self.cell = max(float(np.cbrt(np.prod(ext) / _GRID_CELLS)), float(ext.max()) / 256)
+        self.origin = lo - self.cell
+        self.shape = np.ceil(ext / self.cell).astype(np.int64) + 2
+        # how many widened boxes touch each cell, from a difference array
+        # with +-1 at the corners of each box's cell range
+        first, last = (np.clip(self._cell_index(c), 0, self.shape - 1)
+                       for c in (tv.min(axis=1) - _TWIN_MARGIN, tv.max(axis=1) + _TWIN_MARGIN))
+        diff = np.zeros(self.shape + 1, dtype=np.int32)
+        for corner in itertools.product((0, 1), repeat=3):
+            at = np.where(corner, last + 1, first)
+            np.add.at(diff, tuple(at.T), -1 if sum(corner) % 2 else 1)
+        touched = (diff.cumsum(0).cumsum(1).cumsum(2) > 0)[:-1, :-1, :-1]
+        labels, n = scipy.ndimage.label(~touched)
+        ids, reps = np.unique(labels, return_index=True)
+        reps = reps[ids > 0]
+        centres = self.origin + (np.column_stack(np.unravel_index(reps, self.shape)) + 0.5) * self.cell
+        answers = np.full(n + 1, _TOUCHED, dtype=np.int8)
+        answers[1:] = point_inside(self, centres)
+        self.state = answers[labels]
+        logger.debug("containment grid: %d triangles, %s cells of %.3g m, %.1f %% touched, "
+                     "%d components, built in %.1f ms", len(mesh.triangles),
+                     "x".join(map(str, self.shape)), self.cell, 100.0 * touched.mean(), n,
+                     1e3 * (time.perf_counter() - start))
+
+    def bvh(self) -> TriangleBVH:
+        return self._bvh
+
+    def _cell_index(self, points: np.ndarray) -> np.ndarray:
+        # monotone in each coordinate, so a point in a widened box maps
+        # into that box's cell range
+        return np.floor((points - self.origin) / self.cell).astype(np.int64)
+
+    def contains(self, points: np.ndarray, directions: np.ndarray) -> np.ndarray:
+        """Inside or on the surface, for points in the surface's frame:
+        ``ins | on`` of ``point_inside`` cast along ``directions``."""
+        idx = self._cell_index(points)
+        on_grid = np.all((idx >= 0) & (idx < self.shape), axis=1)
+        state = np.zeros(len(points), dtype=np.int8)
+        state[on_grid] = self.state[tuple(idx[on_grid].T)]
+        hit = state == 1
+        touched = np.flatnonzero(state == _TOUCHED)
+        if touched.size:
+            ins, on = point_inside(self, points[touched], return_on_surface=True,
+                                   directions=directions)
+            hit[touched] = ins | on
+        return hit
+
+
+_GRIDS: dict = {}
+_GRIDS_LOCK = threading.Lock()
+
+
+def containment_grid(mesh: SurfaceMesh) -> ContainmentGrid:
+    """One grid per surface content, shared by every rigid surface of
+    that mesh; built on first use."""
+    digest = hashlib.sha256()
+    for arr in (mesh.vertices, mesh.triangles):
+        digest.update(repr(arr.shape).encode())
+        digest.update(arr.tobytes())
+    key = digest.hexdigest()
+    with _GRIDS_LOCK:
+        if key not in _GRIDS:
+            _GRIDS[key] = ContainmentGrid(mesh)
+        return _GRIDS[key]
+
+
+class RigidSurface:
+    """Watertight surface that only moves rigidly, such as an object twin.
+
+    ``place`` poses it; ``vertices`` are the posed ones. Containment maps
+    the query points and the ray directions into the template's frame and
+    answers from the template's ``ContainmentGrid``, whose tree is never
+    refit. Duck-compatible with SurfaceMesh for ``intersect_approx``.
+    """
+
+    def __init__(self, template: SurfaceMesh):
+        if not template.watertight:
+            raise WatertightError("rigid surface requires a watertight template")
+        self.template = template
+        self.triangles = template.triangles
+        self.vertices = template.vertices
+        self.watertight = True
+        self.rotation = np.eye(3)
+        self.translation = np.zeros(3)
+        self._vertex_ids = np.unique(self.triangles)
+        self._grid: Optional[ContainmentGrid] = None
+
+    def grid(self) -> ContainmentGrid:
+        """The template's grid, shared by every surface of its content and
+        built on first use."""
+        if self._grid is None:
+            self._grid = containment_grid(self.template)
+        return self._grid
+
+    def place(self, rotation: np.ndarray, translation: np.ndarray) -> None:
+        """Pose the template: x -> rotation @ x + translation."""
+        self.rotation, self.translation = rotation, translation
+        self.vertices = self.template.vertices @ rotation.T + translation
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Box of the posed vertices the triangles use."""
+        v = self.vertices[self._vertex_ids]
+        return v.min(axis=0), v.max(axis=0)
+
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Inside or on the posed surface: ``ins | on`` of
+        ``point_inside`` on the posed mesh."""
+        return self.grid().contains((points - self.translation) @ self.rotation,
+                                    _FALLBACK_DIRECTIONS @ self.rotation)
+
+
 @dataclass
 class IntersectionResult:
     """Sampled overlap between two watertight meshes."""
@@ -532,15 +713,20 @@ class IntersectionResult:
         return self.sample_count == 0
 
 
+@lru_cache(maxsize=None)
+def _lattice_weights(n: int) -> np.ndarray:
+    """Read-only barycentric weights of the lattice with ``n`` edge
+    subdivisions, one row per sample."""
+    ij = np.array([(i, j) for i in range(n + 1) for j in range(n + 1 - i)], dtype=np.float64)
+    return _lock(np.column_stack([ij[:, 0], ij[:, 1], n - ij[:, 0] - ij[:, 1]]) / n)
+
+
 def _lattice(tri_vertices: np.ndarray, density: int) -> np.ndarray:
     """Barycentric lattice samples on each triangle of a (t, 3, 3) array,
     triangle by triangle."""
     if density < 1:
         raise ValueError("density must be >= 1")
-    n = density
-    ij = np.array([(i, j) for i in range(n + 1) for j in range(n + 1 - i)], dtype=np.float64)
-    bary = np.column_stack([ij[:, 0], ij[:, 1], n - ij[:, 0] - ij[:, 1]]) / n
-    return np.einsum("sb,tbx->tsx", bary, tri_vertices).reshape(-1, 3)
+    return np.einsum("sb,tbx->tsx", _lattice_weights(density), tri_vertices).reshape(-1, 3)
 
 
 def surface_sample_points(mesh: SurfaceMesh, density: int = 3) -> np.ndarray:
@@ -572,7 +758,8 @@ def intersect_approx(gripper: SurfaceMesh, obj: SurfaceMesh,
     Samples each surface and keeps points strictly inside the other mesh;
     the centroid of the union stands in for the intersection's center.
     Neighbouring triangles share lattice samples, so each distinct sample
-    is tested once and its answer copied to its duplicates.
+    is tested once and its answer copied to its duplicates. A
+    ``RigidSurface`` answers from its grid, any other mesh by ray parity.
     """
     for m, name in ((gripper, "gripper"), (obj, "object")):
         if not m.watertight:
@@ -591,8 +778,12 @@ def intersect_approx(gripper: SurfaceMesh, obj: SurfaceMesh,
         samples = _samples_in_box(sampled, density, box_lo, box_hi)
         if len(samples):
             unique, inverse = np.unique(samples, axis=0, return_inverse=True)
-            ins, on = point_inside(other, unique, return_on_surface=True)
-            hits.append(samples[(ins | on)[inverse.ravel()]])
+            if isinstance(other, RigidSurface):
+                hit = other.contains(unique)
+            else:
+                ins, on = point_inside(other, unique, return_on_surface=True)
+                hit = ins | on
+            hits.append(samples[hit[inverse.ravel()]])
     pts = np.concatenate(hits) if hits else np.empty((0, 3))
     if len(pts) == 0:
         return IntersectionResult(0, None)

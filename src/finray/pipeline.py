@@ -40,7 +40,7 @@ from .inverse_solver import (
     set_targets,
     solve,
 )
-from .mesh_model import DeformableSurface, TetMesh, intersect_approx
+from .mesh_model import DeformableSurface, RigidSurface, TetMesh, intersect_approx
 from .metrics_force import decompose
 from .sensing_sim import (
     FramePacket,
@@ -84,16 +84,16 @@ class FrameEstimate:
 
 
 def localize(state: ContactState, pose: PoseTransform, jaw_surface,
-             twin: DeformableSurface, twin_base: np.ndarray, undeformed: TetMesh,
+             twin: RigidSurface, undeformed: TetMesh,
              surface_ids: np.ndarray, candidates: ContactCandidateSet,
              density: int) -> tuple[Optional[int], bool]:
     """One localization iteration; updates ``state`` in place.
 
-    Places the twin (``twin_base`` vertices under ``pose``). Before
-    contact its grasp-axis translation is pre-estimated instead; the
-    extent is taken from ``twin`` as it was last placed. Intersects the
-    twin with the deformed jaw surface and, on overlap, snaps the
-    intersection center to the nearest candidate (lowest index on ties).
+    Places the twin by ``pose``. Before contact its grasp-axis
+    translation is pre-estimated instead; the extent is taken from
+    ``twin`` as it was last placed. Intersects the twin with the
+    deformed jaw surface and, on overlap, snaps the intersection center
+    to the nearest candidate (lowest index on ties).
     A snap to ``candidates.mounted_index`` while in contact extends the
     stable run; any other snap restarts it. The caller remounts.
     Returns (candidate to mount, or None when there is no contact;
@@ -103,7 +103,7 @@ def localize(state: ContactState, pose: PoseTransform, jaw_surface,
     pre_estimated = not state.status
     if pre_estimated:
         translation[0] = pre_estimate_translation(state, pose.rotation, twin)
-    twin.update(twin_base @ pose.rotation.T + translation)
+    twin.place(pose.rotation, translation)
     inter = intersect_approx(jaw_surface, twin, density=density)
     if inter.is_empty:
         state.status, state.stable_frames, state.centroid = False, 0, None
@@ -145,8 +145,7 @@ class JawEstimator:
         self.jaw_surface = DeformableSurface(template)
         self.surface_ids = np.unique(template.triangles)
         obj_mesh = twin_mesh if twin_mesh is not None else engine.object_mesh
-        self.twin_base = np.array(obj_mesh.vertices)
-        self.twin = DeformableSurface(obj_mesh)
+        self.twin = RigidSurface(obj_mesh)
         self.last_solution = ForceSolution(
             lam=np.zeros(3), objective=0.0, effector_residual=0.0,
             stationarity_residual=0.0)
@@ -180,7 +179,7 @@ class JawEstimator:
             self.jaw_surface.update(self.fixture.mesh.vertices + self.last_displacements)
             remount_to, pre_estimated = localize(
                 self.contact_state, chain_pose(jaw_from_cam, pose_cam_from_obj),
-                self.jaw_surface, self.twin, self.twin_base, self.fixture.mesh,
+                self.jaw_surface, self.twin, self.fixture.mesh,
                 self.surface_ids, self.candidates, settings.intersect_density)
             if remount_to is not None and remount_to != self.candidates.mounted_index:
                 self.candidates = remount(self.candidates, remount_to)

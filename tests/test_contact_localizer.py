@@ -16,7 +16,7 @@ from finray.contact_localizer import (
 from finray.fem_core import MaterialModel
 from finray.fixtures import ShapeSpec, make_object_mesh, make_sdf
 from finray.inverse_solver import ContactCandidateSet
-from finray.mesh_model import DeformableSurface, DeformedState, extract_surface
+from finray.mesh_model import DeformedState, RigidSurface, extract_surface
 from finray.pipeline import localize
 from finray.sensing_sim import ContactModelConfig, ForwardContactModel, cached_system
 
@@ -96,10 +96,10 @@ class TestPreEstimateTranslation:
             pre_estimate_translation(state, np.eye(3), squashed)
 
 
-def localize_at(state, surf, jaw, twin, obj, pose, cands):
-    """``pipeline.localize`` at density 3 with the twin placed from ``obj``'s
-    vertices; returns the remount decision and the pre-estimation flag."""
-    return localize(state, pose, surf, twin, obj.vertices, jaw.mesh,
+def localize_at(state, surf, jaw, twin, pose, cands):
+    """``pipeline.localize`` at density 3; returns the remount decision and
+    the pre-estimation flag."""
+    return localize(state, pose, surf, twin, jaw.mesh,
                     np.unique(surf.triangles), cands, density=3)
 
 
@@ -112,7 +112,7 @@ class LocalizerScene:
         self.jaw = jaw
         self.spec = ShapeSpec.cylinder(diameter, 0.05)
         self.mesh = make_object_mesh(self.spec)
-        self.twin = DeformableSurface(self.mesh)
+        self.twin = RigidSurface(self.mesh)
         self.sdf = make_sdf(self.spec)
         system = cached_system(jaw.mesh, MaterialModel())
         self.model = ForwardContactModel(system, jaw,
@@ -139,7 +139,7 @@ class LocalizerScene:
         return extract_surface(self.jaw.mesh, DeformedState(displacements))
 
     def localize(self, state, surf, pose, cands):
-        return localize_at(state, surf, self.jaw, self.twin, self.mesh, pose, cands)
+        return localize_at(state, surf, self.jaw, self.twin, pose, cands)
 
     def run_loading(self, z, state, cands, n_frames=8):
         """Ramp the press from zero; surface lags truth by one frame."""
@@ -158,16 +158,16 @@ class TestLocalizeStep:
         state = ContactState(l0=jaw.l0)
         cands = ContactCandidateSet.from_fixture(jaw)
         obj = make_object_mesh(ShapeSpec.cylinder(0.015, 0.05))
-        twin = DeformableSurface(obj)
+        twin = RigidSurface(obj)
         pose = PoseTransform(np.eye(3), np.array([0.2, 0.0, 0.04]), "o", "g")
         surf = jaw.mesh.surface()
         # twin placed by pose: far away, no intersection, status stays off
         state.status = True
-        remount_to, _ = localize_at(state, surf, jaw, twin, obj, pose, cands)
+        remount_to, _ = localize_at(state, surf, jaw, twin, pose, cands)
         assert not state.status
         assert remount_to is None
         # next pass pre-estimates: twin pushed just into the surface
-        _, pre_estimated = localize_at(state, surf, jaw, twin, obj, pose, cands)
+        _, pre_estimated = localize_at(state, surf, jaw, twin, pose, cands)
         assert pre_estimated
         twin_translation = twin.vertices[0] - obj.vertices[0]
         assert twin_translation[0] == pytest.approx(jaw.l0 + 0.0075, rel=1e-3)
@@ -231,10 +231,8 @@ class TestLocalizeStep:
         surf = scene.surface()
         cands = ContactCandidateSet.from_fixture(jaw)
         s1, s2 = ContactState(l0=jaw.l0), ContactState(l0=jaw.l0)
-        r1, _ = localize_at(s1, surf, jaw, DeformableSurface(scene.mesh), scene.mesh,
-                            scene.pose, cands)
-        r2, _ = localize_at(s2, surf, jaw, DeformableSurface(scene.mesh), scene.mesh,
-                            scene.pose, cands)
+        r1, _ = localize_at(s1, surf, jaw, RigidSurface(scene.mesh), scene.pose, cands)
+        r2, _ = localize_at(s2, surf, jaw, RigidSurface(scene.mesh), scene.pose, cands)
         assert r1 == r2
         assert np.array_equal(s1.centroid, s2.centroid)
 

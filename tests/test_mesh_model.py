@@ -8,6 +8,7 @@ from finray.mesh_model import (
     DeformableSurface,
     DeformedState,
     MeshError,
+    RigidSurface,
     SurfaceMesh,
     TetMesh,
     TriangleBVH,
@@ -186,31 +187,33 @@ class TestIntersectApprox:
                    make_object_mesh(ShapeSpec.wedge()),
                    make_object_mesh(ShapeSpec.cuboid((0.03, 0.08, 0.03)))]
         jaw_surface = DeformableSurface(jaw_template)
-        twins = [DeformableSurface(o) for o in objects]
+        twins = [RigidSurface(o) for o in objects]
         face_x = jaw.mesh.vertices[:, 0].max()
         # overlapping poses per kind: [empty, non-empty]
         outcomes = {"disjoint": [0, 0], "touching": [0, 0], "deep": [0, 0]}
         for k in range(200):
-            obj = objects[k % 3]
+            obj, twin = objects[k % 3], twins[k % 3]
             kind = list(outcomes)[(k // 3) % 3]
             gap = {"disjoint": rng.uniform(1e-3, 1e-2),
                    "touching": rng.uniform(-2e-4, 2e-4),
                    "deep": -rng.uniform(2e-3, 1e-2)}[kind]
-            posed = obj.vertices @ random_rotation(rng).T
-            posed -= posed.mean(axis=0)
-            posed += np.array([face_x + gap - posed[:, 0].min(),
-                               rng.uniform(-0.01, 0.01), rng.uniform(0.01, 0.07)])
+            rotation = random_rotation(rng)
+            rotated = obj.vertices @ rotation.T
+            centre = rotated.mean(axis=0)
+            twin.place(rotation, np.array([face_x + gap - rotated[:, 0].min() + centre[0],
+                                           rng.uniform(-0.01, 0.01),
+                                           rng.uniform(0.01, 0.07)]) - centre)
             c = int(rng.integers(compliance.n_candidates))
             deformed = jaw.mesh.vertices + compliance.fields[c] @ rng.normal(scale=5.0, size=3)
             density = 2 + k % 2
             jaw_surface.update(deformed)
-            twins[k % 3].update(posed)
+            want = full_lattice_intersection(SurfaceMesh(deformed, jaw_template.triangles),
+                                             SurfaceMesh(twin.vertices, obj.triangles), density)
             pairs = ((SurfaceMesh(deformed, jaw_template.triangles),
-                      SurfaceMesh(posed, obj.triangles)),
-                     (jaw_surface, twins[k % 3]))
-            for gripper, twin in pairs:
-                want = full_lattice_intersection(gripper, twin, density)
-                got = intersect_approx(gripper, twin, density=density, keep_points=True)
+                      SurfaceMesh(twin.vertices, obj.triangles)),
+                     (jaw_surface, twin))
+            for gripper, other in pairs:
+                got = intersect_approx(gripper, other, density=density, keep_points=True)
                 assert got.sample_count == len(want)
                 if len(want):
                     assert np.array_equal(got.centroid, want.mean(axis=0))
@@ -314,6 +317,44 @@ class TestDeformableSurface:
         point_inside(surf, probe)
         assert len(calls) == 1
         assert np.array_equal(surf.bvh().node_min[0], jaw.mesh.vertices.min(axis=0) + 2e-3)
+
+
+class TestRigidSurface:
+    """The twin's grid answers against ray parity on the posed mesh: every
+    object shape and a 3x-subdivided wedge under random poses, queried at
+    points spread over the padded box (most answered by a grid
+    component), on the surface, and just off it along face normals."""
+
+    def test_matches_parity_on_posed_mesh(self):
+        rng = np.random.default_rng(5)
+        wedge = make_object_mesh(ShapeSpec.wedge())
+        meshes = [make_object_mesh(ShapeSpec.cylinder(0.025)),
+                  make_object_mesh(ShapeSpec.cuboid((0.03, 0.08, 0.03))),
+                  wedge, subdivided(subdivided(subdivided(wedge)))]
+        for mesh in meshes:
+            twin = RigidSurface(mesh)
+            for _ in range(5):
+                twin.place(random_rotation(rng), rng.normal(scale=0.01, size=3))
+                posed = SurfaceMesh(twin.vertices, mesh.triangles)
+                lo, hi = posed.bounds()
+                pad = 0.2 * (hi - lo)
+                tv = posed.vertices[posed.triangles]
+                tri = rng.integers(len(tv), size=1000)
+                bary = rng.dirichlet(np.ones(3), size=1000)
+                normals = np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0])[tri]
+                normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+                offsets = rng.choice([-1.0, 1.0], size=1000) * 10.0 ** rng.uniform(-10, -6, 1000)
+                points = np.concatenate([
+                    rng.uniform(lo - pad, hi + pad, (2000, 3)),
+                    surface_sample_points(posed, 2),
+                    np.einsum("pb,pbx->px", bary, tv[tri]) + offsets[:, None] * normals,
+                ])
+                ins, on = point_inside(posed, points, return_on_surface=True)
+                assert np.array_equal(twin.contains(points), ins | on)
+
+    def test_requires_watertight(self):
+        with pytest.raises(WatertightError):
+            RigidSurface(SurfaceMesh(np.eye(3), np.array([[0, 1, 2]])))
 
 
 def subdivided(mesh):

@@ -1,7 +1,9 @@
 import json
+import logging
 
 import numpy as np
 
+from finray import mesh_model
 from finray.fixtures import ShapeSpec
 from finray.mesh_model import TriangleBVH
 from finray.pipeline import (
@@ -211,12 +213,24 @@ class TestLazyRefit:
         assert np.any(lo_j > hi_t) or np.any(lo_t > hi_j)
         assert calls == []
 
-    def test_overlapping_step_refits_each_surface_once(self, monkeypatch):
+    def test_overlapping_steps_refit_only_the_jaws(self, monkeypatch, caplog):
+        # the twin is placed rigidly and tested in its own frame: over a run
+        # of overlapping steps each jaw is refit once per step, the twin's
+        # tree never, and two estimators on one twin mesh share one grid
+        monkeypatch.setattr(mesh_model, "_GRIDS", {})
+        caplog.set_level(logging.DEBUG, logger="finray.mesh_model")
         engine = SimEngine(quick_static())
-        est = JawEstimator(engine, 0, EstimatorSettings())
+        ests = [JawEstimator(engine, 0, EstimatorSettings()) for _ in range(2)]
+        ests[0].twin.grid()  # built before counting: a build fits its tree once
         calls = self.count_refits(monkeypatch)
-        pkt = engine.frame(0.0, 0.006, "load", True, 1.0 / 30.0)
-        fe = est.step(pkt.observations[0], 0.0, pkt.truth.jaws[0].candidate)
-        assert fe.status
+        n_steps = 4
+        for k in range(n_steps):
+            pkt = engine.frame(k / 30.0, 0.004 + 0.001 * k, "load", True, 1.0 / 30.0)
+            for est in ests:
+                assert est.step(pkt.observations[0], k / 30.0,
+                                pkt.truth.jaws[0].candidate).status
         assert sorted(map(id, calls)) == sorted(
-            map(id, (est.jaw_surface.bvh(), est.twin.bvh())))
+            id(est.jaw_surface.bvh()) for est in ests for _ in range(n_steps))
+        assert ests[1].twin.grid() is ests[0].twin.grid()
+        builds = [r for r in caplog.records if r.getMessage().startswith("containment grid")]
+        assert len(builds) == 1
