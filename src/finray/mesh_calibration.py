@@ -2,12 +2,15 @@
 point-cloud observation.
 
 Pipeline: coarse scale from the grasp-axis bounding extents, pixel-grid
-partial-view projection of the mesh, rigid ICP, then similarity ICP with
-the closed-form least-squares alignment, and a watertight output mesh.
+partial-view projection of the mesh (each sample keeps its triangle's
+normal), rigid point-to-plane ICP on those normals, then point-to-point
+similarity ICP with the closed-form least-squares alignment, and a
+watertight output mesh.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -15,7 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
-from .contact_localizer import PoseTransform
+from .contact_localizer import PoseTransform, rotation_about
 from .mesh_model import (
     MeshError,
     SurfaceMesh,
@@ -27,6 +30,8 @@ from .mesh_model import (
     triangle_areas,
 )
 
+logger = logging.getLogger(__name__)
+
 
 class CorrespondenceError(RuntimeError):
     """ICP correspondences collapsed (too few inlier pairs)."""
@@ -35,10 +40,12 @@ class CorrespondenceError(RuntimeError):
 @dataclass
 class PointCloud:
     """Points in the camera frame; an optional validity mask selects the
-    usable subset."""
+    usable subset, and optional unit normals, one per valid point, give the
+    surface direction at each."""
 
     points: np.ndarray
     mask: Optional[np.ndarray] = None
+    normals: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
@@ -51,6 +58,10 @@ class PointCloud:
             raise ValueError("point cloud empty after masking")
         if not np.all(np.isfinite(pts)):
             raise ValueError("point cloud has non-finite coordinates")
+        if self.normals is not None:
+            self.normals = np.asarray(self.normals, dtype=np.float64).reshape(-1, 3)
+            if len(self.normals) != len(pts):
+                raise ValueError("normals length mismatch")
 
     @property
     def valid_points(self) -> np.ndarray:
@@ -103,11 +114,15 @@ def partial_view(mesh: SurfaceMesh, camera: CameraModel,
 
     Surface samples are generated per triangle at the projected pixel
     footprint; each occupied pixel keeps only the sample closest to the
-    camera origin.
+    camera origin, with its triangle's unit normal (zero for a degenerate
+    triangle).
     """
     if np.any(mesh.vertices[:, 2] <= 0.0):
         raise MeshError("mesh must lie entirely in front of the camera")
     tv = mesh.vertices[mesh.triangles]
+    face_n = np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0])
+    norm = np.linalg.norm(face_n, axis=1, keepdims=True)
+    face_n = np.divide(face_n, norm, out=np.zeros_like(face_n), where=norm > 0)
     uv, _ = camera.project(tv.reshape(-1, 3))
     uv = uv.reshape(-1, 3, 2)
     edge_px = np.concatenate([
@@ -117,17 +132,20 @@ def partial_view(mesh: SurfaceMesh, camera: CameraModel,
     ]).reshape(3, -1).max(axis=0)
     n_sub = np.clip(np.ceil(edge_px).astype(int), 1, max_subdivision)
 
-    samples = []
+    samples, normals = [], []
     for n in np.unique(n_sub):
         sel = n_sub == n
         sub = SurfaceMesh(mesh.vertices, mesh.triangles[sel])
         samples.append(surface_sample_points(sub, density=int(n)))
+        # the lattice emits each triangle's (n + 1)(n + 2) / 2 samples together
+        normals.append(np.repeat(face_n[sel], (n + 1) * (n + 2) // 2, axis=0))
     pts = np.concatenate(samples)
+    nrm = np.concatenate(normals)
 
     uvp, z = camera.project(pts)
     px = np.floor(uvp).astype(np.int64)
     ok = (px[:, 0] >= 0) & (px[:, 0] < camera.width) & (px[:, 1] >= 0) & (px[:, 1] < camera.height)
-    pts, px = pts[ok], px[ok]
+    pts, nrm, px = pts[ok], nrm[ok], px[ok]
     if len(pts) == 0:
         raise MeshError("mesh projects outside the image")
     pixel_id = px[:, 1] * camera.width + px[:, 0]
@@ -136,7 +154,8 @@ def partial_view(mesh: SurfaceMesh, camera: CameraModel,
     pixel_sorted = pixel_id[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = pixel_sorted[1:] != pixel_sorted[:-1]
-    return PointCloud(pts[order[first]])
+    keep = order[first]
+    return PointCloud(pts[keep], normals=nrm[keep])
 
 
 def umeyama_alignment(src: np.ndarray, dst: np.ndarray,
@@ -162,6 +181,29 @@ def umeyama_alignment(src: np.ndarray, dst: np.ndarray,
     return r, t, s
 
 
+def point_to_plane_step(src: np.ndarray, dst: np.ndarray, normals: np.ndarray,
+                        rotation: np.ndarray,
+                        translation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One linearised point-to-plane Gauss-Newton step on src -> dst pairs
+    with unit source normals: returns the updated rigid (R, t).
+
+    Minimises the squared distance of each target point to the tangent
+    plane of its moved source point, over a small rotation vector about
+    the targets' centroid and a translation, with each plane held fixed
+    for the step (Chen & Medioni 1992; Low 2004). A direction the pairs
+    leave unconstrained gets the least-squares minimum-norm step.
+    """
+    moved = src @ rotation.T + translation
+    n = normals @ rotation.T
+    c = dst.mean(axis=0)
+    residual = np.einsum("ij,ij->i", moved - dst, n)
+    jac = np.hstack([np.cross(moved - c, n), n])
+    step = np.linalg.lstsq(jac, -residual, rcond=None)[0]
+    angle = float(np.linalg.norm(step[:3]))
+    turn = rotation_about(step[:3], angle) if angle > 0.0 else np.eye(3)
+    return turn @ rotation, turn @ (translation - c) + c + step[3:]
+
+
 @dataclass
 class ICPResult:
     rotation: np.ndarray
@@ -170,6 +212,9 @@ class ICPResult:
     rms: float
     n_iterations: int
     rms_history: list[float] = field(default_factory=list)
+    # "tol" (improvement fell to tol), "stalled" (10 iterations without
+    # improvement) or "max_iters"
+    stop_reason: str = "max_iters"
 
     @property
     def pose(self) -> PoseTransform:
@@ -179,41 +224,56 @@ class ICPResult:
         return self.scale * (points @ self.rotation.T) + self.translation
 
 
+def reverse_query(src_tree: cKDTree, dst: np.ndarray, rotation: np.ndarray,
+                  translation: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest source point to each target point under dst ~ s R src + t,
+    from a tree over the untransformed source: a similarity transform
+    keeps nearest neighbours, so the targets are mapped back and the
+    distances scaled by s."""
+    d, idx = src_tree.query(((dst - translation) @ rotation) / scale)
+    return scale * d, idx
+
+
 def icp_align(source: PointCloud, target: PointCloud, with_scale: bool = False,
-              max_iters: int = 50, tol: float = 1e-6, reject_factor: float = 3.0,
-              init: ICPResult | None = None) -> ICPResult:
-    """Nearest-neighbor ICP with closed-form per-iteration alignment.
+              max_iters: int = 50, tol: float = 1e-6, reject_factor: float = 3.0) -> ICPResult:
+    """Nearest-neighbor ICP from the identity.
 
     Correspondences are symmetric (source->target and target->source
     unions), which keeps the similarity fit from collapsing the scale onto
-    a patch of the target. The monitored RMS is enforced non-increasing:
-    an iteration that would raise it reverts and stops. Correspondence
-    rejection at ``reject_factor`` times the median pair distance applies
-    to the fit only.
+    a patch of the target. Each iteration fits the pairs with one
+    point-to-plane step on the source normals when the alignment is rigid
+    and the source carries normals, else with the closed-form
+    least-squares alignment. Correspondence rejection at
+    ``reject_factor`` times the median pair distance applies to the fit
+    only. The monitored RMS (of all pair distances) is enforced
+    non-increasing: a step that raises it is never returned, but the loop
+    keeps iterating from its correspondences. It stops when an improvement
+    falls to ``tol`` relative, after 10 iterations without improvement, or
+    at ``max_iters``, and returns the lowest-RMS state.
     """
     src = source.valid_points
     dst = target.valid_points
+    plane = source.normals is not None and not with_scale
     dst_tree = cKDTree(dst)
-    if init is None:
-        r, t, s = np.eye(3), np.zeros(3), 1.0
-    else:
-        r, t, s = init.rotation.copy(), init.translation.copy(), float(init.scale)
+    src_tree = cKDTree(src)
+    r, t, s = np.eye(3), np.zeros(3), 1.0
 
     def correspondences(rot, tra, sca):
         moved = sca * (src @ rot.T) + tra
         d_fwd, idx_fwd = dst_tree.query(moved)
-        d_rev, idx_rev = cKDTree(moved).query(dst)
-        pair_src = np.concatenate([src, src[idx_rev]])
+        d_rev, idx_rev = reverse_query(src_tree, dst, rot, tra, sca)
+        pair_idx = np.concatenate([np.arange(len(src)), idx_rev])
         pair_dst = np.concatenate([dst[idx_fwd], dst])
         d = np.concatenate([d_fwd, d_rev])
         rms = float(np.sqrt(np.mean(d * d)))
-        return rms, pair_src, pair_dst, d
+        return rms, pair_idx, pair_dst, d
 
-    rms, pair_src, pair_dst, d = correspondences(r, t, s)
+    rms, pair_idx, pair_dst, d = correspondences(r, t, s)
     history = [rms]
     best = (rms, r, t, s)
     since_best = 0
     iters = 0
+    stop = "max_iters"
     for iters in range(1, max_iters + 1):
         if reject_factor > 0:
             med = np.median(d)
@@ -222,23 +282,28 @@ def icp_align(source: PointCloud, target: PointCloud, with_scale: bool = False,
             inlier = np.ones(len(d), dtype=bool)
         if inlier.sum() < 3:
             raise CorrespondenceError("fewer than 3 inlier correspondences")
-        r, t, s = umeyama_alignment(pair_src[inlier], pair_dst[inlier], with_scale)
-        rms, pair_src, pair_dst, d = correspondences(r, t, s)
-        # accepted states are monotone non-increasing; worse steps keep
-        # iterating from the new correspondences but are never returned
+        fit_idx = pair_idx[inlier]
+        if plane:
+            r, t = point_to_plane_step(src[fit_idx], pair_dst[inlier],
+                                       source.normals[fit_idx], r, t)
+        else:
+            r, t, s = umeyama_alignment(src[fit_idx], pair_dst[inlier], with_scale)
+        rms, pair_idx, pair_dst, d = correspondences(r, t, s)
         if rms < best[0]:
             improved = best[0] - rms
             best = (rms, r, t, s)
             history.append(rms)
             since_best = 0
             if improved <= tol * max(rms, 1e-300):
+                stop = "tol"
                 break
         else:
             since_best += 1
             if since_best >= 10:
+                stop = "stalled"
                 break
     rms, r, t, s = best
-    return ICPResult(r, t, s, rms, iters, history)
+    return ICPResult(r, t, s, rms, iters, history, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +430,7 @@ class CalibrationResult:
     icp_scale: float
     rms_rigid: float
     rms_similarity: float
+    icp_iterations: int
     chamfer_raw: Optional[float] = None
     chamfer_calibrated: Optional[float] = None
 
@@ -375,6 +441,7 @@ class CalibrationResult:
             "icp_scale": self.icp_scale,
             "rms_rigid": self.rms_rigid,
             "rms_similarity": self.rms_similarity,
+            "icp_iterations": self.icp_iterations,
             "watertight": bool(self.mesh.watertight),
         }
         if self.chamfer_raw is not None:
@@ -383,28 +450,40 @@ class CalibrationResult:
         return out
 
 
+def _log_stage(stage: str, res: ICPResult) -> None:
+    logger.debug("calibrate %s: %d iterations (%s), rms %.4g m, scale %.6f",
+                 stage, res.n_iterations, res.stop_reason, res.rms, res.scale)
+
+
 def calibrate(mesh: SurfaceMesh, cloud: PointCloud, camera: CameraModel,
               truth_mesh: SurfaceMesh | None = None, max_iters: int = 150,
               tol: float = 1e-6) -> CalibrationResult:
     """Full calibration: coarse x-extent scale, partial view, rigid then
     similarity ICP, scale applied to the complete mesh, watertight output.
 
-    The partial view is re-projected at each aligned pose so successive
-    passes compare matching visible sides. The similarity stage runs as
-    re-projected rounds with correspondence rejection disabled: these
-    clouds carry no gross outliers, and the visibility-boundary mismatch
-    the rejection would trim is precisely what pins the scale.
+    The rigid stage takes point-to-plane steps on the partial view's face
+    normals (Chen & Medioni 1992), which settle the pose in far fewer
+    iterations than point-to-point steps. The partial view is re-projected
+    at each aligned pose so successive passes compare matching visible
+    sides. The similarity stage runs as three re-projected point-to-point
+    rounds with correspondence rejection disabled: these clouds carry no
+    gross outliers, and the visibility-boundary mismatch the rejection
+    would trim is precisely what pins the scale.
     """
     coarse_mesh, s_coarse = coarse_scale(mesh, cloud)
     pv = partial_view(coarse_mesh, camera)
     rigid = icp_align(pv, cloud, with_scale=False, max_iters=max_iters, tol=tol)
+    _log_stage("rigid", rigid)
+    iterations = rigid.n_iterations
     aligned = SurfaceMesh(rigid.apply(coarse_mesh.vertices), coarse_mesh.triangles)
     icp_total = 1.0
     sim = None
-    for _ in range(3):
+    for k in range(3):
         pv2 = partial_view(aligned, camera)
         sim = icp_align(pv2, cloud, with_scale=True, max_iters=max_iters, tol=tol,
                         reject_factor=0.0)
+        _log_stage(f"similarity {k + 1}", sim)
+        iterations += sim.n_iterations
         aligned = SurfaceMesh(sim.apply(aligned.vertices), aligned.triangles)
         icp_total *= sim.scale
     calibrated = ensure_watertight(aligned)
@@ -415,6 +494,7 @@ def calibrate(mesh: SurfaceMesh, cloud: PointCloud, camera: CameraModel,
         icp_scale=icp_total,
         rms_rigid=rigid.rms,
         rms_similarity=sim.rms,
+        icp_iterations=iterations,
     )
     if truth_mesh is not None:
         result.chamfer_raw = chamfer_distance(mesh, truth_mesh)

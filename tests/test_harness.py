@@ -164,6 +164,7 @@ class TestCLI:
         report = json.loads((out / "calibration.json").read_text())
         assert report["total_scale"] == pytest.approx(1.2, rel=0.02)
         assert report["watertight"]
+        assert isinstance(report["icp_iterations"], int) and report["icp_iterations"] > 0
         assert (out / "calibrated.off").exists()
         assert (out / "calibrated.obj").exists()
 

@@ -1,9 +1,14 @@
+import hashlib
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from finray.contact_localizer import rotation_about
+from finray import mesh_calibration
 from finray.fixtures import ShapeSpec, box_points, icosphere, make_object_mesh, _hull_mesh
 from finray.mesh_calibration import (
     CameraModel,
@@ -17,6 +22,7 @@ from finray.mesh_calibration import (
     icp_align,
     load_point_cloud,
     partial_view,
+    reverse_query,
     save_point_cloud,
     umeyama_alignment,
 )
@@ -28,6 +34,22 @@ def posed_in_camera(mesh, distance=0.35, rotation=None, offset=(0.0, 0.0, 0.0)):
     r = rotation if rotation is not None else np.eye(3)
     v = mesh.vertices @ r.T + np.array([0.0, 0.0, distance]) + np.asarray(offset)
     return SurfaceMesh(v, mesh.triangles)
+
+
+def midpoint_subdivided(mesh, times):
+    """Each triangle split into four at its edge midpoints, which
+    neighbouring triangles share, so a closed surface stays closed."""
+    v, tris = mesh.vertices, mesh.triangles
+    for _ in range(times):
+        edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+        uniq, inv = np.unique(np.sort(edges, axis=1), axis=0, return_inverse=True)
+        ab, bc, ca = len(v) + inv.reshape(3, -1)
+        a, b, c = tris.T
+        v = np.concatenate([v, 0.5 * (v[uniq[:, 0]] + v[uniq[:, 1]])])
+        tris = np.stack([np.column_stack(t) for t in
+                         ((a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca))],
+                        axis=1).reshape(-1, 3)
+    return SurfaceMesh(v, tris)
 
 
 class TestCameraModel:
@@ -131,6 +153,46 @@ class TestPartialView:
         rel = np.abs(pv.points - np.array([0, 0, 0.4]))
         assert np.all(np.isclose(rel.max(axis=1), 0.02, atol=1e-9))
 
+    def test_normals_are_triangle_normals(self):
+        # each sample's normal is the unit normal of a triangle the sample
+        # lies on (samples on shared edges lie on several)
+        cam = CameraModel()
+        sphere = posed_in_camera(icosphere(1, 0.03), 0.3)
+        pv = partial_view(sphere, cam)
+        tv = sphere.vertices[sphere.triangles]
+        e1, e2 = tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]
+        fn = np.cross(e1, e2)
+        fn /= np.linalg.norm(fn, axis=1, keepdims=True)
+        d = pv.points[:, None, :] - tv[None, :, 0]
+        d00, d01, d11 = (e1 * e1).sum(1), (e1 * e2).sum(1), (e2 * e2).sum(1)
+        d20, d21 = (d * e1).sum(2), (d * e2).sum(2)
+        den = d00 * d11 - d01 ** 2
+        v = (d11 * d20 - d01 * d21) / den
+        w = (d00 * d21 - d01 * d20) / den
+        on = ((np.abs((d * fn).sum(2)) <= 1e-12)
+              & (v >= -1e-9) & (w >= -1e-9) & (v + w <= 1 + 1e-9))
+        same = np.all(np.abs(pv.normals[:, None, :] - fn[None]) <= 1e-15, axis=2)
+        assert pv.normals.shape == pv.points.shape
+        assert np.all(on.any(axis=1))
+        assert np.all((on & same).any(axis=1))
+
+    def test_normals_length_checked(self):
+        with pytest.raises(ValueError):
+            PointCloud(np.zeros((4, 3)), normals=np.zeros((3, 3)))
+        masked = PointCloud(np.zeros((4, 3)), mask=np.array([1, 0, 1, 0], bool),
+                            normals=np.ones((2, 3)))
+        assert masked.normals.shape == masked.valid_points.shape
+
+    def test_synthetic_scan_bytes_pinned(self):
+        # the scan's points do not depend on the normals partial_view carries
+        base = make_object_mesh(ShapeSpec.wedge())
+        tilt = rotation_about(np.array([1.0, 0.0, 0.0]), np.deg2rad(30.0))
+        posed = posed_in_camera(SurfaceMesh(base.vertices @ tilt.T, base.triangles), 0.45)
+        scan = synthetic_scan(posed, CameraModel(), depth_sigma=0.001, seed=7)
+        assert scan.normals is None
+        assert hashlib.sha256(scan.points.tobytes()).hexdigest() == (
+            "72b8c510f004d4c7004d91e1e40349c96d95fab2268ae7531894479c12636d1d")
+
 
 class TestUmeyamaICP:
     def test_exact_rigid_recovery(self, rng):
@@ -165,6 +227,49 @@ class TestUmeyamaICP:
         assert s1 == 1.0
         res = icp_align(PointCloud(src), PointCloud(dst), with_scale=False)
         assert res.scale == 1.0
+
+    def test_stop_reasons(self, rng):
+        src = rng.normal(size=(300, 3))
+        dst = src @ rotation_about(np.array([0.3, 1.0, -0.2]), 0.7).T + 0.1
+        assert icp_align(PointCloud(src), PointCloud(dst), max_iters=2).stop_reason == "max_iters"
+        res = icp_align(PointCloud(src), PointCloud(dst))
+        assert res.stop_reason in ("tol", "stalled")
+        assert res.n_iterations < 50
+
+    def test_point_to_plane_recovers_rigid_pose(self):
+        # a partial view with face normals against the same samples moved
+        # rigidly: the point-to-plane steps land on the exact pose. Three
+        # faces in view pin all six directions (planes alone leave the
+        # translation along a prism's axis free)
+        cam = CameraModel()
+        box = make_object_mesh(ShapeSpec.cuboid((0.03, 0.04, 0.05)))
+        tilt = rotation_about(np.array([1.0, 1.0, 0.0]), np.deg2rad(35.0))
+        pv = partial_view(posed_in_camera(box, 0.45, rotation=tilt), cam)
+        r = rotation_about(np.array([0.2, 1.0, 0.4]), np.deg2rad(4.0))
+        c = pv.points.mean(axis=0)
+        t = c - r @ c + np.array([0.003, -0.002, 0.002])
+        res = icp_align(pv, PointCloud(pv.points @ r.T + t), max_iters=100, tol=1e-12)
+        assert res.scale == 1.0
+        assert np.abs(res.rotation - r).max() <= 1e-9
+        assert np.abs(res.translation - t).max() <= 1e-9
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_reverse_query_matches_rebuilt_tree(self, seed):
+        # the source-frame query against one tree over the source equals
+        # the query against a tree rebuilt over the moved source
+        rng = np.random.default_rng(seed)
+        src = rng.uniform(-0.05, 0.05, size=(400, 3))
+        r = rotation_about(rng.normal(size=3), rng.uniform(0.0, np.pi))
+        s = rng.uniform(0.5, 2.0)
+        t = rng.normal(scale=0.3, size=3)
+        moved = s * src @ r.T + t
+        dst = np.concatenate([moved[:300] + rng.normal(scale=0.002, size=(300, 3)),
+                              rng.uniform(moved.min(0), moved.max(0), size=(100, 3))])
+        d_ref, idx_ref = cKDTree(moved).query(dst)
+        d, idx = reverse_query(cKDTree(src), dst, r, t, s)
+        assert np.array_equal(idx, idx_ref)
+        assert np.all(np.abs(d - d_ref) <= 1e-12 * d_ref)
 
     def test_correspondence_collapse(self):
         src = np.zeros((5, 3))
@@ -250,6 +355,57 @@ class TestCalibrate:
         r2 = calibrate(pre, scan, cam, tol=1e-12)
         assert r2.total_scale == pytest.approx(r1.total_scale / 2.0, rel=1e-6)
         assert np.abs(r2.mesh.vertices - r1.mesh.vertices).max() <= 1e-6
+
+    def test_logs_and_counts_each_stage(self, caplog, monkeypatch):
+        recon, scan, _, cam = self._scene(ShapeSpec.cuboid((0.03, 0.03, 0.03)), 1.1, seed=6)
+        runs = []
+        align = mesh_calibration.icp_align
+
+        def counted(*args, **kwargs):
+            runs.append(align(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(mesh_calibration, "icp_align", counted)
+        with caplog.at_level(logging.DEBUG, logger="finray.mesh_calibration"):
+            result = calibrate(recon, scan, cam)
+        assert len(runs) == 4
+        assert result.report()["icp_iterations"] == sum(r.n_iterations for r in runs)
+        stages = [m for m in caplog.messages if m.startswith("calibrate ")]
+        assert [m.split(":")[0] for m in stages] == [
+            "calibrate rigid", "calibrate similarity 1", "calibrate similarity 2",
+            "calibrate similarity 3"]
+        for m, r in zip(stages, runs):
+            assert f"{r.n_iterations} iterations ({r.stop_reason})" in m
+
+
+class TestTwinScale:
+    """The benchmark's twin set-ups: a 25 mm cylinder reconstructed 1.2x
+    too large (48 segments, closed) and the wedge hull, midpoint-subdivided
+    three times, 0.85x and open; each scanned at 0.45 m with a 30 deg tilt
+    and reconstructed with a fixed 8 deg pose error."""
+
+    TILT = rotation_about(np.array([1.0, 0.0, 0.0]), np.deg2rad(30.0))
+    POSE_ERROR = rotation_about(np.array([0.2, 1.0, 0.4]), np.deg2rad(8.0))
+    OFFSET = np.array([0.012, -0.008, 0.01])
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("twin", ["cylinder", "wedge"])
+    def test_scale_within_one_percent(self, twin, seed):
+        cam = CameraModel()
+        if twin == "cylinder":
+            spec, mis_scale = ShapeSpec.cylinder(0.025), 1.2
+            template = make_object_mesh(spec, n_seg=48, n_len=8)
+        else:
+            spec, mis_scale = ShapeSpec.wedge(), 0.85
+            template = midpoint_subdivided(make_object_mesh(spec), 3)
+            template = SurfaceMesh(template.vertices, template.triangles[:-2])
+        truth = make_object_mesh(spec)
+        scan = synthetic_scan(posed_in_camera(truth, 0.45, rotation=self.TILT), cam,
+                              depth_sigma=0.001, seed=seed)
+        recon = posed_in_camera(SurfaceMesh(template.vertices * mis_scale, template.triangles),
+                                0.45, rotation=self.POSE_ERROR @ self.TILT, offset=self.OFFSET)
+        result = calibrate(recon, scan, cam)
+        assert result.total_scale * mis_scale == pytest.approx(1.0, rel=0.01)
 
 
 class TestChamfer:
