@@ -92,14 +92,13 @@ def rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
 
 
-def look_at(eye: np.ndarray, target: np.ndarray, up=(0.0, 0.0, 1.0)) -> PoseTransform:
+def look_at(eye: np.ndarray, target: np.ndarray) -> PoseTransform:
     """Camera pose (camera->world): +z looks at the target, +x right,
-    +y down, matching pinhole conventions."""
+    +y down (world +z up), matching pinhole conventions."""
     eye = np.asarray(eye, dtype=np.float64)
     fwd = np.asarray(target, dtype=np.float64) - eye
     fwd = fwd / np.linalg.norm(fwd)
-    upv = np.asarray(up, dtype=np.float64)
-    right = np.cross(fwd, upv)
+    right = np.cross(fwd, np.array([0.0, 0.0, 1.0]))
     if np.linalg.norm(right) < 1e-12:
         right = np.cross(fwd, np.array([0.0, 1.0, 0.0]))
     right = right / np.linalg.norm(right)

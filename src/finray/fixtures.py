@@ -87,10 +87,6 @@ class JawFixture:
     def candidate_positions(self) -> np.ndarray:
         return self.mesh.vertices[self.candidate_ids]
 
-    @property
-    def keypoint_positions(self) -> np.ndarray:
-        return self.mesh.vertices[self.keypoint_ids]
-
     def bbox(self, margin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         lo = self.mesh.vertices.min(axis=0) - margin
         hi = self.mesh.vertices.max(axis=0) + margin
@@ -213,7 +209,7 @@ def generate_jaw(params: JawParams | None = None) -> JawFixture:
     )
 
 
-@functools.lru_cache(maxsize=4)
+@functools.cache
 def canonical_jaw() -> JawFixture:
     return generate_jaw(JawParams())
 

@@ -485,16 +485,27 @@ def _write_report(out_dir: Path, report: MetricsReport) -> None:
 
 
 def rescore_runs(run_dir: Path, out_dir: Path) -> MetricsReport:
-    """Re-aggregate metrics from existing run CSVs without re-simulation."""
+    """Re-aggregate metrics from existing run CSVs without re-simulation:
+    one jaw's force over its recorded frames, or for a dual-jaw CSV the
+    grasp force (``grasp_sim`` against ``grasp_gt``) wherever it is set."""
     from .pipeline import load_run_csv
     conditions = []
     for csv_path in sorted(run_dir.glob("*.csv")):
-        rows = [r for r in load_run_csv(csv_path) if r["jaw"] == 0]
-        rec = [r for r in rows if r["recording"]]
-        if not rec:
+        rows = load_run_csv(csv_path)
+        jaw0 = [r for r in rows if r["jaw"] == 0]
+        if len(jaw0) < len(rows):
+            # two jaws: the grasp force over the rows that hold it, as
+            # suite_onrobot scores a dual-jaw run
+            sim = np.array([r["grasp_sim"] for r in jaw0])
+            gt = np.array([r["grasp_gt"] for r in jaw0])
+            keep = np.isfinite(sim)
+        else:
+            sim = np.array([r["f_sim_n"] for r in jaw0])
+            gt = np.array([r["f_gt_n"] for r in jaw0])
+            keep = np.array([r["recording"] for r in jaw0], dtype=bool)
+        if not keep.any():
             continue
-        sim = np.array([r["f_sim_n"] for r in rec])
-        gt = np.array([r["f_gt_n"] for r in rec])
+        sim, gt = sim[keep], gt[keep]
         r, n = rmse_nrmsd(sim, gt)
         conditions.append(ConditionMetrics(csv_path.stem, r, 0.0, n, 0.0,
                                            float(np.abs(sim - gt).max()), 1))

@@ -105,17 +105,16 @@ def coarse_scale(mesh: SurfaceMesh, cloud: PointCloud) -> tuple[SurfaceMesh, flo
     pts = cloud.valid_points
     scale = float(pts[:, 0].max() - pts[:, 0].min()) / mesh_extent
     centroid = mesh.vertices.mean(axis=0)
-    return mesh.transformed(scale=scale, origin=centroid), scale
+    return mesh.scaled(scale, centroid), scale
 
 
-def partial_view(mesh: SurfaceMesh, camera: CameraModel,
-                 max_subdivision: int = 128) -> PointCloud:
+def partial_view(mesh: SurfaceMesh, camera: CameraModel) -> PointCloud:
     """Camera-visible side of the mesh on the pixel grid.
 
     Surface samples are generated per triangle at the projected pixel
-    footprint; each occupied pixel keeps only the sample closest to the
-    camera origin, with its triangle's unit normal (zero for a degenerate
-    triangle).
+    footprint, with at most 128 subdivisions per edge; each occupied
+    pixel keeps only the sample closest to the camera origin, with its
+    triangle's unit normal (zero for a degenerate triangle).
     """
     if np.any(mesh.vertices[:, 2] <= 0.0):
         raise MeshError("mesh must lie entirely in front of the camera")
@@ -130,7 +129,7 @@ def partial_view(mesh: SurfaceMesh, camera: CameraModel,
         np.linalg.norm(uv[:, 2] - uv[:, 1], axis=1),
         np.linalg.norm(uv[:, 0] - uv[:, 2], axis=1),
     ]).reshape(3, -1).max(axis=0)
-    n_sub = np.clip(np.ceil(edge_px).astype(int), 1, max_subdivision)
+    n_sub = np.clip(np.ceil(edge_px).astype(int), 1, 128)
 
     samples, normals = [], []
     for n in np.unique(n_sub):
@@ -357,11 +356,12 @@ def _largest_component(tets: np.ndarray) -> np.ndarray:
     return tets[labels == int(np.argmax(counts))]
 
 
-def alpha_wrap(points: np.ndarray, alpha: float, max_attempts: int = 8) -> SurfaceMesh:
+def alpha_wrap(points: np.ndarray, alpha: float) -> SurfaceMesh:
     """Alpha-shape boundary of a point set as a watertight surface.
 
-    Keeps Delaunay tets with circumradius below alpha (growing alpha until
-    the boundary is edge-manifold; the convex hull is the final fallback).
+    Keeps Delaunay tets with circumradius below alpha (growing alpha by
+    1.5x, up to 8 tries, until the boundary is edge-manifold; the convex
+    hull is the final fallback).
     """
     points = np.asarray(points, dtype=np.float64)
     # deterministic sub-tolerance jitter keeps coplanar lattices (box
@@ -374,7 +374,7 @@ def alpha_wrap(points: np.ndarray, alpha: float, max_attempts: int = 8) -> Surfa
     flip = tet_volumes(points, tets) < 0
     tets[flip] = tets[flip][:, [0, 1, 3, 2]]
     radii = _circumradii(points, tets)
-    for _ in range(max_attempts):
+    for _ in range(8):
         keep = tets[radii < alpha]
         if len(keep):
             boundary = boundary_faces(_largest_component(keep))
@@ -388,15 +388,15 @@ def alpha_wrap(points: np.ndarray, alpha: float, max_attempts: int = 8) -> Surfa
     return mesh
 
 
-def ensure_watertight(mesh: SurfaceMesh, alpha_factor: float = 2.5,
-                      extra_samples: int = 2) -> SurfaceMesh:
+def ensure_watertight(mesh: SurfaceMesh) -> SurfaceMesh:
     """Return the mesh unchanged when already watertight, else wrap its
-    surface samples with an alpha shape sized by the median edge length."""
+    surface samples (each edge halved) with an alpha shape of 2.5 times
+    the median edge length."""
     if mesh.watertight:
         return mesh
-    pts = surface_sample_points(mesh, density=extra_samples)
+    pts = surface_sample_points(mesh, density=2)
     pts = np.unique(np.round(pts, 12), axis=0)
-    return alpha_wrap(pts, alpha_factor * _mesh_median_edge(mesh))
+    return alpha_wrap(pts, 2.5 * _mesh_median_edge(mesh))
 
 
 def sample_surface(mesh: SurfaceMesh, n: int, seed: int = 0) -> np.ndarray:
@@ -455,9 +455,12 @@ def _log_stage(stage: str, res: ICPResult) -> None:
                  stage, res.n_iterations, res.stop_reason, res.rms, res.scale)
 
 
+# iteration cap of each ICP stage of ``calibrate``
+_ICP_MAX_ITERS = 150
+
+
 def calibrate(mesh: SurfaceMesh, cloud: PointCloud, camera: CameraModel,
-              truth_mesh: SurfaceMesh | None = None, max_iters: int = 150,
-              tol: float = 1e-6) -> CalibrationResult:
+              truth_mesh: SurfaceMesh | None = None, tol: float = 1e-6) -> CalibrationResult:
     """Full calibration: coarse x-extent scale, partial view, rigid then
     similarity ICP, scale applied to the complete mesh, watertight output.
 
@@ -472,7 +475,7 @@ def calibrate(mesh: SurfaceMesh, cloud: PointCloud, camera: CameraModel,
     """
     coarse_mesh, s_coarse = coarse_scale(mesh, cloud)
     pv = partial_view(coarse_mesh, camera)
-    rigid = icp_align(pv, cloud, with_scale=False, max_iters=max_iters, tol=tol)
+    rigid = icp_align(pv, cloud, with_scale=False, max_iters=_ICP_MAX_ITERS, tol=tol)
     _log_stage("rigid", rigid)
     iterations = rigid.n_iterations
     aligned = SurfaceMesh(rigid.apply(coarse_mesh.vertices), coarse_mesh.triangles)
@@ -480,7 +483,7 @@ def calibrate(mesh: SurfaceMesh, cloud: PointCloud, camera: CameraModel,
     sim = None
     for k in range(3):
         pv2 = partial_view(aligned, camera)
-        sim = icp_align(pv2, cloud, with_scale=True, max_iters=max_iters, tol=tol,
+        sim = icp_align(pv2, cloud, with_scale=True, max_iters=_ICP_MAX_ITERS, tol=tol,
                         reject_factor=0.0)
         _log_stage(f"similarity {k + 1}", sim)
         iterations += sim.n_iterations

@@ -208,22 +208,9 @@ class SurfaceMesh:
             self._bvh = TriangleBVH(self.vertices, self.triangles)
         return self._bvh
 
-    def transformed(self, rotation: np.ndarray | None = None,
-                    translation: np.ndarray | None = None,
-                    scale: float = 1.0,
-                    origin: np.ndarray | None = None) -> "SurfaceMesh":
-        """Similarity-transformed copy: scale about ``origin``, then rotate,
-        then translate."""
-        v = self.vertices
-        if origin is not None:
-            v = (v - origin) * scale + origin
-        elif scale != 1.0:
-            v = v * scale
-        if rotation is not None:
-            v = v @ np.asarray(rotation).T
-        if translation is not None:
-            v = v + np.asarray(translation)
-        return SurfaceMesh(v, self.triangles)
+    def scaled(self, scale: float, origin: np.ndarray) -> "SurfaceMesh":
+        """Copy scaled by ``scale`` about ``origin``."""
+        return SurfaceMesh((self.vertices - origin) * scale + origin, self.triangles)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -308,6 +295,9 @@ def _seeded_directions(n: int) -> np.ndarray:
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
+# distance in barycentric units and along the ray within which
+# ``count_crossings`` calls a ray grazing, so that its point is re-cast
+_GRAZE_EPS = 1e-9
 # points that graze a triangle on every cast are effectively on the
 # surface; after these casts the last parity answer stands
 _FALLBACK_DIRECTIONS = _seeded_directions(4)
@@ -324,10 +314,10 @@ class TriangleBVH:
     box by ``margin``, so a ray from within the margin of a triangle's box
     always tests that triangle."""
 
-    def __init__(self, vertices: np.ndarray, triangles: np.ndarray, leaf_size: int = 16,
-                 margin: float = 0.0):
+    leaf_size = 16  # most triangles per leaf
+
+    def __init__(self, vertices: np.ndarray, triangles: np.ndarray, margin: float = 0.0):
         self.triangles = np.asarray(triangles, dtype=np.int64)
-        self.leaf_size = leaf_size
         self.margin = margin
         n = len(self.triangles)
         if n == 0:
@@ -372,7 +362,7 @@ class TriangleBVH:
         # with copies of its first one for the batched intersection pass;
         # copies leave the grazing flags and first hits unchanged, and
         # ``_leaf_valid`` keeps them out of the crossing counts
-        slot = np.arange(leaf_size)
+        slot = np.arange(self.leaf_size)
         self._leaf_valid = slot < self.node_count[self._leaf_ids][:, None]
         self._leaf_slots = self._leaf_starts[:, None] + np.where(self._leaf_valid, slot, 0)
         self._leaf_row = np.full(len(self.node_left), -1)
@@ -474,14 +464,14 @@ class TriangleBVH:
             t = f * np.einsum("pij,pij->pi", e2, q)
             yield k, t, u, v, det_ok, self._leaf_valid[r]
 
-    def count_crossings(self, points: np.ndarray, direction: np.ndarray,
-                        eps: float = 1e-9):
+    def count_crossings(self, points: np.ndarray, direction: np.ndarray):
         """Ray-crossing counts from each point along one shared direction.
 
         Returns (counts, suspect) where suspect marks rays that need a
         re-cast: they grazed a triangle's edge or vertex, started on a
-        triangle, or ran parallel to one.
+        triangle, or ran parallel to one (within ``_GRAZE_EPS``).
         """
+        eps = _GRAZE_EPS
         n = len(points)
         counts = np.zeros(n, dtype=np.int64)
         suspect = np.zeros(n, dtype=bool)
@@ -497,13 +487,13 @@ class TriangleBVH:
         return counts, suspect
 
     def first_hit_fraction(self, origins: np.ndarray, targets: np.ndarray,
-                           t_lo: float = 1e-9, t_hi: float = 1.0 - 1e-9) -> np.ndarray:
+                           t_hi: float = 1.0 - 1e-9) -> np.ndarray:
         """Smallest hit parameter along each segment origin->target within
-        (t_lo, t_hi), or +inf when unobstructed."""
+        (1e-9, t_hi), or +inf when unobstructed."""
         dirs = targets - origins
         best = np.full(len(origins), np.inf)
         for rays, t, u, v, det_ok, _ in self._leaf_hits(origins, dirs, t_hi):
-            ok = det_ok & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > t_lo) & (t < t_hi)
+            ok = det_ok & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 1e-9) & (t < t_hi)
             t = np.where(ok, t, np.inf)
             np.minimum.at(best, rays, t.min(axis=1))
         return best
@@ -556,14 +546,14 @@ def point_inside(mesh: SurfaceMesh, points: np.ndarray,
 # objects; a 0.5 mm grid costs more in labelling temporaries (tens of MB)
 # than it saves in ray casts
 _GRID_CELLS = 2 ** 17
-# twice count_crossings' eps, far above rounding. Triangle boxes widen by
+# twice _GRAZE_EPS, far above rounding. Triangle boxes widen by
 # this much before they mark cells, so a point in an unmarked cell is
 # farther than eps from the surface along any ray and no cast from it
 # grazes. The grid's tree widens its boxes as much, so a point mapped into
 # the object frame, where the objects' faces lie on box faces and rounding
 # can move a surface point just outside a box, still tests the triangles
 # it lies on, as it does on the posed mesh.
-_TWIN_MARGIN = 2e-9
+_TWIN_MARGIN = 2 * _GRAZE_EPS
 _TOUCHED = 2  # cell state next to 0 (outside) and 1 (inside)
 
 

@@ -303,15 +303,12 @@ def scenario_mapping(scenario: Scenario, settings: EstimatorSettings | None = No
     return out
 
 
-def run_estimation(scenario: Scenario, settings: EstimatorSettings | None = None,
-                   engine: SimEngine | None = None,
-                   twin_mesh=None) -> RunResult:
+def run_estimation(scenario: Scenario, settings: EstimatorSettings | None = None) -> RunResult:
     """Run the scenario and the per-jaw estimators over its observation
     stream; returns frame-by-frame rows ready for CSV."""
     settings = settings or EstimatorSettings()
-    eng = engine or SimEngine(scenario)
-    estimators = [JawEstimator(eng, i, settings, twin_mesh=twin_mesh)
-                  for i in range(len(eng.rigs))]
+    eng = SimEngine(scenario)
+    estimators = [JawEstimator(eng, i, settings) for i in range(len(eng.rigs))]
     rows: list[dict] = []
     result = run_scenario(scenario, eng, packet_hook=lambda idx, pkt: _collect(
         rows, estimators, idx, pkt))

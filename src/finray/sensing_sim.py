@@ -22,6 +22,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg
+import scipy.optimize
 
 from .contact_localizer import PoseTransform, look_at, rot_z, rotation_about
 from .fem_core import MaterialModel, StiffnessSystem, assemble
@@ -33,11 +35,10 @@ logger = logging.getLogger(__name__)
 
 
 class ContactConvergenceError(RuntimeError):
-    """Penalty fixed point failed to converge."""
+    """Penalty fixed point failed to converge, or one pass's non-negative
+    least-squares step hit its iteration cap."""
 
 
-# active-set passes per linearised penalty step before giving up on it
-_ACTIVE_SET_PASSES = 40
 # fraction of the linearised penalty step taken per pass: the full step,
 # then, when it does not converge (it can cycle where the SDF normals jump
 # between the faces of a polyhedron), the half step from the same start
@@ -70,11 +71,14 @@ class ContactModelConfig:
     (s), applied to the reported force only, never to the deformation.
 
     ``stiffness`` is the penalty stiffness in N/m. Each pass of a solve
-    takes the full linearised penalty step; the solve has converged once a
-    pass changes no component of an eligible node's force by ``tol`` (N)
-    or more. After ``max_iters`` passes without converging it starts again
-    with half steps, and after as many more raises
-    ``ContactConvergenceError``.
+    takes the full linearised penalty step, a non-negative least-squares
+    problem that Lawson and Hanson's active-set method solves exactly; the
+    solve has converged once a pass changes no component of an eligible
+    node's force by ``tol`` (N) or more. After ``max_iters`` passes without
+    converging it starts again with half steps, and after as many more
+    raises ``ContactConvergenceError``. That error is also raised if one
+    step's active-set method reaches its cap of three iterations per
+    eligible node, the only way a step can fail.
     """
 
     stiffness: float = 1e6
@@ -203,12 +207,14 @@ class ForwardContactModel:
     those the undeformed jaw pushes into the object, and iterates on that
     block alone. Each pass evaluates the SDF at the deformed eligible
     nodes, linearises the penalty law there with g = B^T W B (B the
-    block-diagonal matrix of the current normals), solves it for the
-    normal forces and takes that solution whole. Where that iteration
-    cycles, as it can when the SDF normals jump between the faces of a
-    polyhedron, the solve starts again from the same state with half steps
-    and logs a warning. Holds no state between solves, so the jaws of one
-    engine share a model.
+    block-diagonal matrix of the current normals), solves that linear
+    complementarity problem for the non-negative normal forces as
+    non-negative least squares on the Cholesky factor of g + I/k, and
+    takes that solution whole. Where that iteration cycles, as it can when
+    the SDF normals jump between the faces of a polyhedron, the solve
+    starts again from the same state with half steps and logs a warning.
+    Holds no state between solves, so the jaws of one engine share a
+    model.
     """
 
     def __init__(self, system: StiffnessSystem, fixture: JawFixture,
@@ -228,41 +234,29 @@ class ForwardContactModel:
         self.node_compliance = np.ascontiguousarray(self.load_fields[:, _dofs(self.node_ids)].T)
         self.rest = fixture.mesh.vertices[self.node_ids]
 
-    def _implicit_normal_forces(self, g: np.ndarray, eye_k: np.ndarray,
-                                depth: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    def _implicit_normal_forces(self, g: np.ndarray, depth: np.ndarray,
+                                lam: np.ndarray) -> np.ndarray:
         """Non-negative normal force magnitudes solving the linearized
         penalty equilibrium lam = k * depth(lam) on the eligible nodes.
-        ``g`` maps their normal forces to their normal displacements,
-        ``eye_k`` is the identity divided by the penalty stiffness and
-        ``depth`` the penetration under the current forces ``lam``. If the
-        active set has not settled after ``_ACTIVE_SET_PASSES`` passes, logs
-        a warning and returns the last solution clipped at zero."""
-        # depth at zero normal force under the local linear model
+        ``g`` maps their normal forces to their normal displacements and
+        ``depth`` is the penetration under the current forces ``lam``.
+
+        With d_free the depth at zero normal force and M = g + I/k (SPD),
+        the step is the linear complementarity problem lam >= 0,
+        M lam - d_free >= 0, lam . (M lam - d_free) = 0, which is the
+        non-negative least-squares problem min |L^T lam - L^-1 d_free| over
+        lam >= 0 for M = L L^T; Lawson and Hanson's active-set method
+        (``scipy.optimize.nnls``) solves it. Raises
+        ``ContactConvergenceError`` if that method hits its iteration cap."""
         d_free = depth + g @ lam
-        active = d_free > 0.0
-        lam_new = np.zeros(len(lam))
-        for _ in range(_ACTIVE_SET_PASSES):
-            if not active.any():
-                break
-            a = np.flatnonzero(active)
-            m = g[np.ix_(a, a)] + eye_k[np.ix_(a, a)]
-            sol = np.linalg.solve(m, d_free[a])
-            lam_new[:] = 0.0
-            lam_new[a] = sol
-            if np.all(sol >= 0.0):
-                # admit nodes the solution would push into penetration
-                depth_pred = d_free - g @ lam_new
-                violated = (~active) & (depth_pred > 1e-15)
-                if not violated.any():
-                    break
-                active |= violated
-            else:
-                active[a[sol < 0.0]] = False
-        else:
-            logger.warning("penalty active set did not settle in %d passes (%d of %d "
-                           "eligible nodes active); using the clipped last solution",
-                           _ACTIVE_SET_PASSES, int(active.sum()), len(lam))
-        return np.clip(lam_new, 0.0, None)
+        chol = scipy.linalg.cholesky(g + np.eye(len(g)) / self.cfg.stiffness, lower=True)
+        rhs = scipy.linalg.solve_triangular(chol, d_free, lower=True)
+        try:
+            return scipy.optimize.nnls(chol.T, rhs)[0]
+        except RuntimeError as exc:
+            raise ContactConvergenceError(
+                f"non-negative least-squares penalty step hit its iteration cap "
+                f"over {len(g)} eligible nodes") from exc
 
     def solve(self, jaw_from_obj: PoseTransform,
               sdf: Callable, forces0: np.ndarray | None = None):
@@ -291,7 +285,6 @@ class ForwardContactModel:
         dofs = _dofs(idx)
         w = self.node_compliance[np.ix_(dofs, dofs)]
         rest = self.rest[idx]
-        eye_k = np.eye(m) / cfg.stiffness
         lam0 = np.zeros(m) if forces0 is None else np.linalg.norm(forces0[idx], axis=1)
         for step in _PENALTY_STEPS:
             lam, normals, residual = lam0, np.zeros((m, 3)), np.inf
@@ -305,7 +298,7 @@ class ForwardContactModel:
                 # g = B^T W B, B the (3m x m) block-diagonal matrix of the normals
                 wb = (w.reshape(3 * m, m, 3) * normals).sum(axis=2)
                 g = (normals[:, :, None] * wb.reshape(m, 3, m)).sum(axis=1)
-                lam_target = self._implicit_normal_forces(g, eye_k, -d, lam)
+                lam_target = self._implicit_normal_forces(g, -d, lam)
                 residual = float(np.abs(lam_target[:, None] * normals - applied).max())
                 lam = lam + step * (lam_target - lam)
                 if residual < cfg.tol:
@@ -512,8 +505,6 @@ class SimEngine:
                 b, fb = mid, fm
             else:
                 a, fa = mid, fm
-        else:
-            mid = 0.5 * (a + b)
         logger.warning("object equilibrium bisection at closure %.9g m stopped with "
                        "residual net force %.3g N", closure, fm)
         return mid

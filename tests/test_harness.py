@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finray import harness_cli
+from finray import harness_cli, pipeline
 from finray.config import ConfigError, dump_config, load_config, parse_config, save_config, section
 from finray.fixtures import ShapeSpec, load_fixture, make_object_mesh
 from finray.harness_cli import (
     candidate_for_position,
+    default_noisy_scenario,
     load_epsilon_schedule,
     main,
     run_grid,
@@ -21,7 +22,9 @@ from finray.harness_cli import (
 )
 from finray.mesh_calibration import CameraModel
 from finray.mesh_model import SurfaceMesh, save_obj
-from finray.sensing_sim import synthetic_scan
+from finray.metrics_force import rmse_nrmsd
+from finray.pipeline import EstimatorSettings, run_estimation
+from finray.sensing_sim import ContactModelConfig, ScheduleConfig, synthetic_scan
 
 
 class TestConfigFormat:
@@ -226,6 +229,25 @@ class TestCLI:
         assert data["suite"] == "rescore"
         assert len(data["conditions"]) == 1
 
+    def test_report_scores_dual_jaw_runs_on_the_grasp_force(self, tmp_path):
+        scenario = default_noisy_scenario(
+            shape=ShapeSpec.cylinder(0.025), seed=3, dual_jaw=True,
+            schedule=ScheduleConfig(kind="grasp", closing_speed_mm_s=8.0, target_force=2.0,
+                                    hold_s=0.2),
+            contact=ContactModelConfig(model="point"))
+        res = run_estimation(scenario, EstimatorSettings())
+        run_dir = tmp_path / "runs"
+        run_dir.mkdir()
+        res.to_csv(run_dir / "grasp.csv")
+        assert main(["report", "--runs", str(run_dir), "--out", str(tmp_path / "report")]) == 0
+        (cond,) = json.loads((tmp_path / "report" / "report-rescore.json").read_text())["conditions"]
+        grasp_sim, grasp_gt = res.column("grasp_sim"), res.column("grasp_gt")
+        finite = np.isfinite(grasp_sim)
+        rmse, nrmsd = rmse_nrmsd(grasp_sim[finite], grasp_gt[finite])
+        assert cond["rmse_mean"] == pytest.approx(rmse, rel=1e-12)
+        assert cond["nrmsd_mean"] == pytest.approx(nrmsd, rel=1e-12)
+        assert rmse != pytest.approx(rmse_nrmsd(res.column("f_sim_n"), res.column("f_gt_n"))[0])
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["--version"])
@@ -271,10 +293,13 @@ class TestSuiteUtilities:
 
 class TestTraceTargets:
     def test_every_traced_name_exists(self):
-        # perfbench wraps these by name; a missing one stops a traced run
+        # perfbench wraps these by name; a missing one stops a traced run,
+        # and a missing frame-clock name (the last two) stops every run
         path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
         spans = types.ModuleType("perfbench_spans")
         exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+        targets = [(owner, attr) for owner, attr, _, _ in spans.TARGETS]
+        targets += [(pipeline, "run_scenario"), (pipeline.JawEstimator, "step")]
         missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
-                   for owner, attr, _, _ in spans.TARGETS if attr not in owner.__dict__]
+                   for owner, attr in targets if attr not in owner.__dict__]
         assert missing == []
