@@ -137,19 +137,22 @@ def pre_estimate_translation(state: ContactState, rotation: np.ndarray,
 
 def select_candidate(centroid: np.ndarray, deformed_vertices: np.ndarray,
                      surface_vertex_ids: np.ndarray, undeformed: TetMesh,
-                     candidates: "ContactCandidateSet") -> int:
+                     candidates: "ContactCandidateSet", snaps: dict) -> int:
     """Snap an intersection center to a contact candidate.
 
     Finds the deformed surface vertex nearest the center, maps it to its
     undeformed position by index, projects onto the inner contact surface,
-    and returns the nearest candidate (lowest index on ties).
+    and returns the nearest candidate (lowest index on ties). That snap
+    depends only on the vertex, so ``snaps`` keeps it per vertex id; one
+    dict serves one (undeformed mesh, candidate positions) pair.
     """
     pts = deformed_vertices[surface_vertex_ids]
     rel = pts - centroid
-    j = surface_vertex_ids[int(np.argmin(np.einsum("ij,ij->i", rel, rel)))]
-    q_p = project_to_inner_surface(undeformed, undeformed.vertices[j])
-    dists = np.linalg.norm(candidates.positions - q_p, axis=1)
-    return int(np.argmin(dists))
+    j = int(surface_vertex_ids[int(np.argmin(np.einsum("ij,ij->i", rel, rel)))])
+    if j not in snaps:
+        q_p = project_to_inner_surface(undeformed, undeformed.vertices[j])
+        snaps[j] = int(np.argmin(np.linalg.norm(candidates.positions - q_p, axis=1)))
+    return snaps[j]
 
 
 @dataclass

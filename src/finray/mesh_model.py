@@ -7,20 +7,31 @@ projection onto the inner contact surface.
 Ray queries traverse the BVH for all rays at once: the slab test runs
 level by level over every (node, ray) pair of the frontier, and one
 Moller-Trumbore pass covers every (leaf, ray) pair that reaches a leaf,
-with leaves padded to a common size. The intersection samples only the
-triangles near the two meshes' mutual box and tests each distinct sample
-point once; the answers, and so the samples kept, are those of testing
-every sample on its own.
+with leaves padded to a common size.
+
+Two tables, built on first use, answer each frame's intersection. A
+``SampleLattice``, one per density held by the ``SurfaceMesh`` a
+deforming or posed surface is made from, gives every lattice slot a
+topological sample id (a vertex, an edge position or a face interior),
+so the intersection places and tests each distinct sample once, straight
+from the current vertices, and expands the hits back over their slots;
+the samples kept are those of testing every slot on its own. A
+``ContainmentGrid``, one per twin content, answers containment in the
+object twin.
 
 The deforming jaw (``DeformableSurface``) is refit and ray-cast. The
 object twin (``RigidSurface``) only moves rigidly, so its mesh, BVH and
 ``ContainmentGrid`` stay in the object frame: query points and ray
-directions are mapped into that frame, points in cells the surface
-touches are ray-cast there, and every other point takes the answer of
-its cell's connected component. The answers are those of ray parity on
-the posed mesh, except within about 1e-9 m of a face that the pose
-leaves exactly on a box face, where the posed mesh's own answer turns
-on rounding in its box test.
+directions are mapped into that frame. A point in a cell the surface
+does not touch takes the answer of its cell's connected component; a
+point in a touched cell takes its cell centre's cached parity answer,
+flipped once per listed triangle the segment from the centre crosses,
+and is ray-cast only where that segment or the point comes within
+``_GRAZE_EPS`` of a triangle or the centre lies near a listed triangle's
+plane. The answers are those of ray parity on the posed mesh, except
+within about 1e-9 m of a face that the pose leaves exactly on a box
+face, where the posed mesh's own answer turns on rounding in its box
+test.
 
 All coordinates are meters. Meshes are treated as immutable after
 construction (arrays are write-locked); ``DeformedState`` is the one
@@ -198,6 +209,7 @@ class SurfaceMesh:
             raise MeshError("triangle index out of range")
         self.watertight = is_watertight(self.triangles)
         self._bvh: Optional[TriangleBVH] = None
+        self._lattices: dict[int, SampleLattice] = {}
 
     @property
     def n_vertices(self) -> int:
@@ -208,12 +220,27 @@ class SurfaceMesh:
             self._bvh = TriangleBVH(self.vertices, self.triangles)
         return self._bvh
 
+    def lattice(self, density: int) -> "SampleLattice":
+        """The triangles' ``SampleLattice`` at ``density``, built on first
+        use and held."""
+        if density not in self._lattices:
+            self._lattices[density] = sample_lattice(self.triangles, density)
+        return self._lattices[density]
+
     def scaled(self, scale: float, origin: np.ndarray) -> "SurfaceMesh":
         """Copy scaled by ``scale`` about ``origin``."""
         return SurfaceMesh((self.vertices - origin) * scale + origin, self.triangles)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
+
+
+def _box(vertices: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Box of the rows ``ids`` of an (n, 3) array, reduced over a (3, m)
+    gather: numpy reduces an (m, 3) array over its first axis several
+    times slower."""
+    columns = np.take(vertices.T, ids, axis=1)
+    return columns.min(axis=1), columns.max(axis=1)
 
 
 class DeformableSurface:
@@ -229,6 +256,7 @@ class DeformableSurface:
     def __init__(self, template: SurfaceMesh):
         if not template.watertight:
             raise WatertightError("deformable surface requires a watertight template")
+        self.template = template
         self.triangles = template.triangles
         self.vertices = np.array(template.vertices)
         self.watertight = True
@@ -249,8 +277,11 @@ class DeformableSurface:
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Box of the vertices the triangles use: the BVH's root box,
         without a refit."""
-        v = self.vertices[self._vertex_ids]
-        return v.min(axis=0), v.max(axis=0)
+        return _box(self.vertices, self._vertex_ids)
+
+    def lattice(self, density: int) -> "SampleLattice":
+        """The template's ``SampleLattice``: the topology never changes."""
+        return self.template.lattice(density)
 
 
 def boundary_faces(tets: np.ndarray) -> np.ndarray:
@@ -555,6 +586,17 @@ _GRID_CELLS = 2 ** 17
 # it lies on, as it does on the posed mesh.
 _TWIN_MARGIN = 2 * _GRAZE_EPS
 _TOUCHED = 2  # cell state next to 0 (outside) and 1 (inside)
+# a touched cell's centre answer: not cast yet, or not usable because the
+# centre lies on the surface or near a listed triangle's plane
+_UNCAST, _NO_REFERENCE = -1, 2
+# a cell whose centre lies within this many cell sizes of a listed
+# triangle's plane takes no reference: a segment from it that crosses the
+# plane then meets it at a well-conditioned angle, and where it meets it
+# moves by far less than _GRAZE_EPS in barycentric units under rounding
+_CENTRE_CLEARANCE = 1e-4
+# (cell, triangle) candidates per step of the list build: bounds its
+# temporaries to about 1 MB
+_PAIR_STEP = 2 ** 13
 
 
 class ContainmentGrid:
@@ -564,9 +606,24 @@ class ContainmentGrid:
     A cell no triangle's widened box touches lies in one face-connected
     component of such cells; no path inside the component crosses the
     surface, so the component has one answer, settled by one parity test
-    of a representative cell centre. Points in touched cells are tested
-    by ``point_inside`` on the grid's own tree (so the grid stands in for
-    the mesh there). Points off the grid are outside.
+    of a representative cell centre.
+
+    Each touched cell lists, as int32, the triangles that can cross it:
+    those whose widened box touches the cell and whose plane passes within
+    half a cell diagonal (plus the margin) of its centre. A point in a
+    touched cell takes the parity answer of the cell's centre, cast on
+    first use and kept, flipped once per listed triangle that the segment
+    from the centre to the point crosses (cell-local reference points,
+    Ogayar, Segura & Feito 2005). Three kinds of point are tested instead
+    by ``point_inside`` on the grid's own tree, with the caller's
+    directions, so the grid stands in for the mesh there: a point within
+    ``_GRAZE_EPS`` of a listed triangle's plane inside its widened box, a
+    point whose segment grazes a listed triangle's edge, and every point
+    of a cell whose centre is on the surface or near a listed plane.
+    Points off the grid are outside.
+
+    ``reference_casts`` counts the centres cast and ``fallback_casts`` the
+    points tested by ``point_inside``.
     """
 
     watertight = True
@@ -582,10 +639,11 @@ class ContainmentGrid:
         self.cell = max(float(np.cbrt(np.prod(ext) / _GRID_CELLS)), float(ext.max()) / 256)
         self.origin = lo - self.cell
         self.shape = np.ceil(ext / self.cell).astype(np.int64) + 2
+        self._lo, self._hi = tv.min(axis=1) - _TWIN_MARGIN, tv.max(axis=1) + _TWIN_MARGIN
         # how many widened boxes touch each cell, from a difference array
         # with +-1 at the corners of each box's cell range
         first, last = (np.clip(self._cell_index(c), 0, self.shape - 1)
-                       for c in (tv.min(axis=1) - _TWIN_MARGIN, tv.max(axis=1) + _TWIN_MARGIN))
+                       for c in (self._lo, self._hi))
         diff = np.zeros(self.shape + 1, dtype=np.int32)
         for corner in itertools.product((0, 1), repeat=3):
             at = np.where(corner, last + 1, first)
@@ -593,15 +651,59 @@ class ContainmentGrid:
         touched = (diff.cumsum(0).cumsum(1).cumsum(2) > 0)[:-1, :-1, :-1]
         labels, n = scipy.ndimage.label(~touched)
         ids, reps = np.unique(labels, return_index=True)
-        reps = reps[ids > 0]
-        centres = self.origin + (np.column_stack(np.unravel_index(reps, self.shape)) + 0.5) * self.cell
         answers = np.full(n + 1, _TOUCHED, dtype=np.int8)
-        answers[1:] = point_inside(self, centres)
+        reps = np.column_stack(np.unravel_index(reps[ids > 0], self.shape))
+        answers[1:] = point_inside(self, self._centre(reps))
         self.state = answers[labels]
-        logger.debug("containment grid: %d triangles, %s cells of %.3g m, %.1f %% touched, "
-                     "%d components, built in %.1f ms", len(mesh.triangles),
-                     "x".join(map(str, self.shape)), self.cell, 100.0 * touched.mean(), n,
+        del diff, labels  # before the lists are built, which bounds the build's peak memory
+        self._v0 = tv[:, 0].copy()
+        self._e1, self._e2 = tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]
+        normal = _cross(self._e1, self._e2)
+        length = np.linalg.norm(normal, axis=1, keepdims=True)
+        # a degenerate triangle keeps a zero normal: every point of its
+        # widened box is then on its "plane" and is ray-cast
+        self._normal = np.divide(normal, length, out=np.zeros_like(normal), where=length > 0)
+        # flat indices of the touched cells, ascending; a touched cell's
+        # row in the lists is its position here
+        self._touched = np.flatnonzero(touched).astype(np.int32)
+        n_touched = len(self._touched)
+        self._reference = np.full(n_touched, _UNCAST, dtype=np.int8)
+        self._list_triangles(first, last)
+        self.reference_casts = 0
+        self.fallback_casts = 0
+        logger.debug("containment grid: %d triangles, %s cells of %.3g m, %.1f %% touched "
+                     "(%d cells, %d cell-triangle pairs), %d components, built in %.1f ms",
+                     len(mesh.triangles), "x".join(map(str, self.shape)), self.cell,
+                     100.0 * touched.mean(), n_touched, len(self._tris), n,
                      1e3 * (time.perf_counter() - start))
+
+    def _list_triangles(self, first: np.ndarray, last: np.ndarray) -> None:
+        """Each touched cell's triangle list, in CSR form, built over the
+        (cell, triangle) pairs of the widened boxes' cell ranges in steps
+        of ``_PAIR_STEP``; and the cells whose centres take no reference."""
+        reach = 0.5 * np.sqrt(3.0) * self.cell + _TWIN_MARGIN
+        extent = last - first + 1
+        sizes = np.prod(extent, axis=1)
+        ends = np.cumsum(sizes)
+        rows, tris, unusable = [], [], []
+        for lo in range(0, int(ends[-1]), _PAIR_STEP):
+            k = np.arange(lo, min(lo + _PAIR_STEP, int(ends[-1])))
+            t = np.searchsorted(ends, k, side="right")
+            local = k - (ends[t] - sizes[t])
+            ny, nz = extent[t, 1], extent[t, 2]
+            cell = first[t] + np.column_stack([local // (ny * nz), local // nz % ny, local % nz])
+            dist = np.abs(np.einsum("ij,ij->i", self._normal[t], self._centre(cell) - self._v0[t]))
+            keep = dist <= reach
+            row = self._rows(cell[keep])
+            rows.append(row)
+            tris.append(t[keep].astype(np.int32))
+            unusable.append(row[dist[keep] <= _CENTRE_CLEARANCE * self.cell])
+        rows = np.concatenate(rows)
+        order = np.argsort(rows, kind="stable")
+        self._tris = np.concatenate(tris)[order]
+        counts = np.bincount(rows, minlength=len(self._reference))
+        self._start = np.concatenate([[0], np.cumsum(counts)])
+        self._reference[np.concatenate(unusable)] = _NO_REFERENCE
 
     def bvh(self) -> TriangleBVH:
         return self._bvh
@@ -610,6 +712,13 @@ class ContainmentGrid:
         # monotone in each coordinate, so a point in a widened box maps
         # into that box's cell range
         return np.floor((points - self.origin) / self.cell).astype(np.int64)
+
+    def _centre(self, cells: np.ndarray) -> np.ndarray:
+        return self.origin + (cells + 0.5) * self.cell
+
+    def _rows(self, cells: np.ndarray) -> np.ndarray:
+        """List rows of touched cells, from their (n, 3) indices."""
+        return np.searchsorted(self._touched, np.ravel_multi_index(tuple(cells.T), self.shape))
 
     def contains(self, points: np.ndarray, directions: np.ndarray) -> np.ndarray:
         """Inside or on the surface, for points in the surface's frame:
@@ -621,10 +730,62 @@ class ContainmentGrid:
         hit = state == 1
         touched = np.flatnonzero(state == _TOUCHED)
         if touched.size:
-            ins, on = point_inside(self, points[touched], return_on_surface=True,
-                                   directions=directions)
-            hit[touched] = ins | on
+            hit[touched] = self._touched_contains(points[touched], idx[touched], directions)
         return hit
+
+    def _references(self, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Centre answers of the cells ``rows`` (cell indices ``idx``),
+        casting those not cast yet."""
+        ref = self._reference[rows]
+        uncast, at = np.unique(rows[ref == _UNCAST], return_index=True)
+        if uncast.size:
+            ins, on = point_inside(self, self._centre(idx[ref == _UNCAST][at]),
+                                   return_on_surface=True)
+            self._reference[uncast] = np.where(on, _NO_REFERENCE, ins)
+            self.reference_casts += len(uncast)
+            ref = self._reference[rows]
+        return ref
+
+    def _touched_contains(self, points: np.ndarray, idx: np.ndarray,
+                          directions: np.ndarray) -> np.ndarray:
+        eps = _GRAZE_EPS
+        rows = self._rows(idx)
+        ref = self._references(rows, idx)
+        fallback = ref == _NO_REFERENCE
+        # every (point, listed triangle) pair
+        starts = self._start[rows]
+        counts = self._start[rows + 1] - starts
+        pt = np.repeat(np.arange(len(points)), counts)
+        skip = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        tri = self._tris[np.arange(len(pt)) + skip]
+        centre = self._centre(idx)[pt]
+        p = points[pt]
+        v0, normal = self._v0[tri], self._normal[tri]
+        s_c = np.einsum("ij,ij->i", normal, centre - v0)
+        s_p = np.einsum("ij,ij->i", normal, p - v0)
+        near = (np.abs(s_p) <= eps) & np.all((p >= self._lo[tri]) & (p <= self._hi[tri]), axis=1)
+        fallback[pt[near]] = True
+        # Moller-Trumbore on the segments that cross a listed plane
+        span = np.flatnonzero(((s_c > 0) != (s_p > 0)) & ~near)
+        tri, d, srel = tri[span], (p - centre)[span], (centre - v0)[span]
+        e1, e2 = self._e1[tri], self._e2[tri]
+        h = _cross(d, e2)
+        f = 1.0 / np.einsum("ij,ij->i", e1, h)
+        u = f * np.einsum("ij,ij->i", srel, h)
+        v = f * np.einsum("ij,ij->i", d, _cross(srel, e1))
+        w = 1.0 - u - v
+        crossing = (u > eps) & (v > eps) & (w > eps)
+        grazing = ((u > -eps) & (v > -eps) & (w > -eps)
+                   & (np.minimum(np.minimum(np.abs(u), np.abs(v)), np.abs(w)) <= eps))
+        fallback[pt[span[grazing]]] = True
+        flips = np.bincount(pt[span[crossing]], minlength=len(points)) % 2
+        inside = (ref == 1) != (flips == 1)
+        if fallback.any():
+            ins, on = point_inside(self, points[fallback], return_on_surface=True,
+                                   directions=directions)
+            inside[fallback] = ins | on
+            self.fallback_casts += int(fallback.sum())
+        return inside
 
 
 _GRIDS: dict = {}
@@ -680,8 +841,11 @@ class RigidSurface:
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Box of the posed vertices the triangles use."""
-        v = self.vertices[self._vertex_ids]
-        return v.min(axis=0), v.max(axis=0)
+        return _box(self.vertices, self._vertex_ids)
+
+    def lattice(self, density: int) -> "SampleLattice":
+        """The template's ``SampleLattice``."""
+        return self.template.lattice(density)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Inside or on the posed surface: ``ins | on`` of
@@ -728,17 +892,101 @@ def surface_sample_points(mesh: SurfaceMesh, density: int = 3) -> np.ndarray:
     return _lattice(mesh.vertices[mesh.triangles], density)
 
 
-def _samples_in_box(mesh: SurfaceMesh, density: int, box_lo: np.ndarray,
-                    box_hi: np.ndarray) -> np.ndarray:
-    """The lattice samples of ``surface_sample_points`` that lie in the box,
-    in the same order. Triangles whose boxes miss it (widened by a margin
-    far above the lattice's rounding) are dropped before sampling."""
-    tv = np.take(mesh.vertices, mesh.triangles, axis=0)
-    c0, c1, c2 = tv[:, 0], tv[:, 1], tv[:, 2]
-    near = np.all((np.maximum(np.maximum(c0, c1), c2) >= box_lo - 1e-12)
-                  & (np.minimum(np.minimum(c0, c1), c2) <= box_hi + 1e-12), axis=1)
-    samples = _lattice(tv[near], density)
-    return samples[np.all((samples >= box_lo) & (samples <= box_hi), axis=1)]
+@dataclass(frozen=True)
+class SampleLattice:
+    """The lattice samples of one triangle array at one density, by
+    topology. Every (triangle, slot) of ``surface_sample_points`` maps to a
+    sample id: a mesh vertex, a position on an edge counted from its lower
+    vertex id, or a point inside one face. The slots of one id have equal
+    coordinates, bit for bit, for any vertex positions: their weights are
+    the same multiples of 1/density, and an edge sample adds its two
+    nonzero products in either order. Each id keeps its first slot as
+    representative."""
+
+    slot_ids: np.ndarray  # (triangles, slots) int32
+    corners: np.ndarray  # (ids, 3) vertex ids of each representative's triangle
+    weights: np.ndarray  # (ids, 3) barycentric weights of each representative
+
+    @property
+    def n_ids(self) -> int:
+        return len(self.corners)
+
+    def points(self, vertices: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Coordinates of samples ``ids``: the rows of
+        ``surface_sample_points`` at every slot of each id."""
+        return np.einsum("ub,ubx->ux", self.weights[ids],
+                         np.take(vertices, self.corners[ids], axis=0))
+
+
+def sample_lattice(triangles: np.ndarray, density: int) -> SampleLattice:
+    """The ``SampleLattice`` of a triangle array at one density."""
+    if density < 1:
+        raise ValueError("density must be >= 1")
+    start = time.perf_counter()
+    triangles = np.asarray(triangles, dtype=np.int64)
+    weights = _lattice_weights(density)
+    steps = np.rint(weights * density).astype(np.int64)  # (slots, 3) numerators
+    n_tri, n_slots = len(triangles), len(weights)
+    n_vert = int(triangles.max()) + 1
+    # one code per (triangle, slot), in three disjoint ranges: the vertex;
+    # the edge's (lower, higher) vertex pair and the higher vertex's weight
+    # numerator; the triangle and slot
+    edges_at = n_vert
+    faces_at = edges_at + n_vert * n_vert * density
+    codes = np.empty((n_tri, n_slots), dtype=np.int64)
+    for s, row in enumerate(steps):
+        corners = np.flatnonzero(row)
+        if len(corners) == 1:
+            codes[:, s] = triangles[:, corners[0]]
+        elif len(corners) == 2:
+            u, v = triangles[:, corners[0]], triangles[:, corners[1]]
+            step = np.where(u < v, row[corners[1]], row[corners[0]])
+            codes[:, s] = edges_at + (np.minimum(u, v) * n_vert + np.maximum(u, v)) * density + step
+        else:
+            codes[:, s] = faces_at + np.arange(n_tri) * n_slots + s
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    lattice = SampleLattice(
+        slot_ids=_lock(inverse.reshape(n_tri, n_slots).astype(np.int32)),
+        corners=_lock(triangles[first // n_slots]),
+        weights=_lock(weights[first % n_slots]))
+    logger.debug("sample lattice: %d triangles, density %d, %d unique samples of %d slots, "
+                 "built in %.1f ms", n_tri, density, lattice.n_ids, n_tri * n_slots,
+                 1e3 * (time.perf_counter() - start))
+    return lattice
+
+
+def _lattice_hits(sampled, other, density: int, box_lo: np.ndarray,
+                  box_hi: np.ndarray) -> np.ndarray:
+    """The lattice samples of ``sampled`` in the box that lie inside or on
+    ``other``, in the order of ``surface_sample_points``. Triangles whose
+    boxes miss the box (widened by a margin far above the lattice's
+    rounding) are dropped first; each sample id of the rest is placed and
+    tested once, and the hits are expanded back over their slots."""
+    lattice = sampled.lattice(density)
+    # a triangle's box misses the widened box when its three corners all
+    # lie beyond one face of it: one bit per face and vertex, ANDed
+    beyond = np.packbits(np.concatenate([sampled.vertices < box_lo - 1e-12,
+                                         sampled.vertices > box_hi + 1e-12], axis=1), axis=1)
+    near = np.bitwise_and.reduce(np.take(beyond[:, 0], sampled.triangles), axis=1) == 0
+    slot_ids = lattice.slot_ids[near]
+    flag = np.zeros(lattice.n_ids, dtype=bool)
+    flag[slot_ids] = True
+    ids = np.flatnonzero(flag)
+    pts = lattice.points(sampled.vertices, ids)
+    in_box = np.all((pts >= box_lo) & (pts <= box_hi), axis=1)
+    ids, pts = ids[in_box], pts[in_box]
+    if len(ids) == 0:
+        return pts
+    if isinstance(other, RigidSurface):
+        hit = other.contains(pts)
+    else:
+        ins, on = point_inside(other, pts, return_on_surface=True)
+        hit = ins | on
+    ids, pts = ids[hit], pts[hit]
+    flag[:] = False
+    flag[ids] = True
+    slots = slot_ids[flag[slot_ids]]
+    return pts[np.searchsorted(ids, slots)]
 
 
 def intersect_approx(gripper: SurfaceMesh, obj: SurfaceMesh,
@@ -747,9 +995,10 @@ def intersect_approx(gripper: SurfaceMesh, obj: SurfaceMesh,
 
     Samples each surface and keeps points strictly inside the other mesh;
     the centroid of the union stands in for the intersection's center.
-    Neighbouring triangles share lattice samples, so each distinct sample
-    is tested once and its answer copied to its duplicates. A
-    ``RigidSurface`` answers from its grid, any other mesh by ray parity.
+    The samples come from each surface's ``SampleLattice``: a sample that
+    neighbouring triangles share is placed and tested once, and kept at
+    each of its slots. A ``RigidSurface`` answers from its grid, any other
+    mesh by ray parity.
     """
     for m, name in ((gripper, "gripper"), (obj, "object")):
         if not m.watertight:
@@ -761,20 +1010,10 @@ def intersect_approx(gripper: SurfaceMesh, obj: SurfaceMesh,
     # only samples in the mutual bounding box can lie inside the other mesh
     box_lo = np.maximum(lo_g, lo_o) - 1e-12
     box_hi = np.minimum(hi_g, hi_o) + 1e-12
-    hits = []
     # samples lying exactly on the other surface bound the overlap region
     # and count as penetrating (coincident-contact case)
-    for sampled, other in ((obj, gripper), (gripper, obj)):
-        samples = _samples_in_box(sampled, density, box_lo, box_hi)
-        if len(samples):
-            unique, inverse = np.unique(samples, axis=0, return_inverse=True)
-            if isinstance(other, RigidSurface):
-                hit = other.contains(unique)
-            else:
-                ins, on = point_inside(other, unique, return_on_surface=True)
-                hit = ins | on
-            hits.append(samples[hit[inverse.ravel()]])
-    pts = np.concatenate(hits) if hits else np.empty((0, 3))
+    pts = np.concatenate([_lattice_hits(sampled, other, density, box_lo, box_hi)
+                          for sampled, other in ((obj, gripper), (gripper, obj))])
     if len(pts) == 0:
         return IntersectionResult(0, None)
     return IntersectionResult(len(pts), pts.mean(axis=0), pts if keep_points else None)

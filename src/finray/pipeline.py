@@ -86,14 +86,15 @@ class FrameEstimate:
 def localize(state: ContactState, pose: PoseTransform, jaw_surface,
              twin: RigidSurface, undeformed: TetMesh,
              surface_ids: np.ndarray, candidates: ContactCandidateSet,
-             density: int) -> tuple[Optional[int], bool]:
+             density: int, snaps: dict) -> tuple[Optional[int], bool]:
     """One localization iteration; updates ``state`` in place.
 
     Places the twin by ``pose``. Before contact its grasp-axis
     translation is pre-estimated instead; the extent is taken from
     ``twin`` as it was last placed. Intersects the twin with the
     deformed jaw surface and, on overlap, snaps the intersection center
-    to the nearest candidate (lowest index on ties).
+    to the nearest candidate (lowest index on ties); ``snaps`` memoises
+    that snap per surface vertex (see ``select_candidate``).
     A snap to ``candidates.mounted_index`` while in contact extends the
     stable run; any other snap restarts it. The caller remounts.
     Returns (candidate to mount, or None when there is no contact;
@@ -109,7 +110,7 @@ def localize(state: ContactState, pose: PoseTransform, jaw_surface,
         state.status, state.stable_frames, state.centroid = False, 0, None
         return None, pre_estimated
     c = select_candidate(inter.centroid, jaw_surface.vertices, surface_ids,
-                         undeformed, candidates)
+                         undeformed, candidates, snaps)
     if state.status and c == candidates.mounted_index:
         state.stable_frames += 1
     else:
@@ -144,6 +145,9 @@ class JawEstimator:
         template = rig.fixture.mesh.surface()
         self.jaw_surface = DeformableSurface(template)
         self.surface_ids = np.unique(template.triangles)
+        # candidate per nearest surface vertex; the candidate positions
+        # stay fixed across remounts
+        self.snaps: dict = {}
         obj_mesh = twin_mesh if twin_mesh is not None else engine.object_mesh
         self.twin = RigidSurface(obj_mesh)
         self.last_solution = ForceSolution(
@@ -180,7 +184,7 @@ class JawEstimator:
             remount_to, pre_estimated = localize(
                 self.contact_state, chain_pose(jaw_from_cam, pose_cam_from_obj),
                 self.jaw_surface, self.twin, self.fixture.mesh,
-                self.surface_ids, self.candidates, settings.intersect_density)
+                self.surface_ids, self.candidates, settings.intersect_density, self.snaps)
             if remount_to is not None and remount_to != self.candidates.mounted_index:
                 self.candidates = remount(self.candidates, remount_to)
             status = self.contact_state.status

@@ -12,6 +12,7 @@ from finray.contact_localizer import (
     pre_estimate_translation,
     rotation_about,
     rot_z,
+    select_candidate,
 )
 from finray.fem_core import MaterialModel
 from finray.fixtures import ShapeSpec, make_object_mesh, make_sdf
@@ -96,11 +97,11 @@ class TestPreEstimateTranslation:
             pre_estimate_translation(state, np.eye(3), squashed)
 
 
-def localize_at(state, surf, jaw, twin, pose, cands):
-    """``pipeline.localize`` at density 3; returns the remount decision and
-    the pre-estimation flag."""
+def localize_at(state, surf, jaw, twin, pose, cands, snaps):
+    """``pipeline.localize`` at density 3, with the snap memo ``snaps``;
+    returns the remount decision and the pre-estimation flag."""
     return localize(state, pose, surf, twin, jaw.mesh,
-                    np.unique(surf.triangles), cands, density=3)
+                    np.unique(surf.triangles), cands, 3, snaps)
 
 
 class LocalizerScene:
@@ -113,6 +114,10 @@ class LocalizerScene:
         self.spec = ShapeSpec.cylinder(diameter, 0.05)
         self.mesh = make_object_mesh(self.spec)
         self.twin = RigidSurface(self.mesh)
+        # one snap memo for the scene's frames, as the estimator keeps one
+        # across its own; every candidate set of a scene has the fixture's
+        # positions
+        self.snaps = {}
         self.sdf = make_sdf(self.spec)
         system = cached_system(jaw.mesh, MaterialModel())
         self.model = ForwardContactModel(system, jaw,
@@ -139,7 +144,7 @@ class LocalizerScene:
         return extract_surface(self.jaw.mesh, DeformedState(displacements))
 
     def localize(self, state, surf, pose, cands):
-        return localize_at(state, surf, self.jaw, self.twin, pose, cands)
+        return localize_at(state, surf, self.jaw, self.twin, pose, cands, self.snaps)
 
     def run_loading(self, z, state, cands, n_frames=8):
         """Ramp the press from zero; surface lags truth by one frame."""
@@ -153,6 +158,26 @@ class LocalizerScene:
         return mounts, state
 
 
+class TestSelectCandidate:
+    def test_snaps_match_per_call(self, jaw):
+        # a centre on surface vertex j snaps through j; one memo, filled in
+        # a shuffled order and then read back, gives every vertex the
+        # candidate of a fresh memo per call
+        cands = ContactCandidateSet.from_fixture(jaw)
+        vertices = jaw.mesh.vertices
+        ids = np.unique(jaw.mesh.surface().triangles)
+        want = [select_candidate(vertices[j], vertices, ids, jaw.mesh, cands, {}) for j in ids]
+        snaps = {}
+        order = np.random.default_rng(4).permutation(len(ids))
+        for k in order:
+            assert select_candidate(vertices[ids[k]], vertices, ids, jaw.mesh, cands,
+                                    snaps) == want[k]
+        assert sorted(snaps) == ids.tolist()
+        assert [select_candidate(vertices[j], vertices, ids, jaw.mesh, cands, snaps)
+                for j in ids] == want
+        assert len(set(want)) == cands.n_candidates
+
+
 class TestLocalizeStep:
     def test_no_contact_branch(self, jaw):
         state = ContactState(l0=jaw.l0)
@@ -163,11 +188,12 @@ class TestLocalizeStep:
         surf = jaw.mesh.surface()
         # twin placed by pose: far away, no intersection, status stays off
         state.status = True
-        remount_to, _ = localize_at(state, surf, jaw, twin, pose, cands)
+        snaps = {}
+        remount_to, _ = localize_at(state, surf, jaw, twin, pose, cands, snaps)
         assert not state.status
         assert remount_to is None
         # next pass pre-estimates: twin pushed just into the surface
-        _, pre_estimated = localize_at(state, surf, jaw, twin, pose, cands)
+        _, pre_estimated = localize_at(state, surf, jaw, twin, pose, cands, snaps)
         assert pre_estimated
         twin_translation = twin.vertices[0] - obj.vertices[0]
         assert twin_translation[0] == pytest.approx(jaw.l0 + 0.0075, rel=1e-3)
@@ -231,8 +257,8 @@ class TestLocalizeStep:
         surf = scene.surface()
         cands = ContactCandidateSet.from_fixture(jaw)
         s1, s2 = ContactState(l0=jaw.l0), ContactState(l0=jaw.l0)
-        r1, _ = localize_at(s1, surf, jaw, RigidSurface(scene.mesh), scene.pose, cands)
-        r2, _ = localize_at(s2, surf, jaw, RigidSurface(scene.mesh), scene.pose, cands)
+        r1, _ = localize_at(s1, surf, jaw, RigidSurface(scene.mesh), scene.pose, cands, {})
+        r2, _ = localize_at(s2, surf, jaw, RigidSurface(scene.mesh), scene.pose, cands, {})
         assert r1 == r2
         assert np.array_equal(s1.centroid, s2.centroid)
 

@@ -1,10 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finray.fixtures import ShapeSpec, box_points, icosphere, make_object_mesh, _hull_mesh
+from finray import mesh_model
+from finray.mesh_calibration import ensure_watertight
 from finray.mesh_model import (
+    ContainmentGrid,
     DeformableSurface,
     DeformedState,
     MeshError,
@@ -22,6 +27,7 @@ from finray.mesh_model import (
     load_off,
     point_inside,
     project_to_inner_surface,
+    sample_lattice,
     save_obj,
     save_off,
     surface_sample_points,
@@ -226,6 +232,47 @@ class TestIntersectApprox:
         assert outcomes["deep"][1] > 3 * outcomes["deep"][0]
 
 
+class TestSampleLattice:
+    """The topological sample ids against the lattice they stand for:
+    every slot's representative has that slot's coordinates bit for bit,
+    and there are as many ids as distinct sample coordinates."""
+
+    def meshes(self, jaw, compliance):
+        rng = np.random.default_rng(8)
+        template = jaw.mesh.surface()
+        deformed = jaw.mesh.vertices + compliance.fields[3] @ rng.normal(scale=20.0, size=3)
+        wedge = subdivided(subdivided(subdivided(make_object_mesh(ShapeSpec.wedge()))))
+        # a reconstruction left open, closed by the alpha wrap
+        twin = ensure_watertight(SurfaceMesh(wedge.vertices, wedge.triangles[:-2]))
+        return [SurfaceMesh(deformed, template.triangles), wedge, twin]
+
+    def test_representatives_match_every_slot(self, jaw, compliance):
+        for mesh in self.meshes(jaw, compliance):
+            assert mesh.watertight
+            for density in (1, 2, 3, 4):
+                samples = surface_sample_points(mesh, density)
+                lattice = sample_lattice(mesh.triangles, density)
+                rep = lattice.points(mesh.vertices, np.arange(lattice.n_ids))
+                assert lattice.slot_ids.size == len(samples)
+                assert np.array_equal(rep[lattice.slot_ids.ravel()].view(np.int64),
+                                      samples.view(np.int64))
+                assert lattice.n_ids == len(np.unique(samples, axis=0))
+
+    def test_held_per_mesh(self, jaw):
+        # the surfaces made from a mesh share its table
+        template = jaw.mesh.surface()
+        held = template.lattice(2)
+        assert template.lattice(2) is held
+        assert DeformableSurface(template).lattice(2) is held
+        assert RigidSurface(template).lattice(2) is held
+        assert template.lattice(3) is not held
+        built = sample_lattice(template.triangles, 2)
+        for name in ("slot_ids", "corners", "weights"):
+            assert np.array_equal(getattr(built, name), getattr(held, name))
+        with pytest.raises(ValueError):
+            sample_lattice(template.triangles, 0)
+
+
 class TestProjectToInnerSurface:
     def test_idempotent(self, jaw):
         p = jaw.candidate_positions[5]
@@ -355,6 +402,155 @@ class TestRigidSurface:
     def test_requires_watertight(self):
         with pytest.raises(WatertightError):
             RigidSurface(SurfaceMesh(np.eye(3), np.array([[0, 1, 2]])))
+
+
+class TestCellLocalParity:
+    """Points in the grid's touched cells against ray parity on the posed
+    mesh: the jaw's lattice samples with twins placed in contact with it,
+    points 1e-10 to 1e-6 m off the twins' faces along their normals, and
+    points whose segment from the cell centre passes through an edge.
+    Some of these take the ray-cast fallback, which must give the same
+    answer; the rest take the cell centre's answer and the segment's
+    crossings."""
+
+    def posed_queries(self, jaw, compliance, rng):
+        template = jaw.mesh.surface()
+        face_x = jaw.mesh.vertices[:, 0].max()
+        wedge = make_object_mesh(ShapeSpec.wedge())
+        meshes = [make_object_mesh(ShapeSpec.cylinder(0.025)),
+                  subdivided(subdivided(subdivided(wedge))),
+                  ensure_watertight(SurfaceMesh(subdivided(wedge).vertices,
+                                                subdivided(wedge).triangles[:-2]))]
+        for k, mesh in enumerate(meshes):
+            twin = RigidSurface(mesh)
+            for _ in range(4):
+                rotation = random_rotation(rng)
+                rotated = mesh.vertices @ rotation.T
+                centre = rotated.mean(axis=0)
+                gap = -rng.uniform(0.0, 4e-3)
+                twin.place(rotation, np.array([face_x + gap - rotated[:, 0].min() + centre[0],
+                                               rng.uniform(-0.01, 0.01),
+                                               rng.uniform(0.02, 0.06)]) - centre)
+                c = int(rng.integers(compliance.n_candidates))
+                deformed = jaw.mesh.vertices + compliance.fields[c] @ rng.normal(scale=5.0, size=3)
+                posed = SurfaceMesh(twin.vertices, mesh.triangles)
+                tv = posed.vertices[posed.triangles]
+                tri = rng.integers(len(tv), size=3000)
+                bary = rng.dirichlet(np.ones(3), size=3000)
+                normals = np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0])[tri]
+                normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+                offsets = rng.choice([-1.0, 1.0], size=3000) * 10.0 ** rng.uniform(-10, -6, 3000)
+                # just past a point of an edge, seen from its cell's centre:
+                # the segment from the centre grazes that edge
+                grid = twin.grid()
+                ends = mesh.vertices[mesh.triangles[tri[:1000]]][:, :2]
+                on_edge = ends[:, 0] + rng.uniform(0.1, 0.9, (1000, 1)) * (ends[:, 1] - ends[:, 0])
+                away = on_edge - grid._centre(grid._cell_index(on_edge))
+                past = on_edge + 1e-3 * grid.cell * away / np.linalg.norm(away, axis=1, keepdims=True)
+                points = np.concatenate([
+                    surface_sample_points(SurfaceMesh(deformed, template.triangles), 2 + k % 2),
+                    np.einsum("pb,pbx->px", bary, tv[tri]) + offsets[:, None] * normals,
+                    past @ rotation.T + twin.translation,
+                ])
+                yield mesh, twin, posed, points
+
+    def test_matches_parity_in_touched_cells(self, jaw, compliance, monkeypatch):
+        monkeypatch.setattr(mesh_model, "_GRIDS", {})  # fresh counters
+        rng = np.random.default_rng(17)
+        grids, touched = set(), 0
+        for mesh, twin, posed, points in self.posed_queries(jaw, compliance, rng):
+            grid = twin.grid()
+            local = (points - twin.translation) @ twin.rotation
+            idx = grid._cell_index(local)
+            on_grid = np.all((idx >= 0) & (idx < grid.shape), axis=1)
+            touched += int((grid.state[tuple(idx[on_grid].T)] == 2).sum())
+            ins, on = point_inside(posed, points, return_on_surface=True)
+            assert np.array_equal(twin.contains(points), ins | on)
+            grids.add(grid)
+        assert touched > 30000
+        # the fallback was taken (a quarter of the offsets are under
+        # _GRAZE_EPS), and most points were answered from cell references
+        assert sum(g.fallback_casts for g in grids) > 1000
+        assert sum(g.fallback_casts for g in grids) < touched / 2
+        assert sum(g.reference_casts for g in grids) > 1000
+
+    def test_centres_near_a_plane_take_no_reference(self, monkeypatch):
+        # a cube, and beside it in y a box whose two x faces lie 3e-5 and
+        # 1e-5 cell sizes off the centres of two columns of cells: every
+        # cell of those columns that the faces cross keeps no reference,
+        # and all its points are ray-cast
+        monkeypatch.setattr(mesh_model, "_GRIDS", {})  # fresh counters
+
+        def cube_and_box(x_lo, x_hi):
+            # the box's y and z extents are fixed and its x faces lie within
+            # the cube's, so the grid is the same whatever x_lo and x_hi are
+            corners = np.where(box_points((2, 2, 2)) > 0, [x_hi, 0.05, 0.01], [x_lo, 0.03, -0.01])
+            cube, box = _hull_mesh(box_points((0.04, 0.04, 0.04))), _hull_mesh(corners)
+            return SurfaceMesh(np.concatenate([cube.vertices, box.vertices]),
+                               np.concatenate([cube.triangles, box.triangles + 8]))
+
+        probe = ContainmentGrid(cube_and_box(-0.005, 0.005))
+        origin, cell = probe.origin, probe.cell
+        k_lo, k_hi = (int((x - origin[0]) / cell) for x in (-0.005, 0.005))
+        mesh = cube_and_box(origin[0] + (k_lo + 0.5) * cell - 3e-5 * cell,
+                            origin[0] + (k_hi + 0.5) * cell + 1e-5 * cell)
+        twin = RigidSurface(mesh)
+        grid = twin.grid()
+        assert np.array_equal(grid.origin, origin) and grid.cell == cell
+        ys = origin[1] + (np.arange(grid.shape[1]) + 0.5) * cell
+        zs = origin[2] + (np.arange(grid.shape[2]) + 0.5) * cell
+        cells = np.array(list(itertools.product(
+            (k_lo, k_hi), np.flatnonzero((ys > 0.03) & (ys < 0.05)),
+            np.flatnonzero((zs > -0.01) & (zs < 0.01)))))
+        assert len(cells) > 500
+        assert np.all(grid.state[tuple(cells.T)] == 2)
+        rows = grid._rows(cells)
+        assert np.all(grid._reference[rows] == mesh_model._NO_REFERENCE)
+
+        rng = np.random.default_rng(29)
+        local = grid._centre(np.repeat(cells, 6, axis=0))
+        local += rng.uniform(-0.49, 0.49, local.shape) * cell
+        # half of them 1e-10 to 1e-6 m off the face's plane
+        near = rng.random(len(local)) < 0.5
+        plane_x = np.where(cells[:, 0] == k_lo, mesh.vertices[8:, 0].min(),
+                           mesh.vertices[8:, 0].max()).repeat(6)
+        local[near, 0] = plane_x[near] + (rng.choice([-1.0, 1.0], near.sum())
+                                          * 10.0 ** rng.uniform(-10, -6, near.sum()))
+        for _ in range(3):
+            rotation = random_rotation(rng)
+            twin.place(rotation, rng.normal(scale=0.01, size=3))
+            posed = SurfaceMesh(twin.vertices, mesh.triangles)
+            points = local @ rotation.T + twin.translation
+            before = grid.fallback_casts
+            ins, on = point_inside(posed, points, return_on_surface=True)
+            assert np.array_equal(twin.contains(points), ins | on)
+            assert grid.fallback_casts - before == len(points)
+            assert 0 < (ins | on).sum() < len(points)
+        assert grid.reference_casts == 0
+        assert np.all(grid._reference[rows] == mesh_model._NO_REFERENCE)
+
+    def test_independent_of_reference_order(self, jaw, compliance):
+        rng = np.random.default_rng(23)
+        for mesh, twin, posed, points in itertools.islice(
+                self.posed_queries(jaw, compliance, rng), 0, 12, 4):
+            local = (points - twin.translation) @ twin.rotation
+            directions = rng.normal(size=(4, 3))
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+            at_once = ContainmentGrid(mesh)
+            want = at_once.contains(local, directions)
+            # the same points in reversed chunks, on a grid that first cast
+            # the references of unrelated cells
+            grid = ContainmentGrid(mesh)
+            lo, hi = mesh.bounds()
+            grid.contains(rng.uniform(lo, hi, (2000, 3)), directions)
+            order = rng.permutation(len(local))
+            got = np.empty(len(local), dtype=bool)
+            for chunk in np.array_split(order, 7)[::-1]:
+                got[chunk] = grid.contains(local[chunk], directions)
+            assert np.array_equal(got, want)
+            cast = (at_once._reference != -1) & (grid._reference != -1)
+            assert np.array_equal(at_once._reference[cast], grid._reference[cast])
+            assert grid.reference_casts > at_once.reference_casts
 
 
 def subdivided(mesh):

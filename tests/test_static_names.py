@@ -1,5 +1,6 @@
 """Every global name a module reads is bound in that module or is a builtin,
-and every name a module imports at its top level is used or exported.
+every name a module imports at its top level is used or exported, and no
+package module calls the builtin ``id()``: caches are keyed by content.
 
 Walks the symbol tables and syntax trees of the package and test sources,
 so a missing import fails here instead of on the first call that reaches
@@ -14,7 +15,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted([*(ROOT / "src" / "finray").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "finray").glob("*.py"))
+SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 MODULE_NAMES = {"__name__", "__file__", "__doc__", "__spec__", "__loader__",
                 "__package__", "__builtins__", "__path__", "__annotations__"}
 
@@ -60,3 +62,15 @@ def unused_imports(path: Path) -> set[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path) == set()
+
+
+def id_calls(path: Path) -> list[int]:
+    """Lines that call the builtin ``id``."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "id"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_id_calls(path):
+    assert id_calls(path) == []
