@@ -11,16 +11,18 @@ with leaves padded to a common size.
 
 Two tables, built on first use, answer each frame's intersection. A
 ``SampleLattice``, one per density held by the ``SurfaceMesh`` a
-deforming or posed surface is made from, gives every lattice slot a
-topological sample id (a vertex, an edge position or a face interior),
-so the intersection places and tests each distinct sample once, straight
-from the current vertices, and expands the hits back over their slots;
-the samples kept are those of testing every slot on its own. A
+deforming surface is made from, gives every lattice slot a topological
+sample id (a vertex, an edge position or a face interior), so the
+intersection places and tests each distinct sample once, straight from
+the current vertices, and expands the hits back over their slots; the
+samples kept are those of testing every slot on its own. A
 ``ContainmentGrid``, one per twin content, answers containment in the
 object twin.
 
-The deforming jaw (``DeformableSurface``) is refit and ray-cast. The
-object twin (``RigidSurface``) only moves rigidly, so its mesh, BVH and
+The intersection samples the deforming jaw (``DeformableSurface``) alone
+and asks the object twin (``RigidSurface``) which samples it holds; the
+jaw's tree is built only for ray casts against it, such as the oracle's
+occlusion test. The twin only moves rigidly, so its mesh, BVH and
 ``ContainmentGrid`` stay in the object frame: query points and ray
 directions are mapped into that frame. A point in a cell the surface
 does not touch takes the answer of its cell's connected component; a
@@ -247,10 +249,12 @@ class DeformableSurface:
     """Fixed-topology surface whose vertices move between queries.
 
     Watertightness is checked once at construction; ``update`` stores the
-    new vertices and ``bvh`` refits the tree in place on first use after
-    that, so a surface whose box misses the other's is never refit.
-    Duck-compatible with SurfaceMesh for the containment and intersection
-    queries (single-writer, as with DeformedState).
+    new vertices. ``bvh`` builds the tree at its first call and refits it
+    in place on the first call after each later update, so a surface
+    that nothing ray-casts never holds a tree. Duck-compatible
+    with SurfaceMesh for ``point_inside``, ray casts and as the sampled
+    surface of ``intersect_approx`` (single-writer, as with
+    DeformedState).
     """
 
     def __init__(self, template: SurfaceMesh):
@@ -260,7 +264,7 @@ class DeformableSurface:
         self.triangles = template.triangles
         self.vertices = np.array(template.vertices)
         self.watertight = True
-        self._bvh = TriangleBVH(self.vertices, self.triangles)
+        self._bvh: Optional[TriangleBVH] = None
         self._stale = False
         self._vertex_ids = np.unique(self.triangles)
 
@@ -269,14 +273,16 @@ class DeformableSurface:
         self._stale = True
 
     def bvh(self) -> "TriangleBVH":
-        if self._stale:
+        if self._bvh is None:
+            self._bvh = TriangleBVH(self.vertices, self.triangles)
+        elif self._stale:
             self._bvh.refit(self.vertices)
-            self._stale = False
+        self._stale = False
         return self._bvh
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Box of the vertices the triangles use: the BVH's root box,
-        without a refit."""
+        """Box of the vertices the triangles use: the root box of a
+        refit tree, without one."""
         return _box(self.vertices, self._vertex_ids)
 
     def lattice(self, density: int) -> "SampleLattice":
@@ -812,7 +818,7 @@ class RigidSurface:
     ``place`` poses it; ``vertices`` are the posed ones. Containment maps
     the query points and the ray directions into the template's frame and
     answers from the template's ``ContainmentGrid``, whose tree is never
-    refit. Duck-compatible with SurfaceMesh for ``intersect_approx``.
+    refit. It is the containment target of ``intersect_approx``.
     """
 
     def __init__(self, template: SurfaceMesh):
@@ -843,10 +849,6 @@ class RigidSurface:
         """Box of the posed vertices the triangles use."""
         return _box(self.vertices, self._vertex_ids)
 
-    def lattice(self, density: int) -> "SampleLattice":
-        """The template's ``SampleLattice``."""
-        return self.template.lattice(density)
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Inside or on the posed surface: ``ins | on`` of
         ``point_inside`` on the posed mesh."""
@@ -856,7 +858,8 @@ class RigidSurface:
 
 @dataclass
 class IntersectionResult:
-    """Sampled overlap between two watertight meshes."""
+    """Sampled overlap of a surface with a rigid twin: the surface's
+    samples inside or on the twin, and their centroid."""
 
     sample_count: int
     centroid: Optional[np.ndarray]
@@ -955,67 +958,51 @@ def sample_lattice(triangles: np.ndarray, density: int) -> SampleLattice:
     return lattice
 
 
-def _lattice_hits(sampled, other, density: int, box_lo: np.ndarray,
-                  box_hi: np.ndarray) -> np.ndarray:
-    """The lattice samples of ``sampled`` in the box that lie inside or on
-    ``other``, in the order of ``surface_sample_points``. Triangles whose
-    boxes miss the box (widened by a margin far above the lattice's
-    rounding) are dropped first; each sample id of the rest is placed and
-    tested once, and the hits are expanded back over their slots."""
-    lattice = sampled.lattice(density)
+def intersect_approx(jaw, twin: RigidSurface, density: int = 3,
+                     keep_points: bool = False) -> IntersectionResult:
+    """Penetration-sampled stand-in for the boolean intersection of a
+    watertight surface (the deformed jaw) with a rigidly placed twin.
+
+    Samples the jaw alone and keeps the samples the twin holds inside or
+    on its surface (the coincident-contact case), so the patch lies on
+    the jaw's own surface, where its centroid is snapped to a candidate.
+    The samples come from the jaw's ``SampleLattice``: triangles whose
+    boxes miss the mutual box (widened by a margin far above the
+    lattice's rounding) are dropped first, each sample id of the rest is
+    placed and tested once, and the hits are expanded back over their
+    slots, in the order of ``surface_sample_points``.
+    """
+    for m, name in ((jaw, "jaw"), (twin, "twin")):
+        if not m.watertight:
+            raise WatertightError(f"{name} mesh must be watertight")
+    lo_g, hi_g = jaw.bounds()
+    lo_o, hi_o = twin.bounds()
+    if np.any(lo_g > hi_o) or np.any(lo_o > hi_g):
+        return IntersectionResult(0, None)
+    # only samples in the mutual bounding box can lie inside the twin
+    box_lo = np.maximum(lo_g, lo_o) - 1e-12
+    box_hi = np.minimum(hi_g, hi_o) + 1e-12
+    lattice = jaw.lattice(density)
     # a triangle's box misses the widened box when its three corners all
     # lie beyond one face of it: one bit per face and vertex, ANDed
-    beyond = np.packbits(np.concatenate([sampled.vertices < box_lo - 1e-12,
-                                         sampled.vertices > box_hi + 1e-12], axis=1), axis=1)
-    near = np.bitwise_and.reduce(np.take(beyond[:, 0], sampled.triangles), axis=1) == 0
+    beyond = np.packbits(np.concatenate([jaw.vertices < box_lo - 1e-12,
+                                         jaw.vertices > box_hi + 1e-12], axis=1), axis=1)
+    near = np.bitwise_and.reduce(np.take(beyond[:, 0], jaw.triangles), axis=1) == 0
     slot_ids = lattice.slot_ids[near]
     flag = np.zeros(lattice.n_ids, dtype=bool)
     flag[slot_ids] = True
     ids = np.flatnonzero(flag)
-    pts = lattice.points(sampled.vertices, ids)
+    pts = lattice.points(jaw.vertices, ids)
     in_box = np.all((pts >= box_lo) & (pts <= box_hi), axis=1)
     ids, pts = ids[in_box], pts[in_box]
+    if len(ids):
+        hit = twin.contains(pts)
+        ids, pts = ids[hit], pts[hit]
     if len(ids) == 0:
-        return pts
-    if isinstance(other, RigidSurface):
-        hit = other.contains(pts)
-    else:
-        ins, on = point_inside(other, pts, return_on_surface=True)
-        hit = ins | on
-    ids, pts = ids[hit], pts[hit]
+        return IntersectionResult(0, None)
     flag[:] = False
     flag[ids] = True
-    slots = slot_ids[flag[slot_ids]]
-    return pts[np.searchsorted(ids, slots)]
-
-
-def intersect_approx(gripper: SurfaceMesh, obj: SurfaceMesh,
-                     density: int = 3, keep_points: bool = False) -> IntersectionResult:
-    """Penetration-sampled stand-in for the boolean intersection.
-
-    Samples each surface and keeps points strictly inside the other mesh;
-    the centroid of the union stands in for the intersection's center.
-    The samples come from each surface's ``SampleLattice``: a sample that
-    neighbouring triangles share is placed and tested once, and kept at
-    each of its slots. A ``RigidSurface`` answers from its grid, any other
-    mesh by ray parity.
-    """
-    for m, name in ((gripper, "gripper"), (obj, "object")):
-        if not m.watertight:
-            raise WatertightError(f"{name} mesh must be watertight")
-    lo_g, hi_g = gripper.bounds()
-    lo_o, hi_o = obj.bounds()
-    if np.any(lo_g > hi_o) or np.any(lo_o > hi_g):
-        return IntersectionResult(0, None)
-    # only samples in the mutual bounding box can lie inside the other mesh
-    box_lo = np.maximum(lo_g, lo_o) - 1e-12
-    box_hi = np.minimum(hi_g, hi_o) + 1e-12
-    # samples lying exactly on the other surface bound the overlap region
-    # and count as penetrating (coincident-contact case)
-    pts = np.concatenate([_lattice_hits(sampled, other, density, box_lo, box_hi)
-                          for sampled, other in ((obj, gripper), (gripper, obj))])
-    if len(pts) == 0:
-        return IntersectionResult(0, None)
+    pts = pts[np.searchsorted(ids, slot_ids[flag[slot_ids]])]
     return IntersectionResult(len(pts), pts.mean(axis=0), pts if keep_points else None)
 
 

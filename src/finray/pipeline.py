@@ -51,6 +51,9 @@ from .sensing_sim import (
     run_scenario,
 )
 
+# edge subdivisions of the lattice that samples the jaw for the contact patch
+_INTERSECT_DENSITY = 3
+
 
 @dataclass(frozen=True)
 class EstimatorSettings:
@@ -61,7 +64,6 @@ class EstimatorSettings:
     bbox_margin: float = 0.012
     mount_mode: str = "estimator"  # estimator | fixed | matched
     fixed_index: int = 7
-    intersect_density: int = 2
     pose_timeout: float = 0.5
     stable_frames: int = 5
 
@@ -86,13 +88,13 @@ class FrameEstimate:
 def localize(state: ContactState, pose: PoseTransform, jaw_surface,
              twin: RigidSurface, undeformed: TetMesh,
              surface_ids: np.ndarray, candidates: ContactCandidateSet,
-             density: int, snaps: dict) -> tuple[Optional[int], bool]:
+             snaps: dict) -> tuple[Optional[int], bool]:
     """One localization iteration; updates ``state`` in place.
 
     Places the twin by ``pose``. Before contact its grasp-axis
     translation is pre-estimated instead; the extent is taken from
-    ``twin`` as it was last placed. Intersects the twin with the
-    deformed jaw surface and, on overlap, snaps the intersection center
+    ``twin`` as it was last placed. Samples the deformed jaw surface
+    inside the twin and, on overlap, snaps the centre of those samples
     to the nearest candidate (lowest index on ties); ``snaps`` memoises
     that snap per surface vertex (see ``select_candidate``).
     A snap to ``candidates.mounted_index`` while in contact extends the
@@ -105,7 +107,7 @@ def localize(state: ContactState, pose: PoseTransform, jaw_surface,
     if pre_estimated:
         translation[0] = pre_estimate_translation(state, pose.rotation, twin)
     twin.place(pose.rotation, translation)
-    inter = intersect_approx(jaw_surface, twin, density=density)
+    inter = intersect_approx(jaw_surface, twin, density=_INTERSECT_DENSITY)
     if inter.is_empty:
         state.status, state.stable_frames, state.centroid = False, 0, None
         return None, pre_estimated
@@ -184,7 +186,7 @@ class JawEstimator:
             remount_to, pre_estimated = localize(
                 self.contact_state, chain_pose(jaw_from_cam, pose_cam_from_obj),
                 self.jaw_surface, self.twin, self.fixture.mesh,
-                self.surface_ids, self.candidates, settings.intersect_density, self.snaps)
+                self.surface_ids, self.candidates, self.snaps)
             if remount_to is not None and remount_to != self.candidates.mounted_index:
                 self.candidates = remount(self.candidates, remount_to)
             status = self.contact_state.status

@@ -98,10 +98,10 @@ class TestPreEstimateTranslation:
 
 
 def localize_at(state, surf, jaw, twin, pose, cands, snaps):
-    """``pipeline.localize`` at density 3, with the snap memo ``snaps``;
-    returns the remount decision and the pre-estimation flag."""
+    """``pipeline.localize`` with the snap memo ``snaps``; returns the
+    remount decision and the pre-estimation flag."""
     return localize(state, pose, surf, twin, jaw.mesh,
-                    np.unique(surf.triangles), cands, 3, snaps)
+                    np.unique(surf.triangles), cands, snaps)
 
 
 class LocalizerScene:

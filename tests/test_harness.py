@@ -10,6 +10,7 @@ from finray.config import ConfigError, dump_config, load_config, parse_config, s
 from finray.fixtures import ShapeSpec, load_fixture, make_object_mesh
 from finray.harness_cli import (
     candidate_for_position,
+    default_ideal_scenario,
     default_noisy_scenario,
     load_epsilon_schedule,
     main,
@@ -276,6 +277,23 @@ class TestSuiteUtilities:
         assert ok
         assert len(report.conditions) == 9
         assert all(c.rmse_mean <= 1e-5 for c in report.conditions)
+
+    def test_ideal_estimator_mode_upper_d25_is_exact(self):
+        # the ideal static cell upper-d25 as the quick suite runs it, with
+        # the localizer choosing the mount: every recorded contact frame
+        # mounts the true candidate and the estimate is exact
+        schedule = ScheduleConfig(kind="static", cycles=1, ramp_s=0.2, settle_s=0.2,
+                                  record_s=0.3, plateaus_mm=(0, 4, 10, 4, 0))
+        scenario = default_ideal_scenario(shape=ShapeSpec.cylinder(0.025),
+                                          contact_position="upper", schedule=schedule, seed=0)
+        res = run_estimation(scenario, EstimatorSettings(mount_mode="estimator", epsilons=0.0))
+        recorded = res.recorded_mask()
+        true_c = res.column("true_candidate")
+        contact = recorded & (true_c >= 0)
+        assert contact.sum() == 27
+        assert np.array_equal(res.column("mounted")[contact], true_c[contact])
+        rmse, _ = rmse_nrmsd(res.column("f_sim_n")[recorded], res.column("f_gt_n")[recorded])
+        assert rmse <= 1e-5
 
     def test_sweep_writes_a_manifest_per_csv(self, tmp_path):
         suite_sweep(tmp_path, speeds_mm_s=(8.0,))

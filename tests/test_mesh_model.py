@@ -128,34 +128,33 @@ def random_rotation(rng):
     return q * np.sign(np.diag(r))
 
 
-def full_lattice_intersection(gripper, obj, density):
-    """Reference for intersect_approx: every lattice sample of both
-    surfaces, culled to the mutual box, each tested on its own."""
-    lo_g, hi_g = gripper.bounds()
-    lo_o, hi_o = obj.bounds()
+def full_lattice_intersection(jaw, twin, density):
+    """Reference for intersect_approx: every lattice sample of the jaw,
+    culled to the mutual box, each tested on its own against the posed
+    twin mesh."""
+    lo_g, hi_g = jaw.bounds()
+    lo_o, hi_o = twin.bounds()
     if np.any(lo_g > hi_o) or np.any(lo_o > hi_g):
         return np.empty((0, 3))
     box_lo = np.maximum(lo_g, lo_o) - 1e-12
     box_hi = np.minimum(hi_g, hi_o) + 1e-12
-    hits = [np.empty((0, 3))]
-    for sampled, other in ((obj, gripper), (gripper, obj)):
-        s = surface_sample_points(sampled, density)
-        s = s[np.all((s >= box_lo) & (s <= box_hi), axis=1)]
-        if len(s):
-            ins, on = point_inside(other, s, return_on_surface=True)
-            hits.append(s[ins | on])
-    return np.concatenate(hits)
+    s = surface_sample_points(jaw, density)
+    s = s[np.all((s >= box_lo) & (s <= box_hi), axis=1)]
+    if len(s) == 0:
+        return s
+    ins, on = point_inside(twin, s, return_on_surface=True)
+    return s[ins | on]
 
 
 class TestIntersectApprox:
     def test_disjoint(self):
         a = unit_cube()
-        b = unit_cube(center=(3.0, 0.0, 0.0))
+        b = RigidSurface(unit_cube(center=(3.0, 0.0, 0.0)))
         assert intersect_approx(a, b).is_empty
 
     def test_coincident_centroid(self):
         a = unit_cube()
-        b = unit_cube()
+        b = RigidSurface(unit_cube())
         res = intersect_approx(a, b)
         assert not res.is_empty
         assert np.abs(res.centroid).max() < 1e-9
@@ -164,20 +163,12 @@ class TestIntersectApprox:
         # cube [-0.5,0.5]^3 against a slab pushed in so the analytic
         # overlap is x in [0.40, 0.50]
         cube = unit_cube()
-        slab = _hull_mesh(box_points((1.0, 2.0, 2.0)) + np.array([0.9, 0.0, 0.0]))
+        slab = RigidSurface(_hull_mesh(box_points((1.0, 2.0, 2.0)) + np.array([0.9, 0.0, 0.0])))
         res = intersect_approx(cube, slab, density=4)
         assert not res.is_empty
         assert 0.40 - 1e-9 <= res.centroid[0] <= 0.50 + 1e-9
         assert abs(res.centroid[1]) <= 0.5
         assert abs(res.centroid[2]) <= 0.5
-
-    def test_symmetry(self):
-        a = unit_cube()
-        b = unit_cube(center=(0.4, 0.2, 0.0))
-        r1 = intersect_approx(a, b)
-        r2 = intersect_approx(b, a)
-        assert r1.sample_count == r2.sample_count
-        assert np.abs(r1.centroid - r2.centroid).max() <= 1e-9
 
     def test_sample_count_scaling(self):
         a = unit_cube()
@@ -213,13 +204,11 @@ class TestIntersectApprox:
             deformed = jaw.mesh.vertices + compliance.fields[c] @ rng.normal(scale=5.0, size=3)
             density = 2 + k % 2
             jaw_surface.update(deformed)
-            want = full_lattice_intersection(SurfaceMesh(deformed, jaw_template.triangles),
+            deformed_mesh = SurfaceMesh(deformed, jaw_template.triangles)
+            want = full_lattice_intersection(deformed_mesh,
                                              SurfaceMesh(twin.vertices, obj.triangles), density)
-            pairs = ((SurfaceMesh(deformed, jaw_template.triangles),
-                      SurfaceMesh(twin.vertices, obj.triangles)),
-                     (jaw_surface, twin))
-            for gripper, other in pairs:
-                got = intersect_approx(gripper, other, density=density, keep_points=True)
+            for gripper in (deformed_mesh, jaw_surface):
+                got = intersect_approx(gripper, twin, density=density, keep_points=True)
                 assert got.sample_count == len(want)
                 if len(want):
                     assert np.array_equal(got.centroid, want.mean(axis=0))
@@ -264,7 +253,6 @@ class TestSampleLattice:
         held = template.lattice(2)
         assert template.lattice(2) is held
         assert DeformableSurface(template).lattice(2) is held
-        assert RigidSurface(template).lattice(2) is held
         assert template.lattice(3) is not held
         built = sample_lattice(template.triangles, 2)
         for name in ("slot_ids", "corners", "weights"):

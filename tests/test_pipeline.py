@@ -188,15 +188,15 @@ class TestPreEstimationNoInfluence:
 
 
 class TestLazyRefit:
-    def count_refits(self, monkeypatch):
-        refit = TriangleBVH.refit
+    def count_calls(self, monkeypatch, name):
+        method = getattr(TriangleBVH, name)
         calls = []
 
-        def counting_refit(self, vertices):
+        def counting(self, *args, **kwargs):
             calls.append(self)
-            return refit(self, vertices)
+            return method(self, *args, **kwargs)
 
-        monkeypatch.setattr(TriangleBVH, "refit", counting_refit)
+        monkeypatch.setattr(TriangleBVH, name, counting)
         return calls
 
     def test_disjoint_step_refits_nothing(self, monkeypatch):
@@ -205,7 +205,7 @@ class TestLazyRefit:
         engine = SimEngine(quick_static(plateaus=(0, 0), clearance_mm=3.0,
                                         object_offset=(0.0, 0.0, 0.2)))
         est = JawEstimator(engine, 0, EstimatorSettings())
-        calls = self.count_refits(monkeypatch)
+        calls = self.count_calls(monkeypatch, "refit")
         pkt = engine.frame(0.0, 0.0, "pre", False, 1.0 / 30.0)
         fe = est.step(pkt.observations[0], 0.0, -1)
         assert fe.pose_source == "fresh" and not fe.status
@@ -213,24 +213,27 @@ class TestLazyRefit:
         assert np.any(lo_j > hi_t) or np.any(lo_t > hi_j)
         assert calls == []
 
-    def test_overlapping_steps_refit_only_the_jaws(self, monkeypatch, caplog):
-        # the twin is placed rigidly and tested in its own frame: over a run
-        # of overlapping steps each jaw is refit once per step, the twin's
-        # tree never, and two estimators on one twin mesh share one grid
+    def test_overlapping_steps_fit_no_tree(self, monkeypatch, caplog):
+        # the jaw is only sampled and the twin is placed rigidly and tested
+        # in its own frame: over a run of overlapping steps the only tree
+        # the estimators build is their twin grid's, fit once by its build,
+        # and two estimators on one twin mesh share one grid
         monkeypatch.setattr(mesh_model, "_GRIDS", {})
         caplog.set_level(logging.DEBUG, logger="finray.mesh_model")
         engine = SimEngine(quick_static())
-        ests = [JawEstimator(engine, 0, EstimatorSettings()) for _ in range(2)]
-        ests[0].twin.grid()  # built before counting: a build fits its tree once
-        calls = self.count_refits(monkeypatch)
         n_steps = 4
-        for k in range(n_steps):
-            pkt = engine.frame(k / 30.0, 0.004 + 0.001 * k, "load", True, 1.0 / 30.0)
+        packets = [engine.frame(k / 30.0, 0.004 + 0.001 * k, "load", True, 1.0 / 30.0)
+                   for k in range(n_steps)]
+        builds = self.count_calls(monkeypatch, "__init__")
+        refits = self.count_calls(monkeypatch, "refit")
+        ests = [JawEstimator(engine, 0, EstimatorSettings()) for _ in range(2)]
+        for k, pkt in enumerate(packets):
             for est in ests:
                 assert est.step(pkt.observations[0], k / 30.0,
                                 pkt.truth.jaws[0].candidate).status
-        assert sorted(map(id, calls)) == sorted(
-            id(est.jaw_surface.bvh()) for est in ests for _ in range(n_steps))
-        assert ests[1].twin.grid() is ests[0].twin.grid()
-        builds = [r for r in caplog.records if r.getMessage().startswith("containment grid")]
-        assert len(builds) == 1
+        grid = ests[0].twin.grid()
+        assert ests[1].twin.grid() is grid
+        assert builds == refits == [grid.bvh()]
+        grid_builds = [r for r in caplog.records
+                       if r.getMessage().startswith("containment grid")]
+        assert len(grid_builds) == 1
