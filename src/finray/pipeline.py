@@ -92,11 +92,11 @@ def localize(state: ContactState, pose: PoseTransform, jaw_surface,
     """One localization iteration; updates ``state`` in place.
 
     Places the twin by ``pose``. Before contact its grasp-axis
-    translation is pre-estimated instead; the extent is taken from
-    ``twin`` as it was last placed. Samples the deformed jaw surface
-    inside the twin and, on overlap, snaps the centre of those samples
-    to the nearest candidate (lowest index on ties); ``snaps`` memoises
-    that snap per surface vertex (see ``select_candidate``).
+    translation is pre-estimated instead, from the extent of the twin's
+    unposed template under the pose's rotation. Samples the deformed jaw
+    surface inside the twin and, on overlap, snaps the centre of those
+    samples to the nearest candidate (lowest index on ties); ``snaps``
+    memoises that snap per surface vertex (see ``select_candidate``).
     A snap to ``candidates.mounted_index`` while in contact extends the
     stable run; any other snap restarts it. The caller remounts.
     Returns (candidate to mount, or None when there is no contact;
@@ -105,7 +105,7 @@ def localize(state: ContactState, pose: PoseTransform, jaw_surface,
     translation = pose.translation.copy()
     pre_estimated = not state.status
     if pre_estimated:
-        translation[0] = pre_estimate_translation(state, pose.rotation, twin)
+        translation[0] = pre_estimate_translation(state, pose.rotation, twin.template)
     twin.place(pose.rotation, translation)
     inter = intersect_approx(jaw_surface, twin, density=_INTERSECT_DENSITY)
     if inter.is_empty:

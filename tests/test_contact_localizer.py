@@ -199,6 +199,21 @@ class TestLocalizeStep:
         assert twin_translation[0] == pytest.approx(jaw.l0 + 0.0075, rel=1e-3)
         assert state.status  # pre-estimated twin overlaps by the offset
 
+    def test_pre_estimate_measures_the_template(self, jaw):
+        # the twin as the last frame placed it is rotated already: the
+        # pre-estimate takes the template's extent under the new rotation
+        cuboid = make_object_mesh(ShapeSpec.cuboid((0.03, 0.08, 0.03)))
+        twin = RigidSurface(cuboid)
+        twin.place(rot_z(0.6), np.zeros(3))
+        rotation = rot_z(-0.4)
+        pose = PoseTransform(rotation, np.array([0.2, 0.0, 0.04]), "o", "g")
+        _, pre_estimated = localize_at(ContactState(l0=jaw.l0), jaw.mesh.surface(), jaw, twin,
+                                       pose, ContactCandidateSet.from_fixture(jaw), {})
+        assert pre_estimated
+        x = (cuboid.vertices @ rotation.T)[:, 0]
+        assert twin.translation[0] == pytest.approx(jaw.l0 + 0.5 * (x.max() - x.min()),
+                                                    rel=1e-12)
+
     def test_contact_at_candidate_three(self, jaw):
         scene = LocalizerScene(jaw, 3)
         assert scene.true_candidate == 3
