@@ -251,8 +251,8 @@ class DeformableSurface:
     Watertightness is checked once at construction; ``update`` stores the
     new vertices. ``bvh`` builds the tree at its first call and refits it
     in place on the first call after each later update, so a surface
-    that nothing ray-casts never holds a tree. Duck-compatible
-    with SurfaceMesh for ``point_inside``, ray casts and as the sampled
+    that nothing ray-casts never holds a tree. Duck-compatible with
+    SurfaceMesh for ``point_inside``, ray casts and as the sampled
     surface of ``intersect_approx`` (single-writer, as with
     DeformedState).
     """
