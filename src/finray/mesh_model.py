@@ -995,9 +995,8 @@ def intersect_approx(jaw, twin: RigidSurface, density: int = 3,
     pts = lattice.points(jaw.vertices, ids)
     in_box = np.all((pts >= box_lo) & (pts <= box_hi), axis=1)
     ids, pts = ids[in_box], pts[in_box]
-    if len(ids):
-        hit = twin.contains(pts)
-        ids, pts = ids[hit], pts[hit]
+    hit = twin.contains(pts)
+    ids, pts = ids[hit], pts[hit]
     if len(ids) == 0:
         return IntersectionResult(0, None)
     flag[:] = False
