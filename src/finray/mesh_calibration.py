@@ -227,10 +227,14 @@ def reverse_query(src_tree: cKDTree, dst: np.ndarray, rotation: np.ndarray,
                   translation: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Nearest source point to each target point under dst ~ s R src + t,
     from a tree over the untransformed source: a similarity transform
-    keeps nearest neighbours, so the targets are mapped back and the
-    distances scaled by s."""
-    d, idx = src_tree.query(((dst - translation) @ rotation) / scale)
-    return scale * d, idx
+    keeps nearest neighbours, so the targets are mapped back for the
+    search. The distances are measured in the target frame, against the
+    matched source points moved forward: measured in the source frame and
+    scaled by s they carry the rounding of the back-mapping, an absolute
+    error at the scale of the translation that swamps a short distance."""
+    _, idx = src_tree.query(((dst - translation) @ rotation) / scale)
+    matched = scale * src_tree.data[idx] @ rotation.T + translation
+    return np.linalg.norm(dst - matched, axis=1), idx
 
 
 def icp_align(source: PointCloud, target: PointCloud, with_scale: bool = False,
