@@ -29,6 +29,11 @@ class FrameError(ValueError):
     """Frame labels do not chain."""
 
 
+# read-only identity that every PoseTransform's orthonormality check compares against
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class PoseTransform:
     """Rigid transform mapping points from ``frame_from`` to ``frame_to``."""
@@ -43,7 +48,7 @@ class PoseTransform:
         t = np.asarray(self.translation, dtype=np.float64)
         if r.shape != (3, 3) or t.shape != (3,):
             raise FrameError("rotation must be 3x3 and translation length 3")
-        if np.abs(r.T @ r - np.eye(3)).max() > 1e-10:
+        if np.abs(r.T @ r - _EYE3).max() > 1e-10:
             raise FrameError("rotation is not orthonormal")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)

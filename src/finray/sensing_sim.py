@@ -23,7 +23,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .contact_localizer import PoseTransform, look_at, rot_z, rotation_about
 from .fem_core import MaterialModel, StiffnessSystem, assemble
@@ -72,13 +71,14 @@ class ContactModelConfig:
 
     ``stiffness`` is the penalty stiffness in N/m. Each pass of a solve
     takes the full linearised penalty step, a non-negative least-squares
-    problem that Lawson and Hanson's active-set method solves exactly; the
-    solve has converged once a pass changes no component of an eligible
-    node's force by ``tol`` (N) or more. After ``max_iters`` passes without
-    converging it starts again with half steps, and after as many more
-    raises ``ContactConvergenceError``. That error is also raised if one
-    step's active-set method reaches its cap of three iterations per
-    eligible node, the only way a step can fail.
+    problem that Lawson and Hanson's active-set method solves exactly; with
+    one eligible node, as in point mode, the step has a closed form that
+    gives the same bits. The solve has converged once a pass changes no
+    component of an eligible node's force by ``tol`` (N) or more. After
+    ``max_iters`` passes without converging it starts again with half
+    steps, and after as many more raises ``ContactConvergenceError``. That
+    error is also raised if one step's active-set method reaches its cap
+    of three iterations per eligible node, the only way a step can fail.
     """
 
     stiffness: float = 1e6
@@ -209,12 +209,12 @@ class ForwardContactModel:
     nodes, linearises the penalty law there with g = B^T W B (B the
     block-diagonal matrix of the current normals), solves that linear
     complementarity problem for the non-negative normal forces as
-    non-negative least squares on the Cholesky factor of g + I/k, and
-    takes that solution whole. Where that iteration cycles, as it can when
-    the SDF normals jump between the faces of a polyhedron, the solve
-    starts again from the same state with half steps and logs a warning.
-    Holds no state between solves, so the jaws of one engine share a
-    model.
+    non-negative least squares on the Cholesky factor of g + I/k (in closed
+    form for one node), and takes that solution whole. Where that iteration
+    cycles, as it can when the SDF normals jump between the faces of a
+    polyhedron, the solve starts again from the same state with half steps
+    and logs a warning. Holds no state between solves, so the jaws of one
+    engine share a model.
     """
 
     def __init__(self, system: StiffnessSystem, fixture: JawFixture,
@@ -246,9 +246,17 @@ class ForwardContactModel:
         M lam - d_free >= 0, lam . (M lam - d_free) = 0, which is the
         non-negative least-squares problem min |L^T lam - L^-1 d_free| over
         lam >= 0 for M = L L^T; Lawson and Hanson's active-set method
-        (``scipy.optimize.nnls``) solves it. Raises
-        ``ContactConvergenceError`` if that method hits its iteration cap."""
+        (``scipy.optimize.nnls``, imported on the first step that needs it)
+        solves it. Raises ``ContactConvergenceError`` if that method hits
+        its iteration cap. With one node, L = c = sqrt(g + 1/k) and the
+        answer is max((d_free / c) / c, 0), which is the triple's result
+        bit for bit, +0.0 included where d_free <= 0."""
         d_free = depth + g @ lam
+        if len(g) == 1:
+            c = math.sqrt(g[0, 0] + 1.0 / self.cfg.stiffness)
+            lam1 = (d_free[0] / c) / c
+            return np.array([lam1 if lam1 > 0.0 else 0.0])
+        import scipy.optimize  # deferred: point contact never reaches it
         chol = scipy.linalg.cholesky(g + np.eye(len(g)) / self.cfg.stiffness, lower=True)
         rhs = scipy.linalg.solve_triangular(chol, d_free, lower=True)
         try:
@@ -414,6 +422,7 @@ class SimEngine:
         self.z_contact = scenario.contact_height(fixture.params.height)
         self.rng = np.random.default_rng(np.random.SeedSequence(scenario.seed))
         self._prev_forces = [None for _ in self.rigs]
+        self._solved = [None for _ in self.rigs]  # per rig: (key, sdf, result)
         self._rho = [0.0 for _ in self.rigs]  # viscous relaxation state
         self._object_x = self._initial_object_x()
         self._pose_frame_period = max(1, round(scenario.camera_hz / scenario.pose_hz))
@@ -438,14 +447,29 @@ class SimEngine:
 
     def _solve_contact(self, idx: int, closure: float, object_x: float):
         """Object pose in the jaw frame and the jaw's penalty solve,
-        warm-started from and updating the jaw's previous node forces."""
+        warm-started from and updating the jaw's previous node forces.
+
+        The solve is a pure function of the pose, the SDF and the warm
+        start, and a warm-started solve often returns its warm start bit
+        for bit, so the equilibrium bisection and ``_jaw_truth`` ask for
+        the same solve again. Each rig keeps its last solve in ``_solved``,
+        keyed by the bytes of the pose's rotation and translation and of
+        the warm start, and by the SDF object itself; a call with the same
+        key returns that result, the same arrays, without solving, so a
+        half-step warning that solve logged is not logged again."""
         world_from_jaw = self.rigs[idx].world_from_jaw(closure)
         world_from_obj = _object_world_pose(self.scenario, object_x, self.z_contact)
         r = world_from_jaw.rotation.T @ world_from_obj.rotation
         t = world_from_jaw.rotation.T @ (world_from_obj.translation - world_from_jaw.translation)
         jaw_from_obj = PoseTransform(r, t, "o", "g")
-        result = self.rigs[idx].contact_model.solve(
-            jaw_from_obj, self.sdf, self._prev_forces[idx])
+        warm = self._prev_forces[idx]
+        key = (r.tobytes(), t.tobytes(), None if warm is None else warm.tobytes())
+        solved = self._solved[idx]
+        if solved is not None and solved[0] == key and solved[1] is self.sdf:
+            result = solved[2]
+        else:
+            result = self.rigs[idx].contact_model.solve(jaw_from_obj, self.sdf, warm)
+            self._solved[idx] = (key, self.sdf, result)
         self._prev_forces[idx] = result[0]
         return jaw_from_obj, result
 
@@ -537,7 +561,10 @@ class SimEngine:
     def render_observation(self, truth: GroundTruthFrame, jaw_index: int) -> Observation:
         """Synthetic camera frame for one jaw. With occlusion on, rays to
         the keypoints are cast against the object and the other jaw; the
-        other jaw's surface is refit to its deformation, not rebuilt."""
+        other jaw's surface is refit to its deformation, not rebuilt. An
+        occluder whose box the rays' box misses is not cast at, so the
+        other jaw's tree is only refit, or first built, on frames whose
+        rays can reach it."""
         sc = self.scenario
         rig = self.rigs[jaw_index]
         jt = truth.jaws[jaw_index]
@@ -569,8 +596,7 @@ class SimEngine:
                 frame_from_world = world_from_frame.inverse()
                 o_local = frame_from_world.apply(origins)
                 t_local = frame_from_world.apply(kp_world)
-                t_hit = mesh.bvh().first_hit_fraction(o_local, t_local, t_hi=1.0 - 1e-6)
-                hit_t = np.minimum(hit_t, t_hit)
+                hit_t = np.minimum(hit_t, _occluder_hits(mesh, o_local, t_local))
             occluded = np.isfinite(hit_t)
             drift_points = origins + hit_t[:, None] * (kp_world - origins)
 
@@ -636,6 +662,20 @@ class SimEngine:
         truth = self.step_truth(t, closure, stage, recording, dt)
         obs = tuple(self.render_observation(truth, i) for i in range(len(self.rigs)))
         return FramePacket(truth, obs)
+
+
+def _occluder_hits(mesh, origins: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """First hit fraction of each segment origin -> target on ``mesh``
+    within (1e-9, 1 - 1e-6), +inf where it is unobstructed. When the
+    segments' box misses ``mesh.bounds()`` widened by 1e-9 m, no segment
+    can enter the tree's root box, so every fraction is +inf without
+    asking ``mesh.bvh()``, which would build or refit the tree."""
+    lo, hi = mesh.bounds()
+    seg_lo = np.minimum(origins.min(axis=0), targets.min(axis=0))
+    seg_hi = np.maximum(origins.max(axis=0), targets.max(axis=0))
+    if np.any(seg_lo > hi + 1e-9) or np.any(seg_hi < lo - 1e-9):
+        return np.full(len(origins), np.inf)
+    return mesh.bvh().first_hit_fraction(origins, targets, t_hi=1.0 - 1e-6)
 
 
 # ---------------------------------------------------------------------------

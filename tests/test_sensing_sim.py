@@ -1,7 +1,12 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +15,7 @@ from finray import harness_cli, sensing_sim
 from finray.contact_localizer import PoseTransform
 from finray.fem_core import MaterialModel
 from finray.fixtures import JawParams, ShapeSpec, generate_jaw, make_object_mesh, make_sdf
-from finray.mesh_model import SurfaceMesh, TetMesh, TriangleBVH
+from finray.mesh_model import DeformableSurface, SurfaceMesh, TetMesh, TriangleBVH
 from finray.sensing_sim import (
     ContactModelConfig,
     ForwardContactModel,
@@ -407,6 +412,52 @@ class TestNonNegativeStep:
             assert np.array_equal(lam > 0.0, ref > 0.0)
             assert np.abs(lam - ref).max() <= 1e-9
 
+    def test_one_node_closed_form_matches_nnls_triple(self, jaw, system, monkeypatch):
+        """The one-node step's closed form against the Cholesky,
+        ``solve_triangular`` and ``nnls`` triple it skips, bit for bit:
+        random 1x1 inputs with d_free below, at and above zero, down to
+        subnormal depths, and every pass of a point-contact wedge grasp."""
+        model = ForwardContactModel(system, jaw, ContactModelConfig(model="point"))
+        k = model.cfg.stiffness
+        rng = np.random.default_rng(5)
+        inputs = []
+        for _ in range(3000):
+            g = np.array([[rng.uniform(1e-6, 1e-3)]])
+            lam = np.array([rng.uniform(0.0, 20.0)]) if rng.random() < 0.5 else np.zeros(1)
+            sign = rng.choice([-1.0, 1.0])
+            d_free = sign * 10.0 ** rng.uniform(-320.0, -1.0)
+            inputs.append((g, np.array([d_free]) - g @ lam, lam))
+        for g in (np.array([[1e-4]]), np.array([[3e-6]])):
+            inputs += [(g, np.zeros(1), np.zeros(1)), (g, np.array([-0.0]), np.zeros(1))]
+        # (d_free / c) / c underflows to -0.0 here; nnls returns +0.0
+        inputs.append((np.array([[4.0]]), np.array([-5e-324]), np.zeros(1)))
+        step = ForwardContactModel._implicit_normal_forces
+        recorded = []
+
+        def recording_step(self, g, depth, lam):
+            if len(g) == 1:
+                recorded.append((g, depth, lam))
+            return step(self, g, depth, lam)
+
+        monkeypatch.setattr(ForwardContactModel, "_implicit_normal_forces", recording_step)
+        run_scenario(dual_grasp_scenario(shape=ShapeSpec.wedge()))
+        assert len(recorded) > 500
+        signs = {"<": 0, "=": 0, ">": 0}
+        for g, depth, lam in inputs + recorded:
+            d_free = depth + g @ lam
+            signs["<" if d_free[0] < 0.0 else "=" if d_free[0] == 0.0 else ">"] += 1
+            assert step(model, g, depth, lam).tobytes() == nnls_triple(g, d_free, k).tobytes()
+        assert min(signs.values()) >= 4
+
+
+def nnls_triple(g, d_free, stiffness):
+    """The multi-node step as ``_implicit_normal_forces`` solves it:
+    Cholesky factor of g + I/k, one triangular solve, then ``nnls``."""
+    chol = scipy.linalg.cholesky(g + np.eye(len(g)) / stiffness, lower=True)
+    rhs = scipy.linalg.solve_triangular(chol, d_free, lower=True)
+    return scipy.optimize.nnls(chol.T, rhs)[0]
+
+
 class TestRenderObservation:
     def _engine(self, **kw):
         base = dict(shape=ShapeSpec.cylinder(0.025), contact_position="middle",
@@ -638,18 +689,190 @@ class TestOracleFastPaths:
         assert hits > 5000
 
     def test_occluder_bvh_built_once_per_rig(self, jaw, monkeypatch):
+        # each rig's occluder tree is built at most once, and only for a
+        # rig whose box the other jaw's keypoint rays met on some frame,
+        # counted here from the frames' own geometry
+        eng = SimEngine(dual_grasp_scenario())
         jaw_triangles = jaw.mesh.surface().triangles
         builds = []
         build = TriangleBVH.__init__
 
         def counting_build(self, vertices, triangles, *args, **kwargs):
-            builds.append(np.array_equal(triangles, jaw_triangles))
+            if np.array_equal(triangles, jaw_triangles):
+                builds.append([k for k, surf in enumerate(eng._occluders)
+                               if surf.vertices is vertices])
             build(self, vertices, triangles, *args, **kwargs)
 
         monkeypatch.setattr(TriangleBVH, "__init__", counting_build)
-        result = run_scenario(dual_grasp_scenario())
+        result = run_scenario(eng.scenario, eng)
         assert len(result.frames) > 20
-        assert sum(builds) == 2
+        surface_ids = np.unique(jaw_triangles)
+        cam = eng.world_from_cam.translation
+        met = set()
+        for pkt in result.frames:
+            truth = pkt.truth
+            for idx, other in ((0, 1), (1, 0)):
+                kp = jaw.keypoint_ids
+                kp_world = eng.rigs[idx].world_from_jaw(truth.closure).apply(
+                    jaw.mesh.vertices[kp] + truth.jaws[idx].displacements[kp])
+                segments = eng.rigs[other].world_from_jaw(truth.closure).inverse().apply(
+                    np.vstack([cam, kp_world]))
+                box = (jaw.mesh.vertices + truth.jaws[other].displacements)[surface_ids]
+                if (np.all(segments.min(axis=0) <= box.max(axis=0) + 1e-9)
+                        and np.all(segments.max(axis=0) >= box.min(axis=0) - 1e-9)):
+                    met.add(other)
+        assert met
+        assert sorted(builds) == [[k] for k in sorted(met)]
+
+    def test_box_culled_cast_matches_refit_cast(self, jaw, monkeypatch):
+        # the occluder cast that skips a tree whose box the segments miss,
+        # against a surface refit and cast on every call: bitwise over
+        # random deformed jaws, with segments crossing the jaw and segment
+        # sets lying beyond one face of its box by -1e-9 m to 1 mm; a
+        # skipped cast refits no tree
+        model = SimEngine(dual_grasp_scenario()).rigs[1].contact_model
+        surf = DeformableSurface(jaw.mesh.surface())
+        always = DeformableSurface(jaw.mesh.surface())
+        refits = []
+        refit = TriangleBVH.refit
+
+        def counting_refit(self, vertices):
+            refits.append(self)
+            refit(self, vertices)
+
+        monkeypatch.setattr(TriangleBVH, "refit", counting_refit)
+        rng = np.random.default_rng(17)
+        gaps = (-1e-9, 0.0, 5e-10, 2e-9, 1e-8, 1e-6, 1e-3)
+        n_rays, hits, skipped = 100, 0, 0
+        for trial in range(140):
+            forces = np.zeros((len(model.node_ids), 3))
+            loaded = rng.choice(len(forces), size=int(rng.integers(1, 4)), replace=False)
+            forces[loaded] = rng.normal(scale=30.0, size=(len(loaded), 3))
+            vertices = jaw.mesh.vertices + model.full_displacement(forces)
+            surf.update(vertices)
+            always.update(vertices)
+            lo, hi = surf.bounds()
+            gap = gaps[trial % len(gaps)] if trial % 2 else None
+            if gap is None:  # rays from outside to targets in the box
+                dirs = rng.normal(size=(n_rays, 3))
+                origins = 0.5 * (lo + hi) + 0.1 * dirs / np.linalg.norm(
+                    dirs, axis=1, keepdims=True)
+                targets = rng.uniform(lo, hi, (n_rays, 3))
+            else:  # every endpoint beyond one face, the nearest at ``gap``
+                axis, side = int(rng.integers(3)), rng.choice([-1.0, 1.0])
+                face = hi[axis] if side > 0 else lo[axis]
+                origins, targets = (rng.uniform(lo - 0.02, hi + 0.02, (n_rays, 3))
+                                    for _ in range(2))
+                for ends in (origins, targets):
+                    ends[:, axis] = face + side * (gap + rng.uniform(0.0, 0.02, n_rays))
+                targets[0, axis] = face + side * gap
+            before = len(refits)
+            got = sensing_sim._occluder_hits(surf, origins, targets)
+            cast = len(refits) > before
+            assert cast == (gap is None or gap <= 1e-9)
+            expect = always.bvh().first_hit_fraction(origins, targets, t_hi=1.0 - 1e-6)
+            assert np.array_equal(got, expect)
+            hits += int(np.isfinite(got).sum())
+            skipped += not cast
+        assert hits > 2000 and skipped == 40
+
+    def test_culled_render_matches_unculled(self, monkeypatch):
+        # a drift-mode grasp seen from the side, where one jaw hides the
+        # other's keypoints, rendered with the occluder box test and with
+        # every occluder's box made infinite so that each is cast at:
+        # bitwise equal observations, with fewer tree refits
+        scenario = dual_grasp_scenario(occlusion_mode="drift", camera_eye=(-0.15, 0.02, 0.12))
+        refits = []
+        refit = TriangleBVH.refit
+
+        def counting_refit(self, vertices):
+            refits.append(1)
+            refit(self, vertices)
+
+        monkeypatch.setattr(TriangleBVH, "refit", counting_refit)
+        runs = []
+        for cull in (True, False):
+            eng = SimEngine(scenario)
+            if not cull:
+                endless = (np.full(3, -np.inf), np.full(3, np.inf))
+                for mesh in (*eng._occluders, eng.object_mesh):
+                    monkeypatch.setattr(mesh, "bounds", lambda: endless)
+            start = len(refits)
+            frames = run_scenario(scenario, eng).frames
+            runs.append(([obs for pkt in frames for obs in pkt.observations],
+                         len(refits) - start))
+        (culled, n_culled), (full, n_full) = runs
+        assert len(culled) == len(full) > 40
+        assert n_culled < n_full
+        assert sum(int((~obs.visible).sum()) for obs in full) > 100
+        for a, b in zip(culled, full):
+            for name in ("keypoints", "confidence", "visible", "reference"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert (a.pose_sample is None) == (b.pose_sample is None)
+
+    def test_solve_memo_matches_cleared_memo(self):
+        # a dual-jaw wedge grasp with each rig's one-entry solve memo,
+        # against the same grasp with the memo cleared before every
+        # _solve_contact: every call gives the same bits and leaves the
+        # same warm start, and fewer penalty solves run
+        def run(clear):
+            eng = SimEngine(dual_grasp_scenario(shape=ShapeSpec.wedge()))
+            model = eng.rigs[0].contact_model
+            solve, solve_contact = model.solve, eng._solve_contact
+            solves, calls = [], []
+
+            def counting_solve(*args):
+                solves.append(1)
+                return solve(*args)
+
+            def recording(idx, closure, object_x):
+                if clear:
+                    eng._solved = [None for _ in eng.rigs]
+                pose, (forces, net, cp, cand) = solve_contact(idx, closure, object_x)
+                calls.append((idx, forces.tobytes(), net.tobytes(), cand,
+                              None if cp is None else cp.tobytes(),
+                              eng._prev_forces[idx].tobytes()))
+                return pose, (forces, net, cp, cand)
+
+            model.solve = counting_solve
+            eng._solve_contact = recording
+            run_scenario(eng.scenario, eng)
+            return calls, len(solves)
+
+        (memo, n_memo), (cleared, n_cleared) = run(False), run(True)
+        assert n_cleared == len(cleared) > 500
+        assert memo == cleared
+        assert n_memo < n_cleared
+        assert sum(c[3] >= 0 for c in memo) > 100
+
+    def test_solve_memo_keyed_by_sdf_object(self):
+        # repeated calls reach a warm start the solve returns unchanged, and
+        # the memo answers from then on; a new SDF object, even one that
+        # computes the same distances, is solved again
+        eng = SimEngine(dual_grasp_scenario())
+        closure = touch_closure(eng) + 0.002
+        calls = []
+
+        def counted(sdf):
+            def wrapped(points):
+                calls.append(len(points))
+                return sdf(points)
+            return wrapped
+
+        eng.sdf = counted(eng.sdf)
+        for _ in range(10):
+            start = len(calls)
+            forces = eng._solve_contact(0, closure, 0.0)[1][0]
+            if len(calls) == start:
+                break
+        else:
+            pytest.fail("no repeated solve was answered from the memo")
+        assert np.abs(forces).max() > 0.5
+        eng.sdf = counted(eng.sdf)
+        start = len(calls)
+        again = eng._solve_contact(0, closure, 0.0)[1][0]
+        assert len(calls) > start
+        assert again.tobytes() == forces.tobytes()
 
     def test_net_force_matches_jaw_truth(self):
         # the bisection's net-force-only evaluation against the full
@@ -701,6 +924,36 @@ class TestOracleFastPaths:
             x = eng._solve_object_equilibrium(closure)
         assert abs(eng._net_object_force_x(closure, x)) <= 1e-7
         assert not caplog.records
+
+
+class TestDeferredImport:
+    def test_point_contact_grasp_leaves_out_nnls(self):
+        # a fresh process that runs a point-contact dual-jaw grasp with its
+        # estimators never imports scipy.optimize; its first multi-node
+        # (distributed) penalty step does
+        code = """
+import sys
+from finray.fixtures import ShapeSpec
+from finray.pipeline import run_estimation
+from finray.sensing_sim import ContactModelConfig, Scenario, ScheduleConfig, SimEngine
+grasp = Scenario(shape=ShapeSpec.cylinder(0.025), dual_jaw=True, occlusion_mode="confidence",
+                 schedule=ScheduleConfig(kind="grasp", closing_speed_mm_s=8.0,
+                                         target_force=3.0, hold_s=0.2),
+                 contact=ContactModelConfig(model="point"))
+in_contact = sum(f["true_candidate"] >= 0 for f in run_estimation(grasp).frames)
+after_point = "scipy.optimize" in sys.modules
+press = Scenario(shape=ShapeSpec.cylinder(0.035), contact_position="lower",
+                 contact=ContactModelConfig(model="distributed"))
+force = SimEngine(press).step_truth(0.0, 0.004).jaws[0].force_scalar
+print(in_contact, after_point, "scipy.optimize" in sys.modules, force > 1.0)
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        assert int(out[0]) > 10
+        assert out[1:] == ["False", "True", "True"]
 
 
 class TestSyntheticScan:
