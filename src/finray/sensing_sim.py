@@ -69,11 +69,12 @@ class ContactModelConfig:
     slow stress-relaxation surrogate with time constant ``viscous_tau``
     (s), applied to the reported force only, never to the deformation.
 
-    ``stiffness`` is the penalty stiffness in N/m. Each pass of a solve
-    takes the full linearised penalty step, a non-negative least-squares
-    problem that Lawson and Hanson's active-set method solves exactly; with
-    one eligible node, as in point mode, the step has a closed form that
-    gives the same bits. The solve has converged once a pass changes no
+    ``stiffness`` is the penalty stiffness in N/m. A solve starts from zero
+    force at the rest shape, so it is a function of the pose and the SDF
+    alone. Each pass takes the full linearised penalty step, a non-negative
+    least-squares problem that Lawson and Hanson's active-set method solves
+    exactly; with one eligible node, as in point mode, the step has a closed
+    form that gives the same bits. The solve has converged once a pass changes no
     component of an eligible node's force by ``tol`` (N) or more. After
     ``max_iters`` passes without converging it starts again with half
     steps, and after as many more raises ``ContactConvergenceError``. That
@@ -213,8 +214,9 @@ class ForwardContactModel:
     form for one node), and takes that solution whole. Where that iteration
     cycles, as it can when the SDF normals jump between the faces of a
     polyhedron, the solve starts again from the same state with half steps
-    and logs a warning. Holds no state between solves, so the jaws of one
-    engine share a model.
+    and logs a warning. Every solve starts from zero force at the rest
+    shape and holds no state after it, so it is a pure function of the pose
+    and the SDF, and the jaws of one engine share a model.
     """
 
     def __init__(self, system: StiffnessSystem, fixture: JawFixture,
@@ -266,14 +268,14 @@ class ForwardContactModel:
                 f"non-negative least-squares penalty step hit its iteration cap "
                 f"over {len(g)} eligible nodes") from exc
 
-    def solve(self, jaw_from_obj: PoseTransform,
-              sdf: Callable, forces0: np.ndarray | None = None):
+    def solve(self, jaw_from_obj: PoseTransform, sdf: Callable):
         """Returns (per-node forces, net force, contact point, candidate).
 
         Point mode loads only the candidate with the deepest undeformed
         penetration (lowest index on ties); distributed mode resolves
-        penalty forces on every penetrating inner node. ``forces0`` warm-
-        starts the force magnitudes. Each pass solves the penalty
+        penalty forces on every penetrating inner node. The solve starts
+        from zero force at the rest shape, so it is a pure function of the
+        pose and the SDF. Each pass solves the penalty
         equilibrium linearised at the current deformation and takes that
         solution whole; the solve stops once no component of an eligible
         node's force differs by ``tol`` or more from the force that gave
@@ -293,9 +295,8 @@ class ForwardContactModel:
         dofs = _dofs(idx)
         w = self.node_compliance[np.ix_(dofs, dofs)]
         rest = self.rest[idx]
-        lam0 = np.zeros(m) if forces0 is None else np.linalg.norm(forces0[idx], axis=1)
         for step in _PENALTY_STEPS:
-            lam, normals, residual = lam0, np.zeros((m, 3)), np.inf
+            lam, normals, residual = np.zeros(m), np.zeros((m, 3)), np.inf
             for _ in range(cfg.max_iters):
                 # the normals are zero before the first pass, so it
                 # evaluates the SDF at the rest shape
@@ -362,16 +363,22 @@ class JawRig:
     rot_world_from_jaw: np.ndarray
     base_offset: float  # |world x| of the jaw origin at zero closure
 
-    def world_from_jaw(self, closure: float) -> PoseTransform:
+    def origin(self, closure: float) -> np.ndarray:
         sign = -1.0 if self.side == "left" else 1.0
-        t = np.array([sign * (self.base_offset - closure), 0.0, 0.0])
-        return PoseTransform(self.rot_world_from_jaw, t, "g" + self.side[0], "w")
+        return np.array([sign * (self.base_offset - closure), 0.0, 0.0])
+
+    def world_from_jaw(self, closure: float) -> PoseTransform:
+        return PoseTransform(self.rot_world_from_jaw, self.origin(closure),
+                             "g" + self.side[0], "w")
+
+
+def _object_origin(scenario: Scenario, x_center: float, z_center: float) -> np.ndarray:
+    return np.array([x_center, 0.0, z_center]) + np.asarray(scenario.object_offset)
 
 
 def _object_world_pose(scenario: Scenario, x_center: float, z_center: float) -> PoseTransform:
     rot = rot_z(math.radians(scenario.object_yaw_deg))
-    t = np.array([x_center, 0.0, z_center]) + np.asarray(scenario.object_offset)
-    return PoseTransform(rot, t, "o", "w")
+    return PoseTransform(rot, _object_origin(scenario, x_center, z_center), "o", "w")
 
 
 _SYSTEM_CACHE: dict = {}
@@ -421,8 +428,8 @@ class SimEngine:
         self.cam_from_world = self.world_from_cam.inverse()
         self.z_contact = scenario.contact_height(fixture.params.height)
         self.rng = np.random.default_rng(np.random.SeedSequence(scenario.seed))
-        self._prev_forces = [None for _ in self.rigs]
-        self._solved = [None for _ in self.rigs]  # per rig: (key, sdf, result)
+        self._rot_world_from_obj = rot_z(math.radians(scenario.object_yaw_deg))
+        self._solved = [None for _ in self.rigs]  # per rig: (key, sdf, pose, result)
         self._rho = [0.0 for _ in self.rigs]  # viscous relaxation state
         self._object_x = self._initial_object_x()
         self._pose_frame_period = max(1, round(scenario.camera_hz / scenario.pose_hz))
@@ -430,8 +437,7 @@ class SimEngine:
     # -- object placement ---------------------------------------------------
 
     def _object_half_extent_x(self) -> float:
-        rot = rot_z(math.radians(self.scenario.object_yaw_deg))
-        x = self.object_mesh.vertices @ rot.T[:, 0]
+        x = self.object_mesh.vertices @ self._rot_world_from_obj.T[:, 0]
         return float(max(x.max(), -x.min()))
 
     def _initial_object_x(self) -> float:
@@ -446,32 +452,25 @@ class SimEngine:
     # -- ground truth -------------------------------------------------------
 
     def _solve_contact(self, idx: int, closure: float, object_x: float):
-        """Object pose in the jaw frame and the jaw's penalty solve,
-        warm-started from and updating the jaw's previous node forces.
-
-        The solve is a pure function of the pose, the SDF and the warm
-        start, and a warm-started solve often returns its warm start bit
-        for bit, so the equilibrium bisection and ``_jaw_truth`` ask for
-        the same solve again. Each rig keeps its last solve in ``_solved``,
-        keyed by the bytes of the pose's rotation and translation and of
-        the warm start, and by the SDF object itself; a call with the same
-        key returns that result, the same arrays, without solving, so a
-        half-step warning that solve logged is not logged again."""
-        world_from_jaw = self.rigs[idx].world_from_jaw(closure)
-        world_from_obj = _object_world_pose(self.scenario, object_x, self.z_contact)
-        r = world_from_jaw.rotation.T @ world_from_obj.rotation
-        t = world_from_jaw.rotation.T @ (world_from_obj.translation - world_from_jaw.translation)
-        jaw_from_obj = PoseTransform(r, t, "o", "g")
-        warm = self._prev_forces[idx]
-        key = (r.tobytes(), t.tobytes(), None if warm is None else warm.tobytes())
+        """Object pose in the jaw frame and the jaw's penalty solve, which
+        starts from zero force at the rest shape and so is a pure function
+        of the pose and the SDF. The bisection, ``_jaw_truth`` and every
+        frame of a static plateau ask for the same pose again, so each rig
+        keeps its last pose and solve in ``_solved``, keyed by the bytes of
+        the pose's rotation and translation and by the SDF object (``is``);
+        a hit returns the same objects without solving, so a half-step
+        warning is not logged again."""
+        rig = self.rigs[idx]
+        r = rig.rot_world_from_jaw.T @ self._rot_world_from_obj
+        t = rig.rot_world_from_jaw.T @ (
+            _object_origin(self.scenario, object_x, self.z_contact) - rig.origin(closure))
+        key = (r.tobytes(), t.tobytes())
         solved = self._solved[idx]
-        if solved is not None and solved[0] == key and solved[1] is self.sdf:
-            result = solved[2]
-        else:
-            result = self.rigs[idx].contact_model.solve(jaw_from_obj, self.sdf, warm)
-            self._solved[idx] = (key, self.sdf, result)
-        self._prev_forces[idx] = result[0]
-        return jaw_from_obj, result
+        if solved is None or solved[0] != key or solved[1] is not self.sdf:
+            jaw_from_obj = PoseTransform(r, t, "o", "g")
+            self._solved[idx] = solved = (key, self.sdf, jaw_from_obj,
+                                          rig.contact_model.solve(jaw_from_obj, self.sdf))
+        return solved[2], solved[3]
 
     def _jaw_truth(self, idx: int, closure: float, object_x: float) -> JawTruth:
         jaw_from_obj, (forces, net, contact_point, candidate) = self._solve_contact(

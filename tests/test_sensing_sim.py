@@ -161,8 +161,7 @@ def active_set_step(g, d_free, stiffness):
     return np.clip(lam, 0.0, None)
 
 
-def relaxed_reference(model, jaw_from_obj, sdf, forces0=None, tol=1e-10,
-                      max_iters=2000):
+def relaxed_reference(model, jaw_from_obj, sdf, tol=1e-10, max_iters=2000):
     """The penalty fixed point as it was solved before the full step: every
     node's 3x3 unit-load blocks in 4-D einsums, the normal forces moved
     half way to the linearised solution per pass. Returns (forces, net,
@@ -182,7 +181,7 @@ def relaxed_reference(model, jaw_from_obj, sdf, forces0=None, tol=1e-10,
         return np.zeros((n, 3)), np.zeros(3), None, -1, eligible, fields
     idx = np.flatnonzero(eligible)
     c_sub_t = np.swapaxes(self_c[np.ix_(idx, idx)], 1, 2)
-    lam = np.zeros(n) if forces0 is None else np.linalg.norm(forces0, axis=1)
+    lam = np.zeros(n)
     normals = np.zeros((n, 3))
     for _ in range(max_iters):
         disp = np.einsum("aibd,ad->ib", self_c, lam[:, None] * normals)
@@ -249,35 +248,31 @@ class TestFullStepPenalty:
             sdf = make_sdf(spec)
             for position in ("upper", "middle", "lower"):
                 yaw = float(rng.uniform(-10.0, 10.0))
-                prev, prev_ref = None, None
                 for pose in press_poses(jaw, spec, position, presses, yaw):
                     poses += 1
-                    for warm in (False, True):
-                        seen = []
+                    seen = []
 
-                        def recording_sdf(pts):
-                            seen.append(pts)
-                            return sdf(pts)
+                    def recording_sdf(pts):
+                        seen.append(pts)
+                        return sdf(pts)
 
-                        forces, net, cp, cand = model.solve(
-                            pose, recording_sdf, prev if warm else None)
-                        ref = relaxed_reference(model, pose, sdf, prev_ref if warm else None)
-                        r_forces, r_net, r_cp, r_cand, eligible, fields = ref
-                        # the first pass evaluates the SDF at the undeformed
-                        # eligible nodes, so it names the solve's eligible set
-                        first_pass = seen[1] if len(seen) > 1 else np.empty((0, 3))
-                        expect = pose.inverse().apply(model.rest[eligible])
-                        assert np.array_equal(first_pass, expect), (kind, name, position)
-                        assert not forces[~eligible].any()
-                        assert cand == r_cand, (kind, name, position)
-                        assert np.linalg.norm(net - r_net) <= 1e-6, (kind, name, position)
-                        disp = model.full_displacement(forces)
-                        disp_ref = np.einsum("avbd,ad->vb", fields, forces)
-                        scale = np.abs(disp_ref).max()
-                        assert np.abs(disp - disp_ref).max() <= 1e-12 * scale
-                        assert (cp is None) == (r_cp is None)
+                    forces, net, cp, cand = model.solve(pose, recording_sdf)
+                    _, r_net, r_cp, r_cand, eligible, fields = relaxed_reference(
+                        model, pose, sdf)
+                    # the first pass evaluates the SDF at the undeformed
+                    # eligible nodes, so it names the solve's eligible set
+                    first_pass = seen[1] if len(seen) > 1 else np.empty((0, 3))
+                    expect = pose.inverse().apply(model.rest[eligible])
+                    assert np.array_equal(first_pass, expect), (kind, name, position)
+                    assert not forces[~eligible].any()
+                    assert cand == r_cand, (kind, name, position)
+                    assert np.linalg.norm(net - r_net) <= 1e-6, (kind, name, position)
+                    disp = model.full_displacement(forces)
+                    disp_ref = np.einsum("avbd,ad->vb", fields, forces)
+                    scale = np.abs(disp_ref).max()
+                    assert np.abs(disp - disp_ref).max() <= 1e-12 * scale
+                    assert (cp is None) == (r_cp is None)
                     in_contact += int(forces.any())
-                    prev, prev_ref = forces, r_forces
         assert poses >= 200
         assert in_contact > poses // 2
 
@@ -378,10 +373,11 @@ class TestNonNegativeStep:
         assert (np.abs(lam * w) <= tol * max(lam.max(), 1.0)).all()
 
     def test_matches_active_set_loop_on_recorded_passes(self, monkeypatch):
-        """Every pass of a distributed static cell (lower-d35, up to 42
-        eligible nodes) and of a point-contact wedge grasp, recorded and
-        solved again by ``active_set_step``: the same loaded nodes, and
-        forces within 1e-9 N (1.1e-10 N measured)."""
+        """Every pass of two distributed static cells (lower-d35, up to 42
+        eligible nodes, and lower-d25) and of point-contact wedge grasps at
+        the middle and upper positions, recorded and solved again by
+        ``active_set_step``: the same loaded nodes, and forces within 1e-9 N
+        (1.3e-12 N measured)."""
         passes = []
         step = ForwardContactModel._implicit_normal_forces
 
@@ -391,20 +387,22 @@ class TestNonNegativeStep:
             return out
 
         monkeypatch.setattr(ForwardContactModel, "_implicit_normal_forces", recording_step)
-        static = harness_cli.default_noisy_scenario(
-            shape=ShapeSpec.cylinder(0.035), contact_position="lower",
-            schedule=ScheduleConfig(kind="static", cycles=1, plateaus_mm=(0, 4, 10, 4, 0)),
-            contact=ContactModelConfig(model="distributed"))
-        eng = SimEngine(static)
-        for t, closure, _, _ in static_profile(static.schedule, static.camera_hz):
-            eng.step_truth(t, closure)
+        for diameter in (0.035, 0.025):
+            static = harness_cli.default_noisy_scenario(
+                shape=ShapeSpec.cylinder(diameter), contact_position="lower",
+                schedule=ScheduleConfig(kind="static", cycles=1, plateaus_mm=(0, 4, 10, 4, 0)),
+                contact=ContactModelConfig(model="distributed"))
+            eng = SimEngine(static)
+            for t, closure, _, _ in static_profile(static.schedule, static.camera_hz):
+                eng.step_truth(t, closure)
         n_static = len(passes)
-        grasp = harness_cli.default_noisy_scenario(
-            shape=ShapeSpec.wedge(), contact_position="middle", seed=0, dual_jaw=True,
-            schedule=ScheduleConfig(kind="grasp", closing_speed_mm_s=8.0, target_force=5.0,
-                                    hold_s=0.5),
-            contact=ContactModelConfig(model="point"))
-        run_scenario(grasp, SimEngine(grasp))
+        for position in ("middle", "upper"):
+            grasp = harness_cli.default_noisy_scenario(
+                shape=ShapeSpec.wedge(), contact_position=position, seed=0, dual_jaw=True,
+                schedule=ScheduleConfig(kind="grasp", closing_speed_mm_s=8.0, target_force=5.0,
+                                        hold_s=0.5),
+                contact=ContactModelConfig(model="point"))
+            run_scenario(grasp, SimEngine(grasp))
         assert n_static > 500 and max(len(p[0]) for p in passes[:n_static]) > 30
         assert len(passes) - n_static > 1000
         for g, d_free, stiffness, lam in passes:
@@ -416,7 +414,8 @@ class TestNonNegativeStep:
         """The one-node step's closed form against the Cholesky,
         ``solve_triangular`` and ``nnls`` triple it skips, bit for bit:
         random 1x1 inputs with d_free below, at and above zero, down to
-        subnormal depths, and every pass of a point-contact wedge grasp."""
+        subnormal depths, and every pass of point-contact grasps of the
+        wedge, the cuboid and a cylinder."""
         model = ForwardContactModel(system, jaw, ContactModelConfig(model="point"))
         k = model.cfg.stiffness
         rng = np.random.default_rng(5)
@@ -440,7 +439,9 @@ class TestNonNegativeStep:
             return step(self, g, depth, lam)
 
         monkeypatch.setattr(ForwardContactModel, "_implicit_normal_forces", recording_step)
-        run_scenario(dual_grasp_scenario(shape=ShapeSpec.wedge()))
+        for shape in (ShapeSpec.wedge(), TestFullStepPenalty.SHAPES["cuboid"],
+                      ShapeSpec.cylinder(0.025)):
+            run_scenario(dual_grasp_scenario(shape=shape))
         assert len(recorded) > 500
         signs = {"<": 0, "=": 0, ">": 0}
         for g, depth, lam in inputs + recorded:
@@ -813,8 +814,8 @@ class TestOracleFastPaths:
     def test_solve_memo_matches_cleared_memo(self):
         # a dual-jaw wedge grasp with each rig's one-entry solve memo,
         # against the same grasp with the memo cleared before every
-        # _solve_contact: every call gives the same bits and leaves the
-        # same warm start, and fewer penalty solves run
+        # _solve_contact: every call gives the same pose and solve bits,
+        # and fewer penalty solves run
         def run(clear):
             eng = SimEngine(dual_grasp_scenario(shape=ShapeSpec.wedge()))
             model = eng.rigs[0].contact_model
@@ -831,7 +832,7 @@ class TestOracleFastPaths:
                 pose, (forces, net, cp, cand) = solve_contact(idx, closure, object_x)
                 calls.append((idx, forces.tobytes(), net.tobytes(), cand,
                               None if cp is None else cp.tobytes(),
-                              eng._prev_forces[idx].tobytes()))
+                              pose.rotation.tobytes(), pose.translation.tobytes()))
                 return pose, (forces, net, cp, cand)
 
             model.solve = counting_solve
@@ -846,9 +847,9 @@ class TestOracleFastPaths:
         assert sum(c[3] >= 0 for c in memo) > 100
 
     def test_solve_memo_keyed_by_sdf_object(self):
-        # repeated calls reach a warm start the solve returns unchanged, and
-        # the memo answers from then on; a new SDF object, even one that
-        # computes the same distances, is solved again
+        # the first repeat of a pose is answered from the memo, with the
+        # same arrays; a new SDF object, even one that computes the same
+        # distances, is solved again
         eng = SimEngine(dual_grasp_scenario())
         closure = touch_closure(eng) + 0.002
         calls = []
@@ -860,19 +861,57 @@ class TestOracleFastPaths:
             return wrapped
 
         eng.sdf = counted(eng.sdf)
-        for _ in range(10):
-            start = len(calls)
-            forces = eng._solve_contact(0, closure, 0.0)[1][0]
-            if len(calls) == start:
-                break
-        else:
-            pytest.fail("no repeated solve was answered from the memo")
+        forces = eng._solve_contact(0, closure, 0.0)[1][0]
+        start = len(calls)
+        assert eng._solve_contact(0, closure, 0.0)[1][0] is forces
+        assert len(calls) == start
         assert np.abs(forces).max() > 0.5
         eng.sdf = counted(eng.sdf)
         start = len(calls)
         again = eng._solve_contact(0, closure, 0.0)[1][0]
         assert len(calls) > start
         assert again.tobytes() == forces.tobytes()
+
+    def test_static_truth_is_a_function_of_closure(self, monkeypatch):
+        # a distributed static d25 cell stepped through its schedule on one
+        # engine, against each of its closures stepped on a fresh engine:
+        # bitwise equal truth, and one penalty solve each time the closure
+        # changes, none for the repeated frames of a plateau
+        scenario = harness_cli.default_noisy_scenario(
+            shape=ShapeSpec.cylinder(0.025), contact_position="middle",
+            schedule=ScheduleConfig(kind="static", cycles=1, plateaus_mm=(0, 4, 10, 4, 0)),
+            contact=ContactModelConfig(model="distributed"))
+        solves = []
+        solve = ForwardContactModel.solve
+
+        def counting_solve(self, jaw_from_obj, sdf):
+            solves.append(1)
+            return solve(self, jaw_from_obj, sdf)
+
+        monkeypatch.setattr(ForwardContactModel, "solve", counting_solve)
+        closures = [c for _, c, _, _ in static_profile(scenario.schedule, scenario.camera_hz)]
+        eng = SimEngine(scenario)
+        stepped = {}
+        for closure in closures:
+            truth = eng.step_truth(0.0, closure).jaws[0]
+            stepped.setdefault(closure, []).append((truth, eng._solved[0][3][0]))
+        changes = sum(a != b for a, b in zip(closures, closures[1:]))
+        assert len(solves) == 1 + changes < len(closures) // 2
+        in_contact = 0
+        for closure, runs in stepped.items():
+            fresh = SimEngine(scenario)
+            truth = fresh.step_truth(0.0, closure).jaws[0]
+            forces = fresh._solved[0][3][0]
+            for mine, my_forces in runs:
+                assert my_forces.tobytes() == forces.tobytes()
+                assert mine.force.tobytes() == truth.force.tobytes()
+                assert mine.candidate == truth.candidate
+                assert (mine.contact_point is None) == (truth.contact_point is None)
+                if truth.contact_point is not None:
+                    assert mine.contact_point.tobytes() == truth.contact_point.tobytes()
+                assert mine.displacements.tobytes() == truth.displacements.tobytes()
+            in_contact += truth.candidate >= 0
+        assert len(stepped) > 10 and in_contact == len(stepped) - 1  # all but closure 0
 
     def test_net_force_matches_jaw_truth(self):
         # the bisection's net-force-only evaluation against the full
@@ -887,8 +926,10 @@ class TestOracleFastPaths:
             for idx, rig in enumerate(ref.rigs):
                 expect -= (rig.rot_world_from_jaw @ ref._jaw_truth(idx, closure, x).force)[0]
             assert np.float64(net).tobytes() == np.float64(expect).tobytes()
-            for mine, theirs in zip(fast._prev_forces, ref._prev_forces):
-                assert np.array_equal(mine, theirs)
+            # both engines hold the same last pose and forces per rig
+            for mine, theirs in zip(fast._solved, ref._solved):
+                assert mine[0] == theirs[0]
+                assert mine[3][0].tobytes() == theirs[3][0].tobytes()
             nets.append(net)
         assert nets[0] == 0.0 and max(abs(n) for n in nets) > 0.1
 
