@@ -33,6 +33,11 @@ class FrameError(ValueError):
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
 
+# a pose sample older than this (s) degrades a frame before stable contact
+POSE_TIMEOUT_S = 0.5
+# snaps in a row to the mounted candidate that make contact stable
+STABLE_FRAMES = 5
+
 
 @dataclass(frozen=True)
 class PoseTransform:
@@ -118,15 +123,17 @@ class ContactState:
     flag, how many frames in a row snapped to the mounted candidate, the
     last intersection center, and the grasp-axis offset ``l0`` used by the
     pre-estimate. The mounted candidate itself is held only by the
-    estimator's ``ContactCandidateSet``."""
+    estimator's ``ContactCandidateSet``. Contact is stable after
+    ``STABLE_FRAMES`` snaps in a row; from then on the pose gate flags no
+    stale pose."""
 
     status: bool = False
     centroid: Optional[np.ndarray] = None
     l0: float = 0.0
     stable_frames: int = 0
 
-    def is_stable(self, min_frames: int = 5) -> bool:
-        return self.status and self.stable_frames >= min_frames
+    def is_stable(self) -> bool:
+        return self.status and self.stable_frames >= STABLE_FRAMES
 
 
 def pre_estimate_translation(state: ContactState, rotation: np.ndarray,
@@ -165,12 +172,12 @@ class PoseRateGate:
     """Zero-order hold over a slow pose stream.
 
     Before stable contact the gate serves the latest sample and flags the
-    frame degraded when the sample is older than ``timeout``. Once contact
-    is stable the pipeline no longer waits on pose freshness: the held
-    pose stays valid and staleness is not flagged.
+    frame degraded when the sample is older than ``POSE_TIMEOUT_S``, five
+    periods of the simulated 10 Hz pose stream, whose rate no run varies
+    either. Once contact is stable the pipeline no longer waits on pose
+    freshness: the held pose stays valid and staleness is not flagged.
     """
 
-    timeout: float = 0.5
     last_pose: Optional[PoseTransform] = None
     last_time: float = -np.inf
 
@@ -188,6 +195,6 @@ class PoseRateGate:
             return self.last_pose, "fresh", False
         if contact_stable:
             return self.last_pose, "held", False
-        if age > self.timeout:
+        if age > POSE_TIMEOUT_S:
             return self.last_pose, "stale", True
         return self.last_pose, "held", False

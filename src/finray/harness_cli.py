@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, config as cfgmod
 from .fem_core import MaterialModel, precompute_compliance
 from .fixtures import JawParams, ShapeSpec, canonical_jaw, generate_jaw, save_fixture
-from .inverse_solver import ContactCandidateSet, EffectorSet, solve
+from .inverse_solver import DEFAULT_EPSILON, ContactCandidateSet, EffectorSet, solve
 from .mesh_calibration import CameraModel, calibrate, load_point_cloud
 from .mesh_model import load_obj, load_off, save_obj, save_off, SurfaceMesh
 from .metrics_force import (
@@ -35,7 +35,7 @@ from .metrics_force import (
     decompose,
     rmse_nrmsd,
 )
-from .pipeline import EstimatorSettings, JawEstimator, RunResult, run_estimation
+from .pipeline import EstimatorSettings, JawEstimator, RunResult, load_run_csv, run_estimation
 from .sensing_sim import (
     ContactModelConfig,
     NoiseConfig,
@@ -441,8 +441,7 @@ def tune_epsilon(out_dir: Path, seed: int = 0, n_trials: int = 150,
     effectors = EffectorSet.from_fixture(fixture)
     rest = effectors.rest_positions
     schedule = {}
-    default_eps = 1e-4
-    eps_values = list(dict.fromkeys(list(eps_grid) + [default_eps]))
+    eps_values = list(dict.fromkeys(list(eps_grid) + [DEFAULT_EPSILON]))
     for ci in range(n_c):
         f_max = min(NORMALIZATION_RANGE_N, max_displacement / float(ops.w_aa[ci][0, 0]))
         mags = rng.uniform(0.5, f_max, n_trials)
@@ -464,10 +463,10 @@ def tune_epsilon(out_dir: Path, seed: int = 0, n_trials: int = 150,
                 errors[eps].append(np.linalg.norm(sol.lam - forces[k]))
         rmse = {eps: float(np.sqrt(np.mean(np.square(e)))) for eps, e in errors.items()}
         best = min(eps_grid, key=lambda e: rmse[e])
-        if rmse[best] >= rmse[default_eps]:
+        if rmse[best] >= rmse[DEFAULT_EPSILON]:
             logger.warning("candidate %d: search did not improve on default, keeping %g",
-                           ci, default_eps)
-            best = default_eps
+                           ci, DEFAULT_EPSILON)
+            best = DEFAULT_EPSILON
         schedule[f"epsilon.{ci}"] = float(best)
     schedule["meta.force_max_n"] = NORMALIZATION_RANGE_N
     schedule["meta.seed"] = seed
@@ -484,28 +483,32 @@ def _write_report(out_dir: Path, report: MetricsReport) -> None:
     (out_dir / f"report-{report.suite}.md").write_text(report.markdown())
 
 
+def scored_series(rows: list[dict]) -> tuple[np.ndarray, np.ndarray]:
+    """(estimate, truth) that one run is scored on, from its frame rows (a
+    ``RunResult``'s or a loaded CSV's): one jaw's force over its recorded
+    frames, or for a dual-jaw run the grasp force (``grasp_sim`` against
+    ``grasp_gt``) over the rows that hold it, as ``suite_onrobot`` scores
+    it."""
+    jaw0 = [r for r in rows if r["jaw"] == 0]
+    if len(jaw0) < len(rows):
+        sim = np.array([r["grasp_sim"] for r in jaw0])
+        gt = np.array([r["grasp_gt"] for r in jaw0])
+        keep = np.isfinite(sim)
+    else:
+        sim = np.array([r["f_sim_n"] for r in jaw0])
+        gt = np.array([r["f_gt_n"] for r in jaw0])
+        keep = np.array([r["recording"] for r in jaw0], dtype=bool)
+    return sim[keep], gt[keep]
+
+
 def rescore_runs(run_dir: Path, out_dir: Path) -> MetricsReport:
-    """Re-aggregate metrics from existing run CSVs without re-simulation:
-    one jaw's force over its recorded frames, or for a dual-jaw CSV the
-    grasp force (``grasp_sim`` against ``grasp_gt``) wherever it is set."""
-    from .pipeline import load_run_csv
+    """Re-aggregate metrics from existing run CSVs without re-simulation,
+    each scored by ``scored_series``."""
     conditions = []
     for csv_path in sorted(run_dir.glob("*.csv")):
-        rows = load_run_csv(csv_path)
-        jaw0 = [r for r in rows if r["jaw"] == 0]
-        if len(jaw0) < len(rows):
-            # two jaws: the grasp force over the rows that hold it, as
-            # suite_onrobot scores a dual-jaw run
-            sim = np.array([r["grasp_sim"] for r in jaw0])
-            gt = np.array([r["grasp_gt"] for r in jaw0])
-            keep = np.isfinite(sim)
-        else:
-            sim = np.array([r["f_sim_n"] for r in jaw0])
-            gt = np.array([r["f_gt_n"] for r in jaw0])
-            keep = np.array([r["recording"] for r in jaw0], dtype=bool)
-        if not keep.any():
+        sim, gt = scored_series(load_run_csv(csv_path))
+        if not len(sim):
             continue
-        sim, gt = sim[keep], gt[keep]
         r, n = rmse_nrmsd(sim, gt)
         conditions.append(ConditionMetrics(csv_path.stem, r, 0.0, n, 0.0,
                                            float(np.abs(sim - gt).max()), 1))
@@ -596,9 +599,9 @@ def cmd_run(args) -> int:
     res = run_estimation(scenario, settings)
     res.to_csv(out / "run.csv")
     res.write_manifest(out / "manifest.json")
-    rec = res.recorded_mask()
-    if rec.any():
-        r, n = rmse_nrmsd(res.column("f_sim_n")[rec], res.column("f_gt_n")[rec])
+    sim, gt = scored_series(res.frames)
+    if len(sim):
+        r, n = rmse_nrmsd(sim, gt)
         print(f"frames={res.manifest.n_frames} rmse={r:.4f} N nrmsd={n:.2f}%")
     print(f"outputs in {out}")
     return 0

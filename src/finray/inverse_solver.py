@@ -19,6 +19,10 @@ from .fem_core import ComplianceOperators
 from .mesh_model import DeformedState
 
 MIN_ACTIVE_EFFECTORS = 3
+# lowest keypoint confidence the filter accepts
+CONFIDENCE_THRESHOLD = 0.6
+# regularization weight of every candidate when no schedule is given
+DEFAULT_EPSILON = 1e-4
 
 
 class DegenerateSolveError(RuntimeError):
@@ -31,17 +35,20 @@ class InsufficientEffectorsError(RuntimeError):
 
 @dataclass(frozen=True)
 class KeypointFilter:
-    """Confidence thresholding followed by workspace bounding-box
-    filtering, both in the jaw frame."""
+    """Confidence thresholding at ``CONFIDENCE_THRESHOLD`` followed by
+    filtering to the workspace box ``bbox_lo``..``bbox_hi`` in the jaw
+    frame. The estimator sizes the box from its fixture. The threshold is
+    fixed: it lies between the confidence the simulated detector gives
+    visible keypoints and the one it gives the occluded keypoints it flags,
+    and those are constants too."""
 
-    confidence_threshold: float = 0.6
-    bbox_lo: tuple[float, float, float] = (-0.05, -0.05, -0.02)
-    bbox_hi: tuple[float, float, float] = (0.05, 0.05, 0.12)
+    bbox_lo: tuple[float, float, float]
+    bbox_hi: tuple[float, float, float]
 
     def accept(self, positions_jaw: np.ndarray, confidence: np.ndarray) -> np.ndarray:
         lo = np.asarray(self.bbox_lo)
         hi = np.asarray(self.bbox_hi)
-        conf_ok = confidence >= self.confidence_threshold
+        conf_ok = confidence >= CONFIDENCE_THRESHOLD
         finite = np.all(np.isfinite(positions_jaw), axis=1)
         in_box = finite & np.all((positions_jaw >= lo) & (positions_jaw <= hi), axis=1)
         return conf_ok & in_box
@@ -111,7 +118,7 @@ class ContactCandidateSet:
     def from_fixture(cls, fixture, epsilons=None, mounted_index: int | None = None) -> "ContactCandidateSet":
         n = len(fixture.candidate_ids)
         if epsilons is None:
-            eps = np.full(n, 1e-4)
+            eps = np.full(n, DEFAULT_EPSILON)
         else:
             eps = np.broadcast_to(np.asarray(epsilons, dtype=np.float64), (n,)).copy()
         if mounted_index is None:

@@ -794,6 +794,16 @@ class ContainmentGrid:
         return inside
 
 
+def content_key(*arrays: np.ndarray) -> str:
+    """sha256 hex digest over each array's shape and bytes, in order: the
+    content key of the process-wide caches of grids and stiffness systems."""
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(repr(arr.shape).encode())
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
 _GRIDS: dict = {}
 _GRIDS_LOCK = threading.Lock()
 
@@ -801,11 +811,7 @@ _GRIDS_LOCK = threading.Lock()
 def containment_grid(mesh: SurfaceMesh) -> ContainmentGrid:
     """One grid per surface content, shared by every rigid surface of
     that mesh; built on first use."""
-    digest = hashlib.sha256()
-    for arr in (mesh.vertices, mesh.triangles):
-        digest.update(repr(arr.shape).encode())
-        digest.update(arr.tobytes())
-    key = digest.hexdigest()
+    key = content_key(mesh.vertices, mesh.triangles)
     with _GRIDS_LOCK:
         if key not in _GRIDS:
             _GRIDS[key] = ContainmentGrid(mesh)

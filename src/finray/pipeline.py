@@ -53,19 +53,25 @@ from .sensing_sim import (
 
 # edge subdivisions of the lattice that samples the jaw for the contact patch
 _INTERSECT_DENSITY = 3
+# margin (m) around the undeformed jaw of the box that keypoints must lie in
+BBOX_MARGIN = 0.012
 
 
 @dataclass(frozen=True)
 class EstimatorSettings:
-    """Solver and localizer configuration for one run."""
+    """What a run chooses for the estimator: the regularization weights and
+    how the candidate is mounted.
 
-    epsilons: tuple | float | None = None  # None -> 1e-4 everywhere
-    confidence_threshold: float = 0.6
-    bbox_margin: float = 0.012
+    The rest is fixed, by constants in the modules that use them: the
+    keypoint filter's ``inverse_solver.CONFIDENCE_THRESHOLD`` and this
+    module's ``BBOX_MARGIN``, and the pose gate's
+    ``contact_localizer.POSE_TIMEOUT_S`` and ``STABLE_FRAMES``. They are
+    set against the simulated sensor, whose confidences and pose rate are
+    constants too."""
+
+    epsilons: tuple | float | None = None  # None -> inverse_solver.DEFAULT_EPSILON
     mount_mode: str = "estimator"  # estimator | fixed | matched
     fixed_index: int = 7
-    pose_timeout: float = 0.5
-    stable_frames: int = 5
 
 
 @dataclass
@@ -137,12 +143,11 @@ class JawEstimator:
         self.candidates = ContactCandidateSet.from_fixture(
             rig.fixture, epsilons=settings.epsilons,
             mounted_index=settings.fixed_index if settings.mount_mode == "fixed" else None)
-        lo, hi = rig.fixture.bbox(settings.bbox_margin)
-        self.filter = KeypointFilter(settings.confidence_threshold,
-                                     tuple(lo), tuple(hi))
+        lo, hi = rig.fixture.bbox(BBOX_MARGIN)
+        self.filter = KeypointFilter(tuple(lo), tuple(hi))
         self.rot_jaw_from_cam = engine.jaw_cam_rotation(jaw_index)
         self.ref_jaw = rig.fixture.mesh.vertices[rig.fixture.reference_id]
-        self.gate = PoseRateGate(timeout=settings.pose_timeout)
+        self.gate = PoseRateGate()
         self.contact_state = ContactState(l0=rig.fixture.l0)
         template = rig.fixture.mesh.surface()
         self.jaw_surface = DeformableSurface(template)
@@ -165,7 +170,7 @@ class JawEstimator:
     def step(self, observation: Observation, t: float,
              truth_candidate: int = -1) -> FrameEstimate:
         settings = self.settings
-        stable = self.contact_state.is_stable(settings.stable_frames)
+        stable = self.contact_state.is_stable()
         self.gate.feed(observation.pose_sample, t)
         pose_cam_from_obj, pose_source, pose_degraded = self.gate.get(t, stable)
 

@@ -14,7 +14,6 @@ rotated half a turn about z.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import math
 import threading
@@ -28,7 +27,7 @@ from .contact_localizer import PoseTransform, look_at, rot_z, rotation_about
 from .fem_core import MaterialModel, StiffnessSystem, assemble
 from .fixtures import JawFixture, ShapeSpec, canonical_jaw, make_object_mesh, make_sdf
 from .mesh_calibration import CameraModel, PointCloud, partial_view
-from .mesh_model import DeformableSurface, SurfaceMesh
+from .mesh_model import DeformableSurface, SurfaceMesh, content_key
 
 logger = logging.getLogger(__name__)
 
@@ -43,15 +42,46 @@ class ContactConvergenceError(RuntimeError):
 # between the faces of a polyhedron), the half step from the same start
 _PENALTY_STEPS = (1.0, 0.5)
 
+# the penalty law: stiffness (N/m), the force change (N) under which a
+# solve has converged, and the passes per step size before it gives up
+PENALTY_STIFFNESS = 1e6
+PENALTY_TOL = 1e-8
+PENALTY_MAX_ITERS = 200
+
+# keypoint confidence (mean, standard deviation) of a visible keypoint, of
+# an occluded one flagged by the detector, and of one drifted onto the
+# occluder or the background
+CONFIDENCE_VISIBLE = (0.95, 0.02)
+CONFIDENCE_OCCLUDED = (0.2, 0.1)
+CONFIDENCE_DRIFT = (0.9, 0.05)
+
+# rig geometry: distance (m) between the untouched inner faces at zero
+# closure, and the world point the camera looks at
+JAW_GAP = 0.048
+CAMERA_TARGET = (0.0, 0.0, 0.045)
+
+# rate (Hz) of the object pose stream beside the camera's keypoints
+POSE_HZ = 10.0
+
+# grasp force (N) above which a grasp leaves "pre", and below which an
+# unloading grasp enters "post"
+RELEASE_THRESHOLD_N = 0.02
+
 
 @dataclass(frozen=True)
 class NoiseConfig:
+    """Sensor noise: keypoint position noise (m, in the camera frame), the
+    pose stream's rotation (deg) and translation (m) noise, and the chance
+    that a drifted keypoint lands on the background rather than on the
+    occluder. The suites vary these. The confidence distributions the
+    detector reports are the constants ``CONFIDENCE_VISIBLE``,
+    ``CONFIDENCE_OCCLUDED`` and ``CONFIDENCE_DRIFT``: the estimator's fixed
+    ``inverse_solver.CONFIDENCE_THRESHOLD`` lies between the first two, so
+    they are part of the sensor model rather than a run's settings."""
+
     keypoint_sigma: float = 0.001
     pose_rot_deg: float = 2.0
     pose_trans_sigma: float = 0.002
-    confidence_visible: tuple[float, float] = (0.95, 0.02)
-    confidence_occluded: tuple[float, float] = (0.2, 0.1)
-    confidence_drift: tuple[float, float] = (0.9, 0.05)
     drift_background_prob: float = 0.3
 
     @classmethod
@@ -69,22 +99,22 @@ class ContactModelConfig:
     slow stress-relaxation surrogate with time constant ``viscous_tau``
     (s), applied to the reported force only, never to the deformation.
 
-    ``stiffness`` is the penalty stiffness in N/m. A solve starts from zero
+    The penalty law is fixed by module constants, since the truth every
+    suite scores against is defined by it: ``PENALTY_STIFFNESS`` (N/m),
+    ``PENALTY_TOL`` and ``PENALTY_MAX_ITERS``. A solve starts from zero
     force at the rest shape, so it is a function of the pose and the SDF
     alone. Each pass takes the full linearised penalty step, a non-negative
     least-squares problem that Lawson and Hanson's active-set method solves
-    exactly; with one eligible node, as in point mode, the step has a closed
-    form that gives the same bits. The solve has converged once a pass changes no
-    component of an eligible node's force by ``tol`` (N) or more. After
-    ``max_iters`` passes without converging it starts again with half
-    steps, and after as many more raises ``ContactConvergenceError``. That
-    error is also raised if one step's active-set method reaches its cap
-    of three iterations per eligible node, the only way a step can fail.
+    exactly; with one eligible node, as in point mode, the step has a
+    closed form that gives the same bits. The solve has converged once a
+    pass changes no component of an eligible node's force by
+    ``PENALTY_TOL`` (N) or more. After ``PENALTY_MAX_ITERS`` passes
+    without converging it starts again with half steps, and after as many
+    more raises ``ContactConvergenceError``. That error is also raised if
+    one step's active-set method reaches its cap of three iterations per
+    eligible node, the only way a step can fail.
     """
 
-    stiffness: float = 1e6
-    tol: float = 1e-8
-    max_iters: int = 200
     model: str = "point"
     viscous_gamma: float = 0.0
     viscous_tau: float = 25.0
@@ -92,6 +122,10 @@ class ContactModelConfig:
 
 @dataclass(frozen=True)
 class ScheduleConfig:
+    """Closure schedule: static plateaus, or a grasp that closes until
+    ``target_force`` (or ``max_closure_mm``), holds, and opens. A grasp's
+    stage boundaries at contact and release are ``RELEASE_THRESHOLD_N``."""
+
     kind: str = "static"  # static | grasp
     plateaus_mm: tuple = (0, 2, 4, 6, 8, 10, 8, 6, 4, 2, 0)
     ramp_s: float = 0.2
@@ -101,14 +135,18 @@ class ScheduleConfig:
     closing_speed_mm_s: float = 1.0
     target_force: float = 5.0
     hold_s: float = 6.0
-    release_threshold: float = 0.02
     max_closure_mm: float = 14.0
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything a run needs: object, contact placement, schedule, sensor
-    noise, occlusion mode, frame rates, and the seed."""
+    """Everything a run varies: object, contact placement, schedule, sensor
+    noise, occlusion mode, camera rate and position, and the seed.
+
+    What no run varies is a module constant: the jaw gap ``JAW_GAP``, the
+    camera's target ``CAMERA_TARGET``, the pose stream's ``POSE_HZ``, and
+    the jaw material, ``MaterialModel()``, which the estimator's compliance
+    shares with the oracle."""
 
     shape: ShapeSpec = field(default_factory=ShapeSpec)
     contact_position: str = "middle"  # upper | middle | lower
@@ -117,21 +155,16 @@ class Scenario:
     contact: ContactModelConfig = field(default_factory=ContactModelConfig)
     occlusion_mode: str = "off"  # off | confidence | drift
     camera_hz: float = 30.0
-    pose_hz: float = 10.0
     seed: int = 0
     dual_jaw: bool = False
-    gap: float = 0.048
     clearance_mm: float = 0.5
     object_yaw_deg: float = 0.0
     object_offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
     camera_eye: tuple[float, float, float] = (0.02, 0.09, 0.16)
-    camera_target: tuple[float, float, float] = (0.0, 0.0, 0.045)
-    material_e: float = 26e6
-    material_nu: float = 0.48
 
     def __post_init__(self):
-        if self.camera_hz <= 0 or self.pose_hz <= 0:
-            raise ValueError("frame rates must be positive")
+        if self.camera_hz <= 0:
+            raise ValueError("camera rate must be positive")
         if self.contact_position not in ("upper", "middle", "lower"):
             raise ValueError(f"unknown contact position {self.contact_position!r}")
 
@@ -255,11 +288,11 @@ class ForwardContactModel:
         bit for bit, +0.0 included where d_free <= 0."""
         d_free = depth + g @ lam
         if len(g) == 1:
-            c = math.sqrt(g[0, 0] + 1.0 / self.cfg.stiffness)
+            c = math.sqrt(g[0, 0] + 1.0 / PENALTY_STIFFNESS)
             lam1 = (d_free[0] / c) / c
             return np.array([lam1 if lam1 > 0.0 else 0.0])
         import scipy.optimize  # deferred: point contact never reaches it
-        chol = scipy.linalg.cholesky(g + np.eye(len(g)) / self.cfg.stiffness, lower=True)
+        chol = scipy.linalg.cholesky(g + np.eye(len(g)) / PENALTY_STIFFNESS, lower=True)
         rhs = scipy.linalg.solve_triangular(chol, d_free, lower=True)
         try:
             return scipy.optimize.nnls(chol.T, rhs)[0]
@@ -275,10 +308,10 @@ class ForwardContactModel:
         penetration (lowest index on ties); distributed mode resolves
         penalty forces on every penetrating inner node. The solve starts
         from zero force at the rest shape, so it is a pure function of the
-        pose and the SDF. Each pass solves the penalty
-        equilibrium linearised at the current deformation and takes that
-        solution whole; the solve stops once no component of an eligible
-        node's force differs by ``tol`` or more from the force that gave
+        pose and the SDF. Each pass solves the penalty equilibrium
+        linearised at the current deformation and takes that solution
+        whole; the solve stops once no component of an eligible node's
+        force differs by ``PENALTY_TOL`` or more from the force that gave
         the pass its deformation.
         """
         cfg = self.cfg
@@ -297,7 +330,7 @@ class ForwardContactModel:
         rest = self.rest[idx]
         for step in _PENALTY_STEPS:
             lam, normals, residual = np.zeros(m), np.zeros((m, 3)), np.inf
-            for _ in range(cfg.max_iters):
+            for _ in range(PENALTY_MAX_ITERS):
                 # the normals are zero before the first pass, so it
                 # evaluates the SDF at the rest shape
                 applied = lam[:, None] * normals
@@ -310,16 +343,16 @@ class ForwardContactModel:
                 lam_target = self._implicit_normal_forces(g, -d, lam)
                 residual = float(np.abs(lam_target[:, None] * normals - applied).max())
                 lam = lam + step * (lam_target - lam)
-                if residual < cfg.tol:
+                if residual < PENALTY_TOL:
                     break
-            if residual < cfg.tol:
+            if residual < PENALTY_TOL:
                 break
             logger.warning("penalty fixed point with step %g did not converge in %d "
                            "iterations: last residual %.3g N over %d eligible nodes",
-                           step, cfg.max_iters, residual, m)
+                           step, PENALTY_MAX_ITERS, residual, m)
         else:
             raise ContactConvergenceError(
-                f"penalty fixed point did not converge in {cfg.max_iters} iterations: "
+                f"penalty fixed point did not converge in {PENALTY_MAX_ITERS} iterations: "
                 f"last residual {residual:.3g} N over {m} eligible nodes")
         block = lam[:, None] * normals
         forces[idx] = block
@@ -388,11 +421,9 @@ _SYSTEM_LOCK = threading.Lock()
 def cached_system(mesh, material: MaterialModel) -> StiffnessSystem:
     """One stiffness system, with its factorization and field bank, per
     mesh content and material; shared across engines, jaws and threads."""
-    digest = hashlib.sha256()
-    for arr in (mesh.vertices, mesh.tets, mesh.fixed_vertex_ids, mesh.inner_surface_ids):
-        digest.update(repr(arr.shape).encode())
-        digest.update(arr.tobytes())
-    key = (digest.hexdigest(), material.youngs_modulus, material.poisson_ratio)
+    key = (content_key(mesh.vertices, mesh.tets, mesh.fixed_vertex_ids,
+                       mesh.inner_surface_ids),
+           material.youngs_modulus, material.poisson_ratio)
     with _SYSTEM_LOCK:
         if key not in _SYSTEM_CACHE:
             _SYSTEM_CACHE[key] = assemble(mesh, material)
@@ -406,16 +437,15 @@ class SimEngine:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         fixture = canonical_jaw()
-        material = MaterialModel(scenario.material_e, scenario.material_nu)
         sides = ("left", "right") if scenario.dual_jaw else ("left",)
         self.rigs: list[JawRig] = []
         depth = fixture.params.depth
-        system = cached_system(fixture.mesh, material)
+        system = cached_system(fixture.mesh, MaterialModel())
         model = ForwardContactModel(system, fixture, scenario.contact)
         for side in sides:
             rot = np.eye(3) if side == "left" else rot_z(math.pi)
             self.rigs.append(JawRig(side, fixture, system, model, rot,
-                                    scenario.gap / 2.0 + depth / 2.0))
+                                    JAW_GAP / 2.0 + depth / 2.0))
         self.fixture = fixture
         # each jaw occludes the other's keypoints: one surface per rig,
         # refit to that jaw's deformation on every observation
@@ -424,7 +454,7 @@ class SimEngine:
         self.object_mesh = make_object_mesh(scenario.shape)
         self.sdf = make_sdf(scenario.shape)
         self.world_from_cam = look_at(np.asarray(scenario.camera_eye),
-                                      np.asarray(scenario.camera_target))
+                                      np.asarray(CAMERA_TARGET))
         self.cam_from_world = self.world_from_cam.inverse()
         self.z_contact = scenario.contact_height(fixture.params.height)
         self.rng = np.random.default_rng(np.random.SeedSequence(scenario.seed))
@@ -432,7 +462,7 @@ class SimEngine:
         self._solved = [None for _ in self.rigs]  # per rig: (key, sdf, pose, result)
         self._rho = [0.0 for _ in self.rigs]  # viscous relaxation state
         self._object_x = self._initial_object_x()
-        self._pose_frame_period = max(1, round(scenario.camera_hz / scenario.pose_hz))
+        self._pose_frame_period = max(1, round(scenario.camera_hz / POSE_HZ))
 
     # -- object placement ---------------------------------------------------
 
@@ -445,9 +475,9 @@ class SimEngine:
         if sc.dual_jaw:
             return 0.0
         # single jaw: object surface sits `clearance` from the untouched
-        # inner face (which lies at world -gap/2 at zero closure)
+        # inner face (which lies at world -JAW_GAP/2 at zero closure)
         half = self._object_half_extent_x()
-        return -sc.gap / 2.0 + sc.clearance_mm * 1e-3 + half
+        return -JAW_GAP / 2.0 + sc.clearance_mm * 1e-3 + half
 
     # -- ground truth -------------------------------------------------------
 
@@ -603,15 +633,15 @@ class SimEngine:
         ref_cam = self.cam_from_world.apply(ref_world)
         confidence = np.empty(n_kp)
         visible = ~occluded
-        mu_v, sd_v = noise.confidence_visible
+        mu_v, sd_v = CONFIDENCE_VISIBLE
         confidence[:] = np.clip(mu_v + sd_v * rng.standard_normal(n_kp), 0.0, 1.0)
         if occluded.any():
             if sc.occlusion_mode == "confidence":
-                mu_o, sd_o = noise.confidence_occluded
+                mu_o, sd_o = CONFIDENCE_OCCLUDED
                 confidence[occluded] = np.clip(
                     mu_o + sd_o * rng.standard_normal(int(occluded.sum())), 0.0, 1.0)
             else:  # drift: confidently wrong, surface hit or background
-                mu_d, sd_d = noise.confidence_drift
+                mu_d, sd_d = CONFIDENCE_DRIFT
                 confidence[occluded] = np.clip(
                     mu_d + sd_d * rng.standard_normal(int(occluded.sum())), 0.0, 1.0)
                 for k in np.flatnonzero(occluded):
@@ -759,7 +789,7 @@ def run_scenario(scenario: Scenario, engine: SimEngine | None = None,
         while True:
             truth = eng.step_truth(t, closure, phase, True, dt)
             grasp = min(j.force_scalar for j in truth.jaws)
-            if phase == "pre" and grasp > sched.release_threshold:
+            if phase == "pre" and grasp > RELEASE_THRESHOLD_N:
                 phase = "load"
                 stage_times["stage1"] = t
             if phase in ("pre", "load") and (grasp >= sched.target_force
@@ -770,7 +800,7 @@ def run_scenario(scenario: Scenario, engine: SimEngine | None = None,
             elif phase == "hold" and t >= hold_until:
                 phase = "unload"
                 stage_times["stage3"] = t
-            elif phase == "unload" and grasp <= sched.release_threshold:
+            elif phase == "unload" and grasp <= RELEASE_THRESHOLD_N:
                 phase = "post"
                 stage_times["stage4"] = t
             truth = replace(truth, stage=phase)

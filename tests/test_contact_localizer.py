@@ -297,7 +297,7 @@ class TestLocalizeStep:
 
 class TestPoseRateGate:
     def test_zero_order_hold(self):
-        gate = PoseRateGate(timeout=0.5)
+        gate = PoseRateGate()
         pose = PoseTransform.identity("o", "c")
         sources = []
         for k in range(9):
@@ -309,7 +309,7 @@ class TestPoseRateGate:
         assert sources == ["fresh", "held", "held"] * 3
 
     def test_stable_contact_bypasses_gate(self):
-        gate = PoseRateGate(timeout=0.5)
+        gate = PoseRateGate()
         gate.feed(PoseTransform.identity("o", "c"), 0.0)
         pose, src, degraded = gate.get(5.0, contact_stable=True)
         assert pose is not None
@@ -317,7 +317,7 @@ class TestPoseRateGate:
         assert not degraded
 
     def test_stale_pose_degrades(self):
-        gate = PoseRateGate(timeout=0.5)
+        gate = PoseRateGate()
         gate.feed(PoseTransform.identity("o", "c"), 0.0)
         _, src, degraded = gate.get(1.0, contact_stable=False)
         assert src == "stale"
@@ -327,6 +327,6 @@ class TestPoseRateGate:
         state = ContactState()
         state.status = True
         state.stable_frames = 4
-        assert not state.is_stable(5)
+        assert not state.is_stable()
         state.stable_frames = 5
-        assert state.is_stable(5)
+        assert state.is_stable()

@@ -4,7 +4,6 @@ import time
 import numpy as np
 import pytest
 
-from finray import sensing_sim
 from finray.fem_core import (
     MaterialModel,
     SolveError,
@@ -198,10 +197,10 @@ def count_solved_columns(monkeypatch, delay=0.0):
 
 class TestFieldBank:
     @pytest.mark.parametrize("model, n_fields", [("point", 14), ("distributed", 105)])
-    def test_engine_and_estimators_solve_each_field_once(self, monkeypatch, model, n_fields):
+    def test_engine_and_estimators_solve_each_field_once(self, monkeypatch, fresh_caches,
+                                                         model, n_fields):
         # a fresh system: the oracle's contact model and both jaws'
         # compliance operators read one bank, filled by one block solve
-        monkeypatch.setattr(sensing_sim, "_SYSTEM_CACHE", {})
         columns = count_solved_columns(monkeypatch)
         engine = SimEngine(Scenario(shape=ShapeSpec.cylinder(0.025), dual_jaw=True,
                                     contact=ContactModelConfig(model=model)))

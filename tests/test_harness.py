@@ -1,4 +1,5 @@
 import json
+import re
 import types
 from pathlib import Path
 
@@ -64,6 +65,22 @@ class TestConfigFormat:
         ("solver.localize", False),
         ("solver.pre_estimate", False),
         ("solver.initial_mount", 3),
+        ("scenario.pose_hz", 10.0),
+        ("scenario.gap", 0.048),
+        ("scenario.camera_target", (0.0, 0.0, 0.045)),
+        ("scenario.material_e", 26e6),
+        ("scenario.material_nu", 0.48),
+        ("noise.confidence_visible", (0.95, 0.02)),
+        ("noise.confidence_occluded", (0.2, 0.1)),
+        ("noise.confidence_drift", (0.9, 0.05)),
+        ("contact.stiffness", 1e6),
+        ("contact.tol", 1e-8),
+        ("contact.max_iters", 200),
+        ("schedule.release_threshold", 0.02),
+        ("solver.confidence_threshold", 0.6),
+        ("solver.bbox_margin", 0.012),
+        ("solver.pose_timeout", 0.5),
+        ("solver.stable_frames", 5),
     ])
     def test_removed_keys_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key.split(".")[1]):
@@ -248,6 +265,33 @@ class TestCLI:
         assert cond["rmse_mean"] == pytest.approx(rmse, rel=1e-12)
         assert cond["nrmsd_mean"] == pytest.approx(nrmsd, rel=1e-12)
         assert rmse != pytest.approx(rmse_nrmsd(res.column("f_sim_n"), res.column("f_gt_n"))[0])
+
+    def test_dual_jaw_run_prints_the_rmse_report_gives(self, tmp_path, capsys):
+        # `run` and `report` score one dual-jaw CSV by the same rule, the
+        # grasp force, not jaw 0's force
+        cfg = tmp_path / "grasp.cfg"
+        cfg.write_text("\n".join([
+            "shape.kind = cylinder",
+            "shape.diameter_mm = 25",
+            "scenario.dual_jaw = true",
+            "scenario.occlusion_mode = confidence",
+            "contact.model = point",
+            "schedule.kind = grasp",
+            "schedule.closing_speed_mm_s = 8.0",
+            "schedule.target_force = 2.0",
+            "schedule.hold_s = 0.2",
+        ]) + "\n")
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--seed", "3", "--out", str(run_dir)]) == 0
+        printed = re.search(r"rmse=(\S+) N", capsys.readouterr().out).group(1)
+        assert main(["report", "--runs", str(run_dir), "--out", str(tmp_path / "report")]) == 0
+        (cond,) = json.loads((tmp_path / "report" / "report-rescore.json").read_text())["conditions"]
+        assert printed == f"{cond['rmse_mean']:.4f}"
+        rows = pipeline.load_run_csv(run_dir / "run.csv")
+        jaw0 = [r for r in rows if r["jaw"] == 0]
+        jaw_rmse, _ = rmse_nrmsd(np.array([r["f_sim_n"] for r in jaw0]),
+                                 np.array([r["f_gt_n"] for r in jaw0]))
+        assert printed != f"{jaw_rmse:.4f}"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit):

@@ -13,6 +13,7 @@ from finray.inverse_solver import (
     set_targets,
     solve,
 )
+from finray.pipeline import BBOX_MARGIN
 from finray.sensing_sim import Observation
 
 
@@ -40,8 +41,8 @@ class TestSetTargets:
         )
 
     def _filter(self, jaw):
-        lo, hi = jaw.bbox(0.012)
-        return KeypointFilter(0.6, tuple(lo), tuple(hi))
+        lo, hi = jaw.bbox(BBOX_MARGIN)
+        return KeypointFilter(tuple(lo), tuple(hi))
 
     def test_all_keypoints_valid(self, jaw):
         eff = make_effectors(jaw)

@@ -442,8 +442,7 @@ class TestCellLocalParity:
                 ])
                 yield mesh, twin, posed, points
 
-    def test_matches_parity_in_touched_cells(self, jaw, compliance, monkeypatch):
-        monkeypatch.setattr(mesh_model, "_GRIDS", {})  # fresh counters
+    def test_matches_parity_in_touched_cells(self, jaw, compliance, fresh_caches):
         rng = np.random.default_rng(17)
         grids, touched = set(), 0
         for mesh, twin, posed, points in self.posed_queries(jaw, compliance, rng):
@@ -462,12 +461,11 @@ class TestCellLocalParity:
         assert sum(g.fallback_casts for g in grids) < touched / 2
         assert sum(g.reference_casts for g in grids) > 1000
 
-    def test_centres_near_a_plane_take_no_reference(self, monkeypatch):
+    def test_centres_near_a_plane_take_no_reference(self, fresh_caches):
         # a cube, and beside it in y a box whose two x faces lie 3e-5 and
         # 1e-5 cell sizes off the centres of two columns of cells: every
         # cell of those columns that the faces cross keeps no reference,
         # and all its points are ray-cast
-        monkeypatch.setattr(mesh_model, "_GRIDS", {})  # fresh counters
 
         def cube_and_box(x_lo, x_hi):
             # the box's y and z extents are fixed and its x faces lie within

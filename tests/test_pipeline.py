@@ -3,7 +3,6 @@ import logging
 
 import numpy as np
 
-from finray import mesh_model
 from finray.fixtures import ShapeSpec
 from finray.mesh_model import TriangleBVH
 from finray.pipeline import (
@@ -78,6 +77,29 @@ class TestRunEstimation:
         assert "config_hash" in data
         assert data["n_frames"] == len(res.frames)
 
+    def test_manifest_config_keys_are_pinned(self, tmp_path):
+        # every key a run records; a new setting is a deliberate edit here
+        res = run_estimation(quick_static(plateaus=(0,)), EstimatorSettings())
+        res.write_manifest(tmp_path / "manifest.json")
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert sorted(config) == [
+            "scenario.camera_eye", "scenario.camera_hz", "scenario.clearance_mm",
+            "scenario.contact.model", "scenario.contact.viscous_gamma",
+            "scenario.contact.viscous_tau", "scenario.contact_position", "scenario.dual_jaw",
+            "scenario.noise.drift_background_prob", "scenario.noise.keypoint_sigma",
+            "scenario.noise.pose_rot_deg", "scenario.noise.pose_trans_sigma",
+            "scenario.object_offset", "scenario.object_yaw_deg", "scenario.occlusion_mode",
+            "scenario.schedule.closing_speed_mm_s", "scenario.schedule.cycles",
+            "scenario.schedule.hold_s", "scenario.schedule.kind",
+            "scenario.schedule.max_closure_mm", "scenario.schedule.plateaus_mm",
+            "scenario.schedule.ramp_s", "scenario.schedule.record_s",
+            "scenario.schedule.settle_s", "scenario.schedule.target_force", "scenario.seed",
+            "scenario.shape.half_width_bottom", "scenario.shape.half_width_top",
+            "scenario.shape.kind", "scenario.shape.length", "scenario.shape.radius",
+            "scenario.shape.size", "scenario.shape.wedge_height",
+            "solver.epsilons", "solver.fixed_index", "solver.mount_mode",
+        ]
+
     def test_byte_identical_reruns(self, tmp_path):
         scenario = quick_static(noise=NoiseConfig(), occlusion_mode="confidence",
                                 contact=ContactModelConfig(model="distributed"),
@@ -143,7 +165,7 @@ class TestDegradedFrames:
             assert fe.mounted_index == est.candidates.mounted_index
 
     def test_stale_pose_flags_degraded(self):
-        scenario = quick_static(pose_hz=10.0)
+        scenario = quick_static()
         engine = SimEngine(scenario)
         est = JawEstimator(engine, 0, EstimatorSettings())
         dt = 1.0 / 30.0
@@ -213,12 +235,11 @@ class TestLazyRefit:
         assert np.any(lo_j > hi_t) or np.any(lo_t > hi_j)
         assert calls == []
 
-    def test_overlapping_steps_fit_no_tree(self, monkeypatch, caplog):
+    def test_overlapping_steps_fit_no_tree(self, monkeypatch, caplog, fresh_caches):
         # the jaw is only sampled and the twin is placed rigidly and tested
         # in its own frame: over a run of overlapping steps the only tree
         # the estimators build is their twin grid's, fit once by its build,
         # and two estimators on one twin mesh share one grid
-        monkeypatch.setattr(mesh_model, "_GRIDS", {})
         caplog.set_level(logging.DEBUG, logger="finray.mesh_model")
         engine = SimEngine(quick_static())
         n_steps = 4

@@ -61,7 +61,7 @@ class TestForwardContact:
         rest_all = jaw.mesh.vertices
         free_dofs = system.free_dofs
         k_ff = system.k_full[free_dofs][:, free_dofs].toarray()
-        k_pen = cfg.stiffness
+        k_pen = sensing_sim.PENALTY_STIFFNESS
 
         def energy_grad(u_free):
             u = np.zeros(jaw.mesh.n_vertices * 3)
@@ -126,9 +126,9 @@ class TestForwardContact:
         assert len(loaded) == 1
         assert loaded[0] == cand
 
-    def test_convergence_error_propagates(self, jaw, system):
-        cfg = ContactModelConfig(model="point", max_iters=1)
-        model = ForwardContactModel(system, jaw, cfg)
+    def test_convergence_error_propagates(self, jaw, system, monkeypatch):
+        monkeypatch.setattr(sensing_sim, "PENALTY_MAX_ITERS", 1)
+        model = ForwardContactModel(system, jaw, ContactModelConfig(model="point"))
         spec = ShapeSpec.cylinder(0.015)
         from finray.sensing_sim import ContactConvergenceError
         with pytest.raises(ContactConvergenceError,
@@ -190,7 +190,7 @@ def relaxed_reference(model, jaw_from_obj, sdf, tol=1e-10, max_iters=2000):
         n_sub = normals[idx]
         g = np.einsum("ab,abcd,cd->ac", n_sub, c_sub_t, n_sub)
         target = np.zeros(n)
-        target[idx] = active_set_step(g, -d[idx] + g @ lam[idx], model.cfg.stiffness)
+        target[idx] = active_set_step(g, -d[idx] + g @ lam[idx], sensing_sim.PENALTY_STIFFNESS)
         residual = np.abs(target - lam).max()
         lam = lam + 0.5 * (target - lam)
         if residual < tol:
@@ -366,7 +366,7 @@ class TestNonNegativeStep:
         lam0 = rng.uniform(0.0, 20.0, m) * (rng.random(m) < 0.5)
         lam = model._implicit_normal_forces(g, depth, lam0)
         d_free = depth + g @ lam0
-        w = (g + np.eye(m) / model.cfg.stiffness) @ lam - d_free
+        w = (g + np.eye(m) / sensing_sim.PENALTY_STIFFNESS) @ lam - d_free
         tol = 1e-10 * np.abs(d_free).max()
         assert (lam >= 0.0).all()
         assert (w >= -tol).all()
@@ -383,7 +383,7 @@ class TestNonNegativeStep:
 
         def recording_step(self, g, depth, lam):
             out = step(self, g, depth, lam)
-            passes.append((g, depth + g @ lam, self.cfg.stiffness, out))
+            passes.append((g, depth + g @ lam, sensing_sim.PENALTY_STIFFNESS, out))
             return out
 
         monkeypatch.setattr(ForwardContactModel, "_implicit_normal_forces", recording_step)
@@ -417,7 +417,7 @@ class TestNonNegativeStep:
         subnormal depths, and every pass of point-contact grasps of the
         wedge, the cuboid and a cylinder."""
         model = ForwardContactModel(system, jaw, ContactModelConfig(model="point"))
-        k = model.cfg.stiffness
+        k = sensing_sim.PENALTY_STIFFNESS
         rng = np.random.default_rng(5)
         inputs = []
         for _ in range(3000):
@@ -554,8 +554,9 @@ class TestRenderObservation:
         occluded = ~obs.visible
         assert occluded.any()
         from finray.inverse_solver import KeypointFilter
-        lo, hi = jaw.bbox(0.012)
-        filt = KeypointFilter(0.6, tuple(lo), tuple(hi))
+        from finray.pipeline import BBOX_MARGIN
+        lo, hi = jaw.bbox(BBOX_MARGIN)
+        filt = KeypointFilter(tuple(lo), tuple(hi))
         rig = eng.rigs[0]
         r_gc = eng.jaw_cam_rotation(0)
         t_gc = jaw.mesh.vertices[jaw.reference_id] - r_gc @ obs.reference
@@ -1013,8 +1014,7 @@ class TestSyntheticScan:
 
 
 class TestSystemCache:
-    def test_keyed_by_mesh_content_and_material(self, monkeypatch):
-        monkeypatch.setattr(sensing_sim, "_SYSTEM_CACHE", {})
+    def test_keyed_by_mesh_content_and_material(self, fresh_caches):
         a, b = generate_jaw(JawParams()).mesh, generate_jaw(JawParams()).mesh
         assert a is not b
         system = cached_system(a, MaterialModel())
