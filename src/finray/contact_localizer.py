@@ -66,8 +66,14 @@ class PoseTransform:
         return np.asarray(points) @ self.rotation.T + self.translation
 
     def inverse(self) -> "PoseTransform":
-        return PoseTransform(self.rotation.T, -self.rotation.T @ self.translation,
-                             self.frame_to, self.frame_from)
+        """The inverse transform. The transpose of a checked rotation is
+        orthonormal, so it is built without the check."""
+        inv = object.__new__(PoseTransform)
+        for name, value in (("rotation", self.rotation.T),
+                            ("translation", -self.rotation.T @ self.translation),
+                            ("frame_from", self.frame_to), ("frame_to", self.frame_from)):
+            object.__setattr__(inv, name, value)
+        return inv
 
     def matrix(self) -> np.ndarray:
         m = np.eye(4)

@@ -16,7 +16,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +126,34 @@ def scenario_from_config(mapping: dict, seed: int | None = None) -> tuple[Scenar
         tuned = load_epsilon_schedule()
         if tuned is not None:
             settings = replace(settings, epsilons=tuned)
+    return scenario, settings
+
+
+def run_config_from_manifest(config: dict) -> tuple[Scenario, EstimatorSettings]:
+    """The run settings a manifest's ``config`` was written from: the
+    flattened SI keys ``scenario.*`` and ``solver.*`` that
+    ``pipeline.scenario_mapping`` makes, JSON lists read back as tuples.
+    Every field must be present and no other key; rerunning the settings
+    gives the same CSV and manifest bytes."""
+    remaining = dict(config)
+
+    def build(cls, prefix: str):
+        kwargs, defaults = {}, cls()
+        for f in fields(cls):
+            key = f"{prefix}.{f.name}"
+            default = getattr(defaults, f.name)
+            if is_dataclass(default):
+                kwargs[f.name] = build(type(default), key)
+            elif key in remaining:
+                value = remaining.pop(key)
+                kwargs[f.name] = tuple(value) if isinstance(value, list) else value
+            else:
+                raise cfgmod.ConfigError(f"manifest config lacks {key!r}")
+        return cls(**kwargs)
+
+    scenario, settings = build(Scenario, "scenario"), build(EstimatorSettings, "solver")
+    if remaining:
+        raise cfgmod.ConfigError(f"unknown manifest config key {min(remaining)!r}")
     return scenario, settings
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import math
 import threading
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -66,6 +67,11 @@ POSE_HZ = 10.0
 # grasp force (N) above which a grasp leaves "pre", and below which an
 # unloading grasp enters "post"
 RELEASE_THRESHOLD_N = 0.02
+
+# entries in each of an engine's memos (one per rig for contact solves, one
+# per jaw for observation geometry); it must hold the 38 closures of one
+# cycle of the default 11-plateau static schedule
+MEMO_CAPACITY = 64
 
 
 @dataclass(frozen=True)
@@ -430,9 +436,90 @@ def cached_system(mesh, material: MaterialModel) -> StiffnessSystem:
         return _SYSTEM_CACHE[key]
 
 
+class LruMemo:
+    """A map of at most ``MEMO_CAPACITY`` entries that forgets the least
+    recently used one first. ``get`` returns None on a miss."""
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()
+
+    def get(self, key):
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
+
+    def put(self, key, entry):
+        self._entries[key] = entry
+        if len(self._entries) > MEMO_CAPACITY:
+            self._entries.popitem(last=False)
+        return entry
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def _locked(array: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    if array is not None:
+        array.flags.writeable = False
+    return array
+
+
+@dataclass
+class SolvedContact:
+    """One memoised contact solve: the object pose in the jaw frame, the
+    penalty solve's (per-node forces, net force, contact point, candidate)
+    and, once ``_jaw_truth`` has asked for it, the jaw's displacement
+    field; every array write-locked."""
+
+    pose: PoseTransform
+    result: tuple
+    displacements: Optional[np.ndarray] = None
+
+
+@dataclass(frozen=True)
+class ObservationGeometry:
+    """What one jaw's observation computes before it draws from the rng,
+    write-locked: the keypoints in the world frame, which of them an
+    occluder hides and where each ray first hits (NaN where none does), and
+    the noise-free keypoints and reference point in the camera frame."""
+
+    kp_world: np.ndarray
+    occluded: np.ndarray
+    drift_points: np.ndarray
+    kp_cam: np.ndarray
+    ref_cam: np.ndarray
+
+
 class SimEngine:
     """Builds the scene for a scenario and steps ground truth plus
-    synthetic observations under a commanded closure."""
+    synthetic observations under a commanded closure.
+
+    The deterministic part of a frame is memoised, since the schedules come
+    back to the same closures again and again: a static plateau repeats its
+    closure on every frame, and every cycle repeats the plateaus.
+
+    - ``_solves``, one ``LruMemo`` per rig, holds a ``SolvedContact`` per
+      pose, keyed by the SDF object (a function, equal only to itself)
+      and the bytes of the pose's rotation and translation. A solve starts cold, so it
+      is a pure function of pose and SDF.
+    - ``_views``, one ``LruMemo`` per jaw, holds its
+      ``ObservationGeometry``, keyed by the SDF object and the bytes of the
+      closure and the object's grasp-axis position, which fix every jaw's
+      pose and deformation. It is not keyed by the pose: distinct closures
+      can share a jaw pose, since ``world_from_jaw(closure)`` differs from
+      them in the last bits.
+
+    Each memo keeps ``MEMO_CAPACITY`` entries and forgets the least
+    recently used first. It belongs to its engine, so no other run, and no
+    rerun of this one, is served from it. A hit returns the same arrays
+    and draws nothing from the rng, so a run's outputs are those of the
+    same run without the memos. ``work`` counts the penalty solves and
+    occluder casts run and those the memos skipped.
+    """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -459,7 +546,9 @@ class SimEngine:
         self.z_contact = scenario.contact_height(fixture.params.height)
         self.rng = np.random.default_rng(np.random.SeedSequence(scenario.seed))
         self._rot_world_from_obj = rot_z(math.radians(scenario.object_yaw_deg))
-        self._solved = [None for _ in self.rigs]  # per rig: (key, sdf, pose, result)
+        self._solves = [LruMemo() for _ in self.rigs]
+        self._views = [LruMemo() for _ in self.rigs]
+        self.work: Counter = Counter()
         self._rho = [0.0 for _ in self.rigs]  # viscous relaxation state
         self._object_x = self._initial_object_x()
         self._pose_frame_period = max(1, round(scenario.camera_hz / POSE_HZ))
@@ -481,44 +570,47 @@ class SimEngine:
 
     # -- ground truth -------------------------------------------------------
 
-    def _solve_contact(self, idx: int, closure: float, object_x: float):
-        """Object pose in the jaw frame and the jaw's penalty solve, which
-        starts from zero force at the rest shape and so is a pure function
-        of the pose and the SDF. The bisection, ``_jaw_truth`` and every
-        frame of a static plateau ask for the same pose again, so each rig
-        keeps its last pose and solve in ``_solved``, keyed by the bytes of
-        the pose's rotation and translation and by the SDF object (``is``);
-        a hit returns the same objects without solving, so a half-step
-        warning is not logged again."""
+    def _solve_contact(self, idx: int, closure: float, object_x: float) -> SolvedContact:
+        """Object pose in the jaw frame and the jaw's penalty solve, from
+        the rig's memo when it holds that pose and SDF. The bisection,
+        ``_jaw_truth``, every frame of a static plateau and every cycle of
+        a static schedule ask for the same poses again; a hit returns the
+        same objects without solving, so a half-step warning is not logged
+        again."""
         rig = self.rigs[idx]
         r = rig.rot_world_from_jaw.T @ self._rot_world_from_obj
         t = rig.rot_world_from_jaw.T @ (
             _object_origin(self.scenario, object_x, self.z_contact) - rig.origin(closure))
-        key = (r.tobytes(), t.tobytes())
-        solved = self._solved[idx]
-        if solved is None or solved[0] != key or solved[1] is not self.sdf:
-            jaw_from_obj = PoseTransform(r, t, "o", "g")
-            self._solved[idx] = solved = (key, self.sdf, jaw_from_obj,
-                                          rig.contact_model.solve(jaw_from_obj, self.sdf))
-        return solved[2], solved[3]
+        key = (self.sdf, r.tobytes(), t.tobytes())
+        solved = self._solves[idx].get(key)
+        if solved is not None:
+            self.work["solves_skipped"] += 1
+            return solved
+        self.work["solves_run"] += 1
+        jaw_from_obj = PoseTransform(r, t, "o", "g")
+        forces, net, contact_point, candidate = rig.contact_model.solve(jaw_from_obj, self.sdf)
+        return self._solves[idx].put(key, SolvedContact(
+            jaw_from_obj, (_locked(forces), _locked(net), _locked(contact_point), candidate)))
 
     def _jaw_truth(self, idx: int, closure: float, object_x: float) -> JawTruth:
-        jaw_from_obj, (forces, net, contact_point, candidate) = self._solve_contact(
-            idx, closure, object_x)
-        disp = self.rigs[idx].contact_model.full_displacement(forces)
+        solved = self._solve_contact(idx, closure, object_x)
+        forces, net, contact_point, candidate = solved.result
+        if solved.displacements is None:
+            solved.displacements = _locked(
+                self.rigs[idx].contact_model.full_displacement(forces))
         return JawTruth(
             force=net,
             force_scalar=float(-net[0]),
             candidate=candidate,
             contact_point=contact_point,
-            pose_jaw_from_obj=jaw_from_obj,
-            displacements=disp,
+            pose_jaw_from_obj=solved.pose,
+            displacements=solved.displacements,
         )
 
     def _net_object_force_x(self, closure: float, object_x: float) -> float:
         total = 0.0
         for idx, rig in enumerate(self.rigs):
-            _, (_, net, _, _) = self._solve_contact(idx, closure, object_x)
+            net = self._solve_contact(idx, closure, object_x).result[1]
             f_world = rig.rot_world_from_jaw @ net
             total -= f_world[0]  # reaction on the object
         return total
@@ -587,33 +679,39 @@ class SimEngine:
 
     # -- synthetic sensor ---------------------------------------------------
 
-    def render_observation(self, truth: GroundTruthFrame, jaw_index: int) -> Observation:
-        """Synthetic camera frame for one jaw. With occlusion on, rays to
-        the keypoints are cast against the object and the other jaw; the
-        other jaw's surface is refit to its deformation, not rebuilt. An
-        occluder whose box the rays' box misses is not cast at, so the
-        other jaw's tree is only refit, or first built, on frames whose
-        rays can reach it."""
+    def _observation_geometry(self, truth: GroundTruthFrame,
+                              jaw_index: int) -> ObservationGeometry:
+        """The jaw's ``ObservationGeometry`` under ``truth``, from the jaw's
+        memo when it holds this closure, object position and SDF. With
+        occlusion on, rays to the keypoints are cast against the object and
+        the other jaw; the other jaw's surface is refit to its deformation,
+        not rebuilt. An occluder whose box the rays' box misses is not cast
+        at, so the other jaw's tree is only refit, or first built, on frames
+        whose rays can reach it."""
         sc = self.scenario
+        n_occluders = len(self.rigs) if sc.occlusion_mode != "off" else 0
+        key = (self.sdf, np.array((truth.closure, self._object_x)).tobytes())
+        geometry = self._views[jaw_index].get(key)
+        if geometry is not None:
+            self.work["casts_skipped"] += n_occluders
+            return geometry
+        self.work["casts_run"] += n_occluders
         rig = self.rigs[jaw_index]
         jt = truth.jaws[jaw_index]
-        noise = sc.noise
-        rng = self.rng
         world_from_jaw = rig.world_from_jaw(truth.closure)
         kp_ids = rig.fixture.keypoint_ids
         kp_jaw = rig.fixture.mesh.vertices[kp_ids] + jt.displacements[kp_ids]
         kp_world = world_from_jaw.apply(kp_jaw)
         ref_world = world_from_jaw.apply(rig.fixture.mesh.vertices[rig.fixture.reference_id])
-        cam_pos = self.world_from_cam.translation
 
         n_kp = len(kp_ids)
         occluded = np.zeros(n_kp, dtype=bool)
         drift_points = np.full((n_kp, 3), np.nan)
-        if sc.occlusion_mode != "off":
+        if n_occluders:
             hit_t = np.full(n_kp, np.inf)
-            origins = np.broadcast_to(cam_pos, (n_kp, 3))
-            occluder_meshes = [( _object_world_pose(sc, self._object_x, self.z_contact),
-                                 self.object_mesh)]
+            origins = np.broadcast_to(self.world_from_cam.translation, (n_kp, 3))
+            occluder_meshes = [(_object_world_pose(sc, self._object_x, self.z_contact),
+                                self.object_mesh)]
             for other in range(len(self.rigs)):
                 if other == jaw_index:
                     continue
@@ -628,9 +726,26 @@ class SimEngine:
                 hit_t = np.minimum(hit_t, _occluder_hits(mesh, o_local, t_local))
             occluded = np.isfinite(hit_t)
             drift_points = origins + hit_t[:, None] * (kp_world - origins)
+        arrays = (kp_world, occluded, drift_points, self.cam_from_world.apply(kp_world),
+                  self.cam_from_world.apply(ref_world))
+        return self._views[jaw_index].put(
+            key, ObservationGeometry(*(_locked(a) for a in arrays)))
 
-        kp_cam = self.cam_from_world.apply(kp_world)
-        ref_cam = self.cam_from_world.apply(ref_world)
+    def render_observation(self, truth: GroundTruthFrame, jaw_index: int) -> Observation:
+        """Synthetic camera frame for one jaw, for the ``truth`` this
+        engine's ``step_truth`` just returned. Everything before the first
+        draw from the rng, the keypoints' world and camera positions and
+        their occlusion, comes from ``_observation_geometry``, which the
+        jaw's memo answers for a closure it has seen. The noise, the
+        confidences and the drift are drawn on every frame, in the same
+        order with or without the memo."""
+        sc = self.scenario
+        noise = sc.noise
+        rng = self.rng
+        geometry = self._observation_geometry(truth, jaw_index)
+        kp_cam, ref_cam, occluded = geometry.kp_cam, geometry.ref_cam, geometry.occluded
+        cam_pos = self.world_from_cam.translation
+        n_kp = len(kp_cam)
         confidence = np.empty(n_kp)
         visible = ~occluded
         mu_v, sd_v = CONFIDENCE_VISIBLE
@@ -644,13 +759,14 @@ class SimEngine:
                 mu_d, sd_d = CONFIDENCE_DRIFT
                 confidence[occluded] = np.clip(
                     mu_d + sd_d * rng.standard_normal(int(occluded.sum())), 0.0, 1.0)
+                kp_cam = kp_cam.copy()
                 for k in np.flatnonzero(occluded):
                     if rng.random() < noise.drift_background_prob:
-                        direction = kp_world[k] - cam_pos
+                        direction = geometry.kp_world[k] - cam_pos
                         direction = direction / np.linalg.norm(direction)
                         kp_cam[k] = self.cam_from_world.apply(cam_pos + 0.6 * direction)
                     else:
-                        kp_cam[k] = self.cam_from_world.apply(drift_points[k])
+                        kp_cam[k] = self.cam_from_world.apply(geometry.drift_points[k])
         if noise.keypoint_sigma > 0.0:
             kp_cam = kp_cam + noise.keypoint_sigma * rng.standard_normal((n_kp, 3))
             ref_cam = ref_cam + 0.5 * noise.keypoint_sigma * rng.standard_normal(3)
@@ -749,9 +865,12 @@ def run_scenario(scenario: Scenario, engine: SimEngine | None = None,
 
     ``packet_hook`` receives each frame as it is produced (streaming
     consumers); ``keep_frames`` defaults to False when a hook is given so
-    long runs do not hold every displacement field in memory.
+    long runs do not hold every displacement field in memory. The penalty
+    solves and occluder casts the run made, and those the engine's memos
+    skipped, are logged at DEBUG level.
     """
     eng = engine or SimEngine(scenario)
+    work_before = Counter(eng.work)
     sched = scenario.schedule
     dt = 1.0 / scenario.camera_hz
     if keep_frames is None:
@@ -818,6 +937,10 @@ def run_scenario(scenario: Scenario, engine: SimEngine | None = None,
         duration = t
     else:
         raise ValueError(f"unknown schedule kind {sched.kind!r}")
+    work = eng.work - work_before
+    logger.debug("oracle work over %d frames: penalty solves %d run, %d skipped; "
+                  "occluder casts %d run, %d skipped", n_frames, work["solves_run"],
+                  work["solves_skipped"], work["casts_run"], work["casts_skipped"])
     manifest = RunManifest(
         seed=scenario.seed,
         stage_times=stage_times,

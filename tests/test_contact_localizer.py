@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,36 @@ class TestPoseTransform:
         q = chain_pose(p.inverse(), p)
         assert np.abs(q.rotation - np.eye(3)).max() <= 1e-12
         assert np.abs(q.translation).max() <= 1e-12
+
+    def test_inverse_skips_the_check_that_construction_keeps(self, rng, monkeypatch):
+        # the inverse of a checked pose is built without a second check, bit
+        # for bit the pose the checked constructor builds; the constructor,
+        # ``replace`` and ``identity`` still check, and a rotation off
+        # orthonormal by 1e-9 still raises
+        p = PoseTransform(random_rotation(rng), rng.normal(size=3), "o", "g")
+        checks = []
+        check = PoseTransform.__post_init__
+
+        def counting_check(self):
+            checks.append(1)
+            check(self)
+
+        monkeypatch.setattr(PoseTransform, "__post_init__", counting_check)
+        inv = p.inverse()
+        assert not checks
+        ref = PoseTransform(p.rotation.T, -p.rotation.T @ p.translation, "g", "o")
+        assert len(checks) == 1
+        assert inv.rotation.tobytes() == ref.rotation.tobytes()
+        assert inv.translation.tobytes() == ref.translation.tobytes()
+        assert (inv.frame_from, inv.frame_to) == (ref.frame_from, ref.frame_to) == ("g", "o")
+        bad = p.rotation.copy()
+        bad[0, 0] += 1e-9
+        with pytest.raises(FrameError):
+            PoseTransform(bad, p.translation)
+        with pytest.raises(FrameError):
+            dataclasses.replace(p, rotation=bad)
+        PoseTransform.identity()
+        assert len(checks) == 4
 
 
 class TestPreEstimateTranslation:

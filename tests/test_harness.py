@@ -15,6 +15,7 @@ from finray.harness_cli import (
     default_noisy_scenario,
     load_epsilon_schedule,
     main,
+    run_config_from_manifest,
     run_grid,
     scenario_from_config,
     suite_chip,
@@ -351,6 +352,51 @@ class TestSuiteUtilities:
         monkeypatch.setattr(harness_cli, "run_estimation", lambda sc, st: (sc, st))
         out = run_grid({"b": "scen-b", "a": "scen-a"}, {"a": "set-a", "b": "set-b"})
         assert list(out.items()) == [("a", ("scen-a", "set-a")), ("b", ("scen-b", "set-b"))]
+
+
+
+class TestManifestRerun:
+    @pytest.mark.parametrize("cell", ["grasp", "static"])
+    def test_rerun_from_manifest_is_byte_identical(self, cell, tmp_path):
+        # a dual-jaw wedge grasp at seed 1 with the tuned schedule and a
+        # yawed, offset object, and a distributed static cell with a fixed
+        # mount and one epsilon: run, write, rebuild the run settings from
+        # the written manifest's config alone, run again, write again
+        if cell == "grasp":
+            scenario = default_noisy_scenario(
+                shape=ShapeSpec.wedge(), dual_jaw=True, seed=1, object_yaw_deg=3.0,
+                object_offset=(0.0, 0.001, 0.0), contact=ContactModelConfig(model="point"),
+                schedule=ScheduleConfig(kind="grasp", closing_speed_mm_s=8.0,
+                                        target_force=3.0, hold_s=0.2))
+            settings = EstimatorSettings(epsilons=load_epsilon_schedule())
+        else:
+            scenario = default_noisy_scenario(
+                shape=ShapeSpec.cylinder(0.025), contact_position="lower",
+                schedule=ScheduleConfig(kind="static", cycles=1, plateaus_mm=(0, 4, 0)),
+                contact=ContactModelConfig(model="distributed", viscous_gamma=0.25,
+                                           viscous_tau=8.0))
+            settings = EstimatorSettings(mount_mode="fixed", fixed_index=3, epsilons=0.002)
+        written = []
+        for name in ("first", "rerun"):
+            res = run_estimation(scenario, settings)
+            res.to_csv(tmp_path / f"{name}.csv")
+            res.write_manifest(tmp_path / f"{name}.manifest.json")
+            written.append(((tmp_path / f"{name}.csv").read_bytes(),
+                            (tmp_path / f"{name}.manifest.json").read_bytes()))
+            config = json.loads(written[-1][1])["config"]
+            scenario, settings = run_config_from_manifest(config)
+        assert written[0] == written[1]
+        assert len(written[0][0].splitlines()) > 50
+
+    def test_incomplete_or_unknown_keys_rejected(self):
+        config = pipeline.scenario_mapping(default_noisy_scenario(), EstimatorSettings())
+        assert run_config_from_manifest(config) == (default_noisy_scenario(),
+                                                    EstimatorSettings())
+        with pytest.raises(ConfigError, match="lacks 'scenario.shape.radius'"):
+            run_config_from_manifest({k: v for k, v in config.items()
+                                      if k != "scenario.shape.radius"})
+        with pytest.raises(ConfigError, match="unknown manifest config key 'scenario.gap'"):
+            run_config_from_manifest({**config, "scenario.gap": 0.048})
 
 
 class TestTraceTargets:

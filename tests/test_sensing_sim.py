@@ -373,9 +373,10 @@ class TestNonNegativeStep:
         assert (np.abs(lam * w) <= tol * max(lam.max(), 1.0)).all()
 
     def test_matches_active_set_loop_on_recorded_passes(self, monkeypatch):
-        """Every pass of two distributed static cells (lower-d35, up to 42
-        eligible nodes, and lower-d25) and of point-contact wedge grasps at
-        the middle and upper positions, recorded and solved again by
+        """Every pass of four distributed static cells (lower-d35, up to 42
+        eligible nodes, lower-d25, lower-d15 and middle-d25) and of
+        point-contact wedge grasps at the middle and upper positions,
+        recorded and solved again by
         ``active_set_step``: the same loaded nodes, and forces within 1e-9 N
         (1.3e-12 N measured)."""
         passes = []
@@ -387,9 +388,10 @@ class TestNonNegativeStep:
             return out
 
         monkeypatch.setattr(ForwardContactModel, "_implicit_normal_forces", recording_step)
-        for diameter in (0.035, 0.025):
+        for position, diameter in (("lower", 0.035), ("lower", 0.025), ("lower", 0.015),
+                                   ("middle", 0.025)):
             static = harness_cli.default_noisy_scenario(
-                shape=ShapeSpec.cylinder(diameter), contact_position="lower",
+                shape=ShapeSpec.cylinder(diameter), contact_position=position,
                 schedule=ScheduleConfig(kind="static", cycles=1, plateaus_mm=(0, 4, 10, 4, 0)),
                 contact=ContactModelConfig(model="distributed"))
             eng = SimEngine(static)
@@ -655,6 +657,61 @@ def dual_grasp_scenario(**kw):
     return Scenario(**base)
 
 
+def clear_memos(eng):
+    for memo in (*eng._solves, *eng._views):
+        memo.clear()
+
+
+def recorded_run(scenario, clear, packet_hook=None):
+    """Frames of ``scenario`` run on one engine, with the per-node forces
+    of every ``_solve_contact`` call; with ``clear`` every memo is cleared
+    before each call of ``_solve_contact`` and ``_observation_geometry``."""
+    eng = SimEngine(scenario)
+    solve_contact, geometry = eng._solve_contact, eng._observation_geometry
+    forces = []
+
+    def recording(*args):
+        if clear:
+            clear_memos(eng)
+        solved = solve_contact(*args)
+        forces.append(solved.result[0].tobytes())
+        return solved
+
+    def cleared_geometry(*args):
+        if clear:
+            clear_memos(eng)
+        return geometry(*args)
+
+    eng._solve_contact, eng._observation_geometry = recording, cleared_geometry
+    frames = run_scenario(scenario, eng, packet_hook=packet_hook, keep_frames=True).frames
+    return eng, frames, forces
+
+
+def assert_same_frames(mine, theirs):
+    """Bitwise equal truth and observations, frame by frame."""
+    def same(a, b):
+        assert (a is None) == (b is None)
+        assert a is None or a.tobytes() == b.tobytes()
+
+    assert len(mine) == len(theirs)
+    for a, b in zip(mine, theirs):
+        assert (a.truth.closure, a.truth.stage) == (b.truth.closure, b.truth.stage)
+        for ja, jb in zip(a.truth.jaws, b.truth.jaws, strict=True):
+            assert ja.candidate == jb.candidate and ja.force_scalar == jb.force_scalar
+            for name in ("force", "contact_point", "displacements"):
+                same(getattr(ja, name), getattr(jb, name))
+            same(ja.pose_jaw_from_obj.rotation, jb.pose_jaw_from_obj.rotation)
+            same(ja.pose_jaw_from_obj.translation, jb.pose_jaw_from_obj.translation)
+        for oa, ob in zip(a.observations, b.observations, strict=True):
+            assert oa.timestamp == ob.timestamp
+            for name in ("keypoints", "confidence", "visible", "reference"):
+                same(getattr(oa, name), getattr(ob, name))
+            assert (oa.pose_sample is None) == (ob.pose_sample is None)
+            if oa.pose_sample is not None:
+                same(oa.pose_sample.rotation, ob.pose_sample.rotation)
+                same(oa.pose_sample.translation, ob.pose_sample.translation)
+
+
 def touch_closure(eng):
     """Closure at which the jaws first reach the centred object."""
     return (eng.rigs[0].base_offset - eng.fixture.params.depth / 2.0
@@ -813,10 +870,10 @@ class TestOracleFastPaths:
             assert (a.pose_sample is None) == (b.pose_sample is None)
 
     def test_solve_memo_matches_cleared_memo(self):
-        # a dual-jaw wedge grasp with each rig's one-entry solve memo,
-        # against the same grasp with the memo cleared before every
-        # _solve_contact: every call gives the same pose and solve bits,
-        # and fewer penalty solves run
+        # a dual-jaw wedge grasp with each rig's solve memo, against the
+        # same grasp with every memo cleared before every _solve_contact:
+        # every call gives the same pose and solve bits, and fewer penalty
+        # solves run
         def run(clear):
             eng = SimEngine(dual_grasp_scenario(shape=ShapeSpec.wedge()))
             model = eng.rigs[0].contact_model
@@ -829,12 +886,13 @@ class TestOracleFastPaths:
 
             def recording(idx, closure, object_x):
                 if clear:
-                    eng._solved = [None for _ in eng.rigs]
-                pose, (forces, net, cp, cand) = solve_contact(idx, closure, object_x)
+                    clear_memos(eng)
+                solved = solve_contact(idx, closure, object_x)
+                forces, net, cp, cand = solved.result
                 calls.append((idx, forces.tobytes(), net.tobytes(), cand,
                               None if cp is None else cp.tobytes(),
-                              pose.rotation.tobytes(), pose.translation.tobytes()))
-                return pose, (forces, net, cp, cand)
+                              solved.pose.rotation.tobytes(), solved.pose.translation.tobytes()))
+                return solved
 
             model.solve = counting_solve
             eng._solve_contact = recording
@@ -862,22 +920,23 @@ class TestOracleFastPaths:
             return wrapped
 
         eng.sdf = counted(eng.sdf)
-        forces = eng._solve_contact(0, closure, 0.0)[1][0]
+        forces = eng._solve_contact(0, closure, 0.0).result[0]
         start = len(calls)
-        assert eng._solve_contact(0, closure, 0.0)[1][0] is forces
+        assert eng._solve_contact(0, closure, 0.0).result[0] is forces
         assert len(calls) == start
         assert np.abs(forces).max() > 0.5
         eng.sdf = counted(eng.sdf)
         start = len(calls)
-        again = eng._solve_contact(0, closure, 0.0)[1][0]
+        again = eng._solve_contact(0, closure, 0.0).result[0]
         assert len(calls) > start
         assert again.tobytes() == forces.tobytes()
 
     def test_static_truth_is_a_function_of_closure(self, monkeypatch):
         # a distributed static d25 cell stepped through its schedule on one
         # engine, against each of its closures stepped on a fresh engine:
-        # bitwise equal truth, and one penalty solve each time the closure
-        # changes, none for the repeated frames of a plateau
+        # bitwise equal truth, and one penalty solve per distinct jaw pose,
+        # none for the repeated frames of a plateau or a closure the
+        # unloading half of the cycle comes back to
         scenario = harness_cli.default_noisy_scenario(
             shape=ShapeSpec.cylinder(0.025), contact_position="middle",
             schedule=ScheduleConfig(kind="static", cycles=1, plateaus_mm=(0, 4, 10, 4, 0)),
@@ -892,17 +951,19 @@ class TestOracleFastPaths:
         monkeypatch.setattr(ForwardContactModel, "solve", counting_solve)
         closures = [c for _, c, _, _ in static_profile(scenario.schedule, scenario.camera_hz)]
         eng = SimEngine(scenario)
-        stepped = {}
+        stepped, poses = {}, set()
         for closure in closures:
             truth = eng.step_truth(0.0, closure).jaws[0]
-            stepped.setdefault(closure, []).append((truth, eng._solved[0][3][0]))
-        changes = sum(a != b for a, b in zip(closures, closures[1:]))
-        assert len(solves) == 1 + changes < len(closures) // 2
+            forces = eng._solve_contact(0, closure, eng._object_x).result[0]
+            stepped.setdefault(closure, []).append((truth, forces))
+            poses.add((truth.pose_jaw_from_obj.rotation.tobytes(),
+                       truth.pose_jaw_from_obj.translation.tobytes()))
+        assert len(solves) == len(poses) < len(closures) // 2
         in_contact = 0
         for closure, runs in stepped.items():
             fresh = SimEngine(scenario)
             truth = fresh.step_truth(0.0, closure).jaws[0]
-            forces = fresh._solved[0][3][0]
+            forces = fresh._solve_contact(0, closure, fresh._object_x).result[0]
             for mine, my_forces in runs:
                 assert my_forces.tobytes() == forces.tobytes()
                 assert mine.force.tobytes() == truth.force.tobytes()
@@ -927,12 +988,205 @@ class TestOracleFastPaths:
             for idx, rig in enumerate(ref.rigs):
                 expect -= (rig.rot_world_from_jaw @ ref._jaw_truth(idx, closure, x).force)[0]
             assert np.float64(net).tobytes() == np.float64(expect).tobytes()
-            # both engines hold the same last pose and forces per rig
-            for mine, theirs in zip(fast._solved, ref._solved):
-                assert mine[0] == theirs[0]
-                assert mine[3][0].tobytes() == theirs[3][0].tobytes()
+            # both engines' memos hold the same poses, in the same order,
+            # with the same forces, per rig
+            for mine, theirs in zip(fast._solves, ref._solves):
+                assert len(mine) == len(theirs)
+                for (my_key, my_solve), (key, solve) in zip(mine._entries.items(),
+                                                            theirs._entries.items()):
+                    assert my_key[1:] == key[1:]
+                    assert my_solve.result[0].tobytes() == solve.result[0].tobytes()
             nets.append(net)
         assert nets[0] == 0.0 and max(abs(n) for n in nets) > 0.1
+
+    def test_second_static_cycle_runs_no_oracle_work(self, monkeypatch):
+        # a two-cycle distributed static d25 cell with the memos, against
+        # the same cell with every memo cleared before every call: bitwise
+        # equal frames and solves; the second cycle, whose closures the
+        # first already visited, runs no penalty solve and no occluder cast
+        scenario = harness_cli.default_noisy_scenario(
+            shape=ShapeSpec.cylinder(0.025), contact_position="middle",
+            schedule=ScheduleConfig(kind="static", cycles=2, plateaus_mm=(0, 4, 10, 4, 0)),
+            contact=ContactModelConfig(model="distributed"))
+        work = {"solve": 0, "cast": 0}
+        solve, hits = ForwardContactModel.solve, sensing_sim._occluder_hits
+
+        def counting_solve(self, jaw_from_obj, sdf):
+            work["solve"] += 1
+            return solve(self, jaw_from_obj, sdf)
+
+        def counting_hits(mesh, origins, targets):
+            work["cast"] += 1
+            return hits(mesh, origins, targets)
+
+        monkeypatch.setattr(ForwardContactModel, "solve", counting_solve)
+        monkeypatch.setattr(sensing_sim, "_occluder_hits", counting_hits)
+        after_frame = []
+        eng, memo, memo_forces = recorded_run(
+            scenario, False, lambda idx, pkt: after_frame.append(dict(work)))
+        n_memo = dict(work)
+        _, cleared, cleared_forces = recorded_run(scenario, True)
+        assert_same_frames(memo, cleared)
+        assert memo_forces == cleared_forces
+        n_cycle = len(memo) // 2
+        assert after_frame[n_cycle - 1] == after_frame[-1] == n_memo
+        assert 0 < n_memo["solve"] <= n_memo["cast"] < n_cycle // 5
+        assert work["solve"] - n_memo["solve"] == work["cast"] - n_memo["cast"] == len(memo)
+        assert eng.work == {"solves_run": n_memo["solve"], "casts_run": n_memo["cast"],
+                            "solves_skipped": len(memo) - n_memo["solve"],
+                            "casts_skipped": len(memo) - n_memo["cast"]}
+        assert sum(pkt.truth.jaws[0].candidate >= 0 for pkt in memo) > n_cycle
+
+    def test_drift_side_view_matches_cleared_memos(self, monkeypatch):
+        # the drift-mode side-camera grasp, where one jaw hides the other's
+        # keypoints, with the memos and with every memo cleared before
+        # every call: bitwise equal frames and solves, and fewer casts
+        scenario = dual_grasp_scenario(occlusion_mode="drift", camera_eye=(-0.15, 0.02, 0.12))
+        casts = []
+        hits = sensing_sim._occluder_hits
+
+        def counting_hits(mesh, origins, targets):
+            casts.append(1)
+            return hits(mesh, origins, targets)
+
+        monkeypatch.setattr(sensing_sim, "_occluder_hits", counting_hits)
+        eng, memo, memo_forces = recorded_run(scenario, False)
+        n_memo = len(casts)
+        _, cleared, cleared_forces = recorded_run(scenario, True)
+        assert_same_frames(memo, cleared)
+        assert memo_forces == cleared_forces
+        # two jaws, each seen past the object and the other jaw
+        assert len(casts) - n_memo == 4 * len(memo) > 4 * 40
+        assert eng.work["casts_run"] == n_memo < len(casts) - n_memo
+        assert eng.work["casts_run"] + eng.work["casts_skipped"] == 4 * len(memo)
+        assert sum(int((~obs.visible).sum()) for pkt in memo for obs in pkt.observations) > 100
+
+    def test_evicted_pose_is_solved_again(self, monkeypatch):
+        # a rig's memo holds MEMO_CAPACITY poses and forgets the least
+        # recently used one first; a forgotten pose is solved again, with
+        # bitwise equal results
+        eng = SimEngine(dual_grasp_scenario())
+        solves = []
+        solve = ForwardContactModel.solve
+
+        def counting_solve(self, jaw_from_obj, sdf):
+            solves.append(1)
+            return solve(self, jaw_from_obj, sdf)
+
+        monkeypatch.setattr(ForwardContactModel, "solve", counting_solve)
+        capacity = sensing_sim.MEMO_CAPACITY
+        closures = [touch_closure(eng) + 0.001 + 2e-5 * k for k in range(capacity + 1)]
+        truths, first = [], []
+        for c in closures[:capacity]:
+            truths.append(eng._jaw_truth(0, c, 0.0))
+            first.append(eng._solve_contact(0, c, 0.0))
+        assert len(solves) == len(eng._solves[0]) == capacity
+        assert eng._solve_contact(0, closures[0], 0.0) is first[0]
+        eng._jaw_truth(0, closures[capacity], 0.0)  # forgets closures[1]
+        assert len(solves) == capacity + 1 and len(eng._solves[0]) == capacity
+        assert eng._solve_contact(0, closures[0], 0.0) is first[0]
+        assert len(solves) == capacity + 1
+        again = eng._jaw_truth(0, closures[1], 0.0)
+        solved = eng._solve_contact(0, closures[1], 0.0)
+        assert len(solves) == capacity + 2 and solved is not first[1]
+        for mine, theirs in zip(solved.result[:3], first[1].result[:3]):
+            assert mine.tobytes() == theirs.tobytes()
+        assert solved.result[3] == first[1].result[3] >= 0
+        for name in ("force", "contact_point", "displacements"):
+            assert getattr(again, name).tobytes() == getattr(truths[1], name).tobytes()
+        assert again.displacements is not truths[1].displacements
+        assert again.pose_jaw_from_obj.translation.tobytes() == \
+            truths[1].pose_jaw_from_obj.translation.tobytes()
+        assert np.abs(again.force).max() > 0.5
+
+    def test_new_sdf_misses_both_memos(self, monkeypatch):
+        # a frame repeated on one engine is answered from the memos; after
+        # the SDF is replaced by a new object that computes the same
+        # distances, both rigs solve and jaw 0 casts again, with bitwise
+        # equal geometry
+        eng = SimEngine(dual_grasp_scenario())
+        work = {"solve": 0, "cast": 0}
+        solve, hits = ForwardContactModel.solve, sensing_sim._occluder_hits
+
+        def counting_solve(self, jaw_from_obj, sdf):
+            work["solve"] += 1
+            return solve(self, jaw_from_obj, sdf)
+
+        def counting_hits(mesh, origins, targets):
+            work["cast"] += 1
+            return hits(mesh, origins, targets)
+
+        monkeypatch.setattr(ForwardContactModel, "solve", counting_solve)
+        monkeypatch.setattr(sensing_sim, "_occluder_hits", counting_hits)
+        closure = touch_closure(eng) + 0.002
+        truth = eng.step_truth(0.0, closure)
+        geometry = eng._observation_geometry(truth, 0)
+        before = dict(work)
+        assert eng.step_truth(0.0, closure).jaws[0].force is truth.jaws[0].force
+        assert eng._observation_geometry(truth, 0) is geometry
+        assert work == before
+        eng.sdf = make_sdf(eng.scenario.shape)
+        again = eng.step_truth(0.0, closure)
+        fresh = eng._observation_geometry(again, 0)
+        assert work == {"solve": before["solve"] + 2, "cast": before["cast"] + 2}
+        assert fresh is not geometry
+        for name in ("kp_world", "occluded", "drift_points", "kp_cam", "ref_cam"):
+            assert getattr(fresh, name).tobytes() == getattr(geometry, name).tobytes()
+        for mine, theirs in zip(again.jaws, truth.jaws):
+            assert mine.force is not theirs.force
+            assert mine.force.tobytes() == theirs.force.tobytes()
+            assert mine.displacements.tobytes() == theirs.displacements.tobytes()
+        assert truth.jaws[0].force_scalar > 0.5
+
+    def test_moved_object_misses_the_view_memo(self):
+        # the same closure with the object elsewhere on the grasp axis, as
+        # a bisection from another start can leave it, is a new view, the
+        # one an engine without the memo entry renders
+        scenario = dual_grasp_scenario(shape=ShapeSpec.wedge())
+        eng, other = SimEngine(scenario), SimEngine(scenario)
+        truth = eng.step_truth(0.0, touch_closure(eng) + 0.002)
+        geometry = eng._observation_geometry(truth, 0)
+        assert eng._observation_geometry(truth, 0) is geometry
+        eng._object_x += 1e-4
+        other._object_x = eng._object_x
+        moved = eng._observation_geometry(truth, 0)
+        assert moved is not geometry
+        expect = other._observation_geometry(truth, 0)
+        for name in ("kp_world", "occluded", "drift_points", "kp_cam", "ref_cam"):
+            assert getattr(moved, name).tobytes() == getattr(expect, name).tobytes()
+        assert eng.work["casts_run"] == 4
+
+    def test_memo_arrays_are_write_locked(self):
+        eng = SimEngine(dual_grasp_scenario(occlusion_mode="drift"))
+        truth = eng.step_truth(0.0, touch_closure(eng) + 0.002)
+        geometry = eng._observation_geometry(truth, 0)
+        solved = eng._solve_contact(0, truth.closure, eng._object_x)
+        for array in (*solved.result[:3], solved.displacements, geometry.kp_world,
+                      geometry.occluded, geometry.drift_points, geometry.kp_cam,
+                      geometry.ref_cam):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_run_logs_oracle_work(self, caplog):
+        scenario = Scenario(
+            shape=ShapeSpec.cylinder(0.015), noise=NoiseConfig(), occlusion_mode="confidence",
+            schedule=ScheduleConfig(kind="static", plateaus_mm=(0, 6, 0), ramp_s=0.1,
+                                    settle_s=0.1, record_s=0.1, cycles=2))
+        eng = SimEngine(scenario)
+        with caplog.at_level(logging.DEBUG, logger="finray.sensing_sim"):
+            run_scenario(scenario, eng)
+            first = dict(eng.work)
+            n_frames = run_scenario(scenario, eng).manifest.n_frames
+        w = eng.work
+        assert w["solves_run"] + w["solves_skipped"] == 2 * n_frames
+        assert 0 < first["solves_run"] == w["solves_run"] < first["solves_skipped"]
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == [
+            f"oracle work over {n_frames} frames: penalty solves {first['solves_run']} run, "
+            f"{first['solves_skipped']} skipped; occluder casts {first['casts_run']} run, "
+            f"{first['casts_skipped']} skipped",
+            f"oracle work over {n_frames} frames: penalty solves 0 run, {n_frames} skipped; "
+            f"occluder casts 0 run, {n_frames} skipped"]
 
     def test_equilibrium_without_bracket_warns(self, monkeypatch, caplog):
         eng = SimEngine(dual_grasp_scenario())
