@@ -69,10 +69,10 @@ class PoseTransform:
         """The inverse transform. The transpose of a checked rotation is
         orthonormal, so it is built without the check."""
         inv = object.__new__(PoseTransform)
-        for name, value in (("rotation", self.rotation.T),
-                            ("translation", -self.rotation.T @ self.translation),
-                            ("frame_from", self.frame_to), ("frame_to", self.frame_from)):
-            object.__setattr__(inv, name, value)
+        object.__setattr__(inv, "rotation", self.rotation.T)
+        object.__setattr__(inv, "translation", -self.rotation.T @ self.translation)
+        object.__setattr__(inv, "frame_from", self.frame_to)
+        object.__setattr__(inv, "frame_to", self.frame_from)
         return inv
 
     def matrix(self) -> np.ndarray:

@@ -196,9 +196,10 @@ class DeformedState:
 _TET_FACES = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
 
 
-@dataclass
+@dataclass(eq=False)
 class SurfaceMesh:
-    """Triangle mesh; ``watertight`` is verified at construction."""
+    """Triangle mesh; ``watertight`` is verified at construction. A mesh
+    is equal only to itself, so it can key a memo by identity."""
 
     vertices: np.ndarray
     triangles: np.ndarray

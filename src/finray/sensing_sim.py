@@ -507,18 +507,21 @@ class SimEngine:
       and the bytes of the pose's rotation and translation. A solve starts cold, so it
       is a pure function of pose and SDF.
     - ``_views``, one ``LruMemo`` per jaw, holds its
-      ``ObservationGeometry``, keyed by the SDF object and the bytes of the
-      closure and the object's grasp-axis position, which fix every jaw's
-      pose and deformation. It is not keyed by the pose: distinct closures
-      can share a jaw pose, since ``world_from_jaw(closure)`` differs from
-      them in the last bits.
+      ``ObservationGeometry``, keyed by the SDF object, the object mesh
+      (also equal only to itself) and the bytes of the closure and the
+      object's grasp-axis position, which fix every jaw's pose and
+      deformation. The object mesh is the occluder the rays are cast
+      against. It is not keyed by the pose: distinct closures can share a
+      jaw pose, since ``world_from_jaw(closure)`` differs from them in the
+      last bits.
 
     Each memo keeps ``MEMO_CAPACITY`` entries and forgets the least
-    recently used first. It belongs to its engine, so no other run, and no
-    rerun of this one, is served from it. A hit returns the same arrays
-    and draws nothing from the rng, so a run's outputs are those of the
-    same run without the memos. ``work`` counts the penalty solves and
-    occluder casts run and those the memos skipped.
+    recently used first. The memos live as long as their engine and are
+    never shared between engines; ``pipeline.run_estimation`` builds a
+    fresh engine for each run, so separate runs share nothing. A hit
+    returns the same arrays and draws nothing from the rng, so a run's
+    outputs are those of the same run without the memos. ``work`` counts
+    the penalty solves and occluder casts run and those the memos skipped.
     """
 
     def __init__(self, scenario: Scenario):
@@ -682,15 +685,16 @@ class SimEngine:
     def _observation_geometry(self, truth: GroundTruthFrame,
                               jaw_index: int) -> ObservationGeometry:
         """The jaw's ``ObservationGeometry`` under ``truth``, from the jaw's
-        memo when it holds this closure, object position and SDF. With
-        occlusion on, rays to the keypoints are cast against the object and
+        memo when it holds this closure, object position, object mesh and
+        SDF. With occlusion on, rays to the keypoints are cast against the object and
         the other jaw; the other jaw's surface is refit to its deformation,
         not rebuilt. An occluder whose box the rays' box misses is not cast
         at, so the other jaw's tree is only refit, or first built, on frames
         whose rays can reach it."""
         sc = self.scenario
         n_occluders = len(self.rigs) if sc.occlusion_mode != "off" else 0
-        key = (self.sdf, np.array((truth.closure, self._object_x)).tobytes())
+        key = (self.sdf, self.object_mesh,
+               np.array((truth.closure, self._object_x)).tobytes())
         geometry = self._views[jaw_index].get(key)
         if geometry is not None:
             self.work["casts_skipped"] += n_occluders
@@ -736,7 +740,8 @@ class SimEngine:
         engine's ``step_truth`` just returned. Everything before the first
         draw from the rng, the keypoints' world and camera positions and
         their occlusion, comes from ``_observation_geometry``, which the
-        jaw's memo answers for a closure it has seen. The noise, the
+        jaw's memo answers for a closure, object position, object mesh and
+        SDF it has seen. The noise, the
         confidences and the drift are drawn on every frame, in the same
         order with or without the memo."""
         sc = self.scenario

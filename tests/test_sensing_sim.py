@@ -1138,6 +1138,42 @@ class TestOracleFastPaths:
             assert mine.displacements.tobytes() == theirs.displacements.tobytes()
         assert truth.jaws[0].force_scalar > 0.5
 
+    def test_new_object_mesh_misses_the_view_memo(self, monkeypatch):
+        # the object mesh is an occluder: replacing it with a new mesh of
+        # the same shape casts once more, solves nothing and renders the
+        # same geometry; a larger mesh casts again and hides at least as
+        # many keypoints
+        eng = SimEngine(Scenario(shape=ShapeSpec.cylinder(0.015, 0.08),
+                                 contact_position="upper", occlusion_mode="confidence"))
+        work = {"solve": 0, "cast": 0}
+        solve, hits = ForwardContactModel.solve, sensing_sim._occluder_hits
+
+        def counting_solve(self, jaw_from_obj, sdf):
+            work["solve"] += 1
+            return solve(self, jaw_from_obj, sdf)
+
+        def counting_hits(mesh, origins, targets):
+            work["cast"] += 1
+            return hits(mesh, origins, targets)
+
+        monkeypatch.setattr(ForwardContactModel, "solve", counting_solve)
+        monkeypatch.setattr(sensing_sim, "_occluder_hits", counting_hits)
+        truth = eng.step_truth(0.0, 0.003)
+        geometry = eng._observation_geometry(truth, 0)
+        assert eng._observation_geometry(truth, 0) is geometry
+        assert work == {"solve": 1, "cast": 1}
+        eng.object_mesh = make_object_mesh(ShapeSpec.cylinder(0.015, 0.08))
+        same = eng._observation_geometry(eng.step_truth(0.0, 0.003), 0)
+        assert work == {"solve": 1, "cast": 2}
+        assert same is not geometry
+        for name in ("kp_world", "occluded", "drift_points", "kp_cam", "ref_cam"):
+            assert getattr(same, name).tobytes() == getattr(geometry, name).tobytes()
+        eng.object_mesh = make_object_mesh(ShapeSpec.cylinder(0.035, 0.08))
+        larger = eng._observation_geometry(eng.step_truth(0.0, 0.003), 0)
+        assert work == {"solve": 1, "cast": 3}
+        assert (larger.occluded >= geometry.occluded).all()
+        assert larger.occluded.sum() > geometry.occluded.sum()
+
     def test_moved_object_misses_the_view_memo(self):
         # the same closure with the object elsewhere on the grasp axis, as
         # a bisection from another start can leave it, is a new view, the
