@@ -3,8 +3,9 @@ cached factorization, the unit-load field bank, and the compliance
 operators the inverse force solver consumes.
 
 Small-strain linear elements keep the compliance maps constant, which is
-what the inverse objective requires. Dense Cholesky below 2000 free DOFs,
-sparse LU above (the refined oracle mesh).
+what the inverse objective requires. One sparse LU factorizes every mesh,
+rejecting a singular K_ff by its pivots; unlike a dense Cholesky, it gives
+the same bits at any BLAS thread count.
 
 Each ``StiffnessSystem`` owns one bank of unit-load displacement fields,
 one per loaded vertex. A request solves the vertices not yet in the bank
@@ -15,23 +16,22 @@ every consumer (the forward contact oracle and the inverse solver's
 
 from __future__ import annotations
 
+import logging
 import threading
+import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 from .mesh_model import DeformedState, TetMesh
 
+logger = logging.getLogger(__name__)
+
 
 class SolveError(RuntimeError):
     """Singular or infeasible linear system."""
-
-
-DENSE_DOF_CUTOFF = 2000
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,6 @@ class StiffnessSystem:
     vertices solve each field once and read the same arrays."""
 
     def __init__(self, mesh: TetMesh, material: MaterialModel):
-        if len(mesh.fixed_vertex_ids) == 0:
-            raise SolveError("empty fixed set leaves the system singular")
         self.mesh = mesh
         self.material = material
         ke = element_stiffnesses(mesh.vertices, mesh.tets, material)
@@ -120,23 +118,22 @@ class StiffnessSystem:
         self.n_free = len(self.free_dofs)
         k_ff = k_full[self.free_dofs][:, self.free_dofs]
 
-        self._dense: Optional[tuple] = None
-        self._sparse_lu = None
-        if self.n_free <= DENSE_DOF_CUTOFF:
-            try:
-                self._dense = scipy.linalg.cho_factor(k_ff.toarray(), lower=True)
-            except scipy.linalg.LinAlgError as exc:
-                raise SolveError(f"stiffness not positive definite: {exc}") from exc
-        else:
-            self._sparse_lu = scipy.sparse.linalg.splu(k_ff.tocsc())
+        start = time.perf_counter()
+        try:
+            self._lu = scipy.sparse.linalg.splu(k_ff.tocsc())
+        except RuntimeError as exc:
+            raise SolveError(f"stiffness factorization failed: {exc}") from exc
+        pivots = np.abs(self._lu.U.diagonal())
+        if pivots.min(initial=np.inf) <= self.n_free * np.finfo(float).eps * pivots.max(initial=0):
+            raise SolveError(f"stiffness singular: pivot ratio {pivots.min() / pivots.max():.3g}")
+        logger.debug("stiffness factorization: %d free DOFs, nnz(L)+nnz(U) %d, %.1f ms", self.n_free,
+                     self._lu.L.nnz + self._lu.U.nnz, 1e3 * (time.perf_counter() - start))
         self._bank: dict[int, np.ndarray] = {}
         self._bank_lock = threading.Lock()
 
     def solve_free(self, rhs: np.ndarray) -> np.ndarray:
         """Solve K_ff u = rhs for one or more right-hand sides."""
-        if self._dense is not None:
-            return scipy.linalg.cho_solve(self._dense, rhs)
-        return self._sparse_lu.solve(rhs)
+        return self._lu.solve(rhs)
 
     def solve_displacement(self, loads: np.ndarray) -> DeformedState:
         """Displacement under per-vertex loads; loads on fixed vertices must

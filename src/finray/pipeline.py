@@ -4,7 +4,7 @@ force solve, streamed over a scenario's synthetic observations.
 
 Run outputs are a per-frame CSV (force solution, residuals, activation
 mask, localization trace) plus a JSON manifest sufficient to reproduce the
-run byte-identically.
+run byte-identically, at any BLAS thread count.
 """
 
 from __future__ import annotations

@@ -241,7 +241,8 @@ class ForwardContactModel:
     nodes once. ``load_fields`` (3n x 3 n_vertices): row (a, d) is the
     displacement of every jaw vertex under a unit load on node a along
     axis d. ``node_compliance`` (3n x 3n): row (i, b) and column (a, d)
-    hold node i's displacement along axis b under that load.
+    hold node i's displacement along axis b under that load, averaged with
+    its transpose: reciprocal bit for bit, as a one-triangle Cholesky needs.
 
     A solve gathers the node-compliance block W of its m eligible nodes,
     those the undeformed jaw pushes into the object, and iterates on that
@@ -272,7 +273,8 @@ class ForwardContactModel:
         # (loaded node, load axis, vertex, axis): one bank field per node
         fields = np.stack([f.transpose(2, 0, 1) for f in system.unit_load_fields(self.node_ids)])
         self.load_fields = fields.reshape(3 * len(self.node_ids), -1)
-        self.node_compliance = np.ascontiguousarray(self.load_fields[:, _dofs(self.node_ids)].T)
+        w = self.load_fields[:, _dofs(self.node_ids)]
+        self.node_compliance = 0.5 * (w + w.T)
         self.rest = fixture.mesh.vertices[self.node_ids]
 
     def _implicit_normal_forces(self, g: np.ndarray, depth: np.ndarray,

@@ -1,3 +1,4 @@
+import logging
 import threading
 import time
 
@@ -11,7 +12,7 @@ from finray.fem_core import (
     assemble,
     precompute_compliance,
 )
-from finray.fixtures import JawParams, ShapeSpec, generate_jaw
+from finray.fixtures import JawParams, ShapeSpec, canonical_jaw, generate_jaw
 from finray.mesh_model import TetMesh
 from finray.pipeline import EstimatorSettings, JawEstimator
 from finray.sensing_sim import ContactModelConfig, Scenario, SimEngine
@@ -89,6 +90,41 @@ class TestAssemble:
         bare = TetMesh(mesh.vertices, mesh.tets, np.array([], dtype=int), np.array([3]))
         with pytest.raises(SolveError):
             assemble(bare, MaterialModel())
+
+    @pytest.mark.parametrize("case", ["unheld second tet", "pinned at one vertex",
+                                      "vertex in no tet"])
+    def test_singular_stiffness_rejected(self, case):
+        # rigid motions left free, found by the pivot ratio: a second tet
+        # that no fixed vertex holds, or one tet held at a single vertex,
+        # where it can still rotate; a vertex with no stiffness at all makes
+        # the factorization itself fail
+        mesh = tet_fixture()
+        if case == "unheld second tet":
+            vertices = np.vstack([mesh.vertices, mesh.vertices + [0.05, 0.0, 0.0]])
+            mesh = TetMesh(vertices, np.array([[0, 1, 2, 3], [4, 5, 6, 7]]),
+                           mesh.fixed_vertex_ids, mesh.inner_surface_ids)
+        elif case == "pinned at one vertex":
+            mesh = TetMesh(mesh.vertices, mesh.tets, np.array([0]), mesh.inner_surface_ids)
+        else:
+            mesh = TetMesh(np.vstack([mesh.vertices, [0.1, 0.1, 0.1]]), mesh.tets,
+                           mesh.fixed_vertex_ids, mesh.inner_surface_ids)
+        with pytest.raises(SolveError):
+            assemble(mesh, MaterialModel())
+
+    def test_fully_fixed_mesh_has_nothing_to_solve(self):
+        mesh = tet_fixture()
+        held = TetMesh(mesh.vertices, mesh.tets, np.arange(4), np.array([], dtype=int))
+        system = assemble(held, MaterialModel())
+        assert system.n_free == 0
+        assert not system.solve_displacement(np.zeros((4, 3))).displacements.any()
+
+    def test_factorization_logged(self, jaw, caplog):
+        with caplog.at_level(logging.DEBUG, logger="finray.fem_core"):
+            system = StiffnessSystem(jaw.mesh, MaterialModel())
+        (record,) = [r for r in caplog.records if r.name == "finray.fem_core"]
+        n_free, nnz, ms = record.args
+        assert n_free == system.n_free == 1512
+        assert nnz > system.n_free and ms > 0.0
 
     def test_material_validation(self):
         with pytest.raises(ValueError):
@@ -251,25 +287,32 @@ class TestFieldBank:
             assert np.array_equal(field, reference.point_load_field(v))
 
 
+def assert_block_solve_matches_columns(system, ids):
+    """The block solve behind the field bank equals solving column by
+    column, bit for bit, and the bank holds those columns."""
+    cols = np.searchsorted(system.free_dofs, (3 * ids[:, None] + np.arange(3)).ravel())
+    rhs = np.zeros((system.n_free, len(cols)))
+    rhs[cols, np.arange(len(cols))] = 1.0
+    per_column = np.column_stack([system.solve_free(rhs[:, j]) for j in range(len(cols))])
+    assert np.array_equal(system.solve_free(rhs), per_column)
+    for k, field in enumerate(system.unit_load_fields(ids)):
+        assert np.array_equal(field.reshape(-1, 3)[system.free_dofs],
+                              per_column[:, 3 * k:3 * k + 3])
+
+
 class TestRefinedMesh:
     def test_refined_generation_sparse_path(self):
         params = JawParams().refined(2)
         fixture = generate_jaw(params)
         assert fixture.mesh.n_vertices > 2000
         system = assemble(fixture.mesh, MaterialModel())
-        assert system._dense is None  # sparse factorization path
         loads = np.zeros((fixture.mesh.n_vertices, 3))
         loads[fixture.candidate_ids[7]] = [-1.0, 0.0, 0.0]
         u = system.solve_displacement(loads)
         assert u.displacements[fixture.candidate_ids[7], 0] < 0.0
-        # the block solve behind the field bank equals solving column by
-        # column, bit for bit
-        ids = fixture.candidate_ids[[2, 7, 11]]
-        cols = np.searchsorted(system.free_dofs, (3 * ids[:, None] + np.arange(3)).ravel())
-        rhs = np.zeros((system.n_free, len(cols)))
-        rhs[cols, np.arange(len(cols))] = 1.0
-        per_column = np.column_stack([system.solve_free(rhs[:, j]) for j in range(len(cols))])
-        assert np.array_equal(system.solve_free(rhs), per_column)
-        for k, field in enumerate(system.unit_load_fields(ids)):
-            assert np.array_equal(field.reshape(-1, 3)[system.free_dofs],
-                                  per_column[:, 3 * k:3 * k + 3])
+        assert_block_solve_matches_columns(system, fixture.candidate_ids[[2, 7, 11]])
+
+    def test_canonical_jaw_takes_the_same_path(self):
+        fixture = canonical_jaw()
+        system = assemble(fixture.mesh, MaterialModel())
+        assert_block_solve_matches_columns(system, fixture.candidate_ids[[2, 7, 11]])

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -397,6 +400,48 @@ class TestManifestRerun:
                                       if k != "scenario.shape.radius"})
         with pytest.raises(ConfigError, match="unknown manifest config key 'scenario.gap'"):
             run_config_from_manifest({**config, "scenario.gap": 0.048})
+
+
+class TestBlasThreads:
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # a distributed static cell and a dual-jaw wedge grasp, each run in
+        # a fresh process with one and with two BLAS threads, write the
+        # same CSV and manifest bytes
+        code = """
+import sys
+from pathlib import Path
+from finray.fixtures import ShapeSpec
+from finray.harness_cli import default_noisy_scenario, load_epsilon_schedule
+from finray.pipeline import EstimatorSettings, run_estimation
+from finray.sensing_sim import ContactModelConfig, ScheduleConfig
+cells = {
+    "static": default_noisy_scenario(
+        shape=ShapeSpec.cylinder(0.035), contact_position="lower",
+        schedule=ScheduleConfig(kind="static", cycles=1, plateaus_mm=(0, 4, 10, 4, 0)),
+        contact=ContactModelConfig(model="distributed", viscous_gamma=0.25, viscous_tau=8.0)),
+    "grasp": default_noisy_scenario(
+        shape=ShapeSpec.wedge(), dual_jaw=True, contact=ContactModelConfig(model="point"),
+        schedule=ScheduleConfig(kind="grasp", closing_speed_mm_s=8.0, target_force=3.0,
+                                hold_s=0.2)),
+}
+settings = EstimatorSettings(epsilons=load_epsilon_schedule())
+for name, scenario in cells.items():
+    res = run_estimation(scenario, settings)
+    res.to_csv(Path(sys.argv[1]) / f"{name}.csv")
+    res.write_manifest(Path(sys.argv[1]) / f"{name}.manifest.json")
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            out.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-c", code, str(out)], env=env, check=True)
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(written[0]) == 4
+        assert written[0] == written[1]
+        assert len(written[0]["grasp.csv"].splitlines()) > 100
 
 
 class TestTraceTargets:
