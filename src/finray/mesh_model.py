@@ -23,17 +23,16 @@ The intersection samples the deforming jaw (``DeformableSurface``) alone
 and asks the object twin (``RigidSurface``) which samples it holds; the
 jaw's tree is built only for ray casts against it, such as the oracle's
 occlusion test. The twin only moves rigidly, so its mesh, BVH and
-``ContainmentGrid`` stay in the object frame: query points and ray
-directions are mapped into that frame. A point in a cell the surface
-does not touch takes the answer of its cell's connected component; a
-point in a touched cell takes its cell centre's cached parity answer,
-flipped once per listed triangle the segment from the centre crosses,
-and is ray-cast only where that segment or the point comes within
+``ContainmentGrid`` stay in the object frame: query points are mapped
+into that frame. A point in a cell the surface does not touch takes the
+answer of its cell's connected component; a point in a touched cell
+takes its cell centre's cached parity answer, flipped once per listed
+triangle the segment from the centre crosses, and is ray-cast on the
+template only where that segment or the point comes within
 ``_GRAZE_EPS`` of a triangle or the centre lies near a listed triangle's
-plane. The answers are those of ray parity on the posed mesh, except
-within about 1e-9 m of a face that the pose leaves exactly on a box
-face, where the posed mesh's own answer turns on rounding in its box
-test.
+plane. The answers are those of ray parity on the template at the mapped
+points; they differ from ray parity on the posed mesh only within about
+1e-9 m of the surface, where both turn on rounding.
 
 All coordinates are meters. Meshes are treated as immutable after
 construction (arrays are write-locked); ``DeformedState`` is the one
@@ -336,6 +335,12 @@ def _seeded_directions(n: int) -> np.ndarray:
 # distance in barycentric units and along the ray within which
 # ``count_crossings`` calls a ray grazing, so that its point is re-cast
 _GRAZE_EPS = 1e-9
+# twice _GRAZE_EPS, far above rounding: every tree's slab test widens its
+# boxes by this much, so a ray from within _GRAZE_EPS of a triangle tests
+# it even where rounding moved the ray's point just outside the box, and a
+# grid cell that no triangle's widened box touches is farther than
+# _GRAZE_EPS from the surface along any ray
+_BOX_MARGIN = 2 * _GRAZE_EPS
 # points that graze a triangle on every cast are effectively on the
 # surface; after these casts the last parity answer stands
 _FALLBACK_DIRECTIONS = _seeded_directions(4)
@@ -348,15 +353,14 @@ _PAIR_CHUNK = 256
 class TriangleBVH:
     """Median-split AABB tree over triangles with a batched, level-by-level
     traversal. Topology is fixed at build time; ``refit`` updates the
-    boxes for deformed vertex positions. The ray slab test widens every
-    box by ``margin``, so a ray from within the margin of a triangle's box
-    always tests that triangle."""
+    boxes for deformed vertex positions. The boxes are kept exact, and the
+    ray slab test widens each by ``_BOX_MARGIN``, so a ray from within the
+    margin of a triangle's box always tests that triangle."""
 
     leaf_size = 16  # most triangles per leaf
 
-    def __init__(self, vertices: np.ndarray, triangles: np.ndarray, margin: float = 0.0):
+    def __init__(self, vertices: np.ndarray, triangles: np.ndarray):
         self.triangles = np.asarray(triangles, dtype=np.int64)
-        self.margin = margin
         n = len(self.triangles)
         if n == 0:
             raise MeshError("empty triangle set")
@@ -452,9 +456,7 @@ class TriangleBVH:
         over all (node, ray) pairs of the frontier at once."""
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / dirs
-        node_min, node_max = self.node_min, self.node_max
-        if self.margin:
-            node_min, node_max = node_min - self.margin, node_max + self.margin
+        node_min, node_max = self.node_min - _BOX_MARGIN, self.node_max + _BOX_MARGIN
         nodes = np.zeros(len(origins), dtype=np.int64)
         rays = np.arange(len(origins))
         leaf_rows, leaf_rays = [], []
@@ -524,10 +526,11 @@ class TriangleBVH:
             np.logical_or.at(suspect, rays, grazing.any(axis=1))
         return counts, suspect
 
-    def first_hit_fraction(self, origins: np.ndarray, targets: np.ndarray,
-                           t_hi: float = 1.0 - 1e-9) -> np.ndarray:
+    def first_hit_fraction(self, origins: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Smallest hit parameter along each segment origin->target within
-        (1e-9, t_hi), or +inf when unobstructed."""
+        (1e-9, 1 - 1e-6), or +inf when unobstructed: a hit within 1e-6 of
+        the target, such as the target's own face, does not count."""
+        t_hi = 1.0 - 1e-6
         dirs = targets - origins
         best = np.full(len(origins), np.inf)
         for rays, t, u, v, det_ok, _ in self._leaf_hits(origins, dirs, t_hi):
@@ -537,18 +540,16 @@ class TriangleBVH:
         return best
 
 
-def point_inside(mesh: SurfaceMesh, points: np.ndarray,
-                 return_on_surface: bool = False,
-                 directions: np.ndarray = _FALLBACK_DIRECTIONS):
+def point_inside(mesh: SurfaceMesh, points: np.ndarray, return_on_surface: bool = False):
     """Ray-crossing parity containment test for one or many points.
 
-    Deterministic for points not on the surface: grazing rays are re-cast
-    along the next of ``directions``. Points that graze on every cast are
-    effectively on the surface; they settle with the last parity answer,
-    or are reported separately with ``return_on_surface``. Within about
-    1e-9 m of the surface the answer depends on the directions, so a
-    surface queried in another frame casts the seeded directions mapped
-    into that frame.
+    Deterministic for points not on the surface: a grazing ray is re-cast
+    along the next of the seeded ``_FALLBACK_DIRECTIONS``. Points that
+    graze on every cast are effectively on the surface; they settle with
+    the last parity answer, or are reported separately with
+    ``return_on_surface``. Within about 1e-9 m of the surface the answer
+    turns on the directions and on rounding, so one surface in two frames
+    can answer such a point differently.
     """
     if not mesh.watertight:
         raise WatertightError("point containment requires a watertight mesh")
@@ -557,7 +558,7 @@ def point_inside(mesh: SurfaceMesh, points: np.ndarray,
     counts = np.zeros(len(pts), dtype=np.int64)
     on_surface = np.zeros(len(pts), dtype=bool)
     remaining = np.arange(len(pts))
-    for direction in directions:
+    for direction in _FALLBACK_DIRECTIONS:
         c, suspect = bvh.count_crossings(pts[remaining], direction)
         settled = ~suspect
         counts[remaining[settled]] = c[settled]
@@ -584,14 +585,6 @@ def point_inside(mesh: SurfaceMesh, points: np.ndarray,
 # objects; a 0.5 mm grid costs more in labelling temporaries (tens of MB)
 # than it saves in ray casts
 _GRID_CELLS = 2 ** 17
-# twice _GRAZE_EPS, far above rounding. Triangle boxes widen by
-# this much before they mark cells, so a point in an unmarked cell is
-# farther than eps from the surface along any ray and no cast from it
-# grazes. The grid's tree widens its boxes as much, so a point mapped into
-# the object frame, where the objects' faces lie on box faces and rounding
-# can move a surface point just outside a box, still tests the triangles
-# it lies on, as it does on the posed mesh.
-_TWIN_MARGIN = 2 * _GRAZE_EPS
 _TOUCHED = 2  # cell state next to 0 (outside) and 1 (inside)
 # a touched cell's centre answer: not cast yet, or not usable because the
 # centre lies on the surface or near a listed triangle's plane
@@ -622,22 +615,20 @@ class ContainmentGrid:
     first use and kept, flipped once per listed triangle that the segment
     from the centre to the point crosses (cell-local reference points,
     Ogayar, Segura & Feito 2005). Three kinds of point are tested instead
-    by ``point_inside`` on the grid's own tree, with the caller's
-    directions, so the grid stands in for the mesh there: a point within
-    ``_GRAZE_EPS`` of a listed triangle's plane inside its widened box, a
-    point whose segment grazes a listed triangle's edge, and every point
-    of a cell whose centre is on the surface or near a listed plane.
-    Points off the grid are outside.
+    by ``point_inside`` on ``mesh``: a point within ``_GRAZE_EPS`` of a
+    listed triangle's plane inside its widened box, a point whose segment
+    grazes a listed triangle's edge, and every point of a cell whose
+    centre is on the surface or near a listed plane. Points off the grid
+    are outside. Representatives and centres are cast on ``mesh`` too, so
+    ``contains`` is ``ins | on`` of ``point_inside`` on ``mesh``.
 
     ``reference_casts`` counts the centres cast and ``fallback_casts`` the
     points tested by ``point_inside``.
     """
 
-    watertight = True
-
     def __init__(self, mesh: SurfaceMesh):
         start = time.perf_counter()
-        self._bvh = TriangleBVH(mesh.vertices, mesh.triangles, margin=_TWIN_MARGIN)
+        self.mesh = mesh
         tv = mesh.vertices[mesh.triangles]
         lo, hi = tv.min(axis=(0, 1)), tv.max(axis=(0, 1))
         ext = hi - lo
@@ -646,7 +637,7 @@ class ContainmentGrid:
         self.cell = max(float(np.cbrt(np.prod(ext) / _GRID_CELLS)), float(ext.max()) / 256)
         self.origin = lo - self.cell
         self.shape = np.ceil(ext / self.cell).astype(np.int64) + 2
-        self._lo, self._hi = tv.min(axis=1) - _TWIN_MARGIN, tv.max(axis=1) + _TWIN_MARGIN
+        self._lo, self._hi = tv.min(axis=1) - _BOX_MARGIN, tv.max(axis=1) + _BOX_MARGIN
         # how many widened boxes touch each cell, from a difference array
         # with +-1 at the corners of each box's cell range
         first, last = (np.clip(self._cell_index(c), 0, self.shape - 1)
@@ -660,7 +651,7 @@ class ContainmentGrid:
         ids, reps = np.unique(labels, return_index=True)
         answers = np.full(n + 1, _TOUCHED, dtype=np.int8)
         reps = np.column_stack(np.unravel_index(reps[ids > 0], self.shape))
-        answers[1:] = point_inside(self, self._centre(reps))
+        answers[1:] = point_inside(mesh, self._centre(reps))
         self.state = answers[labels]
         del diff, labels  # before the lists are built, which bounds the build's peak memory
         self._v0 = tv[:, 0].copy()
@@ -688,7 +679,7 @@ class ContainmentGrid:
         """Each touched cell's triangle list, in CSR form, built over the
         (cell, triangle) pairs of the widened boxes' cell ranges in steps
         of ``_PAIR_STEP``; and the cells whose centres take no reference."""
-        reach = 0.5 * np.sqrt(3.0) * self.cell + _TWIN_MARGIN
+        reach = 0.5 * np.sqrt(3.0) * self.cell + _BOX_MARGIN
         extent = last - first + 1
         sizes = np.prod(extent, axis=1)
         ends = np.cumsum(sizes)
@@ -712,9 +703,6 @@ class ContainmentGrid:
         self._start = np.concatenate([[0], np.cumsum(counts)])
         self._reference[np.concatenate(unusable)] = _NO_REFERENCE
 
-    def bvh(self) -> TriangleBVH:
-        return self._bvh
-
     def _cell_index(self, points: np.ndarray) -> np.ndarray:
         # monotone in each coordinate, so a point in a widened box maps
         # into that box's cell range
@@ -727,9 +715,9 @@ class ContainmentGrid:
         """List rows of touched cells, from their (n, 3) indices."""
         return np.searchsorted(self._touched, np.ravel_multi_index(tuple(cells.T), self.shape))
 
-    def contains(self, points: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         """Inside or on the surface, for points in the surface's frame:
-        ``ins | on`` of ``point_inside`` cast along ``directions``."""
+        ``ins | on`` of ``point_inside`` on ``mesh``."""
         idx = self._cell_index(points)
         on_grid = np.all((idx >= 0) & (idx < self.shape), axis=1)
         state = np.zeros(len(points), dtype=np.int8)
@@ -737,7 +725,7 @@ class ContainmentGrid:
         hit = state == 1
         touched = np.flatnonzero(state == _TOUCHED)
         if touched.size:
-            hit[touched] = self._touched_contains(points[touched], idx[touched], directions)
+            hit[touched] = self._touched_contains(points[touched], idx[touched])
         return hit
 
     def _references(self, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -746,15 +734,14 @@ class ContainmentGrid:
         ref = self._reference[rows]
         uncast, at = np.unique(rows[ref == _UNCAST], return_index=True)
         if uncast.size:
-            ins, on = point_inside(self, self._centre(idx[ref == _UNCAST][at]),
+            ins, on = point_inside(self.mesh, self._centre(idx[ref == _UNCAST][at]),
                                    return_on_surface=True)
             self._reference[uncast] = np.where(on, _NO_REFERENCE, ins)
             self.reference_casts += len(uncast)
             ref = self._reference[rows]
         return ref
 
-    def _touched_contains(self, points: np.ndarray, idx: np.ndarray,
-                          directions: np.ndarray) -> np.ndarray:
+    def _touched_contains(self, points: np.ndarray, idx: np.ndarray) -> np.ndarray:
         eps = _GRAZE_EPS
         rows = self._rows(idx)
         ref = self._references(rows, idx)
@@ -788,8 +775,7 @@ class ContainmentGrid:
         flips = np.bincount(pt[span[crossing]], minlength=len(points)) % 2
         inside = (ref == 1) != (flips == 1)
         if fallback.any():
-            ins, on = point_inside(self, points[fallback], return_on_surface=True,
-                                   directions=directions)
+            ins, on = point_inside(self.mesh, points[fallback], return_on_surface=True)
             inside[fallback] = ins | on
             self.fallback_casts += int(fallback.sum())
         return inside
@@ -797,7 +783,7 @@ class ContainmentGrid:
 
 def content_key(*arrays: np.ndarray) -> str:
     """sha256 hex digest over each array's shape and bytes, in order: the
-    content key of the process-wide caches of grids and stiffness systems."""
+    content part of a ``registered`` key."""
     digest = hashlib.sha256()
     for arr in arrays:
         digest.update(repr(arr.shape).encode())
@@ -805,27 +791,29 @@ def content_key(*arrays: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-_GRIDS: dict = {}
-_GRIDS_LOCK = threading.Lock()
+# the process-wide registry: twin grids and stiffness systems by content
+_REGISTRY: dict = {}
+_REGISTRY_LOCK = threading.Lock()
 
 
-def containment_grid(mesh: SurfaceMesh) -> ContainmentGrid:
-    """One grid per surface content, shared by every rigid surface of
-    that mesh; built on first use."""
-    key = content_key(mesh.vertices, mesh.triangles)
-    with _GRIDS_LOCK:
-        if key not in _GRIDS:
-            _GRIDS[key] = ContainmentGrid(mesh)
-        return _GRIDS[key]
+def registered(key: tuple, build):
+    """The process-wide entry under ``key``, made by ``build()`` on first
+    use and shared by every caller, engine and thread after it. A key
+    names its kind first, then the content it is built from. ``build``
+    runs under the registry's lock, so it must not look the registry up."""
+    with _REGISTRY_LOCK:
+        if key not in _REGISTRY:
+            _REGISTRY[key] = build()
+        return _REGISTRY[key]
 
 
 class RigidSurface:
     """Watertight surface that only moves rigidly, such as an object twin.
 
     ``place`` poses it; ``vertices`` are the posed ones. Containment maps
-    the query points and the ray directions into the template's frame and
-    answers from the template's ``ContainmentGrid``, whose tree is never
-    refit. It is the containment target of ``intersect_approx``.
+    the query points into the template's frame and answers from the
+    template's ``ContainmentGrid``, whose tree is never refit. It is the
+    containment target of ``intersect_approx``.
     """
 
     def __init__(self, template: SurfaceMesh):
@@ -844,7 +832,9 @@ class RigidSurface:
         """The template's grid, shared by every surface of its content and
         built on first use."""
         if self._grid is None:
-            self._grid = containment_grid(self.template)
+            mesh = self.template
+            self._grid = registered(("grid", content_key(mesh.vertices, mesh.triangles)),
+                                    lambda: ContainmentGrid(mesh))
         return self._grid
 
     def place(self, rotation: np.ndarray, translation: np.ndarray) -> None:
@@ -857,10 +847,11 @@ class RigidSurface:
         return _box(self.vertices, self._vertex_ids)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Inside or on the posed surface: ``ins | on`` of
-        ``point_inside`` on the posed mesh."""
-        return self.grid().contains((points - self.translation) @ self.rotation,
-                                    _FALLBACK_DIRECTIONS @ self.rotation)
+        """Inside or on the posed surface, bit for bit ``ins | on`` of
+        ``point_inside`` on the template at the points mapped into its
+        frame. Ray parity on the posed mesh agrees except within about
+        1e-9 m of the surface, where both answers turn on rounding."""
+        return self.grid().contains((points - self.translation) @ self.rotation)
 
 
 @dataclass

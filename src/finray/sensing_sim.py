@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -28,7 +27,7 @@ from .contact_localizer import PoseTransform, look_at, rot_z, rotation_about
 from .fem_core import MaterialModel, StiffnessSystem, assemble
 from .fixtures import JawFixture, ShapeSpec, canonical_jaw, make_object_mesh, make_sdf
 from .mesh_calibration import CameraModel, PointCloud, partial_view
-from .mesh_model import DeformableSurface, SurfaceMesh, content_key
+from .mesh_model import _BOX_MARGIN, DeformableSurface, SurfaceMesh, content_key, registered
 
 logger = logging.getLogger(__name__)
 
@@ -422,20 +421,15 @@ def _object_world_pose(scenario: Scenario, x_center: float, z_center: float) -> 
     return PoseTransform(rot, _object_origin(scenario, x_center, z_center), "o", "w")
 
 
-_SYSTEM_CACHE: dict = {}
-_SYSTEM_LOCK = threading.Lock()
-
-
 def cached_system(mesh, material: MaterialModel) -> StiffnessSystem:
     """One stiffness system, with its factorization and field bank, per
-    mesh content and material; shared across engines, jaws and threads."""
-    key = (content_key(mesh.vertices, mesh.tets, mesh.fixed_vertex_ids,
-                       mesh.inner_surface_ids),
+    mesh content and material, from the process-wide registry. The
+    builder looks ``assemble`` up in this module, where perfbench's
+    tracer wraps it."""
+    key = ("system", content_key(mesh.vertices, mesh.tets, mesh.fixed_vertex_ids,
+                                 mesh.inner_surface_ids),
            material.youngs_modulus, material.poisson_ratio)
-    with _SYSTEM_LOCK:
-        if key not in _SYSTEM_CACHE:
-            _SYSTEM_CACHE[key] = assemble(mesh, material)
-        return _SYSTEM_CACHE[key]
+    return registered(key, lambda: assemble(mesh, material))
 
 
 class LruMemo:
@@ -819,15 +813,16 @@ class SimEngine:
 def _occluder_hits(mesh, origins: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """First hit fraction of each segment origin -> target on ``mesh``
     within (1e-9, 1 - 1e-6), +inf where it is unobstructed. When the
-    segments' box misses ``mesh.bounds()`` widened by 1e-9 m, no segment
-    can enter the tree's root box, so every fraction is +inf without
-    asking ``mesh.bvh()``, which would build or refit the tree."""
+    segments' box misses ``mesh.bounds()`` widened by ``_BOX_MARGIN``, no
+    segment can enter the tree's root box, which its slab test widens as
+    much, so every fraction is +inf without asking ``mesh.bvh()``, which
+    would build or refit the tree."""
     lo, hi = mesh.bounds()
     seg_lo = np.minimum(origins.min(axis=0), targets.min(axis=0))
     seg_hi = np.maximum(origins.max(axis=0), targets.max(axis=0))
-    if np.any(seg_lo > hi + 1e-9) or np.any(seg_hi < lo - 1e-9):
+    if np.any(seg_lo > hi + _BOX_MARGIN) or np.any(seg_hi < lo - _BOX_MARGIN):
         return np.full(len(origins), np.inf)
-    return mesh.bvh().first_hit_fraction(origins, targets, t_hi=1.0 - 1e-6)
+    return mesh.bvh().first_hit_fraction(origins, targets)
 
 
 # ---------------------------------------------------------------------------

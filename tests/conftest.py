@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from finray import mesh_model, sensing_sim
+from finray import mesh_model
 from finray.fem_core import MaterialModel, precompute_compliance
 from finray.fixtures import canonical_jaw
 from finray.sensing_sim import cached_system
@@ -29,8 +29,7 @@ def rng():
 
 @pytest.fixture()
 def fresh_caches(monkeypatch):
-    """Empty process-wide registries of containment grids and stiffness
+    """An empty process-wide registry of containment grids and stiffness
     systems for one test, so that its counts start at zero; the shared
     entries come back after it."""
-    monkeypatch.setattr(mesh_model, "_GRIDS", {})
-    monkeypatch.setattr(sensing_sim, "_SYSTEM_CACHE", {})
+    monkeypatch.setattr(mesh_model, "_REGISTRY", {})

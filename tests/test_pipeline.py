@@ -238,8 +238,9 @@ class TestLazyRefit:
     def test_overlapping_steps_fit_no_tree(self, monkeypatch, caplog, fresh_caches):
         # the jaw is only sampled and the twin is placed rigidly and tested
         # in its own frame: over a run of overlapping steps the only tree
-        # the estimators build is their twin grid's, fit once by its build,
-        # and two estimators on one twin mesh share one grid
+        # the estimators build is the one their twin grid casts on, the twin
+        # template's, fit once by its build, and two estimators on one twin
+        # mesh share one grid
         caplog.set_level(logging.DEBUG, logger="finray.mesh_model")
         engine = SimEngine(quick_static())
         n_steps = 4
@@ -254,7 +255,8 @@ class TestLazyRefit:
                                 pkt.truth.jaws[0].candidate).status
         grid = ests[0].twin.grid()
         assert ests[1].twin.grid() is grid
-        assert builds == refits == [grid.bvh()]
+        assert builds == refits == [grid.mesh.bvh()]
+        assert grid.mesh is ests[0].twin.template
         grid_builds = [r for r in caplog.records
                        if r.getMessage().startswith("containment grid")]
         assert len(grid_builds) == 1
