@@ -13,6 +13,8 @@ from finray.fixtures import ShapeSpec, box_points, icosphere, make_object_mesh, 
 from finray.mesh_calibration import (
     CameraModel,
     CorrespondenceError,
+    ICPResult,
+    IncrementalNearest,
     PointCloud,
     alpha_wrap,
     calibrate,
@@ -22,6 +24,7 @@ from finray.mesh_calibration import (
     icp_align,
     load_point_cloud,
     partial_view,
+    point_to_plane_step,
     reverse_query,
     save_point_cloud,
     umeyama_alignment,
@@ -85,6 +88,20 @@ class TestCoarseScale:
                            np.array([[0, 1, 2]]))
         with pytest.raises(MeshError):
             coarse_scale(flat, PointCloud(np.array([[0.0, 0, 1], [1.0, 0, 1]])))
+
+    def test_flat_cloud_rejected(self):
+        # a scan without x-extent would scale the mesh to nothing, and the
+        # collapsed twin still reads watertight
+        cam = CameraModel()
+        mesh = posed_in_camera(make_object_mesh(ShapeSpec.cylinder(0.025)), 0.45)
+        rng = np.random.default_rng(0)
+        flat = PointCloud(np.column_stack([np.full(200, 0.01),
+                                           rng.uniform(-0.02, 0.02, 200),
+                                           rng.uniform(0.43, 0.47, 200)]))
+        with pytest.raises(MeshError):
+            coarse_scale(mesh, flat)
+        with pytest.raises(MeshError):
+            calibrate(mesh, flat, cam)
 
     def test_synthetic_scan_recovers_scale(self):
         cam = CameraModel()
@@ -292,6 +309,82 @@ class TestUmeyamaICP:
         assert np.abs(t2 - t).max() <= 1e-8
 
 
+def to_bisector(tree, q):
+    """Each point moved along the line to its second nearest data point,
+    onto the plane equidistant from its two nearest; a point whose two
+    nearest coincide stays put."""
+    i1, i2 = tree.query(q, k=2)[1].T
+    u = tree.data[i2] - q
+    w = q - tree.data[i1]
+    uu = np.einsum("ij,ij->i", u, u)
+    den = 2.0 * (np.einsum("ij,ij->i", w, u) + uu)
+    ok = den != 0.0
+    t = np.zeros(len(q))
+    t[ok] = (uu[ok] - np.einsum("ij,ij->i", w, w)[ok]) / den[ok]
+    return q + t[:, None] * u
+
+
+class TestIncrementalNearest:
+    """The certified cache against a fresh tree on every call: the same
+    indices and distances, exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.sampled_from(["small", "jump", "cluster", "bisector", "midpoint"]),
+                    min_size=3, max_size=10))
+    def test_random_walk_matches_fresh_tree(self, seed, moves):
+        rng = np.random.default_rng(seed)
+        # a dyadic grid is exact in binary, so a midpoint of two grid
+        # points is exactly equidistant from both; 20 points appear twice,
+        # and 20 more have a twin 2**-30 m away, far below the grid step
+        grid = rng.integers(-64, 64, size=(150, 3)) / 1024.0 + np.array([0.0, 0.0, 0.5])
+        twins = grid[20:40] + rng.integers(-1, 2, size=(20, 3)) * 2.0 ** -30
+        data = np.concatenate([grid, grid[:20], twins])
+        tree = cKDTree(data)
+        near = IncrementalNearest(cKDTree(data))
+        lo, hi = data.min(axis=0), data.max(axis=0)
+        q = rng.uniform(lo, hi, size=(300, 3))
+        for move in ["jump", *moves]:
+            if move == "small":
+                q = q + rng.normal(scale=rng.choice([1e-9, 1e-6, 1e-4]), size=q.shape)
+            elif move == "jump":
+                q = rng.uniform(lo, hi, size=q.shape)
+            elif move == "cluster":
+                at = data[rng.integers(len(data), size=len(q))]
+                q = at + rng.normal(scale=1e-9, size=q.shape)
+            elif move == "bisector":
+                q = to_bisector(tree, q)
+            else:
+                a, b = rng.integers(len(data), size=(2, len(q)))
+                half = rng.random(len(q)) < 0.5
+                q = np.where(half[:, None], 0.5 * (data[a] + data[b]), q)
+            d, idx = near.query(q)
+            d_ref, idx_ref = tree.query(q)
+            assert np.array_equal(idx, idx_ref)
+            assert np.array_equal(d, d_ref)
+
+    def test_small_steps_reuse_neighbours(self, rng):
+        data = rng.uniform(-0.05, 0.05, size=(500, 3))
+        tree = cKDTree(data)
+        near = IncrementalNearest(cKDTree(data))
+        q = rng.uniform(-0.05, 0.05, size=(400, 3))
+        for _ in range(20):
+            q = q + rng.normal(scale=1e-5, size=q.shape)
+            d, idx = near.query(q)
+            d_ref, idx_ref = tree.query(q)
+            assert np.array_equal(idx, idx_ref)
+            assert np.array_equal(d, d_ref)
+        assert len(q) <= near.tree_queries < 20 * len(q) // 4
+
+    def test_single_point_data(self):
+        near = IncrementalNearest(cKDTree(np.array([[0.0, 0.0, 1.0]])))
+        for q in (np.zeros((3, 3)), np.ones((3, 3))):
+            d, idx = near.query(q)
+            assert np.array_equal(idx, np.zeros(3, dtype=idx.dtype))
+            assert np.array_equal(d, np.linalg.norm(q - [0.0, 0.0, 1.0], axis=1))
+        assert near.tree_queries == 3
+
+
 class TestWatertighting:
     def test_alpha_wrap_sphere_points(self):
         sphere = icosphere(2, 0.03)
@@ -376,6 +469,11 @@ class TestCalibrate:
             "calibrate similarity 3"]
         for m, r in zip(stages, runs):
             assert f"{r.n_iterations} iterations ({r.stop_reason})" in m
+            assert f"{r.tree_queries} of {r.point_iterations} point-iterations" in m
+        # the similarity stages start from a settled pose, so the cache
+        # answers most of their searches
+        for r in runs[1:]:
+            assert 0 < r.tree_queries < r.point_iterations
 
 
 class TestTwinScale:
@@ -388,9 +486,9 @@ class TestTwinScale:
     POSE_ERROR = rotation_about(np.array([0.2, 1.0, 0.4]), np.deg2rad(8.0))
     OFFSET = np.array([0.012, -0.008, 0.01])
 
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("twin", ["cylinder", "wedge"])
-    def test_scale_within_one_percent(self, twin, seed):
+    @classmethod
+    def scene(cls, twin, seed):
+        """(reconstruction, scan, camera, mis-scale) of one twin set-up."""
         cam = CameraModel()
         if twin == "cylinder":
             spec, mis_scale = ShapeSpec.cylinder(0.025), 1.2
@@ -400,12 +498,118 @@ class TestTwinScale:
             template = midpoint_subdivided(make_object_mesh(spec), 3)
             template = SurfaceMesh(template.vertices, template.triangles[:-2])
         truth = make_object_mesh(spec)
-        scan = synthetic_scan(posed_in_camera(truth, 0.45, rotation=self.TILT), cam,
+        scan = synthetic_scan(posed_in_camera(truth, 0.45, rotation=cls.TILT), cam,
                               depth_sigma=0.001, seed=seed)
         recon = posed_in_camera(SurfaceMesh(template.vertices * mis_scale, template.triangles),
-                                0.45, rotation=self.POSE_ERROR @ self.TILT, offset=self.OFFSET)
+                                0.45, rotation=cls.POSE_ERROR @ cls.TILT, offset=cls.OFFSET)
+        return recon, scan, cam, mis_scale
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("twin", ["cylinder", "wedge"])
+    def test_scale_within_one_percent(self, twin, seed):
+        recon, scan, cam, mis_scale = self.scene(twin, seed)
         result = calibrate(recon, scan, cam)
         assert result.total_scale * mis_scale == pytest.approx(1.0, rel=0.01)
+
+    @pytest.mark.parametrize("twin", ["cylinder", "wedge"])
+    def test_matches_uncached_icp(self, twin, monkeypatch):
+        # the certified cache changes no iterate: every stage and the twin
+        # are the bits of the loop that searches a fresh tree each pass
+        recon, scan, cam, _ = self.scene(twin, 0)
+        runs, results = {}, {}
+        for key, align in (("cached", icp_align), ("uncached", uncached_icp_align)):
+            runs[key] = []
+
+            def recorded(*args, align=align, log=runs[key], **kwargs):
+                log.append(align(*args, **kwargs))
+                return log[-1]
+
+            monkeypatch.setattr(mesh_calibration, "icp_align", recorded)
+            results[key] = calibrate(recon, scan, cam)
+        got, want = results["cached"], results["uncached"]
+        assert got.report() == want.report()
+        assert np.array_equal(got.mesh.vertices, want.mesh.vertices)
+        assert np.array_equal(got.mesh.triangles, want.mesh.triangles)
+        assert len(runs["cached"]) == len(runs["uncached"]) == 4
+        for a, b in zip(runs["cached"], runs["uncached"]):
+            assert a.rms_history == b.rms_history
+            assert (a.n_iterations, a.stop_reason, a.scale) == (b.n_iterations, b.stop_reason,
+                                                                b.scale)
+            assert np.array_equal(a.rotation, b.rotation)
+            assert np.array_equal(a.translation, b.translation)
+
+    @pytest.mark.parametrize("twin", ["cylinder", "wedge"])
+    def test_distances_are_the_trees_own(self, twin):
+        # the cache measures norm(q - data[idx]) itself; on the twins' data
+        # that is the tree's own distance, bit for bit
+        recon, scan, cam, _ = self.scene(twin, 0)
+        q = partial_view(recon, cam).points
+        d_ref, idx_ref = cKDTree(scan.points).query(q)
+        assert np.array_equal(np.linalg.norm(q - scan.points[idx_ref], axis=1), d_ref)
+        d, idx = IncrementalNearest(cKDTree(scan.points)).query(q)
+        assert np.array_equal(idx, idx_ref)
+        assert np.array_equal(d, d_ref)
+
+
+def uncached_icp_align(source, target, with_scale=False, max_iters=50, tol=1e-6,
+                       reject_factor=3.0):
+    """Reference: the ICP loop as it was before the certified cache, with
+    two fresh tree searches per pass."""
+    src = source.valid_points
+    dst = target.valid_points
+    plane = source.normals is not None and not with_scale
+    dst_tree = cKDTree(dst)
+    src_tree = cKDTree(src)
+    r, t, s = np.eye(3), np.zeros(3), 1.0
+
+    def correspondences(rot, tra, sca):
+        moved = sca * (src @ rot.T) + tra
+        d_fwd, idx_fwd = dst_tree.query(moved)
+        _, idx_rev = src_tree.query(((dst - tra) @ rot) / sca)
+        matched = sca * src_tree.data[idx_rev] @ rot.T + tra
+        d_rev = np.linalg.norm(dst - matched, axis=1)
+        pair_idx = np.concatenate([np.arange(len(src)), idx_rev])
+        pair_dst = np.concatenate([dst[idx_fwd], dst])
+        d = np.concatenate([d_fwd, d_rev])
+        rms = float(np.sqrt(np.mean(d * d)))
+        return rms, pair_idx, pair_dst, d
+
+    rms, pair_idx, pair_dst, d = correspondences(r, t, s)
+    history = [rms]
+    best = (rms, r, t, s)
+    since_best = 0
+    iters = 0
+    stop = "max_iters"
+    for iters in range(1, max_iters + 1):
+        if reject_factor > 0:
+            med = np.median(d)
+            inlier = d <= reject_factor * max(med, 1e-300)
+        else:
+            inlier = np.ones(len(d), dtype=bool)
+        if inlier.sum() < 3:
+            raise CorrespondenceError("fewer than 3 inlier correspondences")
+        fit_idx = pair_idx[inlier]
+        if plane:
+            r, t = point_to_plane_step(src[fit_idx], pair_dst[inlier],
+                                       source.normals[fit_idx], r, t)
+        else:
+            r, t, s = umeyama_alignment(src[fit_idx], pair_dst[inlier], with_scale)
+        rms, pair_idx, pair_dst, d = correspondences(r, t, s)
+        if rms < best[0]:
+            improved = best[0] - rms
+            best = (rms, r, t, s)
+            history.append(rms)
+            since_best = 0
+            if improved <= tol * max(rms, 1e-300):
+                stop = "tol"
+                break
+        else:
+            since_best += 1
+            if since_best >= 10:
+                stop = "stalled"
+                break
+    rms, r, t, s = best
+    return ICPResult(r, t, s, rms, iters, history, stop)
 
 
 class TestChamfer:

@@ -1,6 +1,8 @@
 """Every global name a module reads is bound in that module or is a builtin,
-every name a module imports at its top level is used or exported, and no
-package module calls the builtin ``id()``: caches are keyed by content.
+every name a module imports at its top level is used or exported, no
+package module calls the builtin ``id()`` (caches are keyed by content), and
+no package module but the command line's calls the builtin ``print``:
+diagnostics go through ``logging``.
 
 Walks the symbol tables and syntax trees of the package and test sources,
 so a missing import fails here instead of on the first call that reaches
@@ -64,13 +66,20 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == set()
 
 
-def id_calls(path: Path) -> list[int]:
-    """Lines that call the builtin ``id``."""
+def builtin_calls(path: Path, name: str) -> list[int]:
+    """Lines that call the builtin ``name``."""
     tree = ast.parse(path.read_text(), str(path))
     return [n.lineno for n in ast.walk(tree)
-            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "id"]
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_id_calls(path):
-    assert id_calls(path) == []
+    assert builtin_calls(path, "id") == []
+
+
+# the command line's output is the one place that prints
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "harness_cli.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_print_calls(path):
+    assert builtin_calls(path, "print") == []
