@@ -162,10 +162,12 @@ def select_candidate(centroid: np.ndarray, deformed_vertices: np.ndarray,
     undeformed position by index, projects onto the inner contact surface,
     and returns the nearest candidate (lowest index on ties). That snap
     depends only on the vertex, so ``snaps`` keeps it per vertex id; one
-    dict serves one (undeformed mesh, candidate positions) pair.
+    dict serves one (undeformed mesh, candidate positions) pair. The
+    surface vertices are gathered by ``np.take``, several times faster
+    than a fancy index on (n, 3) rows, and their squared distances summed
+    by ``np.einsum``, whose order decides ties between vertices.
     """
-    pts = deformed_vertices[surface_vertex_ids]
-    rel = pts - centroid
+    rel = np.take(deformed_vertices, surface_vertex_ids, axis=0) - centroid
     j = int(surface_vertex_ids[int(np.argmin(np.einsum("ij,ij->i", rel, rel)))])
     if j not in snaps:
         q_p = project_to_inner_surface(undeformed, undeformed.vertices[j])

@@ -48,10 +48,8 @@ class KeypointFilter:
     def accept(self, positions_jaw: np.ndarray, confidence: np.ndarray) -> np.ndarray:
         lo = np.asarray(self.bbox_lo)
         hi = np.asarray(self.bbox_hi)
-        conf_ok = confidence >= CONFIDENCE_THRESHOLD
-        finite = np.all(np.isfinite(positions_jaw), axis=1)
-        in_box = finite & np.all((positions_jaw >= lo) & (positions_jaw <= hi), axis=1)
-        return conf_ok & in_box
+        in_box = np.isfinite(positions_jaw) & (positions_jaw >= lo) & (positions_jaw <= hi)
+        return (confidence >= CONFIDENCE_THRESHOLD) & in_box.all(axis=1)
 
 
 @dataclass
@@ -90,8 +88,7 @@ def set_targets(effectors: EffectorSet, observation, cam_to_jaw: PoseTransform,
     """
     pos_jaw = cam_to_jaw.apply(observation.keypoints)
     accepted = keypoint_filter.accept(pos_jaw, observation.confidence)
-    targets = effectors.targets.copy()
-    targets[accepted] = pos_jaw[accepted]
+    targets = np.where(accepted[:, None], pos_jaw, effectors.targets)
     return replace(effectors, targets=targets, active=accepted)
 
 

@@ -29,6 +29,7 @@ from .mesh_model import (
     MeshError,
     SurfaceMesh,
     _TET_FACES,
+    _lattice,
     boundary_faces,
     is_watertight,
     surface_sample_points,
@@ -144,8 +145,7 @@ def partial_view(mesh: SurfaceMesh, camera: CameraModel) -> PointCloud:
     samples, normals = [], []
     for n in np.unique(n_sub):
         sel = n_sub == n
-        sub = SurfaceMesh(mesh.vertices, mesh.triangles[sel])
-        samples.append(surface_sample_points(sub, density=int(n)))
+        samples.append(_lattice(tv[sel], int(n)))
         # the lattice emits each triangle's (n + 1)(n + 2) / 2 samples together
         normals.append(np.repeat(face_n[sel], (n + 1) * (n + 2) // 2, axis=0))
     pts = np.concatenate(samples)

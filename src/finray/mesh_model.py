@@ -24,15 +24,17 @@ and asks the object twin (``RigidSurface``) which samples it holds; the
 jaw's tree is built only for ray casts against it, such as the oracle's
 occlusion test. The twin only moves rigidly, so its mesh, BVH and
 ``ContainmentGrid`` stay in the object frame: query points are mapped
-into that frame. A point in a cell the surface does not touch takes the
-answer of its cell's connected component; a point in a touched cell
-takes its cell centre's cached parity answer, flipped once per listed
-triangle the segment from the centre crosses, and is ray-cast on the
-template only where that segment or the point comes within
-``_GRAZE_EPS`` of a triangle or the centre lies near a listed triangle's
-plane. The answers are those of ray parity on the template at the mapped
-points; they differ from ray parity on the posed mesh only within about
-1e-9 m of the surface, where both turn on rounding.
+into that frame. One gather from a table over the grid's cells gives
+every query point's answer or its cell's triangle list: a point in a
+cell the surface does not touch takes the answer of its cell's
+connected component; a point in a touched cell takes its cell centre's
+cached parity answer, flipped once per listed triangle the segment from
+the centre crosses, and is ray-cast on the template only where that
+segment or the point comes within ``_GRAZE_EPS`` of a triangle or the
+centre lies near a listed triangle's plane. The answers are those of ray
+parity on the template at the mapped points; they differ from ray parity
+on the posed mesh only within about 1e-9 m of the surface, where both
+turn on rounding.
 
 All coordinates are meters. Meshes are treated as immutable after
 construction (arrays are write-locked); ``DeformedState`` is the one
@@ -585,7 +587,9 @@ def point_inside(mesh: SurfaceMesh, points: np.ndarray, return_on_surface: bool 
 # objects; a 0.5 mm grid costs more in labelling temporaries (tens of MB)
 # than it saves in ray casts
 _GRID_CELLS = 2 ** 17
-_TOUCHED = 2  # cell state next to 0 (outside) and 1 (inside)
+# table codes of the cells no triangle's widened box touches; a touched
+# cell's code is its row in the triangle lists, from 0 up
+_OUTSIDE, _INSIDE = -2, -1
 # a touched cell's centre answer: not cast yet, or not usable because the
 # centre lies on the surface or near a listed triangle's plane
 _UNCAST, _NO_REFERENCE = -1, 2
@@ -597,6 +601,24 @@ _CENTRE_CLEARANCE = 1e-4
 # (cell, triangle) candidates per step of the list build: bounds its
 # temporaries to about 1 MB
 _PAIR_STEP = 2 ** 13
+# row blocks of the grid's column-wise triangle table: first corner, unit
+# normal, the edges from the first corner, and the widened box
+_V0, _NORMAL, _E1, _E2, _LO, _HI = (slice(3 * k, 3 * k + 3) for k in range(6))
+# a 3-row block's rows in the cyclic order (x, y, z, x, y): a cross product
+# reads [1:4] as (y, z, x) and [2:5] as (z, x, y), views and not copies.
+# The edges' cyclic rows in the triangle table, and those of the segment
+# and of centre - v0 in the pairs' six rows
+_CYCLIC = np.array([0, 1, 2, 0, 1])
+_EDGE_ROWS = np.concatenate([_CYCLIC + _E1.start, _CYCLIC + _E2.start])
+_SEGMENT_ROWS = np.concatenate([_CYCLIC, _CYCLIC + 3])
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the columns of two (3, n) arrays, summed in the
+    order of ``np.einsum("ij,ij->i")`` on their transposes:
+    (x0*y0 + x2*y2) + x1*y1."""
+    ab = a * b
+    return (ab[0] + ab[2]) + ab[1]
 
 
 class ContainmentGrid:
@@ -622,6 +644,18 @@ class ContainmentGrid:
     are outside. Representatives and centres are cast on ``mesh`` too, so
     ``contains`` is ``ins | on`` of ``point_inside`` on ``mesh``.
 
+    Two tables hold the grid, and a query reads them in one pass with no
+    branch per point. One int32 code per cell, over the grid padded by
+    one more ring of outside cells, says outside, inside, or the touched
+    cell's row in the triangle lists (``_rows``); every query point, its
+    cell clamped into that ring, reads its code in one gather, so no test
+    for leaving the grid is needed. One (18, triangles) float table holds
+    each triangle's first corner, unit normal, two edges and widened box
+    as columns: the (point, listed triangle) pairs of a query gather the
+    plane rows with one ``np.take``, the pairs whose segment crosses a
+    plane gather the edge rows with one more, and the tests run row by
+    row, their dot products summed in ``np.einsum``'s order.
+
     ``reference_casts`` counts the centres cast and ``fallback_casts`` the
     points tested by ``point_inside``.
     """
@@ -637,45 +671,55 @@ class ContainmentGrid:
         self.cell = max(float(np.cbrt(np.prod(ext) / _GRID_CELLS)), float(ext.max()) / 256)
         self.origin = lo - self.cell
         self.shape = np.ceil(ext / self.cell).astype(np.int64) + 2
-        self._lo, self._hi = tv.min(axis=1) - _BOX_MARGIN, tv.max(axis=1) + _BOX_MARGIN
+        box_lo, box_hi = tv.min(axis=1) - _BOX_MARGIN, tv.max(axis=1) + _BOX_MARGIN
         # how many widened boxes touch each cell, from a difference array
         # with +-1 at the corners of each box's cell range
-        first, last = (np.clip(self._cell_index(c), 0, self.shape - 1)
-                       for c in (self._lo, self._hi))
+        first, last = (np.clip(self._cell_index(c), 0, self.shape - 1) for c in (box_lo, box_hi))
         diff = np.zeros(self.shape + 1, dtype=np.int32)
         for corner in itertools.product((0, 1), repeat=3):
             at = np.where(corner, last + 1, first)
             np.add.at(diff, tuple(at.T), -1 if sum(corner) % 2 else 1)
         touched = (diff.cumsum(0).cumsum(1).cumsum(2) > 0)[:-1, :-1, :-1]
+        del diff
         labels, n = scipy.ndimage.label(~touched)
         ids, reps = np.unique(labels, return_index=True)
-        answers = np.full(n + 1, _TOUCHED, dtype=np.int8)
+        answers = np.full(n + 1, _OUTSIDE, dtype=np.int32)
         reps = np.column_stack(np.unravel_index(reps[ids > 0], self.shape))
-        answers[1:] = point_inside(mesh, self._centre(reps))
-        self.state = answers[labels]
-        del diff, labels  # before the lists are built, which bounds the build's peak memory
-        self._v0 = tv[:, 0].copy()
-        self._e1, self._e2 = tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]
-        normal = _cross(self._e1, self._e2)
+        answers[1:] = np.where(point_inside(mesh, self._centre(reps)), _INSIDE, _OUTSIDE)
+        n_touched = int(np.count_nonzero(touched))
+        table = np.full(self.shape + 2, _OUTSIDE, dtype=np.int32)
+        inner = table[1:-1, 1:-1, 1:-1]
+        inner[...] = answers[labels]
+        del labels  # before the lists are built, which bounds the build's peak memory
+        # a touched cell's row is its rank among the touched cells in flat order
+        inner[touched] = np.arange(n_touched, dtype=np.int32)
+        self._table = table.reshape(-1)
+        # flat position in the table of cell (i, j, k): the dot product of
+        # (i, j, k) clamped to [-1, shape] with the strides, plus the offset
+        strides = np.array([(self.shape[1] + 2) * (self.shape[2] + 2), self.shape[2] + 2, 1])
+        self._strides = strides.astype(np.float64)
+        self._offset = int(strides.sum())
+        v0 = tv[:, 0]
+        e1, e2 = tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]
+        normal = _cross(e1, e2)
         length = np.linalg.norm(normal, axis=1, keepdims=True)
         # a degenerate triangle keeps a zero normal: every point of its
         # widened box is then on its "plane" and is ray-cast
-        self._normal = np.divide(normal, length, out=np.zeros_like(normal), where=length > 0)
-        # flat indices of the touched cells, ascending; a touched cell's
-        # row in the lists is its position here
-        self._touched = np.flatnonzero(touched).astype(np.int32)
-        n_touched = len(self._touched)
+        normal = np.divide(normal, length, out=np.zeros_like(normal), where=length > 0)
         self._reference = np.full(n_touched, _UNCAST, dtype=np.int8)
-        self._list_triangles(first, last)
+        self._list_triangles(first, last, v0, normal)
+        self._tri_table = np.ascontiguousarray(
+            np.concatenate([v0, normal, e1, e2, box_lo, box_hi], axis=1).T)
         self.reference_casts = 0
         self.fallback_casts = 0
         logger.debug("containment grid: %d triangles, %s cells of %.3g m, %.1f %% touched "
                      "(%d cells, %d cell-triangle pairs), %d components, built in %.1f ms",
                      len(mesh.triangles), "x".join(map(str, self.shape)), self.cell,
-                     100.0 * touched.mean(), n_touched, len(self._tris), n,
+                     100.0 * n_touched / touched.size, n_touched, len(self._tris), n,
                      1e3 * (time.perf_counter() - start))
 
-    def _list_triangles(self, first: np.ndarray, last: np.ndarray) -> None:
+    def _list_triangles(self, first: np.ndarray, last: np.ndarray,
+                        v0: np.ndarray, normal: np.ndarray) -> None:
         """Each touched cell's triangle list, in CSR form, built over the
         (cell, triangle) pairs of the widened boxes' cell ranges in steps
         of ``_PAIR_STEP``; and the cells whose centres take no reference."""
@@ -690,7 +734,7 @@ class ContainmentGrid:
             local = k - (ends[t] - sizes[t])
             ny, nz = extent[t, 1], extent[t, 2]
             cell = first[t] + np.column_stack([local // (ny * nz), local // nz % ny, local % nz])
-            dist = np.abs(np.einsum("ij,ij->i", self._normal[t], self._centre(cell) - self._v0[t]))
+            dist = np.abs(np.einsum("ij,ij->i", normal[t], self._centre(cell) - v0[t]))
             keep = dist <= reach
             row = self._rows(cell[keep])
             rows.append(row)
@@ -700,7 +744,7 @@ class ContainmentGrid:
         order = np.argsort(rows, kind="stable")
         self._tris = np.concatenate(tris)[order]
         counts = np.bincount(rows, minlength=len(self._reference))
-        self._start = np.concatenate([[0], np.cumsum(counts)])
+        self._start = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
         self._reference[np.concatenate(unusable)] = _NO_REFERENCE
 
     def _cell_index(self, points: np.ndarray) -> np.ndarray:
@@ -712,70 +756,93 @@ class ContainmentGrid:
         return self.origin + (cells + 0.5) * self.cell
 
     def _rows(self, cells: np.ndarray) -> np.ndarray:
-        """List rows of touched cells, from their (n, 3) indices."""
-        return np.searchsorted(self._touched, np.ravel_multi_index(tuple(cells.T), self.shape))
+        """Table codes of cells, from their (n, 3) indices on the grid:
+        ``_OUTSIDE``, ``_INSIDE`` or a touched cell's list row."""
+        return self._table[np.ravel_multi_index(tuple(cells.T + 1), self.shape + 2)]
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Inside or on the surface, for points in the surface's frame:
-        ``ins | on`` of ``point_inside`` on ``mesh``."""
-        idx = self._cell_index(points)
-        on_grid = np.all((idx >= 0) & (idx < self.shape), axis=1)
-        state = np.zeros(len(points), dtype=np.int8)
-        state[on_grid] = self.state[tuple(idx[on_grid].T)]
-        hit = state == 1
-        touched = np.flatnonzero(state == _TOUCHED)
+        """Inside or on the surface, for (n, 3) points in the surface's
+        frame: ``ins | on`` of ``point_inside`` on ``mesh``."""
+        cols = np.ascontiguousarray(points.T)
+        # the cells of _cell_index, as floats, read from the table with
+        # every cell off the grid clamped into the outside ring
+        cells = np.floor((cols - self.origin[:, None]) / self.cell)
+        at = self._strides @ np.fmin(np.fmax(cells, -1.0), self.shape[:, None])
+        code = np.take(self._table, at.astype(np.intp) + self._offset)
+        hit = code == _INSIDE
+        touched = np.flatnonzero(code >= 0)
         if touched.size:
-            hit[touched] = self._touched_contains(points[touched], idx[touched])
+            hit[touched] = self._touched_contains(np.take(cols, touched, axis=1),
+                                                  np.take(cells, touched, axis=1),
+                                                  np.take(code, touched))
         return hit
 
-    def _references(self, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Centre answers of the cells ``rows`` (cell indices ``idx``),
-        casting those not cast yet."""
-        ref = self._reference[rows]
-        uncast, at = np.unique(rows[ref == _UNCAST], return_index=True)
-        if uncast.size:
-            ins, on = point_inside(self.mesh, self._centre(idx[ref == _UNCAST][at]),
+    def _references(self, rows: np.ndarray, centres: np.ndarray) -> np.ndarray:
+        """Centre answers of the cells ``rows`` (centres the columns of
+        ``centres``), casting those not cast yet."""
+        ref = np.take(self._reference, rows)
+        uncast = ref == _UNCAST
+        if uncast.any():
+            new, at = np.unique(rows[uncast], return_index=True)
+            ins, on = point_inside(self.mesh, np.ascontiguousarray(centres[:, uncast][:, at].T),
                                    return_on_surface=True)
-            self._reference[uncast] = np.where(on, _NO_REFERENCE, ins)
-            self.reference_casts += len(uncast)
-            ref = self._reference[rows]
+            self._reference[new] = np.where(on, _NO_REFERENCE, ins)
+            self.reference_casts += len(new)
+            ref = np.take(self._reference, rows)
         return ref
 
-    def _touched_contains(self, points: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def _touched_contains(self, cols: np.ndarray, cells: np.ndarray,
+                          rows: np.ndarray) -> np.ndarray:
+        """Answers for points in touched cells: their (3, m) coordinates,
+        cell indices and list rows."""
         eps = _GRAZE_EPS
-        rows = self._rows(idx)
-        ref = self._references(rows, idx)
+        centres = self.origin[:, None] + (cells + 0.5) * self.cell
+        ref = self._references(rows, centres)
         fallback = ref == _NO_REFERENCE
-        # every (point, listed triangle) pair
-        starts = self._start[rows]
-        counts = self._start[rows + 1] - starts
-        pt = np.repeat(np.arange(len(points)), counts)
-        skip = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        tri = self._tris[np.arange(len(pt)) + skip]
-        centre = self._centre(idx)[pt]
-        p = points[pt]
-        v0, normal = self._v0[tri], self._normal[tri]
-        s_c = np.einsum("ij,ij->i", normal, centre - v0)
-        s_p = np.einsum("ij,ij->i", normal, p - v0)
-        near = (np.abs(s_p) <= eps) & np.all((p >= self._lo[tri]) & (p <= self._hi[tri]), axis=1)
-        fallback[pt[near]] = True
-        # Moller-Trumbore on the segments that cross a listed plane
-        span = np.flatnonzero(((s_c > 0) != (s_p > 0)) & ~near)
-        tri, d, srel = tri[span], (p - centre)[span], (centre - v0)[span]
-        e1, e2 = self._e1[tri], self._e2[tri]
-        h = _cross(d, e2)
-        f = 1.0 / np.einsum("ij,ij->i", e1, h)
-        u = f * np.einsum("ij,ij->i", srel, h)
-        v = f * np.einsum("ij,ij->i", d, _cross(srel, e1))
-        w = 1.0 - u - v
-        crossing = (u > eps) & (v > eps) & (w > eps)
-        grazing = ((u > -eps) & (v > -eps) & (w > -eps)
-                   & (np.minimum(np.minimum(np.abs(u), np.abs(v)), np.abs(w)) <= eps))
-        fallback[pt[span[grazing]]] = True
-        flips = np.bincount(pt[span[crossing]], minlength=len(points)) % 2
+        # every (point, listed triangle) pair: point pt[k] meets the k-th
+        # entry of the concatenated lists of the points' rows
+        starts = np.take(self._start, rows)
+        counts = np.take(self._start, rows + 1) - starts
+        pt = np.repeat(np.arange(len(rows)), counts)
+        skip = np.take(starts - (np.cumsum(counts) - counts), pt)
+        tri = np.take(self._tris, np.arange(len(pt)) + skip)
+        tt = np.take(self._tri_table[:_NORMAL.stop], tri, axis=1)
+        pc = np.take(np.concatenate([cols, centres]), pt, axis=1)
+        p, centre = pc[:3], pc[3:]
+        srel = centre - tt[_V0]
+        s_c = _dot_rows(tt[_NORMAL], srel)
+        s_p = _dot_rows(tt[_NORMAL], p - tt[_V0])
+        crosses = (s_c > 0) != (s_p > 0)
+        # a point within eps of a listed plane, inside its widened box
+        near = np.flatnonzero(np.abs(s_p) <= eps)
+        if near.size:
+            box = np.take(self._tri_table, np.take(tri, near), axis=1)
+            q = np.take(p, near, axis=1)
+            near = np.compress(np.logical_and.reduce((q >= box[_LO]) & (q <= box[_HI])), near)
+            fallback[np.take(pt, near)] = True
+            crosses[near] = False
+        # Moller-Trumbore on the segments that cross a listed plane, with
+        # the cyclic rows of their edges, segments and centre - v0
+        span = np.flatnonzero(crosses)
+        edges = np.take(self._tri_table.reshape(-1),
+                        (_EDGE_ROWS * self._tri_table.shape[1])[:, None] + np.take(tri, span))
+        seg = np.take(np.concatenate([p - centre, srel]).reshape(-1),
+                      (_SEGMENT_ROWS * len(pt))[:, None] + span)
+        d, srel, e1, e2 = seg[:5], seg[5:], edges[:5], edges[5:]
+        h = d[1:4] * e2[2:] - d[2:] * e2[1:4]
+        f = 1.0 / _dot_rows(e1[:3], h)
+        uvw = np.empty((3, len(span)))
+        uvw[0] = f * _dot_rows(srel[:3], h)
+        uvw[1] = f * _dot_rows(d[:3], srel[1:4] * e1[2:] - srel[2:] * e1[1:4])
+        uvw[2] = 1.0 - uvw[0] - uvw[1]
+        crossing = np.logical_and.reduce(uvw > eps)
+        grazing = np.logical_and.reduce(uvw > -eps) & (np.abs(uvw).min(axis=0) <= eps)
+        fallback[np.take(pt, span[grazing])] = True
+        flips = np.bincount(np.take(pt, span[crossing]), minlength=len(rows)) % 2
         inside = (ref == 1) != (flips == 1)
         if fallback.any():
-            ins, on = point_inside(self.mesh, points[fallback], return_on_surface=True)
+            ins, on = point_inside(self.mesh, np.ascontiguousarray(cols[:, fallback].T),
+                                   return_on_surface=True)
             inside[fallback] = ins | on
             self.fallback_casts += int(fallback.sum())
         return inside
@@ -915,8 +982,8 @@ class SampleLattice:
     def points(self, vertices: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Coordinates of samples ``ids``: the rows of
         ``surface_sample_points`` at every slot of each id."""
-        return np.einsum("ub,ubx->ux", self.weights[ids],
-                         np.take(vertices, self.corners[ids], axis=0))
+        return np.einsum("ub,ubx->ux", np.take(self.weights, ids, axis=0),
+                         np.take(vertices, np.take(self.corners, ids, axis=0), axis=0))
 
 
 def sample_lattice(triangles: np.ndarray, density: int) -> SampleLattice:
@@ -969,38 +1036,62 @@ def intersect_approx(jaw, twin: RigidSurface, density: int = 3,
     lattice's rounding) are dropped first, each sample id of the rest is
     placed and tested once, and the hits are expanded back over their
     slots, in the order of ``surface_sample_points``.
+
+    No pass uses numpy's slow forms on (n, 3) rows: the cull reads the
+    jaw's coordinates as columns once and ANDs one word of face flags per
+    vertex over each triangle's corners, the box test compares the
+    samples column by column, every gather is an ``np.take`` or
+    ``np.compress``, and the centroid is a sequential column sum, bit for
+    bit the ``mean(axis=0)`` of the kept points (``keep_points``, (n, 3)
+    in slot order).
     """
     for m, name in ((jaw, "jaw"), (twin, "twin")):
         if not m.watertight:
             raise WatertightError(f"{name} mesh must be watertight")
     lo_g, hi_g = jaw.bounds()
     lo_o, hi_o = twin.bounds()
-    if np.any(lo_g > hi_o) or np.any(lo_o > hi_g):
+    if (lo_g > hi_o).any() or (lo_o > hi_g).any():
         return IntersectionResult(0, None)
     # only samples in the mutual bounding box can lie inside the twin
     box_lo = np.maximum(lo_g, lo_o) - 1e-12
     box_hi = np.minimum(hi_g, hi_o) + 1e-12
     lattice = jaw.lattice(density)
     # a triangle's box misses the widened box when its three corners all
-    # lie beyond one face of it: one bit per face and vertex, ANDed
-    beyond = np.packbits(np.concatenate([jaw.vertices < box_lo - 1e-12,
-                                         jaw.vertices > box_hi + 1e-12], axis=1), axis=1)
-    near = np.bitwise_and.reduce(np.take(beyond[:, 0], jaw.triangles), axis=1) == 0
-    slot_ids = lattice.slot_ids[near]
-    flag = np.zeros(lattice.n_ids, dtype=bool)
-    flag[slot_ids] = True
-    ids = np.flatnonzero(flag)
+    # lie beyond one face of it: one flag byte per face in each vertex's
+    # 64-bit word, the words ANDed over the corners
+    cols = np.ascontiguousarray(jaw.vertices.T)
+    beyond = np.zeros((8, len(jaw.vertices)), dtype=bool)
+    np.less(cols, (box_lo - 1e-12)[:, None], out=beyond[:3])
+    np.greater(cols, (box_hi + 1e-12)[:, None], out=beyond[3:6])
+    code = np.take(np.ascontiguousarray(beyond.T).view(np.uint64)[:, 0], jaw.triangles)
+    slots = np.compress((code[:, 0] & code[:, 1] & code[:, 2]) == 0, lattice.slot_ids,
+                        axis=0).reshape(-1)
+    # each sample id of those triangles once, ascending
+    at = np.zeros(lattice.n_ids, dtype=np.intp)
+    at[slots] = 1
+    ids = np.flatnonzero(at)
     pts = lattice.points(jaw.vertices, ids)
-    in_box = np.all((pts >= box_lo) & (pts <= box_hi), axis=1)
-    ids, pts = ids[in_box], pts[in_box]
-    hit = twin.contains(pts)
-    ids, pts = ids[hit], pts[hit]
-    if len(ids) == 0:
+    p = pts.T
+    keep = np.flatnonzero((p[0] >= box_lo[0]) & (p[0] <= box_hi[0]) & (p[1] >= box_lo[1])
+                          & (p[1] <= box_hi[1]) & (p[2] >= box_lo[2]) & (p[2] <= box_hi[2]))
+    ids, pts = np.take(ids, keep), np.take(pts, keep, axis=0)
+    hit = np.flatnonzero(twin.contains(pts))
+    if len(hit) == 0:
         return IntersectionResult(0, None)
-    flag[:] = False
-    flag[ids] = True
-    pts = pts[np.searchsorted(ids, slot_ids[flag[slot_ids]])]
-    return IntersectionResult(len(pts), pts.mean(axis=0), pts if keep_points else None)
+    # the hits over their slots, in slot order: each hit id's position
+    # among the hits, and -1 at every other id
+    at[:] = -1
+    at[np.take(ids, hit)] = np.arange(len(hit))
+    at = np.take(at, slots)
+    pts = np.take(pts, np.take(hit, np.compress(at >= 0, at)), axis=0)
+    return IntersectionResult(len(pts), _centroid(pts), pts if keep_points else None)
+
+
+def _centroid(points: np.ndarray) -> np.ndarray:
+    """Mean of (n, 3) C-ordered points, bit for bit ``mean(axis=0)``:
+    numpy sums each coordinate of such an array sequentially, row after
+    row, as ``np.add.accumulate`` does by definition."""
+    return np.add.accumulate(points, axis=0)[-1] / len(points)
 
 
 def closest_point_on_triangles(p: np.ndarray, tri_vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

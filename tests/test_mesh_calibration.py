@@ -550,6 +550,47 @@ class TestTwinScale:
         assert np.array_equal(idx, idx_ref)
         assert np.array_equal(d, d_ref)
 
+    @pytest.mark.parametrize("twin", ["cylinder", "wedge"])
+    def test_partial_view_matches_submesh_sampling(self, twin):
+        # sampling each subdivision count's triangles straight from their
+        # corners gives the samples, and the view, of a mesh built per count
+        recon, _, cam, _ = self.scene(twin, 0)
+        got, want = partial_view(recon, cam), submesh_partial_view(recon, cam)
+        assert len(got.points) > 1000
+        assert np.array_equal(got.points, want.points)
+        assert np.array_equal(got.normals, want.normals)
+
+
+def submesh_partial_view(mesh, camera):
+    """``partial_view`` as it was: a ``SurfaceMesh`` built over each
+    subdivision count's triangles and sampled by ``surface_sample_points``."""
+    tv = mesh.vertices[mesh.triangles]
+    face_n = np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0])
+    norm = np.linalg.norm(face_n, axis=1, keepdims=True)
+    face_n = np.divide(face_n, norm, out=np.zeros_like(face_n), where=norm > 0)
+    uv = camera.project(tv.reshape(-1, 3))[0].reshape(-1, 3, 2)
+    edge_px = np.concatenate([np.linalg.norm(uv[:, 1] - uv[:, 0], axis=1),
+                              np.linalg.norm(uv[:, 2] - uv[:, 1], axis=1),
+                              np.linalg.norm(uv[:, 0] - uv[:, 2], axis=1)])
+    edge_px = edge_px.reshape(3, -1).max(axis=0)
+    n_sub = np.clip(np.ceil(edge_px).astype(int), 1, 128)
+    samples, normals = [], []
+    for n in np.unique(n_sub):
+        sel = n_sub == n
+        samples.append(surface_sample_points(SurfaceMesh(mesh.vertices, mesh.triangles[sel]),
+                                             density=int(n)))
+        normals.append(np.repeat(face_n[sel], (n + 1) * (n + 2) // 2, axis=0))
+    pts, nrm = np.concatenate(samples), np.concatenate(normals)
+    px = np.floor(camera.project(pts)[0]).astype(np.int64)
+    ok = (px[:, 0] >= 0) & (px[:, 0] < camera.width) & (px[:, 1] >= 0) & (px[:, 1] < camera.height)
+    pts, nrm, px = pts[ok], nrm[ok], px[ok]
+    pixel_id = px[:, 1] * camera.width + px[:, 0]
+    order = np.lexsort((np.linalg.norm(pts, axis=1), pixel_id))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = pixel_id[order][1:] != pixel_id[order][:-1]
+    keep = order[first]
+    return PointCloud(pts[keep], normals=nrm[keep])
+
 
 def uncached_icp_align(source, target, with_scale=False, max_iters=50, tol=1e-6,
                        reject_factor=3.0):

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from finray.fixtures import ShapeSpec, box_points, icosphere, make_object_mesh, _hull_mesh
 from finray import mesh_model
@@ -178,35 +180,16 @@ class TestIntersectApprox:
         assert n3 == 12 * 10
 
     def test_matches_full_lattice(self, jaw, compliance):
-        rng = np.random.default_rng(21)
         jaw_template = jaw.mesh.surface()
-        objects = [make_object_mesh(ShapeSpec.cylinder(0.025)),
-                   make_object_mesh(ShapeSpec.wedge()),
-                   make_object_mesh(ShapeSpec.cuboid((0.03, 0.08, 0.03)))]
         jaw_surface = DeformableSurface(jaw_template)
-        twins = [RigidSurface(o) for o in objects]
-        face_x = jaw.mesh.vertices[:, 0].max()
         # overlapping poses per kind: [empty, non-empty]
-        outcomes = {"disjoint": [0, 0], "touching": [0, 0], "deep": [0, 0]}
-        for k in range(200):
-            obj, twin = objects[k % 3], twins[k % 3]
-            kind = list(outcomes)[(k // 3) % 3]
-            gap = {"disjoint": rng.uniform(1e-3, 1e-2),
-                   "touching": rng.uniform(-2e-4, 2e-4),
-                   "deep": -rng.uniform(2e-3, 1e-2)}[kind]
-            rotation = random_rotation(rng)
-            rotated = obj.vertices @ rotation.T
-            centre = rotated.mean(axis=0)
-            twin.place(rotation, np.array([face_x + gap - rotated[:, 0].min() + centre[0],
-                                           rng.uniform(-0.01, 0.01),
-                                           rng.uniform(0.01, 0.07)]) - centre)
-            c = int(rng.integers(compliance.n_candidates))
-            deformed = jaw.mesh.vertices + compliance.fields[c] @ rng.normal(scale=5.0, size=3)
-            density = 2 + k % 2
+        outcomes = {kind: [0, 0] for kind in POSE_KINDS}
+        for kind, twin, deformed, density in contact_poses(
+                jaw, compliance, lattice_objects(), 200, np.random.default_rng(21)):
             jaw_surface.update(deformed)
             deformed_mesh = SurfaceMesh(deformed, jaw_template.triangles)
             want = full_lattice_intersection(deformed_mesh,
-                                             SurfaceMesh(twin.vertices, obj.triangles), density)
+                                             SurfaceMesh(twin.vertices, twin.triangles), density)
             for gripper in (deformed_mesh, jaw_surface):
                 got = intersect_approx(gripper, twin, density=density, keep_points=True)
                 assert got.sample_count == len(want)
@@ -219,6 +202,40 @@ class TestIntersectApprox:
         assert outcomes["disjoint"][1] == 0
         assert min(outcomes["touching"]) > 0
         assert outcomes["deep"][1] > 3 * outcomes["deep"][0]
+
+
+POSE_KINDS = ("disjoint", "touching", "deep")
+
+
+def lattice_objects():
+    return [make_object_mesh(ShapeSpec.cylinder(0.025)),
+            make_object_mesh(ShapeSpec.wedge()),
+            make_object_mesh(ShapeSpec.cuboid((0.03, 0.08, 0.03)))]
+
+
+def contact_poses(jaw, compliance, objects, n, rng):
+    """``n`` placements of twins of ``objects`` at the jaw's inner face,
+    the objects in turn and each kind of ``POSE_KINDS`` for a round of
+    them, against the jaw deformed by a random load at a random
+    candidate: yields (kind, placed twin, deformed vertices, lattice
+    density)."""
+    twins = [RigidSurface(o) for o in objects]
+    face_x = jaw.mesh.vertices[:, 0].max()
+    for k in range(n):
+        obj, twin = objects[k % len(objects)], twins[k % len(objects)]
+        kind = POSE_KINDS[(k // len(objects)) % 3]
+        gap = {"disjoint": rng.uniform(1e-3, 1e-2),
+               "touching": rng.uniform(-2e-4, 2e-4),
+               "deep": -rng.uniform(2e-3, 1e-2)}[kind]
+        rotation = random_rotation(rng)
+        rotated = obj.vertices @ rotation.T
+        centre = rotated.mean(axis=0)
+        twin.place(rotation, np.array([face_x + gap - rotated[:, 0].min() + centre[0],
+                                       rng.uniform(-0.01, 0.01),
+                                       rng.uniform(0.01, 0.07)]) - centre)
+        c = int(rng.integers(compliance.n_candidates))
+        deformed = jaw.mesh.vertices + compliance.fields[c] @ rng.normal(scale=5.0, size=3)
+        yield kind, twin, deformed, 2 + k % 2
 
 
 class TestSampleLattice:
@@ -479,7 +496,7 @@ class TestCellLocalParity:
             local = (points - twin.translation) @ twin.rotation
             idx = grid._cell_index(local)
             on_grid = np.all((idx >= 0) & (idx < grid.shape), axis=1)
-            touched += int((grid.state[tuple(idx[on_grid].T)] == 2).sum())
+            touched += int((grid._rows(idx[on_grid]) >= 0).sum())
             assert_twin_contract(twin, points)
             grids.add(grid)
         assert touched > 30000
@@ -517,7 +534,7 @@ class TestCellLocalParity:
             (k_lo, k_hi), np.flatnonzero((ys > 0.03) & (ys < 0.05)),
             np.flatnonzero((zs > -0.01) & (zs < 0.01)))))
         assert len(cells) > 500
-        assert np.all(grid.state[tuple(cells.T)] == 2)
+        assert np.all(grid._rows(cells) >= 0)
         rows = grid._rows(cells)
         assert np.all(grid._reference[rows] == mesh_model._NO_REFERENCE)
 
@@ -578,6 +595,302 @@ def subdivided(mesh):
     tris = np.vstack([np.column_stack(f) for f in
                       ((a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca))])
     return SurfaceMesh(verts, tris)
+
+
+# ---------------------------------------------------------------------------
+# The one-table grid pass and the column-wise patch against test-local
+# copies of the per-row implementation they replaced
+
+
+class ParentGrid:
+    """The twin's grid in its earlier layout, kept as the reference of
+    ``ContainmentGrid``: an int8 state per cell (0 outside, 1 inside, 2
+    touched), the touched cells' flat indices with each point's list row
+    found by ``searchsorted``, int64 list starts, six per-triangle (t, 3)
+    arrays, and (n, 3) per-pair gathers. Built and queried as the grid
+    was, so its answers, counters and tables must equal the grid's."""
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        tv = mesh.vertices[mesh.triangles]
+        lo, hi = tv.min(axis=(0, 1)), tv.max(axis=(0, 1))
+        ext = hi - lo
+        self.cell = max(float(np.cbrt(np.prod(ext) / mesh_model._GRID_CELLS)),
+                        float(ext.max()) / 256)
+        self.origin = lo - self.cell
+        self.shape = np.ceil(ext / self.cell).astype(np.int64) + 2
+        margin = mesh_model._BOX_MARGIN
+        self._lo, self._hi = tv.min(axis=1) - margin, tv.max(axis=1) + margin
+        first, last = (np.clip(self._cell_index(c), 0, self.shape - 1)
+                       for c in (self._lo, self._hi))
+        diff = np.zeros(self.shape + 1, dtype=np.int32)
+        for corner in itertools.product((0, 1), repeat=3):
+            at = np.where(corner, last + 1, first)
+            np.add.at(diff, tuple(at.T), -1 if sum(corner) % 2 else 1)
+        touched = (diff.cumsum(0).cumsum(1).cumsum(2) > 0)[:-1, :-1, :-1]
+        labels, n = scipy.ndimage.label(~touched)
+        ids, reps = np.unique(labels, return_index=True)
+        answers = np.full(n + 1, 2, dtype=np.int8)
+        reps = np.column_stack(np.unravel_index(reps[ids > 0], self.shape))
+        answers[1:] = point_inside(mesh, self._centre(reps))
+        self.state = answers[labels]
+        self._v0 = tv[:, 0].copy()
+        self._e1, self._e2 = tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]
+        normal = mesh_model._cross(self._e1, self._e2)
+        length = np.linalg.norm(normal, axis=1, keepdims=True)
+        self._normal = np.divide(normal, length, out=np.zeros_like(normal), where=length > 0)
+        self._touched = np.flatnonzero(touched).astype(np.int32)
+        self._reference = np.full(len(self._touched), mesh_model._UNCAST, dtype=np.int8)
+        self._list_triangles(first, last)
+        self.reference_casts = 0
+        self.fallback_casts = 0
+
+    def _list_triangles(self, first, last):
+        reach = 0.5 * np.sqrt(3.0) * self.cell + mesh_model._BOX_MARGIN
+        extent = last - first + 1
+        sizes = np.prod(extent, axis=1)
+        ends = np.cumsum(sizes)
+        rows, tris, unusable = [], [], []
+        for lo in range(0, int(ends[-1]), mesh_model._PAIR_STEP):
+            k = np.arange(lo, min(lo + mesh_model._PAIR_STEP, int(ends[-1])))
+            t = np.searchsorted(ends, k, side="right")
+            local = k - (ends[t] - sizes[t])
+            ny, nz = extent[t, 1], extent[t, 2]
+            cell = first[t] + np.column_stack([local // (ny * nz), local // nz % ny, local % nz])
+            dist = np.abs(np.einsum("ij,ij->i", self._normal[t], self._centre(cell) - self._v0[t]))
+            keep = dist <= reach
+            row = self._rows(cell[keep])
+            rows.append(row)
+            tris.append(t[keep].astype(np.int32))
+            unusable.append(row[dist[keep] <= mesh_model._CENTRE_CLEARANCE * self.cell])
+        rows = np.concatenate(rows)
+        order = np.argsort(rows, kind="stable")
+        self._tris = np.concatenate(tris)[order]
+        counts = np.bincount(rows, minlength=len(self._reference))
+        self._start = np.concatenate([[0], np.cumsum(counts)])
+        self._reference[np.concatenate(unusable)] = mesh_model._NO_REFERENCE
+
+    def _cell_index(self, points):
+        return np.floor((points - self.origin) / self.cell).astype(np.int64)
+
+    def _centre(self, cells):
+        return self.origin + (cells + 0.5) * self.cell
+
+    def _rows(self, cells):
+        return np.searchsorted(self._touched, np.ravel_multi_index(tuple(cells.T), self.shape))
+
+    def contains(self, points):
+        idx = self._cell_index(points)
+        on_grid = np.all((idx >= 0) & (idx < self.shape), axis=1)
+        state = np.zeros(len(points), dtype=np.int8)
+        state[on_grid] = self.state[tuple(idx[on_grid].T)]
+        hit = state == 1
+        touched = np.flatnonzero(state == 2)
+        if touched.size:
+            hit[touched] = self._touched_contains(points[touched], idx[touched])
+        return hit
+
+    def _references(self, rows, idx):
+        ref = self._reference[rows]
+        uncast, at = np.unique(rows[ref == mesh_model._UNCAST], return_index=True)
+        if uncast.size:
+            ins, on = point_inside(self.mesh, self._centre(idx[ref == mesh_model._UNCAST][at]),
+                                   return_on_surface=True)
+            self._reference[uncast] = np.where(on, mesh_model._NO_REFERENCE, ins)
+            self.reference_casts += len(uncast)
+            ref = self._reference[rows]
+        return ref
+
+    def _touched_contains(self, points, idx):
+        eps = mesh_model._GRAZE_EPS
+        cross = mesh_model._cross
+        rows = self._rows(idx)
+        ref = self._references(rows, idx)
+        fallback = ref == mesh_model._NO_REFERENCE
+        starts = self._start[rows]
+        counts = self._start[rows + 1] - starts
+        pt = np.repeat(np.arange(len(points)), counts)
+        skip = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        tri = self._tris[np.arange(len(pt)) + skip]
+        centre = self._centre(idx)[pt]
+        p = points[pt]
+        v0, normal = self._v0[tri], self._normal[tri]
+        s_c = np.einsum("ij,ij->i", normal, centre - v0)
+        s_p = np.einsum("ij,ij->i", normal, p - v0)
+        near = (np.abs(s_p) <= eps) & np.all((p >= self._lo[tri]) & (p <= self._hi[tri]), axis=1)
+        fallback[pt[near]] = True
+        span = np.flatnonzero(((s_c > 0) != (s_p > 0)) & ~near)
+        tri, d, srel = tri[span], (p - centre)[span], (centre - v0)[span]
+        e1, e2 = self._e1[tri], self._e2[tri]
+        h = cross(d, e2)
+        f = 1.0 / np.einsum("ij,ij->i", e1, h)
+        u = f * np.einsum("ij,ij->i", srel, h)
+        v = f * np.einsum("ij,ij->i", d, cross(srel, e1))
+        w = 1.0 - u - v
+        crossing = (u > eps) & (v > eps) & (w > eps)
+        grazing = ((u > -eps) & (v > -eps) & (w > -eps)
+                   & (np.minimum(np.minimum(np.abs(u), np.abs(v)), np.abs(w)) <= eps))
+        fallback[pt[span[grazing]]] = True
+        flips = np.bincount(pt[span[crossing]], minlength=len(points)) % 2
+        inside = (ref == 1) != (flips == 1)
+        if fallback.any():
+            ins, on = point_inside(self.mesh, points[fallback], return_on_surface=True)
+            inside[fallback] = ins | on
+            self.fallback_casts += int(fallback.sum())
+        return inside
+
+
+def parent_intersect_approx(jaw, twin, grid, density):
+    """The earlier ``intersect_approx``, its twin containment answered by
+    ``grid`` (a ``ParentGrid`` of the twin's template): (n, 3) gathers by
+    fancy index, ``np.packbits`` codes and ``mean(axis=0)``. Returns
+    (sample count, centroid, points)."""
+    lo_g, hi_g = jaw.bounds()
+    lo_o, hi_o = twin.bounds()
+    if np.any(lo_g > hi_o) or np.any(lo_o > hi_g):
+        return 0, None, None
+    box_lo = np.maximum(lo_g, lo_o) - 1e-12
+    box_hi = np.minimum(hi_g, hi_o) + 1e-12
+    lattice = jaw.lattice(density)
+    beyond = np.packbits(np.concatenate([jaw.vertices < box_lo - 1e-12,
+                                         jaw.vertices > box_hi + 1e-12], axis=1), axis=1)
+    near = np.bitwise_and.reduce(np.take(beyond[:, 0], jaw.triangles), axis=1) == 0
+    slot_ids = lattice.slot_ids[near]
+    flag = np.zeros(lattice.n_ids, dtype=bool)
+    flag[slot_ids] = True
+    ids = np.flatnonzero(flag)
+    pts = np.einsum("ub,ubx->ux", lattice.weights[ids],
+                    np.take(jaw.vertices, lattice.corners[ids], axis=0))
+    in_box = np.all((pts >= box_lo) & (pts <= box_hi), axis=1)
+    ids, pts = ids[in_box], pts[in_box]
+    hit = grid.contains((pts - twin.translation) @ twin.rotation)
+    ids, pts = ids[hit], pts[hit]
+    if len(ids) == 0:
+        return 0, None, None
+    flag[:] = False
+    flag[ids] = True
+    pts = pts[np.searchsorted(ids, slot_ids[flag[slot_ids]])]
+    return len(pts), pts.mean(axis=0), pts
+
+
+def wedge_twins():
+    """The wedge subdivided three times, closed and left open (two
+    triangles dropped) then wrapped by ``ensure_watertight``: the twins
+    the benchmark calibrates are of these two kinds."""
+    dense = subdivided(subdivided(subdivided(make_object_mesh(ShapeSpec.wedge()))))
+    return [dense, ensure_watertight(SurfaceMesh(dense.vertices, dense.triangles[:-2]))]
+
+
+class TestParentPath:
+    """Exact agreement with the per-row path: the same samples, centroids
+    and kept points from ``intersect_approx``, and the same containment
+    answers, counters and tables from ``ContainmentGrid``."""
+
+    def test_intersections_match_parent(self, jaw, compliance):
+        template = jaw.mesh.surface()
+        jaw_surface = DeformableSurface(template)
+        grids, hits = {}, 0
+        for objects, n, seed in ((lattice_objects(), 200, 21), (wedge_twins(), 60, 22)):
+            for kind, twin, deformed, density in contact_poses(
+                    jaw, compliance, objects, n, np.random.default_rng(seed)):
+                if twin.template not in grids:
+                    grids[twin.template] = ParentGrid(twin.template)
+                grid = grids[twin.template]
+                jaw_surface.update(deformed)
+                for gripper in (SurfaceMesh(deformed, template.triangles), jaw_surface):
+                    count, centroid, points = parent_intersect_approx(gripper, twin, grid, density)
+                    got = intersect_approx(gripper, twin, density=density, keep_points=True)
+                    assert got.sample_count == count
+                    if count:
+                        assert np.array_equal(got.centroid, centroid)
+                        assert np.array_equal(got.points, points)
+                        assert got.points.shape == (count, 3)
+                    else:
+                        assert got.centroid is None and got.points is None
+                hits += count > 0
+        assert hits > 50
+
+    @pytest.mark.parametrize("k", range(3), ids=["cyl25", "wedge x3", "open wedge"])
+    def test_containment_matches_parent(self, k):
+        rng = np.random.default_rng(31 + k)
+        mesh = [make_object_mesh(ShapeSpec.cylinder(0.025)), *wedge_twins()][k]
+        grid, parent = ContainmentGrid(mesh), ParentGrid(mesh)
+        # the same tables: each cell's answer or touched row, the lists and
+        # the references, and the triangles' columns
+        inner = grid._table.reshape(grid.shape + 2)
+        codes = inner[1:-1, 1:-1, 1:-1]
+        assert np.array_equal(np.where(codes >= 0, 2, codes == mesh_model._INSIDE), parent.state)
+        assert np.all(inner[[0, -1]] == mesh_model._OUTSIDE)
+        assert np.all(inner[:, [0, -1]] == mesh_model._OUTSIDE)
+        assert np.all(inner[:, :, [0, -1]] == mesh_model._OUTSIDE)
+        assert np.array_equal(np.flatnonzero(codes >= 0), parent._touched)
+        assert np.array_equal(codes[codes >= 0], np.arange(len(parent._touched)))
+        assert np.array_equal(grid._start, parent._start)
+        assert np.array_equal(grid._tris, parent._tris)
+        assert np.array_equal(grid._reference, parent._reference)
+        for rows, column in ((mesh_model._V0, parent._v0), (mesh_model._NORMAL, parent._normal),
+                             (mesh_model._E1, parent._e1), (mesh_model._E2, parent._e2),
+                             (mesh_model._LO, parent._lo), (mesh_model._HI, parent._hi)):
+            assert np.array_equal(grid._tri_table[rows], column.T)
+        twin = RigidSurface(mesh)
+        for _ in range(3):
+            twin.place(random_rotation(rng), rng.normal(scale=0.01, size=3))
+            lo, hi = twin.bounds()
+            pad = 0.2 * (hi - lo)
+            off_face, tri = off_face_points(rng, twin.vertices[mesh.triangles], 2000)
+            points = np.concatenate([
+                rng.uniform(lo - pad, hi + pad, (2000, 3)),
+                off_face,
+                edge_graze_points(twin, tri[:600], rng.uniform(0.1, 0.9, (600, 1))),
+            ])
+            local = (points - twin.translation) @ twin.rotation
+            for chunk in np.array_split(local[rng.permutation(len(local))], 4):
+                assert np.array_equal(grid.contains(chunk), parent.contains(chunk))
+                assert grid.reference_casts == parent.reference_casts
+                assert grid.fallback_casts == parent.fallback_casts
+        assert np.array_equal(grid._reference, parent._reference)
+        assert grid.reference_casts > 100 and grid.fallback_casts > 100
+
+
+# the nbytes of every array of the grids in the per-row layout (an int8
+# state per cell, int32 flat indices and int64 list starts per touched
+# cell, int32 list entries and six (t, 3) triangle arrays), on the twins
+# of ``test_grid_arrays_replace_the_rows``
+PARENT_GRID_BYTES = {"cyl25": 898_984, "wedge": 1_114_368, "wedge x3": 922_876}
+
+
+@pytest.mark.parametrize("name", list(PARENT_GRID_BYTES))
+def test_grid_arrays_replace_the_rows(name):
+    """The cell table and the triangle table replace the arrays of the
+    per-row layout: the grid holds at most 4 more bytes per cell than it
+    did, so a table kept beside the arrays it stands for fails."""
+    wedge = make_object_mesh(ShapeSpec.wedge())
+    mesh = {"cyl25": lambda: make_object_mesh(ShapeSpec.cylinder(0.025)),
+            "wedge": lambda: wedge,
+            "wedge x3": lambda: subdivided(subdivided(subdivided(wedge)))}[name]()
+    grid = ContainmentGrid(mesh)
+    total = sum(v.nbytes for v in vars(grid).values() if isinstance(v, np.ndarray))
+    assert total <= PARENT_GRID_BYTES[name] + 4 * int(np.prod(grid.shape))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 2000), st.just(3)), elements=finite),
+       st.data())
+def test_rewritten_reductions_match_numpy(x, data):
+    """Each reduction the patch and the grid write out equals, bit for
+    bit, the numpy call it replaces; a numpy whose summation order moves
+    fails here rather than in a run's output."""
+    y = data.draw(hnp.arrays(np.float64, x.shape, elements=finite))
+    k = data.draw(hnp.arrays(np.intp, st.integers(0, 3000), elements=st.integers(0, len(x) - 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(mesh_model._centroid(x), x.mean(axis=0), equal_nan=True)
+        assert np.array_equal(mesh_model._dot_rows(x.T, y.T), np.einsum("ij,ij->i", x, y),
+                              equal_nan=True)
+    assert np.array_equal(np.take(x, k, axis=0), x[k])
+    assert np.array_equal(np.take(x.T, k, axis=1), x[k].T)
 
 
 def brute_force_mt(vertices, triangles, origins, dirs):

@@ -2,7 +2,8 @@
 every name a module imports at its top level is used or exported, no
 package module calls the builtin ``id()`` (caches are keyed by content), and
 no package module but the command line's calls the builtin ``print``:
-diagnostics go through ``logging``.
+diagnostics go through ``logging``. Every function the benchmark's tracer
+wraps is defined where it looks it up.
 
 Walks the symbol tables and syntax trees of the package and test sources,
 so a missing import fails here instead of on the first call that reaches
@@ -11,6 +12,7 @@ it, and a stale one does not outlive the code that used it.
 
 import ast
 import builtins
+import importlib.util
 import symtable
 from pathlib import Path
 
@@ -83,3 +85,16 @@ def test_no_id_calls(path):
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_print_calls(path):
     assert builtin_calls(path, "print") == []
+
+
+def test_traced_functions_resolve():
+    # the tracer replaces each (owner, attribute) of perfbench/spans.py's
+    # TARGETS by name; a renamed or moved function fails here, not in
+    # the first traced benchmark run
+    path = ROOT / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert len(spans.TARGETS) > 20
+    assert [(owner.__name__, attr) for owner, attr, *_ in spans.TARGETS
+            if attr not in vars(owner)] == []
