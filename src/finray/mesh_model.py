@@ -25,16 +25,16 @@ jaw's tree is built only for ray casts against it, such as the oracle's
 occlusion test. The twin only moves rigidly, so its mesh, BVH and
 ``ContainmentGrid`` stay in the object frame: query points are mapped
 into that frame. One gather from a table over the grid's cells gives
-every query point's answer or its cell's triangle list: a point in a
-cell the surface does not touch takes the answer of its cell's
-connected component; a point in a touched cell takes its cell centre's
-cached parity answer, flipped once per listed triangle the segment from
-the centre crosses, and is ray-cast on the template only where that
-segment or the point comes within ``_GRAZE_EPS`` of a triangle or the
-centre lies near a listed triangle's plane. The answers are those of ray
-parity on the template at the mapped points; they differ from ray parity
-on the posed mesh only within about 1e-9 m of the surface, where both
-turn on rounding.
+every query point's answer or its (y, z) column: a point in a cell the
+surface does not touch takes the answer of its cell's connected
+component; a point in a touched cell takes the parity of the column's
+listed triangles that its +x ray crosses, and is ray-cast on the
+template only where it lies within ``_GRAZE_EPS`` of a listed triangle's
+plane, its ray passes within ``_GRAZE_EPS`` of a triangle's edge, or it
+lies in the thin projected band of a triangle parallel to x. The answers
+are those of ray parity on the template at the mapped points; they
+differ from ray parity on the posed mesh only within about 1e-9 m of the
+surface, where both turn on rounding.
 
 All coordinates are meters. Meshes are treated as immutable after
 construction (arrays are write-locked); ``DeformedState`` is the one
@@ -211,6 +211,8 @@ class SurfaceMesh:
         self.triangles = _lock(np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3))
         if self.triangles.size and self.triangles.max() >= len(self.vertices):
             raise MeshError("triangle index out of range")
+        if self.triangles.min(initial=0) < 0:
+            raise MeshError("negative triangle index")
         self.watertight = is_watertight(self.triangles)
         self._bvh: Optional[TriangleBVH] = None
         self._lattices: dict[int, SampleLattice] = {}
@@ -588,37 +590,8 @@ def point_inside(mesh: SurfaceMesh, points: np.ndarray, return_on_surface: bool 
 # than it saves in ray casts
 _GRID_CELLS = 2 ** 17
 # table codes of the cells no triangle's widened box touches; a touched
-# cell's code is its row in the triangle lists, from 0 up
+# cell's code is the index of its (y, z) column, from 0 up
 _OUTSIDE, _INSIDE = -2, -1
-# a touched cell's centre answer: not cast yet, or not usable because the
-# centre lies on the surface or near a listed triangle's plane
-_UNCAST, _NO_REFERENCE = -1, 2
-# a cell whose centre lies within this many cell sizes of a listed
-# triangle's plane takes no reference: a segment from it that crosses the
-# plane then meets it at a well-conditioned angle, and where it meets it
-# moves by far less than _GRAZE_EPS in barycentric units under rounding
-_CENTRE_CLEARANCE = 1e-4
-# (cell, triangle) candidates per step of the list build: bounds its
-# temporaries to about 1 MB
-_PAIR_STEP = 2 ** 13
-# row blocks of the grid's column-wise triangle table: first corner, unit
-# normal, the edges from the first corner, and the widened box
-_V0, _NORMAL, _E1, _E2, _LO, _HI = (slice(3 * k, 3 * k + 3) for k in range(6))
-# a 3-row block's rows in the cyclic order (x, y, z, x, y): a cross product
-# reads [1:4] as (y, z, x) and [2:5] as (z, x, y), views and not copies.
-# The edges' cyclic rows in the triangle table, and those of the segment
-# and of centre - v0 in the pairs' six rows
-_CYCLIC = np.array([0, 1, 2, 0, 1])
-_EDGE_ROWS = np.concatenate([_CYCLIC + _E1.start, _CYCLIC + _E2.start])
-_SEGMENT_ROWS = np.concatenate([_CYCLIC, _CYCLIC + 3])
-
-
-def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of the columns of two (3, n) arrays, summed in the
-    order of ``np.einsum("ij,ij->i")`` on their transposes:
-    (x0*y0 + x2*y2) + x1*y1."""
-    ab = a * b
-    return (ab[0] + ab[2]) + ab[1]
 
 
 class ContainmentGrid:
@@ -630,34 +603,29 @@ class ContainmentGrid:
     surface, so the component has one answer, settled by one parity test
     of a representative cell centre.
 
-    Each touched cell lists, as int32, the triangles that can cross it:
-    those whose widened box touches the cell and whose plane passes within
-    half a cell diagonal (plus the margin) of its centre. A point in a
-    touched cell takes the parity answer of the cell's centre, cast on
-    first use and kept, flipped once per listed triangle that the segment
-    from the centre to the point crosses (cell-local reference points,
-    Ogayar, Segura & Feito 2005). Three kinds of point are tested instead
-    by ``point_inside`` on ``mesh``: a point within ``_GRAZE_EPS`` of a
-    listed triangle's plane inside its widened box, a point whose segment
-    grazes a listed triangle's edge, and every point of a cell whose
-    centre is on the surface or near a listed plane. Points off the grid
-    are outside. Representatives and centres are cast on ``mesh`` too, so
-    ``contains`` is ``ins | on`` of ``point_inside`` on ``mesh``.
+    A point in a touched cell is answered by the parity of the triangles
+    its +x ray crosses (the crossings test, Haines 1994). The ray stays in
+    the point's (y, z) column of cells, so it can only cross the triangles
+    listed for that column: those whose widened box meets it, as int32 in
+    CSR form. One (10, triangles) table holds each triangle's crossing
+    forms, linear in (y, z) about its first corner: the ray's x where it
+    meets the plane, and two barycentric coordinates of the point's
+    projection onto the (y, z) plane, the third being one minus their
+    sum. Three kinds of point are tested instead by ``point_inside`` on
+    ``mesh``: a point within ``_GRAZE_EPS`` of a listed triangle's plane, a
+    point whose projection lies within ``_GRAZE_EPS`` of a projected edge
+    or vertex of a listed triangle ahead of it, and a point in the thin
+    projected band of a listed triangle parallel to x. Points off the grid
+    are outside. Representatives are cast on ``mesh`` too, so ``contains``
+    is ``ins | on`` of ``point_inside`` on ``mesh``.
 
-    Two tables hold the grid, and a query reads them in one pass with no
-    branch per point. One int32 code per cell, over the grid padded by
-    one more ring of outside cells, says outside, inside, or the touched
-    cell's row in the triangle lists (``_rows``); every query point, its
-    cell clamped into that ring, reads its code in one gather, so no test
-    for leaving the grid is needed. One (18, triangles) float table holds
-    each triangle's first corner, unit normal, two edges and widened box
-    as columns: the (point, listed triangle) pairs of a query gather the
-    plane rows with one ``np.take``, the pairs whose segment crosses a
-    plane gather the edge rows with one more, and the tests run row by
-    row, their dot products summed in ``np.einsum``'s order.
+    One int32 code per cell, over the grid padded by one more ring of
+    outside cells, says outside, inside, or the touched cell's column
+    (``_rows``); every query point, its cell clamped into that ring, reads
+    its code in one gather, so no test for leaving the grid is needed.
 
-    ``reference_casts`` counts the centres cast and ``fallback_casts`` the
-    points tested by ``point_inside``.
+    The grid's arrays are read-only, and a query writes nothing into it
+    but ``fallback_casts``, the count of points tested by ``point_inside``.
     """
 
     def __init__(self, mesh: SurfaceMesh):
@@ -669,12 +637,12 @@ class ContainmentGrid:
         # the second bound keeps a near-flat surface from asking for
         # millions of cells along its other axes
         self.cell = max(float(np.cbrt(np.prod(ext) / _GRID_CELLS)), float(ext.max()) / 256)
-        self.origin = lo - self.cell
-        self.shape = np.ceil(ext / self.cell).astype(np.int64) + 2
-        box_lo, box_hi = tv.min(axis=1) - _BOX_MARGIN, tv.max(axis=1) + _BOX_MARGIN
+        self.origin = _lock(lo - self.cell)
+        self.shape = _lock(np.ceil(ext / self.cell).astype(np.int64) + 2)
         # how many widened boxes touch each cell, from a difference array
         # with +-1 at the corners of each box's cell range
-        first, last = (np.clip(self._cell_index(c), 0, self.shape - 1) for c in (box_lo, box_hi))
+        first, last = (np.clip(self._cell_index(c), 0, self.shape - 1)
+                       for c in (tv.min(axis=1) - _BOX_MARGIN, tv.max(axis=1) + _BOX_MARGIN))
         diff = np.zeros(self.shape + 1, dtype=np.int32)
         for corner in itertools.product((0, 1), repeat=3):
             at = np.where(corner, last + 1, first)
@@ -686,66 +654,39 @@ class ContainmentGrid:
         answers = np.full(n + 1, _OUTSIDE, dtype=np.int32)
         reps = np.column_stack(np.unravel_index(reps[ids > 0], self.shape))
         answers[1:] = np.where(point_inside(mesh, self._centre(reps)), _INSIDE, _OUTSIDE)
-        n_touched = int(np.count_nonzero(touched))
         table = np.full(self.shape + 2, _OUTSIDE, dtype=np.int32)
         inner = table[1:-1, 1:-1, 1:-1]
         inner[...] = answers[labels]
-        del labels  # before the lists are built, which bounds the build's peak memory
-        # a touched cell's row is its rank among the touched cells in flat order
-        inner[touched] = np.arange(n_touched, dtype=np.int32)
-        self._table = table.reshape(-1)
+        del labels
+        # a flat cell index modulo the cells per x layer is its column's
+        n_columns = int(self.shape[1] * self.shape[2])
+        inner[touched] = np.flatnonzero(touched) % n_columns
+        self._table = _lock(table.reshape(-1))
         # flat position in the table of cell (i, j, k): the dot product of
         # (i, j, k) clamped to [-1, shape] with the strides, plus the offset
         strides = np.array([(self.shape[1] + 2) * (self.shape[2] + 2), self.shape[2] + 2, 1])
-        self._strides = strides.astype(np.float64)
+        self._strides = _lock(strides.astype(np.float64))
         self._offset = int(strides.sum())
-        v0 = tv[:, 0]
-        e1, e2 = tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]
-        normal = _cross(e1, e2)
-        length = np.linalg.norm(normal, axis=1, keepdims=True)
-        # a degenerate triangle keeps a zero normal: every point of its
-        # widened box is then on its "plane" and is ray-cast
-        normal = np.divide(normal, length, out=np.zeros_like(normal), where=length > 0)
-        self._reference = np.full(n_touched, _UNCAST, dtype=np.int8)
-        self._list_triangles(first, last, v0, normal)
-        self._tri_table = np.ascontiguousarray(
-            np.concatenate([v0, normal, e1, e2, box_lo, box_hi], axis=1).T)
-        self.reference_casts = 0
+        # each column's list: the triangles whose widened box's (y, z)
+        # cell range holds it, in triangle order
+        extent = last[:, 1:] - first[:, 1:] + 1
+        sizes = extent[:, 0] * extent[:, 1]
+        tri = np.repeat(np.arange(len(tv)), sizes)
+        local = np.arange(len(tri)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        column = ((first[tri, 1] + local // extent[tri, 1]) * self.shape[2]
+                  + first[tri, 2] + local % extent[tri, 1])
+        self._tris = _lock(tri[np.argsort(column, kind="stable")].astype(np.int32))
+        self._start = _lock(np.concatenate(
+            [[0], np.cumsum(np.bincount(column, minlength=n_columns))]).astype(np.int32))
+        # a point of a triangle's columns and its first corner lie in the
+        # same (y, z) cell range, so within its extent in y and in z
+        self._forms, parallel = _crossing_forms(tv, extent.max(axis=1) * self.cell)
         self.fallback_casts = 0
-        logger.debug("containment grid: %d triangles, %s cells of %.3g m, %.1f %% touched "
-                     "(%d cells, %d cell-triangle pairs), %d components, built in %.1f ms",
-                     len(mesh.triangles), "x".join(map(str, self.shape)), self.cell,
-                     100.0 * n_touched / touched.size, n_touched, len(self._tris), n,
+        logger.debug("containment grid: %d triangles (%d parallel to x), %s cells of %.3g m, "
+                     "%.1f %% touched, %d components, %d column-triangle pairs, built in %.1f ms",
+                     len(tv), int(parallel.sum()), "x".join(map(str, self.shape)), self.cell,
+                     100.0 * np.count_nonzero(touched) / touched.size, n, len(tri),
                      1e3 * (time.perf_counter() - start))
-
-    def _list_triangles(self, first: np.ndarray, last: np.ndarray,
-                        v0: np.ndarray, normal: np.ndarray) -> None:
-        """Each touched cell's triangle list, in CSR form, built over the
-        (cell, triangle) pairs of the widened boxes' cell ranges in steps
-        of ``_PAIR_STEP``; and the cells whose centres take no reference."""
-        reach = 0.5 * np.sqrt(3.0) * self.cell + _BOX_MARGIN
-        extent = last - first + 1
-        sizes = np.prod(extent, axis=1)
-        ends = np.cumsum(sizes)
-        rows, tris, unusable = [], [], []
-        for lo in range(0, int(ends[-1]), _PAIR_STEP):
-            k = np.arange(lo, min(lo + _PAIR_STEP, int(ends[-1])))
-            t = np.searchsorted(ends, k, side="right")
-            local = k - (ends[t] - sizes[t])
-            ny, nz = extent[t, 1], extent[t, 2]
-            cell = first[t] + np.column_stack([local // (ny * nz), local // nz % ny, local % nz])
-            dist = np.abs(np.einsum("ij,ij->i", normal[t], self._centre(cell) - v0[t]))
-            keep = dist <= reach
-            row = self._rows(cell[keep])
-            rows.append(row)
-            tris.append(t[keep].astype(np.int32))
-            unusable.append(row[dist[keep] <= _CENTRE_CLEARANCE * self.cell])
-        rows = np.concatenate(rows)
-        order = np.argsort(rows, kind="stable")
-        self._tris = np.concatenate(tris)[order]
-        counts = np.bincount(rows, minlength=len(self._reference))
-        self._start = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        self._reference[np.concatenate(unusable)] = _NO_REFERENCE
 
     def _cell_index(self, points: np.ndarray) -> np.ndarray:
         # monotone in each coordinate, so a point in a widened box maps
@@ -757,7 +698,7 @@ class ContainmentGrid:
 
     def _rows(self, cells: np.ndarray) -> np.ndarray:
         """Table codes of cells, from their (n, 3) indices on the grid:
-        ``_OUTSIDE``, ``_INSIDE`` or a touched cell's list row."""
+        ``_OUTSIDE``, ``_INSIDE`` or a touched cell's column."""
         return self._table[np.ravel_multi_index(tuple(cells.T + 1), self.shape + 2)]
 
     def contains(self, points: np.ndarray) -> np.ndarray:
@@ -772,80 +713,97 @@ class ContainmentGrid:
         hit = code == _INSIDE
         touched = np.flatnonzero(code >= 0)
         if touched.size:
-            hit[touched] = self._touched_contains(np.take(cols, touched, axis=1),
-                                                  np.take(cells, touched, axis=1),
-                                                  np.take(code, touched))
+            hit[touched] = self._crossings(np.take(cols, touched, axis=1), np.take(code, touched))
         return hit
 
-    def _references(self, rows: np.ndarray, centres: np.ndarray) -> np.ndarray:
-        """Centre answers of the cells ``rows`` (centres the columns of
-        ``centres``), casting those not cast yet."""
-        ref = np.take(self._reference, rows)
-        uncast = ref == _UNCAST
-        if uncast.any():
-            new, at = np.unique(rows[uncast], return_index=True)
-            ins, on = point_inside(self.mesh, np.ascontiguousarray(centres[:, uncast][:, at].T),
-                                   return_on_surface=True)
-            self._reference[new] = np.where(on, _NO_REFERENCE, ins)
-            self.reference_casts += len(new)
-            ref = np.take(self._reference, rows)
-        return ref
-
-    def _touched_contains(self, cols: np.ndarray, cells: np.ndarray,
-                          rows: np.ndarray) -> np.ndarray:
-        """Answers for points in touched cells: their (3, m) coordinates,
-        cell indices and list rows."""
+    def _crossings(self, cols: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """Answers for points in touched cells, from their (3, m)
+        coordinates and their columns: the parity of their +x rays'
+        crossings, or ``point_inside`` where a crossing is in doubt."""
         eps = _GRAZE_EPS
-        centres = self.origin[:, None] + (cells + 0.5) * self.cell
-        ref = self._references(rows, centres)
-        fallback = ref == _NO_REFERENCE
-        # every (point, listed triangle) pair: point pt[k] meets the k-th
-        # entry of the concatenated lists of the points' rows
-        starts = np.take(self._start, rows)
-        counts = np.take(self._start, rows + 1) - starts
-        pt = np.repeat(np.arange(len(rows)), counts)
-        skip = np.take(starts - (np.cumsum(counts) - counts), pt)
-        tri = np.take(self._tris, np.arange(len(pt)) + skip)
-        tt = np.take(self._tri_table[:_NORMAL.stop], tri, axis=1)
-        pc = np.take(np.concatenate([cols, centres]), pt, axis=1)
-        p, centre = pc[:3], pc[3:]
-        srel = centre - tt[_V0]
-        s_c = _dot_rows(tt[_NORMAL], srel)
-        s_p = _dot_rows(tt[_NORMAL], p - tt[_V0])
-        crosses = (s_c > 0) != (s_p > 0)
-        # a point within eps of a listed plane, inside its widened box
-        near = np.flatnonzero(np.abs(s_p) <= eps)
-        if near.size:
-            box = np.take(self._tri_table, np.take(tri, near), axis=1)
-            q = np.take(p, near, axis=1)
-            near = np.compress(np.logical_and.reduce((q >= box[_LO]) & (q <= box[_HI])), near)
-            fallback[np.take(pt, near)] = True
-            crosses[near] = False
-        # Moller-Trumbore on the segments that cross a listed plane, with
-        # the cyclic rows of their edges, segments and centre - v0
-        span = np.flatnonzero(crosses)
-        edges = np.take(self._tri_table.reshape(-1),
-                        (_EDGE_ROWS * self._tri_table.shape[1])[:, None] + np.take(tri, span))
-        seg = np.take(np.concatenate([p - centre, srel]).reshape(-1),
-                      (_SEGMENT_ROWS * len(pt))[:, None] + span)
-        d, srel, e1, e2 = seg[:5], seg[5:], edges[:5], edges[5:]
-        h = d[1:4] * e2[2:] - d[2:] * e2[1:4]
-        f = 1.0 / _dot_rows(e1[:3], h)
-        uvw = np.empty((3, len(span)))
-        uvw[0] = f * _dot_rows(srel[:3], h)
-        uvw[1] = f * _dot_rows(d[:3], srel[1:4] * e1[2:] - srel[2:] * e1[1:4])
-        uvw[2] = 1.0 - uvw[0] - uvw[1]
-        crossing = np.logical_and.reduce(uvw > eps)
-        grazing = np.logical_and.reduce(uvw > -eps) & (np.abs(uvw).min(axis=0) <= eps)
-        fallback[np.take(pt, span[grazing])] = True
-        flips = np.bincount(np.take(pt, span[crossing]), minlength=len(rows)) % 2
-        inside = (ref == 1) != (flips == 1)
-        if fallback.any():
-            ins, on = point_inside(self.mesh, np.ascontiguousarray(cols[:, fallback].T),
+        # every (point, listed triangle) pair, each point's pairs in a run
+        # that starts at ``first``; a touched cell's column lists at least
+        # the triangle whose box touches the cell, so no run is empty
+        starts = np.take(self._start, columns)
+        counts = np.take(self._start, columns + 1) - starts
+        first = np.cumsum(counts) - counts
+        pt = np.repeat(np.arange(len(columns)), counts)
+        tri = np.take(self._tris, np.arange(len(pt)) + np.repeat(starts - first, counts))
+        y0, z0, x0, x_y, x_z, near, b_y, b_z, c_y, c_z = np.take(self._forms, tri, axis=1)
+        x, y, z = np.take(cols, pt, axis=1)
+        dy, dz = y - y0, z - z0
+        ahead = (x0 - x) + x_y * dy + x_z * dz  # the plane's x less the point's
+        b = b_y * dy + b_z * dz
+        c = c_y * dy + c_z * dz
+        # the least barycentric coordinate: the projection is inside the
+        # triangle by more than eps, or on its rim within eps
+        least = np.minimum(np.minimum(1.0 - b - c, b), c)
+        forward = ahead > 0
+        crossed = np.logical_xor.reduceat(forward & (least > eps), first)
+        doubt = np.logical_or.reduceat((np.abs(ahead) <= near) | (forward & (np.abs(least) <= eps)),
+                                       first)
+        if doubt.any():
+            ins, on = point_inside(self.mesh, np.ascontiguousarray(cols[:, doubt].T),
                                    return_on_surface=True)
-            inside[fallback] = ins | on
-            self.fallback_casts += int(fallback.sum())
-        return inside
+            crossed[doubt] = ins | on
+            self.fallback_casts += int(doubt.sum())
+        return crossed
+
+
+def _crossing_forms(tv: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (10, t) crossing forms of a (t, 3, 3) triangle array, and which
+    triangles count as parallel to x. ``reach`` bounds, per triangle, how
+    far in y or z from its first corner the points tested against it lie.
+
+    Rows: the first corner's (y, z); the plane's x there and its slopes
+    in y and z; the distance along x within which a point is within
+    ``_GRAZE_EPS`` of the plane; and the slopes of the barycentric
+    coordinates b and c of the point's projection, both 0 at the first
+    corner (the third is a = 1 - b - c).
+
+    The bound for parallel. Relative to the first corner, b and c are dot
+    products of (dy, dz) with their slopes, so each rounds by a few units
+    of 2^-53 times rho = width * reach / |det|, where det is the projected
+    triangle's doubled signed area and width the 1-norm of its two
+    projected edges. The rounding of det only scales b and c, which moves
+    no sign, and moves a by a few units times rho where it decides
+    anything. A triangle counts as parallel to x when 2^-48 rho >=
+    _GRAZE_EPS, that is 32 units times rho: every other triangle's
+    coordinates then round by under a third of _GRAZE_EPS, so a
+    projection they put inside the triangle, or outside it, by more than
+    _GRAZE_EPS is so in exact arithmetic.
+
+    A parallel triangle's crossing cannot be settled from its forms, so
+    they put the plane at x = +inf, never near, and make b = -c a scaled
+    distance from a line through its projection: a point within
+    _GRAZE_EPS of the thin band that holds the projection is on the rim,
+    and every other point misses the triangle. A triangle without area is
+    parallel.
+    """
+    v0 = tv[:, 0]
+    e1, e2 = tv[:, 1] - v0, tv[:, 2] - v0
+    normal = _cross(e1, e2)
+    det = normal[:, 0]  # e1 x e2 along x: the projected doubled area
+    width = np.abs(e1[:, 1:]).sum(axis=1) + np.abs(e2[:, 1:]).sum(axis=1)
+    parallel = 2.0 ** -48 * width * reach >= _GRAZE_EPS * np.abs(det)
+    # the band: within its height plus _GRAZE_EPS of the line through the
+    # first corner along the longer projected edge from it, where the
+    # other corners lie within the height, |det| / length, of that line;
+    # b = -c = scale * (the distance from the line) is +-_GRAZE_EPS there
+    long1 = np.hypot(e1[:, 1], e1[:, 2]) >= np.hypot(e2[:, 1], e2[:, 2])
+    edge = np.where(long1[:, None], e1[:, 1:], e2[:, 1:])
+    length = np.hypot(edge[:, 0], edge[:, 1])
+    height = np.divide(np.abs(det), length, out=np.zeros(len(tv)), where=length > 0)
+    scale = np.divide(_GRAZE_EPS / (height + _GRAZE_EPS), length, out=np.zeros(len(tv)),
+                      where=length > 0)
+    m_y, m_z = -edge[:, 1] * scale, edge[:, 0] * scale
+    zero = np.zeros(len(tv))
+    band = [v0[:, 1], v0[:, 2], np.full(len(tv), np.inf), zero, zero, zero, m_y, m_z, -m_y, -m_z]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossing = [v0[:, 1], v0[:, 2], v0[:, 0], -normal[:, 1] / det, -normal[:, 2] / det,
+                    _GRAZE_EPS * np.linalg.norm(normal, axis=1) / np.abs(det),
+                    e2[:, 2] / det, -e2[:, 1] / det, -e1[:, 2] / det, e1[:, 1] / det]
+    return _lock(np.where(parallel, band, crossing)), parallel
 
 
 def content_key(*arrays: np.ndarray) -> str:
@@ -1215,6 +1173,9 @@ def save_obj(path: str | Path, vertices: np.ndarray, triangles: np.ndarray) -> N
 
 
 def load_obj(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Returns (vertices, triangles); polygons are fanned from their first
+    corner. A negative face index counts back from the last vertex read so
+    far (-1 is that vertex), as OBJ defines it."""
     verts = []
     tris = []
     for line in Path(path).read_text().splitlines():
@@ -1224,7 +1185,8 @@ def load_obj(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         if parts[0] == "v":
             verts.append([float(x) for x in parts[1:4]])
         elif parts[0] == "f":
-            idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
+            idx = [k - 1 if k > 0 else len(verts) + k
+                   for k in (int(p.split("/")[0]) for p in parts[1:])]
             for k in range(1, len(idx) - 1):
                 tris.append([idx[0], idx[k], idx[k + 1]])
     return np.array(verts), np.array(tris, dtype=np.int64)

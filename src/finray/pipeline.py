@@ -73,6 +73,10 @@ class EstimatorSettings:
     mount_mode: str = "estimator"  # estimator | fixed | matched
     fixed_index: int = 7
 
+    def __post_init__(self):
+        if self.mount_mode not in ("estimator", "fixed", "matched"):
+            raise ValueError(f"unknown mount mode {self.mount_mode!r}")
+
 
 @dataclass
 class FrameEstimate:

@@ -172,6 +172,8 @@ class Scenario:
             raise ValueError("camera rate must be positive")
         if self.contact_position not in ("upper", "middle", "lower"):
             raise ValueError(f"unknown contact position {self.contact_position!r}")
+        if self.occlusion_mode not in ("off", "confidence", "drift"):
+            raise ValueError(f"unknown occlusion mode {self.occlusion_mode!r}")
 
     def contact_height(self, jaw_height: float) -> float:
         frac = {"lower": 0.25, "middle": 0.50, "upper": 0.78}[self.contact_position]

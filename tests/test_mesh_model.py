@@ -456,9 +456,9 @@ class TestCellLocalParity:
     template (exactly) and on the posed mesh (outside ``POSED_BAND``): the
     jaw's lattice samples with twins placed in contact with it, points
     1e-10 to 1e-6 m off the twins' faces along their normals, and points
-    whose segment from the cell centre passes through an edge. Some of
-    these take the ray-cast fallback, which must give the same answer; the
-    rest take the cell centre's answer and the segment's crossings."""
+    just past the twins' edges. Some of these take the ray-cast fallback,
+    which must give the same answer; the rest take the parity of their +x
+    rays' crossings."""
 
     def posed_queries(self, jaw, compliance, rng):
         template = jaw.mesh.surface()
@@ -501,16 +501,16 @@ class TestCellLocalParity:
             grids.add(grid)
         assert touched > 30000
         # the fallback was taken (a quarter of the offsets are under
-        # _GRAZE_EPS), and most points were answered from cell references
+        # _GRAZE_EPS), and most points were answered by their crossings
         assert sum(g.fallback_casts for g in grids) > 1000
         assert sum(g.fallback_casts for g in grids) < touched / 2
-        assert sum(g.reference_casts for g in grids) > 1000
 
-    def test_centres_near_a_plane_take_no_reference(self, fresh_caches):
+    def test_points_near_faces_on_cell_centres(self):
         # a cube, and beside it in y a box whose two x faces lie 3e-5 and
-        # 1e-5 cell sizes off the centres of two columns of cells: every
-        # cell of those columns that the faces cross keeps no reference,
-        # and all its points are ray-cast
+        # 1e-5 cell sizes off the centres of two columns of cells: the
+        # faces the +x rays cross. Points spread over those cells, half of
+        # them 1e-10 to 1e-6 m off a face's plane; those within _GRAZE_EPS
+        # of it are ray-cast and the rest are answered by their crossings
 
         def cube_and_box(x_lo, x_hi):
             # the box's y and z extents are fixed and its x faces lie within
@@ -535,51 +535,154 @@ class TestCellLocalParity:
             np.flatnonzero((zs > -0.01) & (zs < 0.01)))))
         assert len(cells) > 500
         assert np.all(grid._rows(cells) >= 0)
-        rows = grid._rows(cells)
-        assert np.all(grid._reference[rows] == mesh_model._NO_REFERENCE)
 
         rng = np.random.default_rng(29)
         local = grid._centre(np.repeat(cells, 6, axis=0))
         local += rng.uniform(-0.49, 0.49, local.shape) * cell
-        # half of them 1e-10 to 1e-6 m off the face's plane
         near = rng.random(len(local)) < 0.5
         plane_x = np.where(cells[:, 0] == k_lo, mesh.vertices[8:, 0].min(),
                            mesh.vertices[8:, 0].max()).repeat(6)
-        local[near, 0] = plane_x[near] + (rng.choice([-1.0, 1.0], near.sum())
-                                          * 10.0 ** rng.uniform(-10, -6, near.sum()))
+        offset = rng.choice([-1.0, 1.0], near.sum()) * 10.0 ** rng.uniform(-10, -6, near.sum())
+        local[near, 0] = plane_x[near] + offset
+        eps = mesh_model._GRAZE_EPS
+        before = grid.fallback_casts
+        got = grid.contains(local)
+        ins, on = point_inside(mesh, local, return_on_surface=True)
+        assert np.array_equal(got, ins | on)
+        assert 0 < got.sum() < len(local)
+        # the points near a face's plane, and no others, are ray-cast:
+        # within rounding of _GRAZE_EPS, each either way
+        cast = grid.fallback_casts - before
+        assert (np.abs(offset) <= 0.99 * eps).sum() <= cast <= (np.abs(offset) <= 1.01 * eps).sum()
         for _ in range(3):
             rotation = random_rotation(rng)
             twin.place(rotation, rng.normal(scale=0.01, size=3))
-            points = local @ rotation.T + twin.translation
-            before = grid.fallback_casts
-            got = assert_twin_contract(twin, points)
-            assert grid.fallback_casts - before == len(points)
-            assert 0 < got.sum() < len(points)
-        assert grid.reference_casts == 0
-        assert np.all(grid._reference[rows] == mesh_model._NO_REFERENCE)
+            assert_twin_contract(twin, local @ rotation.T + twin.translation)
 
-    def test_independent_of_reference_order(self, jaw, compliance):
+    def test_read_only_and_independent_of_query_history(self, jaw, compliance):
+        # a built grid's arrays are locked, and a query writes nothing into
+        # it but its fallback count: the same points in shuffled chunks,
+        # on a fresh grid and on one that first answered unrelated points,
+        # give the same answers
+
+        def state(grid):
+            return {k: v.tobytes() if isinstance(v, np.ndarray) else v
+                    for k, v in vars(grid).items() if k != "fallback_casts"}
+
         rng = np.random.default_rng(23)
         for mesh, twin, points in itertools.islice(
                 self.posed_queries(jaw, compliance, rng), 0, 12, 4):
             local = (points - twin.translation) @ twin.rotation
             at_once = ContainmentGrid(mesh)
+            arrays = {k: v for k, v in vars(at_once).items() if isinstance(v, np.ndarray)}
+            assert {"_table", "_tris", "_start", "_forms", "origin", "shape"} <= set(arrays)
+            for name, array in arrays.items():
+                assert not array.flags.writeable, name
+            built = state(at_once)
             want = at_once.contains(local)
             ins, on = point_inside(mesh, local, return_on_surface=True)
             assert np.array_equal(want, ins | on)
-            # the same points in reversed chunks, on a grid that first cast
-            # the references of unrelated cells
-            grid = ContainmentGrid(mesh)
+            assert at_once.fallback_casts > 0
+            assert state(at_once) == built
             lo, hi = mesh.bounds()
-            grid.contains(rng.uniform(lo, hi, (2000, 3)))
-            order = rng.permutation(len(local))
-            got = np.empty(len(local), dtype=bool)
-            for chunk in np.array_split(order, 7)[::-1]:
-                got[chunk] = grid.contains(local[chunk])
-            assert np.array_equal(got, want)
-            cast = (at_once._reference != -1) & (grid._reference != -1)
-            assert np.array_equal(at_once._reference[cast], grid._reference[cast])
-            assert grid.reference_casts > at_once.reference_casts
+            for grid in (ContainmentGrid(mesh), at_once):
+                grid.contains(rng.uniform(lo, hi, (2000, 3)))
+                order = rng.permutation(len(local))
+                got = np.empty(len(local), dtype=bool)
+                for chunk in np.array_split(order, 7)[::-1]:
+                    got[chunk] = grid.contains(local[chunk])
+                assert np.array_equal(got, want)
+
+
+class TestCrossingHardInputs:
+    """The inputs where a +x ray's crossings are hardest to count, against
+    ``ins | on`` of ``point_inside`` exactly: rays that pass just beside a
+    projected edge or vertex, points in the thin projected band of a face
+    nearly parallel to x, and faces that lie on the grid's planes."""
+
+    @staticmethod
+    def assert_matches(mesh, points):
+        grid = ContainmentGrid(mesh)
+        ins, on = point_inside(mesh, points, return_on_surface=True)
+        assert np.array_equal(grid.contains(points), ins | on)
+        return grid
+
+    @pytest.mark.parametrize("k", range(4), ids=["cyl25", "cuboid", "wedge x3", "open wedge"])
+    def test_rays_beside_projected_edges_and_vertices(self, k):
+        # points whose +x ray passes 1e-12 to 1e-8 m from the projection
+        # of a triangle's edge or corner, in (y, z), with the triangle
+        # 1e-6 to 1e-2 m ahead of the point or behind it
+        mesh = [make_object_mesh(ShapeSpec.cylinder(0.025)),
+                make_object_mesh(ShapeSpec.cuboid((0.03, 0.08, 0.03))), *wedge_twins()][k]
+        rng = np.random.default_rng(41 + k)
+        tv = mesh.vertices[mesh.triangles]
+        n = 4000
+        tri, corner = rng.integers(len(tv), size=n), rng.integers(3, size=n)
+        start, end = tv[tri, corner], tv[tri, (corner + 1) % 3]
+        # a quarter of the points beside a corner, the rest beside an edge
+        fraction = np.where(rng.random(n) < 0.25, 0.0, rng.uniform(0.0, 1.0, n))
+        on_edge = start + fraction[:, None] * (end - start)
+        # across the projected edge, or any way from a corner
+        side = np.column_stack([-(end - start)[:, 2], (end - start)[:, 1]])
+        at_corner = fraction == 0.0
+        side[at_corner] = rng.normal(size=(at_corner.sum(), 2))
+        length = np.linalg.norm(side, axis=1, keepdims=True)
+        side = np.divide(side, length, out=np.zeros_like(side), where=length > 0)
+        gap = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12, -8, n)
+        points = on_edge.copy()
+        points[:, 1:] += gap[:, None] * side
+        points[:, 0] += rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6, -2, n)
+        grid = self.assert_matches(mesh, points)
+        assert grid.fallback_casts > 0
+
+    @pytest.mark.parametrize("k", range(2), ids=["cuboid", "wedge x3"])
+    def test_bands_of_faces_nearly_parallel_to_x(self, k):
+        # the mesh turned about z by 1e-13 to 1e-5 rad, so that faces
+        # parallel to x lean by that much; points inside the projected band
+        # of such a face, and on its projected edges, at any x
+        mesh = [make_object_mesh(ShapeSpec.cuboid((0.03, 0.08, 0.03))),
+                subdivided(subdivided(subdivided(make_object_mesh(ShapeSpec.wedge()))))][k]
+        rng = np.random.default_rng(43 + k)
+        for angle in rng.choice([-1.0, 1.0], 8) * 10.0 ** np.linspace(-13, -5, 8):
+            c, s = np.cos(angle), np.sin(angle)
+            turned = SurfaceMesh(mesh.vertices @ np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]).T,
+                                 mesh.triangles)
+            tv = turned.vertices[turned.triangles]
+            normal = np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0])
+            leaning = np.flatnonzero(np.abs(normal[:, 0]) <= 1e-4 * np.linalg.norm(normal, axis=1))
+            assert len(leaning) > 0
+            n = 3000
+            tri = rng.choice(leaning, n)
+            weights = rng.dirichlet(np.ones(3), size=n)
+            # a third of the points on an edge of the face
+            on_edge = rng.random(n) < 1 / 3
+            weights[on_edge, rng.integers(3, size=on_edge.sum())] = 0.0
+            weights /= weights.sum(axis=1, keepdims=True)
+            points = np.einsum("pb,pbx->px", weights, tv[tri])
+            lo, hi = turned.bounds()
+            points[:, 0] = rng.uniform(lo[0] - 0.01, hi[0] + 0.01, n)
+            self.assert_matches(turned, points)
+
+    def test_faces_on_grid_planes(self):
+        # an unturned cuboid: its faces lie on the grid's planes, since the
+        # grid's origin is one cell below its box. Points spread over the
+        # padded box, on its faces and 1e-10 to 1e-6 m off them, and on the
+        # grid's planes through its cells
+        mesh = make_object_mesh(ShapeSpec.cuboid((0.03, 0.08, 0.03)))
+        grid = ContainmentGrid(mesh)
+        lo, hi = mesh.bounds()
+        assert np.allclose(lo, grid.origin + grid.cell, rtol=0, atol=1e-15)
+        rng = np.random.default_rng(47)
+        tv = mesh.vertices[mesh.triangles]
+        off_face, _ = off_face_points(rng, tv, 3000)
+        on_planes = rng.uniform(lo - 0.005, hi + 0.005, (3000, 3))
+        axis = rng.integers(3, size=3000)
+        cells = np.round((on_planes - grid.origin) / grid.cell)
+        rows = np.arange(3000)
+        on_planes[rows, axis] = (grid.origin + cells * grid.cell)[rows, axis]
+        points = np.concatenate([rng.uniform(lo - 0.005, hi + 0.005, (3000, 3)),
+                                 surface_sample_points(mesh, 6), off_face, on_planes])
+        self.assert_matches(mesh, points)
 
 
 def subdivided(mesh):
@@ -598,17 +701,25 @@ def subdivided(mesh):
 
 
 # ---------------------------------------------------------------------------
-# The one-table grid pass and the column-wise patch against test-local
-# copies of the per-row implementation they replaced
+# The crossings grid and the column-wise patch against test-local copies of
+# the per-row, cell-reference implementation they replaced
+
+# the per-row grid's centre answers: not cast yet, or not usable because the
+# centre lies on the surface or within _CENTRE_CLEARANCE cell sizes of a
+# listed plane; and the (cell, triangle) candidates per step of its list build
+_UNCAST, _NO_REFERENCE = -1, 2
+_CENTRE_CLEARANCE = 1e-4
+_PAIR_STEP = 2 ** 13
 
 
 class ParentGrid:
-    """The twin's grid in its earlier layout, kept as the reference of
-    ``ContainmentGrid``: an int8 state per cell (0 outside, 1 inside, 2
-    touched), the touched cells' flat indices with each point's list row
-    found by ``searchsorted``, int64 list starts, six per-triangle (t, 3)
-    arrays, and (n, 3) per-pair gathers. Built and queried as the grid
-    was, so its answers, counters and tables must equal the grid's."""
+    """The twin's grid in an earlier layout, kept as the reference of
+    ``ContainmentGrid``'s answers: an int8 state per cell (0 outside, 1
+    inside, 2 touched), each touched cell's list of the triangles that can
+    cross it, and a point in a touched cell answered by its cell centre's
+    parity answer, cast on first use, flipped once per listed triangle
+    the segment from the centre crosses (Ogayar, Segura & Feito 2005).
+    Same components and touched cells as the grid, different fallbacks."""
 
     def __init__(self, mesh):
         self.mesh = mesh
@@ -640,7 +751,7 @@ class ParentGrid:
         length = np.linalg.norm(normal, axis=1, keepdims=True)
         self._normal = np.divide(normal, length, out=np.zeros_like(normal), where=length > 0)
         self._touched = np.flatnonzero(touched).astype(np.int32)
-        self._reference = np.full(len(self._touched), mesh_model._UNCAST, dtype=np.int8)
+        self._reference = np.full(len(self._touched), _UNCAST, dtype=np.int8)
         self._list_triangles(first, last)
         self.reference_casts = 0
         self.fallback_casts = 0
@@ -651,8 +762,8 @@ class ParentGrid:
         sizes = np.prod(extent, axis=1)
         ends = np.cumsum(sizes)
         rows, tris, unusable = [], [], []
-        for lo in range(0, int(ends[-1]), mesh_model._PAIR_STEP):
-            k = np.arange(lo, min(lo + mesh_model._PAIR_STEP, int(ends[-1])))
+        for lo in range(0, int(ends[-1]), _PAIR_STEP):
+            k = np.arange(lo, min(lo + _PAIR_STEP, int(ends[-1])))
             t = np.searchsorted(ends, k, side="right")
             local = k - (ends[t] - sizes[t])
             ny, nz = extent[t, 1], extent[t, 2]
@@ -662,13 +773,13 @@ class ParentGrid:
             row = self._rows(cell[keep])
             rows.append(row)
             tris.append(t[keep].astype(np.int32))
-            unusable.append(row[dist[keep] <= mesh_model._CENTRE_CLEARANCE * self.cell])
+            unusable.append(row[dist[keep] <= _CENTRE_CLEARANCE * self.cell])
         rows = np.concatenate(rows)
         order = np.argsort(rows, kind="stable")
         self._tris = np.concatenate(tris)[order]
         counts = np.bincount(rows, minlength=len(self._reference))
         self._start = np.concatenate([[0], np.cumsum(counts)])
-        self._reference[np.concatenate(unusable)] = mesh_model._NO_REFERENCE
+        self._reference[np.concatenate(unusable)] = _NO_REFERENCE
 
     def _cell_index(self, points):
         return np.floor((points - self.origin) / self.cell).astype(np.int64)
@@ -692,11 +803,11 @@ class ParentGrid:
 
     def _references(self, rows, idx):
         ref = self._reference[rows]
-        uncast, at = np.unique(rows[ref == mesh_model._UNCAST], return_index=True)
+        uncast, at = np.unique(rows[ref == _UNCAST], return_index=True)
         if uncast.size:
-            ins, on = point_inside(self.mesh, self._centre(idx[ref == mesh_model._UNCAST][at]),
+            ins, on = point_inside(self.mesh, self._centre(idx[ref == _UNCAST][at]),
                                    return_on_surface=True)
-            self._reference[uncast] = np.where(on, mesh_model._NO_REFERENCE, ins)
+            self._reference[uncast] = np.where(on, _NO_REFERENCE, ins)
             self.reference_casts += len(uncast)
             ref = self._reference[rows]
         return ref
@@ -706,7 +817,7 @@ class ParentGrid:
         cross = mesh_model._cross
         rows = self._rows(idx)
         ref = self._references(rows, idx)
-        fallback = ref == mesh_model._NO_REFERENCE
+        fallback = ref == _NO_REFERENCE
         starts = self._start[rows]
         counts = self._start[rows + 1] - starts
         pt = np.repeat(np.arange(len(points)), counts)
@@ -783,8 +894,8 @@ def wedge_twins():
 
 class TestParentPath:
     """Exact agreement with the per-row path: the same samples, centroids
-    and kept points from ``intersect_approx``, and the same containment
-    answers, counters and tables from ``ContainmentGrid``."""
+    and kept points from ``intersect_approx``, and the same cell codes and
+    containment answers from ``ContainmentGrid``."""
 
     def test_intersections_match_parent(self, jaw, compliance):
         template = jaw.mesh.surface()
@@ -815,8 +926,7 @@ class TestParentPath:
         rng = np.random.default_rng(31 + k)
         mesh = [make_object_mesh(ShapeSpec.cylinder(0.025)), *wedge_twins()][k]
         grid, parent = ContainmentGrid(mesh), ParentGrid(mesh)
-        # the same tables: each cell's answer or touched row, the lists and
-        # the references, and the triangles' columns
+        # the same cells: each cell's answer or touched column
         inner = grid._table.reshape(grid.shape + 2)
         codes = inner[1:-1, 1:-1, 1:-1]
         assert np.array_equal(np.where(codes >= 0, 2, codes == mesh_model._INSIDE), parent.state)
@@ -824,14 +934,8 @@ class TestParentPath:
         assert np.all(inner[:, [0, -1]] == mesh_model._OUTSIDE)
         assert np.all(inner[:, :, [0, -1]] == mesh_model._OUTSIDE)
         assert np.array_equal(np.flatnonzero(codes >= 0), parent._touched)
-        assert np.array_equal(codes[codes >= 0], np.arange(len(parent._touched)))
-        assert np.array_equal(grid._start, parent._start)
-        assert np.array_equal(grid._tris, parent._tris)
-        assert np.array_equal(grid._reference, parent._reference)
-        for rows, column in ((mesh_model._V0, parent._v0), (mesh_model._NORMAL, parent._normal),
-                             (mesh_model._E1, parent._e1), (mesh_model._E2, parent._e2),
-                             (mesh_model._LO, parent._lo), (mesh_model._HI, parent._hi)):
-            assert np.array_equal(grid._tri_table[rows], column.T)
+        n_columns = grid.shape[1] * grid.shape[2]
+        assert np.array_equal(codes[codes >= 0], parent._touched % n_columns)
         twin = RigidSurface(mesh)
         for _ in range(3):
             twin.place(random_rotation(rng), rng.normal(scale=0.01, size=3))
@@ -846,10 +950,8 @@ class TestParentPath:
             local = (points - twin.translation) @ twin.rotation
             for chunk in np.array_split(local[rng.permutation(len(local))], 4):
                 assert np.array_equal(grid.contains(chunk), parent.contains(chunk))
-                assert grid.reference_casts == parent.reference_casts
-                assert grid.fallback_casts == parent.fallback_casts
-        assert np.array_equal(grid._reference, parent._reference)
-        assert grid.reference_casts > 100 and grid.fallback_casts > 100
+        # both took the fallback on these points
+        assert grid.fallback_casts > 100 and parent.fallback_casts > 100
 
 
 # the nbytes of every array of the grids in the per-row layout (an int8
@@ -861,9 +963,10 @@ PARENT_GRID_BYTES = {"cyl25": 898_984, "wedge": 1_114_368, "wedge x3": 922_876}
 
 @pytest.mark.parametrize("name", list(PARENT_GRID_BYTES))
 def test_grid_arrays_replace_the_rows(name):
-    """The cell table and the triangle table replace the arrays of the
-    per-row layout: the grid holds at most 4 more bytes per cell than it
-    did, so a table kept beside the arrays it stands for fails."""
+    """The cell table, the column lists and the crossing forms replace the
+    arrays of the per-row layout: the grid holds at most 4 more bytes per
+    cell than it did, so a table kept beside the arrays it stands for
+    fails."""
     wedge = make_object_mesh(ShapeSpec.wedge())
     mesh = {"cyl25": lambda: make_object_mesh(ShapeSpec.cylinder(0.025)),
             "wedge": lambda: wedge,
@@ -880,15 +983,12 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 2000), st.just(3)), elements=finite),
        st.data())
 def test_rewritten_reductions_match_numpy(x, data):
-    """Each reduction the patch and the grid write out equals, bit for
-    bit, the numpy call it replaces; a numpy whose summation order moves
-    fails here rather than in a run's output."""
-    y = data.draw(hnp.arrays(np.float64, x.shape, elements=finite))
+    """Each reduction the patch writes out equals, bit for bit, the numpy
+    call it replaces; a numpy whose summation order moves fails here
+    rather than in a run's output."""
     k = data.draw(hnp.arrays(np.intp, st.integers(0, 3000), elements=st.integers(0, len(x) - 1)))
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.array_equal(mesh_model._centroid(x), x.mean(axis=0), equal_nan=True)
-        assert np.array_equal(mesh_model._dot_rows(x.T, y.T), np.einsum("ij,ij->i", x, y),
-                              equal_nan=True)
     assert np.array_equal(np.take(x, k, axis=0), x[k])
     assert np.array_equal(np.take(x.T, k, axis=1), x[k].T)
 
@@ -1060,6 +1160,27 @@ class TestMeshIO:
         v, t = load_obj(path)
         assert np.array_equal(v, cube.vertices)
         assert np.array_equal(t, cube.triangles)
+
+    def test_obj_relative_indices(self, tmp_path):
+        # a tetrahedron written with relative face indices, one face before
+        # the last vertex, loads equal to its absolute-index twin
+        tet = single_tet()
+        faces = tet.surface().triangles
+        v = [f"v {x!r} {y!r} {z!r}" for x, y, z in tet.vertices.tolist()]
+        relative = tmp_path / "relative.obj"
+        relative.write_text("\n".join(
+            v[:3] + ["f -3 -1 -2", v[3]]
+            + [f"f {a - 4} {b - 4} {c - 4}" for a, b, c in faces[1:]]) + "\n")
+        assert np.array_equal(faces[0], [0, 2, 1])
+        absolute = tmp_path / "absolute.obj"
+        save_obj(absolute, tet.vertices, faces)
+        for got, want in zip(load_obj(relative), load_obj(absolute)):
+            assert np.array_equal(got, want)
+        assert SurfaceMesh(*load_obj(relative)).watertight
+
+    def test_negative_triangle_index_rejected(self):
+        with pytest.raises(MeshError, match="negative"):
+            SurfaceMesh(np.eye(3), [[0, 1, -1]])
 
     def test_watertight_check(self):
         cube = unit_cube()

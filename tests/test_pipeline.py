@@ -2,8 +2,10 @@ import json
 import logging
 
 import numpy as np
+import pytest
 
 from finray.fixtures import ShapeSpec
+from finray.harness_cli import scenario_from_config
 from finray.mesh_model import TriangleBVH
 from finray.pipeline import (
     EstimatorSettings,
@@ -32,6 +34,16 @@ def quick_static(cycles=1, plateaus=(0, 4, 10, 4, 0), **kw):
     )
     base.update(kw)
     return Scenario(**base)
+
+
+def test_unknown_mount_mode_rejected():
+    # a mistyped mode used to localize as "estimator"
+    with pytest.raises(ValueError, match="fixd"):
+        EstimatorSettings(mount_mode="fixd")
+    with pytest.raises(ValueError, match="fixd"):
+        scenario_from_config({"solver.mount_mode": "fixd"})
+    for mode in ("estimator", "fixed", "matched"):
+        assert EstimatorSettings(mount_mode=mode).mount_mode == mode
 
 
 class TestRunEstimation:

@@ -472,6 +472,16 @@ def nnls_triple(g, d_free, stiffness):
     return scipy.optimize.nnls(chol.T, rhs)[0]
 
 
+def test_unknown_occlusion_mode_rejected():
+    # a mistyped mode used to render drift occlusion
+    with pytest.raises(ValueError, match="confidance"):
+        Scenario(occlusion_mode="confidance")
+    with pytest.raises(ValueError, match="confidance"):
+        harness_cli.scenario_from_config({"scenario.occlusion_mode": "confidance"})
+    for mode in ("off", "confidence", "drift"):
+        assert Scenario(occlusion_mode=mode).occlusion_mode == mode
+
+
 class TestRenderObservation:
     def _engine(self, **kw):
         base = dict(shape=ShapeSpec.cylinder(0.025), contact_position="middle",
