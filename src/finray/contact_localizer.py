@@ -19,7 +19,13 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .mesh_model import SurfaceMesh, TetMesh, project_to_inner_surface
+from .mesh_model import (
+    SurfaceMesh,
+    TetMesh,
+    content_key,
+    project_to_inner_surface,
+    registered,
+)
 
 if TYPE_CHECKING:
     from .inverse_solver import ContactCandidateSet
@@ -39,9 +45,27 @@ POSE_TIMEOUT_S = 0.5
 STABLE_FRAMES = 5
 
 
+def checked_rotation(rotation) -> np.ndarray:
+    """``rotation`` as a float64 3x3 array; ``FrameError`` unless it is
+    orthonormal to 1e-10. A rotation that is fixed for a rig, an
+    estimator or a scenario is checked here once, where it is made, and
+    its poses are then built by ``PoseTransform.trusted``."""
+    r = np.asarray(rotation, dtype=np.float64)
+    if r.shape != (3, 3):
+        raise FrameError("rotation must be 3x3")
+    if np.abs(r.T @ r - _EYE3).max() > 1e-10:
+        raise FrameError("rotation is not orthonormal")
+    return r
+
+
 @dataclass(frozen=True)
 class PoseTransform:
-    """Rigid transform mapping points from ``frame_from`` to ``frame_to``."""
+    """Rigid transform mapping points from ``frame_from`` to ``frame_to``.
+
+    The constructor (and ``replace``) checks the shapes and, through
+    ``checked_rotation``, that the rotation is orthonormal. ``trusted``
+    skips both checks, for a rotation checked once where it was made,
+    such as a rig's or an estimator's fixed rotation."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -49,14 +73,24 @@ class PoseTransform:
     frame_to: str = "g"
 
     def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=np.float64)
         t = np.asarray(self.translation, dtype=np.float64)
-        if r.shape != (3, 3) or t.shape != (3,):
-            raise FrameError("rotation must be 3x3 and translation length 3")
-        if np.abs(r.T @ r - _EYE3).max() > 1e-10:
-            raise FrameError("rotation is not orthonormal")
-        object.__setattr__(self, "rotation", r)
+        if t.shape != (3,):
+            raise FrameError("translation must have length 3")
+        object.__setattr__(self, "rotation", checked_rotation(self.rotation))
         object.__setattr__(self, "translation", t)
+
+    @classmethod
+    def trusted(cls, rotation: np.ndarray, translation: np.ndarray,
+                frame_from: str, frame_to: str) -> "PoseTransform":
+        """The pose of an orthonormal float64 3x3 ``rotation`` and a
+        float64 3-vector ``translation``, built without the constructor's
+        checks: the caller has checked the rotation once already."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "rotation", rotation)
+        object.__setattr__(pose, "translation", translation)
+        object.__setattr__(pose, "frame_from", frame_from)
+        object.__setattr__(pose, "frame_to", frame_to)
+        return pose
 
     @classmethod
     def identity(cls, frame_from: str = "o", frame_to: str = "o") -> "PoseTransform":
@@ -68,12 +102,8 @@ class PoseTransform:
     def inverse(self) -> "PoseTransform":
         """The inverse transform. The transpose of a checked rotation is
         orthonormal, so it is built without the check."""
-        inv = object.__new__(PoseTransform)
-        object.__setattr__(inv, "rotation", self.rotation.T)
-        object.__setattr__(inv, "translation", -self.rotation.T @ self.translation)
-        object.__setattr__(inv, "frame_from", self.frame_to)
-        object.__setattr__(inv, "frame_to", self.frame_from)
-        return inv
+        return PoseTransform.trusted(self.rotation.T, -self.rotation.T @ self.translation,
+                                     self.frame_to, self.frame_from)
 
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
@@ -94,6 +124,32 @@ def chain_pose(outer: PoseTransform, inner: PoseTransform) -> PoseTransform:
     r = u @ vt
     return PoseTransform(r, outer.rotation @ inner.translation + outer.translation,
                          inner.frame_from, outer.frame_to)
+
+
+class ChainMemo:
+    """``chain_pose(outer, inner)``, bit for bit, with its SVD run once per
+    run of calls with the same rotations and frame labels.
+
+    The estimator's jaw-from-camera rotation is fixed, and the pose gate
+    holds one sample over several camera frames. So the last result is
+    kept, keyed by the bytes of both rotations and the four labels; a
+    call with that key reuses its rotation and computes the translation
+    with ``chain_pose``'s expression. Any other call goes to
+    ``chain_pose``, the reference path, which checks the labels."""
+
+    def __init__(self):
+        self._key: Optional[tuple] = None
+        self._pose: Optional[PoseTransform] = None
+
+    def __call__(self, outer: PoseTransform, inner: PoseTransform) -> PoseTransform:
+        key = (outer.rotation.tobytes(), inner.rotation.tobytes(), outer.frame_from,
+               outer.frame_to, inner.frame_from, inner.frame_to)
+        if key != self._key:
+            self._key, self._pose = key, chain_pose(outer, inner)
+            return self._pose
+        return PoseTransform.trusted(
+            self._pose.rotation, outer.rotation @ inner.translation + outer.translation,
+            inner.frame_from, outer.frame_to)
 
 
 def rot_z(angle: float) -> np.ndarray:
@@ -153,6 +209,20 @@ def pre_estimate_translation(state: ContactState, rotation: np.ndarray,
     return state.l0 + 0.5 * extent
 
 
+def snap_memo(undeformed: TetMesh, candidate_positions: np.ndarray) -> dict:
+    """The process-wide memo of ``select_candidate``'s snap per surface
+    vertex id for this undeformed mesh and these candidate positions.
+
+    The snap reads only the mesh's vertices, its inner triangles and the
+    positions, so the memo is registered under their content and every
+    estimator of that jaw shares it; remounts keep the positions. It
+    starts empty and ``select_candidate`` fills it. Two threads that miss
+    the same vertex at once both store its one snap."""
+    key = ("snaps", content_key(undeformed.vertices, undeformed.inner_triangles(),
+                                candidate_positions))
+    return registered(key, dict)
+
+
 def select_candidate(centroid: np.ndarray, deformed_vertices: np.ndarray,
                      surface_vertex_ids: np.ndarray, undeformed: TetMesh,
                      candidates: "ContactCandidateSet", snaps: dict) -> int:
@@ -162,10 +232,11 @@ def select_candidate(centroid: np.ndarray, deformed_vertices: np.ndarray,
     undeformed position by index, projects onto the inner contact surface,
     and returns the nearest candidate (lowest index on ties). That snap
     depends only on the vertex, so ``snaps`` keeps it per vertex id; one
-    dict serves one (undeformed mesh, candidate positions) pair. The
-    surface vertices are gathered by ``np.take``, several times faster
-    than a fancy index on (n, 3) rows, and their squared distances summed
-    by ``np.einsum``, whose order decides ties between vertices.
+    dict serves one (undeformed mesh, candidate positions) pair, and the
+    estimator passes the shared one of ``snap_memo``. The surface
+    vertices are gathered by ``np.take``, several times faster than a
+    fancy index on (n, 3) rows, and their squared distances summed by
+    ``np.einsum``, whose order decides ties between vertices.
     """
     rel = np.take(deformed_vertices, surface_vertex_ids, axis=0) - centroid
     j = int(surface_vertex_ids[int(np.argmin(np.einsum("ij,ij->i", rel, rel)))])

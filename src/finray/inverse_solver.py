@@ -33,32 +33,35 @@ class InsufficientEffectorsError(RuntimeError):
     """Fewer than three active effectors survive filtering."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KeypointFilter:
     """Confidence thresholding at ``CONFIDENCE_THRESHOLD`` followed by
     filtering to the workspace box ``bbox_lo``..``bbox_hi`` in the jaw
-    frame. The estimator sizes the box from its fixture. The threshold is
+    frame, held as float64 arrays from construction on. The estimator
+    sizes the box from its fixture. The threshold is
     fixed: it lies between the confidence the simulated detector gives
     visible keypoints and the one it gives the occluded keypoints it flags,
     and those are constants too."""
 
-    bbox_lo: tuple[float, float, float]
-    bbox_hi: tuple[float, float, float]
+    bbox_lo: np.ndarray
+    bbox_hi: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "bbox_lo", np.asarray(self.bbox_lo, dtype=np.float64))
+        object.__setattr__(self, "bbox_hi", np.asarray(self.bbox_hi, dtype=np.float64))
 
     def accept(self, positions_jaw: np.ndarray, confidence: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.bbox_lo)
-        hi = np.asarray(self.bbox_hi)
-        in_box = np.isfinite(positions_jaw) & (positions_jaw >= lo) & (positions_jaw <= hi)
+        in_box = (np.isfinite(positions_jaw) & (positions_jaw >= self.bbox_lo)
+                  & (positions_jaw <= self.bbox_hi))
         return (confidence >= CONFIDENCE_THRESHOLD) & in_box.all(axis=1)
 
 
 @dataclass
 class EffectorSet:
-    """Position effectors: vertex ids, outer/inner class, current targets
+    """Position effectors: vertex ids, rest positions and current targets
     (jaw frame), and per-effector activation flags."""
 
     vertex_ids: np.ndarray
-    is_outer: np.ndarray
     rest_positions: np.ndarray
     targets: np.ndarray
     active: np.ndarray
@@ -68,7 +71,6 @@ class EffectorSet:
         rest = fixture.mesh.vertices[fixture.keypoint_ids].copy()
         return cls(
             vertex_ids=fixture.keypoint_ids.copy(),
-            is_outer=fixture.keypoint_is_outer.copy(),
             rest_positions=rest,
             targets=rest.copy(),
             active=np.ones(len(fixture.keypoint_ids), dtype=bool),

@@ -30,6 +30,7 @@ from .mesh_model import (
     SurfaceMesh,
     _TET_FACES,
     _lattice,
+    _row_norms,
     boundary_faces,
     is_watertight,
     surface_sample_points,
@@ -235,14 +236,6 @@ class ICPResult:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return self.scale * (points @ self.rotation.T) + self.translation
-
-
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(v, axis=1)`` of an (n, 3) array, bit for bit: the
-    same left-to-right sum of squares, taken column by column, which is
-    several times faster than the reduction over each short row."""
-    sq = v * v
-    return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
 
 
 # relative slack of the nearest-neighbour certificate, far above the

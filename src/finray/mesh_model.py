@@ -83,6 +83,14 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(v, axis=1)`` of an (n, 3) array, bit for bit: the
+    same left-to-right sum of squares, taken column by column, which is
+    several times faster than the reduction over each short row."""
+    sq = v * v
+    return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+
+
 def tet_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
     v = vertices[tets]
     return np.linalg.det(v[:, 1:] - v[:, :1]) / 6.0
@@ -452,7 +460,7 @@ class TriangleBVH:
         self._tv0 = c0.copy()  # a view would keep every gathered corner alive
         self._e1 = c1 - c0
         self._e2 = c2 - c0
-        self._scale = np.linalg.norm(self._e1, axis=1) * np.linalg.norm(self._e2, axis=1)
+        self._scale = _row_norms(self._e1) * _row_norms(self._e2)
 
     def _leaf_pairs(self, origins: np.ndarray, dirs: np.ndarray, t_max: float):
         """(leaf row, ray index) pairs for rays possibly hitting each leaf
@@ -835,10 +843,11 @@ def registered(key: tuple, build):
 class RigidSurface:
     """Watertight surface that only moves rigidly, such as an object twin.
 
-    ``place`` poses it; ``vertices`` are the posed ones. Containment maps
-    the query points into the template's frame and answers from the
-    template's ``ContainmentGrid``, whose tree is never refit. It is the
-    containment target of ``intersect_approx``.
+    ``place`` poses it; ``vertices`` are the posed ones, mapped when read.
+    Containment maps the query points into the template's frame and
+    answers from the template's ``ContainmentGrid``, whose tree is never
+    refit. It is the containment target of ``intersect_approx``, which
+    reads only its box and its containment.
     """
 
     def __init__(self, template: SurfaceMesh):
@@ -846,7 +855,6 @@ class RigidSurface:
             raise WatertightError("rigid surface requires a watertight template")
         self.template = template
         self.triangles = template.triangles
-        self.vertices = template.vertices
         self.watertight = True
         self.rotation = np.eye(3)
         self.translation = np.zeros(3)
@@ -865,11 +873,18 @@ class RigidSurface:
     def place(self, rotation: np.ndarray, translation: np.ndarray) -> None:
         """Pose the template: x -> rotation @ x + translation."""
         self.rotation, self.translation = rotation, translation
-        self.vertices = self.template.vertices @ rotation.T + translation
+
+    @property
+    def vertices(self) -> np.ndarray:
+        return self.template.vertices @ self.rotation.T + self.translation
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Box of the posed vertices the triangles use."""
-        return _box(self.vertices, self._vertex_ids)
+        """Box of the posed vertices the triangles use, bit for bit: the
+        box of the rotated ones, then translated. Rounding is monotone, so
+        adding a number to the least and the greatest of some numbers
+        gives the least and the greatest of their sums."""
+        lo, hi = _box(self.template.vertices @ self.rotation.T, self._vertex_ids)
+        return lo + self.translation, hi + self.translation
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Inside or on the posed surface, bit for bit ``ins | on`` of

@@ -20,12 +20,14 @@ import numpy as np
 from . import __version__
 from .config import config_hash
 from .contact_localizer import (
+    ChainMemo,
     ContactState,
     PoseRateGate,
     PoseTransform,
-    chain_pose,
+    checked_rotation,
     pre_estimate_translation,
     select_candidate,
+    snap_memo,
 )
 from .fem_core import precompute_compliance
 from .inverse_solver import (
@@ -106,7 +108,9 @@ def localize(state: ContactState, pose: PoseTransform, jaw_surface,
     unposed template under the pose's rotation. Samples the deformed jaw
     surface inside the twin and, on overlap, snaps the centre of those
     samples to the nearest candidate (lowest index on ties); ``snaps``
-    memoises that snap per surface vertex (see ``select_candidate``).
+    memoises that snap per surface vertex (see ``select_candidate``). The
+    estimator passes the memo that ``snap_memo`` shares between every
+    estimator of its jaw mesh and candidate positions in the process.
     A snap to ``candidates.mounted_index`` while in contact extends the
     stable run; any other snap restarts it. The caller remounts.
     Returns (candidate to mount, or None when there is no contact;
@@ -133,7 +137,14 @@ def localize(state: ContactState, pose: PoseTransform, jaw_surface,
 
 class JawEstimator:
     """Streaming estimator for one jaw: holds the effector set, candidate
-    mount, localization state, and last solution between frames."""
+    mount, localization state, and last solution between frames.
+
+    What a frame does not change is computed once: the jaw-from-camera
+    rotation is checked at construction, ``ChainMemo`` keeps the chained
+    pose's rotation while the pose sample's rotation repeats, and
+    ``snaps`` is the candidate snap memo that ``snap_memo`` shares, by
+    content, with every estimator of the same jaw mesh and candidate
+    positions in the process."""
 
     def __init__(self, engine: SimEngine, jaw_index: int,
                  settings: EstimatorSettings,
@@ -147,18 +158,16 @@ class JawEstimator:
         self.candidates = ContactCandidateSet.from_fixture(
             rig.fixture, epsilons=settings.epsilons,
             mounted_index=settings.fixed_index if settings.mount_mode == "fixed" else None)
-        lo, hi = rig.fixture.bbox(BBOX_MARGIN)
-        self.filter = KeypointFilter(tuple(lo), tuple(hi))
-        self.rot_jaw_from_cam = engine.jaw_cam_rotation(jaw_index)
+        self.filter = KeypointFilter(*rig.fixture.bbox(BBOX_MARGIN))
+        self.rot_jaw_from_cam = checked_rotation(engine.jaw_cam_rotation(jaw_index))
         self.ref_jaw = rig.fixture.mesh.vertices[rig.fixture.reference_id]
         self.gate = PoseRateGate()
+        self.chain = ChainMemo()
         self.contact_state = ContactState(l0=rig.fixture.l0)
         template = rig.fixture.mesh.surface()
         self.jaw_surface = DeformableSurface(template)
         self.surface_ids = np.unique(template.triangles)
-        # candidate per nearest surface vertex; the candidate positions
-        # stay fixed across remounts
-        self.snaps: dict = {}
+        self.snaps = snap_memo(rig.fixture.mesh, self.candidates.positions)
         obj_mesh = twin_mesh if twin_mesh is not None else engine.object_mesh
         self.twin = RigidSurface(obj_mesh)
         self.last_solution = ForceSolution(
@@ -168,8 +177,7 @@ class JawEstimator:
 
     def _jaw_from_cam(self, observation: Observation) -> PoseTransform:
         r = self.rot_jaw_from_cam
-        t = self.ref_jaw - r @ observation.reference
-        return PoseTransform(r, t, "c", "g")
+        return PoseTransform.trusted(r, self.ref_jaw - r @ observation.reference, "c", "g")
 
     def step(self, observation: Observation, t: float,
              truth_candidate: int = -1) -> FrameEstimate:
@@ -193,7 +201,7 @@ class JawEstimator:
         elif pose_cam_from_obj is not None:
             self.jaw_surface.update(self.fixture.mesh.vertices + self.last_displacements)
             remount_to, pre_estimated = localize(
-                self.contact_state, chain_pose(jaw_from_cam, pose_cam_from_obj),
+                self.contact_state, self.chain(jaw_from_cam, pose_cam_from_obj),
                 self.jaw_surface, self.twin, self.fixture.mesh,
                 self.surface_ids, self.candidates, self.snaps)
             if remount_to is not None and remount_to != self.candidates.mounted_index:

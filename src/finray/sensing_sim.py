@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .contact_localizer import PoseTransform, look_at, rot_z, rotation_about
+from .contact_localizer import PoseTransform, checked_rotation, look_at, rot_z, rotation_about
 from .fem_core import MaterialModel, StiffnessSystem, assemble
 from .fixtures import JawFixture, ShapeSpec, canonical_jaw, make_object_mesh, make_sdf
 from .mesh_calibration import CameraModel, PointCloud, partial_view
@@ -402,25 +402,23 @@ class JawRig:
     fixture: JawFixture
     system: StiffnessSystem
     contact_model: ForwardContactModel
-    rot_world_from_jaw: np.ndarray
+    rot_world_from_jaw: np.ndarray  # checked once, at construction
     base_offset: float  # |world x| of the jaw origin at zero closure
+
+    def __post_init__(self):
+        self.rot_world_from_jaw = checked_rotation(self.rot_world_from_jaw)
 
     def origin(self, closure: float) -> np.ndarray:
         sign = -1.0 if self.side == "left" else 1.0
         return np.array([sign * (self.base_offset - closure), 0.0, 0.0])
 
     def world_from_jaw(self, closure: float) -> PoseTransform:
-        return PoseTransform(self.rot_world_from_jaw, self.origin(closure),
-                             "g" + self.side[0], "w")
+        return PoseTransform.trusted(self.rot_world_from_jaw, self.origin(closure),
+                                     "g" + self.side[0], "w")
 
 
 def _object_origin(scenario: Scenario, x_center: float, z_center: float) -> np.ndarray:
     return np.array([x_center, 0.0, z_center]) + np.asarray(scenario.object_offset)
-
-
-def _object_world_pose(scenario: Scenario, x_center: float, z_center: float) -> PoseTransform:
-    rot = rot_z(math.radians(scenario.object_yaw_deg))
-    return PoseTransform(rot, _object_origin(scenario, x_center, z_center), "o", "w")
 
 
 def cached_system(mesh, material: MaterialModel) -> StiffnessSystem:
@@ -546,7 +544,13 @@ class SimEngine:
         self.cam_from_world = self.world_from_cam.inverse()
         self.z_contact = scenario.contact_height(fixture.params.height)
         self.rng = np.random.default_rng(np.random.SeedSequence(scenario.seed))
-        self._rot_world_from_obj = rot_z(math.radians(scenario.object_yaw_deg))
+        # rotations fixed for the scenario and its rigs, checked once here
+        self._rot_world_from_obj = checked_rotation(rot_z(math.radians(scenario.object_yaw_deg)))
+        self._rot_jaw_from_obj = [
+            checked_rotation(rig.rot_world_from_jaw.T @ self._rot_world_from_obj)
+            for rig in self.rigs]
+        self._rot_cam_from_obj = checked_rotation(
+            self.cam_from_world.rotation @ self._rot_world_from_obj)
         self._solves = [LruMemo() for _ in self.rigs]
         self._views = [LruMemo() for _ in self.rigs]
         self.work: Counter = Counter()
@@ -579,7 +583,7 @@ class SimEngine:
         same objects without solving, so a half-step warning is not logged
         again."""
         rig = self.rigs[idx]
-        r = rig.rot_world_from_jaw.T @ self._rot_world_from_obj
+        r = self._rot_jaw_from_obj[idx]
         t = rig.rot_world_from_jaw.T @ (
             _object_origin(self.scenario, object_x, self.z_contact) - rig.origin(closure))
         key = (self.sdf, r.tobytes(), t.tobytes())
@@ -588,7 +592,7 @@ class SimEngine:
             self.work["solves_skipped"] += 1
             return solved
         self.work["solves_run"] += 1
-        jaw_from_obj = PoseTransform(r, t, "o", "g")
+        jaw_from_obj = PoseTransform.trusted(r, t, "o", "g")
         forces, net, contact_point, candidate = rig.contact_model.solve(jaw_from_obj, self.sdf)
         return self._solves[idx].put(key, SolvedContact(
             jaw_from_obj, (_locked(forces), _locked(net), _locked(contact_point), candidate)))
@@ -712,8 +716,10 @@ class SimEngine:
         if n_occluders:
             hit_t = np.full(n_kp, np.inf)
             origins = np.broadcast_to(self.world_from_cam.translation, (n_kp, 3))
-            occluder_meshes = [(_object_world_pose(sc, self._object_x, self.z_contact),
-                                self.object_mesh)]
+            world_from_obj = PoseTransform.trusted(
+                self._rot_world_from_obj, _object_origin(sc, self._object_x, self.z_contact),
+                "o", "w")
+            occluder_meshes = [(world_from_obj, self.object_mesh)]
             for other in range(len(self.rigs)):
                 if other == jaw_index:
                     continue
@@ -777,10 +783,9 @@ class SimEngine:
         pose_sample = None
         frame_idx = int(round(truth.timestamp * sc.camera_hz))
         if frame_idx % self._pose_frame_period == 0:
-            world_from_obj = _object_world_pose(sc, self._object_x, self.z_contact)
-            cam_from_obj = PoseTransform(
-                self.cam_from_world.rotation @ world_from_obj.rotation,
-                self.cam_from_world.apply(world_from_obj.translation),
+            cam_from_obj = PoseTransform.trusted(
+                self._rot_cam_from_obj,
+                self.cam_from_world.apply(_object_origin(sc, self._object_x, self.z_contact)),
                 "o", "c")
             if noise.pose_rot_deg > 0.0 or noise.pose_trans_sigma > 0.0:
                 axis = rng.standard_normal(3)

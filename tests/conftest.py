@@ -29,7 +29,8 @@ def rng():
 
 @pytest.fixture()
 def fresh_caches(monkeypatch):
-    """An empty process-wide registry of containment grids and stiffness
-    systems for one test, so that its counts start at zero; the shared
-    entries come back after it."""
+    """An empty process-wide registry of containment grids, stiffness
+    systems and candidate snap memos for one test, so that its counts
+    start at zero and its memos empty; the shared entries come back after
+    it."""
     monkeypatch.setattr(mesh_model, "_REGISTRY", {})

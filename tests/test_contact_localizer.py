@@ -15,10 +15,11 @@ from finray.contact_localizer import (
     rotation_about,
     rot_z,
     select_candidate,
+    snap_memo,
 )
 from finray.fem_core import MaterialModel
 from finray.fixtures import ShapeSpec, make_object_mesh, make_sdf
-from finray.inverse_solver import ContactCandidateSet
+from finray.inverse_solver import ContactCandidateSet, remount
 from finray.mesh_model import DeformedState, RigidSurface, extract_surface
 from finray.pipeline import localize
 from finray.sensing_sim import ContactModelConfig, ForwardContactModel, cached_system
@@ -191,15 +192,19 @@ class LocalizerScene:
 
 
 class TestSelectCandidate:
-    def test_snaps_match_per_call(self, jaw):
-        # a centre on surface vertex j snaps through j; one memo, filled in
-        # a shuffled order and then read back, gives every vertex the
-        # candidate of a fresh memo per call
+    def test_snaps_match_per_call(self, jaw, fresh_caches):
+        # a centre on surface vertex j snaps through j; the shared memo,
+        # empty in a fresh registry, filled in a shuffled order and then
+        # read back, gives every vertex the candidate of a fresh memo per
+        # call; a remount keeps the positions and so the memo
         cands = ContactCandidateSet.from_fixture(jaw)
         vertices = jaw.mesh.vertices
         ids = np.unique(jaw.mesh.surface().triangles)
         want = [select_candidate(vertices[j], vertices, ids, jaw.mesh, cands, {}) for j in ids]
-        snaps = {}
+        snaps = snap_memo(jaw.mesh, cands.positions)
+        assert snaps == {}
+        assert snap_memo(jaw.mesh, remount(cands, 2).positions.copy()) is snaps
+        assert snap_memo(jaw.mesh, cands.positions + 1e-12) is not snaps
         order = np.random.default_rng(4).permutation(len(ids))
         for k in order:
             assert select_candidate(vertices[ids[k]], vertices, ids, jaw.mesh, cands,

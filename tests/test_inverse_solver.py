@@ -178,7 +178,6 @@ class TestSolve:
         keep = np.flatnonzero(eff.active)
         sub = EffectorSet(
             vertex_ids=eff.vertex_ids[keep],
-            is_outer=eff.is_outer[keep],
             rest_positions=eff.rest_positions[keep],
             targets=eff.targets[keep],
             active=np.ones(len(keep), dtype=bool),

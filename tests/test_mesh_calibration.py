@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from finray.contact_localizer import rotation_about
+from finray.contact_localizer import rot_z, rotation_about
 from finray import mesh_calibration
 from finray.fixtures import ShapeSpec, box_points, icosphere, make_object_mesh, _hull_mesh
 from finray.mesh_calibration import (
@@ -29,7 +29,7 @@ from finray.mesh_calibration import (
     save_point_cloud,
     umeyama_alignment,
 )
-from finray.mesh_model import MeshError, SurfaceMesh, surface_sample_points
+from finray.mesh_model import MeshError, RigidSurface, SurfaceMesh, surface_sample_points
 from finray.sensing_sim import synthetic_scan
 
 
@@ -537,6 +537,30 @@ class TestTwinScale:
                                                                 b.scale)
             assert np.array_equal(a.rotation, b.rotation)
             assert np.array_equal(a.translation, b.translation)
+
+    @pytest.mark.parametrize("twin", ["cylinder", "wedge"])
+    def test_placed_twin_box_is_its_posed_vertices_box(self, twin):
+        # ``RigidSurface.bounds`` translates the rotated template's box
+        # instead of mapping every vertex: on each calibrated twin, back in
+        # its object frame, the box is the posed vertices' box bit for bit,
+        # under random poses and under axis-aligned ones, whose faces tie
+        recon, scan, cam, _ = self.scene(twin, 0)
+        mesh = calibrate(recon, scan, cam).mesh
+        surf = RigidSurface(SurfaceMesh(
+            (mesh.vertices - [0.0, 0.0, 0.45]) @ self.TILT, mesh.triangles))
+        v = surf.template.vertices
+        rng = np.random.default_rng(11)
+        poses = [(rotation_about(rng.normal(size=3), rng.uniform(0.0, np.pi)),
+                  rng.normal(scale=0.02, size=3)) for _ in range(200)]
+        poses += [(rot_z(k * np.pi / 2.0), np.array([0.0125, -0.5, 1e-17])) for k in range(4)]
+        poses += [(np.eye(3), np.zeros(3)), (np.eye(3), -v[0])]
+        for rotation, translation in poses:
+            surf.place(rotation, translation)
+            posed = v @ rotation.T + translation
+            lo, hi = surf.bounds()
+            assert lo.tobytes() == posed.min(axis=0).tobytes()
+            assert hi.tobytes() == posed.max(axis=0).tobytes()
+            assert surf.vertices.tobytes() == posed.tobytes()
 
     @pytest.mark.parametrize("twin", ["cylinder", "wedge"])
     def test_distances_are_the_trees_own(self, twin):

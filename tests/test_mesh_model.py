@@ -355,6 +355,19 @@ class TestDeformableSurface:
             assert np.array_equal(lo, bvh.node_min[0])
             assert np.array_equal(hi, bvh.node_max[0])
 
+    def test_refit_scale_is_the_norm_product(self, jaw, compliance, rng):
+        # ``refit``'s column-wise row norms give ``np.linalg.norm``'s bits,
+        # on the jaw's refit triangles and on random (1056, 3) arrays
+        surf = DeformableSurface(jaw.mesh.surface())
+        for c in range(compliance.n_candidates):
+            surf.update(jaw.mesh.vertices + compliance.fields[c] @ rng.normal(scale=30.0, size=3))
+            bvh = surf.bvh()
+            want = np.linalg.norm(bvh._e1, axis=1) * np.linalg.norm(bvh._e2, axis=1)
+            assert bvh._scale.tobytes() == want.tobytes()
+        for _ in range(200):
+            v = rng.normal(size=(1056, 3)) * 10.0 ** rng.uniform(-4, 1, size=(1056, 1))
+            assert mesh_model._row_norms(v).tobytes() == np.linalg.norm(v, axis=1).tobytes()
+
     def test_refit_on_first_query_only(self, jaw, monkeypatch):
         surf = DeformableSurface(jaw.mesh.surface())
         calls = []

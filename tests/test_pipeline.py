@@ -4,6 +4,14 @@ import logging
 import numpy as np
 import pytest
 
+from finray import contact_localizer
+from finray.contact_localizer import (
+    FrameError,
+    PoseRateGate,
+    PoseTransform,
+    chain_pose,
+    select_candidate,
+)
 from finray.fixtures import ShapeSpec
 from finray.harness_cli import scenario_from_config
 from finray.mesh_model import TriangleBVH
@@ -272,3 +280,83 @@ class TestLazyRefit:
         grid_builds = [r for r in caplog.records
                        if r.getMessage().startswith("containment grid")]
         assert len(grid_builds) == 1
+
+
+def same_pose(a, b):
+    return (a.rotation.tobytes() == b.rotation.tobytes()
+            and a.translation.tobytes() == b.translation.tobytes()
+            and (a.frame_from, a.frame_to) == (b.frame_from, b.frame_to))
+
+
+class TestFrameInvariants:
+    """Each value a frame does not change is computed once; each such fast
+    path gives the bits of the checked path it replaces."""
+
+    def test_poses_match_the_checked_paths_over_a_grasp_stream(self, monkeypatch):
+        # a noisy dual-jaw grasp: the pose stream's rotations change on
+        # every sample, and the gate holds each sample for three frames
+        scenario = Scenario(
+            shape=ShapeSpec.cylinder(0.025), contact_position="middle", dual_jaw=True,
+            schedule=ScheduleConfig(kind="grasp", closing_speed_mm_s=8.0,
+                                    target_force=3.0, hold_s=0.2),
+            noise=NoiseConfig(), contact=ContactModelConfig(model="point"), seed=3)
+        engine = SimEngine(scenario)
+        packets = [engine.frame(k / 30.0, 0.0005 * k, "load", True, 1.0 / 30.0)
+                   for k in range(24)]
+        misses = []
+        monkeypatch.setattr(contact_localizer, "chain_pose",
+                            lambda outer, inner: misses.append(1) or chain_pose(outer, inner))
+        for jaw in (0, 1):
+            est = JawEstimator(engine, jaw, EstimatorSettings())
+            gate = PoseRateGate()
+            r = engine.jaw_cam_rotation(jaw)
+            calls, samples = 0, set()
+            for pkt in packets:
+                obs, t = pkt.observations[jaw], pkt.truth.timestamp
+                got = est._jaw_from_cam(obs)
+                want = PoseTransform(r, est.ref_jaw - r @ obs.reference, "c", "g")
+                assert same_pose(got, want)
+                gate.feed(obs.pose_sample, t)
+                sample = gate.get(t, False)[0]
+                samples.add(sample.rotation.tobytes())
+                assert same_pose(est.chain(got, sample), chain_pose(want, sample))
+                calls += 1
+            # a new sample with the held rotation and a new translation
+            moved = PoseTransform(sample.rotation, sample.translation + [1e-3, -2e-3, 5e-4],
+                                  "o", "c")
+            assert same_pose(est.chain(got, moved), chain_pose(want, moved))
+            assert len(misses) == len(samples) < calls
+            # labels that do not chain still raise, with the held rotations
+            with pytest.raises(FrameError):
+                est.chain(got, PoseTransform(sample.rotation, sample.translation, "o", "w"))
+            misses.clear()
+
+    def test_jaw_camera_rotation_checked_at_construction(self, monkeypatch):
+        engine = SimEngine(quick_static())
+        bad = engine.jaw_cam_rotation(0).copy()
+        bad[0, 0] += 1e-9
+        monkeypatch.setattr(engine, "jaw_cam_rotation", lambda jaw_index: bad)
+        with pytest.raises(FrameError):
+            JawEstimator(engine, 0, EstimatorSettings())
+
+    def test_estimators_share_one_lazy_snap_memo(self, fresh_caches):
+        # the memo is keyed by the jaw mesh and the candidate positions, so
+        # estimators of other engines, settings and mounts share it; it is
+        # filled only by the snaps the estimators make, each the snap of a
+        # fresh memo
+        engine = SimEngine(quick_static())
+        ests = [JawEstimator(engine, 0, EstimatorSettings()) for _ in range(2)]
+        snaps = ests[0].snaps
+        assert ests[1].snaps is snaps and snaps == {}
+        for k in range(6):
+            pkt = engine.frame(k / 30.0, 0.004 + 0.001 * k, "load", True, 1.0 / 30.0)
+            for est in ests:
+                est.step(pkt.observations[0], k / 30.0, pkt.truth.jaws[0].candidate)
+        assert snaps
+        other = JawEstimator(SimEngine(quick_static(seed=9, contact_position="upper")), 0,
+                             EstimatorSettings(epsilons=0.0, mount_mode="fixed", fixed_index=3))
+        assert other.snaps is snaps
+        mesh, cands = ests[0].fixture.mesh, ests[0].candidates
+        ids = ests[0].surface_ids
+        for j, c in snaps.items():
+            assert select_candidate(mesh.vertices[j], mesh.vertices, ids, mesh, cands, {}) == c

@@ -1,4 +1,5 @@
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finray import harness_cli, mesh_model, sensing_sim
-from finray.contact_localizer import PoseTransform
+from finray.contact_localizer import FrameError, PoseTransform, rot_z
 from finray.fem_core import MaterialModel
 from finray.fixtures import JawParams, ShapeSpec, generate_jaw, make_object_mesh, make_sdf
 from finray.mesh_model import DeformableSurface, SurfaceMesh, TetMesh, TriangleBVH
@@ -28,6 +29,12 @@ from finray.sensing_sim import (
     static_profile,
     synthetic_scan,
 )
+
+
+def same_pose(a, b):
+    return (a.rotation.tobytes() == b.rotation.tobytes()
+            and a.translation.tobytes() == b.translation.tobytes()
+            and (a.frame_from, a.frame_to) == (b.frame_from, b.frame_to))
 
 
 def middle_pose(jaw, spec, press):
@@ -512,6 +519,30 @@ class TestRenderObservation:
             have.append(pkt.observations[0].pose_sample is not None)
         assert have == [True, False, False] * 3
 
+    def test_fixed_rotations_checked_once(self):
+        # the rig, object, jaw-from-object and camera-from-object rotations
+        # are fixed for the engine and checked when it is made; the poses
+        # built from them carry the checked constructor's bits
+        eng = self._engine(object_yaw_deg=7.0, dual_jaw=True)
+        rot_obj = rot_z(math.radians(7.0))
+        pkt = eng.frame(0.0, 0.003, "load", True, 1 / 30.0)
+        x = eng._object_x
+        origin = sensing_sim._object_origin(eng.scenario, x, eng.z_contact)
+        assert same_pose(pkt.observations[0].pose_sample, PoseTransform(
+            eng.cam_from_world.rotation @ rot_obj, eng.cam_from_world.apply(origin), "o", "c"))
+        for idx, rig in enumerate(eng.rigs):
+            frame = "g" + rig.side[0]
+            assert same_pose(rig.world_from_jaw(0.003),
+                             PoseTransform(rig.rot_world_from_jaw, rig.origin(0.003), frame, "w"))
+            r = rig.rot_world_from_jaw.T
+            assert same_pose(eng._solve_contact(idx, 0.003, x).pose,
+                             PoseTransform(r @ rot_obj, r @ (origin - rig.origin(0.003)), "o", "g"))
+        bad = rig.rot_world_from_jaw.copy()
+        bad[0, 0] += 1e-9
+        with pytest.raises(FrameError):
+            sensing_sim.JawRig(rig.side, rig.fixture, rig.system, rig.contact_model, bad,
+                               rig.base_offset)
+
     def test_occlusion_grows_with_diameter(self):
         counts = {}
         for d in (0.015, 0.035):
@@ -558,9 +589,10 @@ class TestRenderObservation:
         # mesh surface (the ray's first hit)
         assert (obs.confidence[occluded] > 0.6).all()
         from finray.mesh_model import closest_point_on_triangles
-        from finray.sensing_sim import _object_world_pose
         world = eng.world_from_cam.apply(obs.keypoints[occluded])
-        pose = _object_world_pose(eng.scenario, eng._object_x, eng.z_contact)
+        sc = eng.scenario
+        pose = PoseTransform(rot_z(math.radians(sc.object_yaw_deg)), sensing_sim._object_origin(
+            sc, eng._object_x, eng.z_contact), "o", "w")
         local = pose.inverse().apply(world)
         tv = eng.object_mesh.vertices[eng.object_mesh.triangles]
         for p in local:

@@ -3,7 +3,8 @@ every name a module imports at its top level is used or exported, no
 package module calls the builtin ``id()`` (caches are keyed by content), and
 no package module but the command line's calls the builtin ``print``:
 diagnostics go through ``logging``. Every function the benchmark's tracer
-wraps is defined where it looks it up.
+wraps is defined where it looks it up, and the pipeline reads each name
+the tracer wraps in it from its globals when it calls it.
 
 Walks the symbol tables and syntax trees of the package and test sources,
 so a missing import fails here instead of on the first call that reaches
@@ -87,14 +88,34 @@ def test_no_print_calls(path):
     assert builtin_calls(path, "print") == []
 
 
-def test_traced_functions_resolve():
-    # the tracer replaces each (owner, attribute) of perfbench/spans.py's
-    # TARGETS by name; a renamed or moved function fails here, not in
-    # the first traced benchmark run
+def traced_targets():
+    """perfbench/spans.py's TARGETS: (owner, attribute, span name, count)."""
     path = ROOT / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    assert len(spans.TARGETS) > 20
-    assert [(owner.__name__, attr) for owner, attr, *_ in spans.TARGETS
+    return spans.TARGETS
+
+
+def test_traced_functions_resolve():
+    # the tracer replaces each (owner, attribute) of perfbench/spans.py's
+    # TARGETS by name; a renamed or moved function fails here, not in
+    # the first traced benchmark run
+    targets = traced_targets()
+    assert len(targets) > 20
+    assert [(owner.__name__, attr) for owner, attr, *_ in targets
             if attr not in vars(owner)] == []
+
+
+def test_pipeline_reads_its_traced_names_at_call_time():
+    # a function the tracer replaces in ``finray.pipeline`` records a span
+    # only if the pipeline's code looks the name up in its own globals
+    # when it calls it; a call moved into another module, or a name bound
+    # to a local, would bypass the wrapper and its span would read 0
+    path = ROOT / "src" / "finray" / "pipeline.py"
+    top = symtable.symtable(path.read_text(), str(path), "exec")
+    read = {s.get_name() for scope in _scopes(top) if scope is not top
+            for s in scope.get_symbols() if s.is_referenced() and s.is_global()}
+    wrapped = {attr for owner, attr, *_ in traced_targets() if owner.__name__ == "finray.pipeline"}
+    assert {"select_candidate", "intersect_approx", "solve", "remount"} <= wrapped
+    assert wrapped - read == set()
