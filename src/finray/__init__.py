@@ -7,14 +7,13 @@ calibration, validated against an internal forward-contact oracle.
 
 __version__ = "0.1.0"
 
-from .mesh_model import TetMesh, DeformedState, SurfaceMesh, IntersectionResult
+from .mesh_model import TetMesh, SurfaceMesh, IntersectionResult
 from .fem_core import MaterialModel, StiffnessSystem, ComplianceOperators
 from .inverse_solver import EffectorSet, ContactCandidateSet, ForceSolution
 from .contact_localizer import PoseTransform, ContactState
 
 __all__ = [
     "TetMesh",
-    "DeformedState",
     "SurfaceMesh",
     "IntersectionResult",
     "MaterialModel",

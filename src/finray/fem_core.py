@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .mesh_model import DeformedState, TetMesh
+from .mesh_model import TetMesh
 
 logger = logging.getLogger(__name__)
 
@@ -135,9 +135,9 @@ class StiffnessSystem:
         """Solve K_ff u = rhs for one or more right-hand sides."""
         return self._lu.solve(rhs)
 
-    def solve_displacement(self, loads: np.ndarray) -> DeformedState:
-        """Displacement under per-vertex loads; loads on fixed vertices must
-        be zero (they are reaction-supported, not free)."""
+    def solve_displacement(self, loads: np.ndarray) -> np.ndarray:
+        """(n_vertices, 3) displacement under per-vertex loads; loads on
+        fixed vertices must be zero (they are reaction-supported, not free)."""
         loads = np.asarray(loads, dtype=np.float64)
         if loads.shape != (self.mesh.n_vertices, 3):
             raise SolveError("loads must be (n_vertices, 3)")
@@ -146,7 +146,7 @@ class StiffnessSystem:
         u = np.zeros_like(loads)
         u_free = self.solve_free(loads.ravel()[self.free_dofs])
         u.ravel()[self.free_dofs] = u_free
-        return DeformedState(u)
+        return u
 
     def unit_load_fields(self, vertex_ids) -> list[np.ndarray]:
         """Read-only (n_vertices, 3, 3) displacement fields for unit loads
@@ -177,8 +177,8 @@ class StiffnessSystem:
         """The bank's unit-load field at one vertex."""
         return self.unit_load_fields([vertex_id])[0]
 
-    def strain_energy(self, state: DeformedState) -> float:
-        u = state.displacements.ravel()
+    def strain_energy(self, displacements: np.ndarray) -> float:
+        u = np.ravel(displacements)
         return float(0.5 * u @ (self.k_full @ u))
 
 

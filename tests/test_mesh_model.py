@@ -13,7 +13,6 @@ from finray.mesh_calibration import ensure_watertight
 from finray.mesh_model import (
     ContainmentGrid,
     DeformableSurface,
-    DeformedState,
     MeshError,
     RigidSurface,
     SurfaceMesh,
@@ -78,18 +77,6 @@ class TestExtractSurface:
         vol_s = enclosed_volume(surf.vertices, surf.triangles)
         vol_t = tet_volumes(jaw.mesh.vertices, jaw.mesh.tets).sum()
         assert abs(vol_s - vol_t) <= 1e-9 * vol_t
-
-    def test_deformed_index_alignment(self, jaw):
-        disp = np.zeros_like(jaw.mesh.vertices)
-        disp[:, 0] = 1e-3 * np.arange(len(disp))
-        state = DeformedState(disp)
-        surf = extract_surface(jaw.mesh, state)
-        k = int(jaw.candidate_ids[7])
-        assert np.array_equal(surf.vertices[k], jaw.mesh.vertices[k] + disp[k])
-
-    def test_mismatched_state_length(self, jaw):
-        with pytest.raises(MeshError):
-            extract_surface(jaw.mesh, DeformedState(np.zeros((10, 3))))
 
 
 class TestPointInside:

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import logging
 
 import numpy as np
 import pytest
 
-from finray import contact_localizer
+from finray import contact_localizer, pipeline
 from finray.contact_localizer import (
     FrameError,
     PoseRateGate,
@@ -78,15 +79,25 @@ class TestRunEstimation:
         assert np.abs(res.column("f_sim_n")[free]).max() <= 1e-9
 
     def test_csv_roundtrip(self, tmp_path):
+        # every column of every row reads back with its value and its kind;
+        # NaN reads back as NaN
         res = run_estimation(quick_static(), EstimatorSettings())
         path = tmp_path / "run.csv"
         res.to_csv(path)
         rows = load_run_csv(path)
         assert len(rows) == len(res.frames)
-        k = len(rows) // 2
-        assert rows[k]["f_sim_n"] == res.frames[k]["f_sim_n"]
-        assert rows[k]["mounted"] == res.frames[k]["mounted"]
-        assert rows[k]["stage"] == res.frames[k]["stage"]
+        kind = {int: "i", float: "f", bool: "b", str: "U"}
+        for got, want in zip(rows, res.frames):
+            assert got.keys() == want.keys()
+            for key, value in got.items():
+                assert np.asarray(want[key]).dtype.kind == kind[type(value)], key
+                assert value == want[key] or (
+                    isinstance(value, float) and np.isnan(value) and np.isnan(want[key])), key
+        assert any(np.isnan(row["centroid_x"]) for row in rows)
+        # a column the table does not list reads as float
+        older = tmp_path / "older.csv"
+        older.write_text("frame,stage,legacy\n3,hold,0.5\n")
+        assert load_run_csv(older) == [{"frame": 3, "stage": "hold", "legacy": 0.5}]
 
     def test_manifest_fields(self, tmp_path):
         res = run_estimation(quick_static(), EstimatorSettings())
@@ -360,3 +371,56 @@ class TestFrameInvariants:
         ids = ests[0].surface_ids
         for j, c in snaps.items():
             assert select_candidate(mesh.vertices[j], mesh.vertices, ids, mesh, cands, {}) == c
+
+
+class TestDerivedDeformation:
+    """The estimator keeps no displacement field: it derives the jaw it
+    localizes against from its last solution when it localizes."""
+
+    def test_matched_and_fixed_modes_compute_no_field(self, monkeypatch):
+        calls = []
+        derive = pipeline.estimate_deformation
+        monkeypatch.setattr(pipeline, "estimate_deformation",
+                            lambda *args: calls.append(args) or derive(*args))
+        for mode in ("matched", "fixed"):
+            run_estimation(quick_static(), EstimatorSettings(mount_mode=mode))
+            assert calls == [], mode
+        run_estimation(quick_static(plateaus=(0, 4)), EstimatorSettings())
+        assert calls
+
+    def test_localized_surface_is_the_last_solution_at_the_mount(self, monkeypatch):
+        # a noisy grasp whose localization remounts on step 3; in a second
+        # pass step 3's keypoints are starved, so that step holds the
+        # solution of step 2 across the remount
+        scenario = Scenario(
+            shape=ShapeSpec.cylinder(0.025), contact_position="lower",
+            schedule=ScheduleConfig(kind="grasp", closing_speed_mm_s=8.0,
+                                    target_force=3.0, hold_s=0.2),
+            noise=NoiseConfig(), contact=ContactModelConfig(model="point"), seed=3)
+        engine = SimEngine(scenario)
+        packets = [engine.frame(k / 30.0, 0.0005 * k, "load", True, 1.0 / 30.0)
+                   for k in range(16)]
+        localize = pipeline.localize
+        surfaces = []
+
+        def recording(state, pose, jaw_surface, *args):
+            surfaces.append(np.array(jaw_surface.vertices))
+            return localize(state, pose, jaw_surface, *args)
+
+        monkeypatch.setattr(pipeline, "localize", recording)
+        for starved in (None, 3):
+            est = JawEstimator(engine, 0, EstimatorSettings())
+            fields, vertices = est.compliance.fields, est.fixture.mesh.vertices
+            steps = []
+            for k, pkt in enumerate(packets):
+                lam, mount = est.last_solution.lam, est.candidates.mounted_index
+                obs = pkt.observations[0]
+                if k == starved:
+                    obs = dataclasses.replace(obs, confidence=np.zeros_like(obs.confidence))
+                surfaces.clear()
+                steps.append(est.step(obs, pkt.truth.timestamp, pkt.truth.jaws[0].candidate))
+                want = vertices + fields[mount] @ lam
+                assert [s.tobytes() for s in surfaces] == [want.tobytes()], (starved, k)
+            assert steps[3].mounted_index != steps[2].mounted_index
+        assert steps[3].degraded and not steps[2].degraded
+        assert np.array_equal(steps[3].lam, steps[2].lam) and np.abs(steps[2].lam).max() > 0

@@ -1,8 +1,9 @@
 """Every global name a module reads is bound in that module or is a builtin,
-every name a module imports at its top level is used or exported, no
-package module calls the builtin ``id()`` (caches are keyed by content), and
-no package module but the command line's calls the builtin ``print``:
-diagnostics go through ``logging``. Every function the benchmark's tracer
+every name a module imports at its top level is used or exported, every
+name in the package's ``__all__`` resolves on it, no package module calls
+the builtin ``id()`` (caches are keyed by content), and no package module
+but the command line's calls the builtin ``print``: diagnostics go
+through ``logging``. Every function the benchmark's tracer
 wraps is defined where it looks it up, and the pipeline reads each name
 the tracer wraps in it from its globals when it calls it.
 
@@ -18,6 +19,8 @@ import symtable
 from pathlib import Path
 
 import pytest
+
+import finray
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "finray").glob("*.py"))
@@ -67,6 +70,11 @@ def unused_imports(path: Path) -> set[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path) == set()
+
+
+def test_package_exports_resolve():
+    # a stale name in ``__all__`` breaks only ``from finray import *``
+    assert [name for name in finray.__all__ if not hasattr(finray, name)] == []
 
 
 def builtin_calls(path: Path, name: str) -> list[int]:
