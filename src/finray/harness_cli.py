@@ -3,9 +3,10 @@ execution, the evaluation suites (static grid, actuator ablation, dual-jaw
 grasp analog, speed sweep, force-threshold grasping), per-candidate
 regularization tuning, and report emission.
 
-Every suite writes per-run CSVs plus a JSON/markdown report into the
-output directory; reports are pure functions of the CSVs so runs can be
-re-scored without re-simulation. Exit status is nonzero when a suite's
+Every suite but ``chip`` writes per-run CSVs plus a JSON/markdown report
+into the output directory. Its report scores each run on the series that
+``report`` re-scores from the run's CSV (``scored_series``), so runs can
+be re-scored without re-simulation. Exit status is nonzero when a suite's
 pattern assertions fail.
 """
 
@@ -158,21 +159,56 @@ def run_config_from_manifest(config: dict) -> tuple[Scenario, EstimatorSettings]
 
 
 # ---------------------------------------------------------------------------
-# Cycle splitting and per-run scoring
+# Cells and per-run scoring
 
-def split_cycles(result: RunResult, jaw: int = 0):
-    """(sim, gt) recorded series per schedule cycle."""
-    sched = result.scenario.schedule
-    frames = [r for r in result.frames if r["jaw"] == jaw]
-    per_cycle = len(frames) // sched.cycles
-    sims, gts = [], []
-    for c in range(sched.cycles):
-        chunk = frames[c * per_cycle:(c + 1) * per_cycle]
-        sim = np.array([r["f_sim_n"] for r in chunk if r["recording"]])
-        gt = np.array([r["f_gt_n"] for r in chunk if r["recording"]])
-        sims.append(sim)
-        gts.append(gt)
-    return sims, gts
+QUICK_PLATEAUS_MM = (0, 4, 10, 4, 0)
+
+GRASP_OBJECTS = {
+    "cyl25": ShapeSpec.cylinder(0.025),
+    "cube30": ShapeSpec.cuboid((0.030, 0.080, 0.030)),
+    "asym": ShapeSpec.wedge(),
+}
+
+
+def static_schedule(cycles: int, quick: bool) -> ScheduleConfig:
+    """The static suites' schedule: ``ScheduleConfig``'s plateaus, or with
+    ``quick`` the shorter ``QUICK_PLATEAUS_MM``."""
+    schedule = ScheduleConfig(kind="static", cycles=cycles)
+    return replace(schedule, plateaus_mm=QUICK_PLATEAUS_MM) if quick else schedule
+
+
+def _grasp_cell(shape: ShapeSpec, position: str, seed: int, closing_speed_mm_s: float,
+                target_force: float, hold_s: float) -> Scenario:
+    """A noisy dual-jaw grasp of a point-contact object."""
+    return default_noisy_scenario(
+        shape=shape, contact_position=position, seed=seed, dual_jaw=True,
+        schedule=ScheduleConfig(kind="grasp", closing_speed_mm_s=closing_speed_mm_s,
+                                target_force=target_force, hold_s=hold_s),
+        contact=ContactModelConfig(model="point"))
+
+
+def scored_series(rows: list[dict]) -> tuple[np.ndarray, np.ndarray, list[dict]]:
+    """(estimate, truth, scored rows) that one run is scored on, from its
+    frame rows (a ``RunResult``'s or a loaded CSV's), in run order: one
+    jaw's force over its recorded frames, or for a dual-jaw run the grasp
+    force (``grasp_sim`` against ``grasp_gt``) over the rows that hold it."""
+    jaw0 = [r for r in rows if r["jaw"] == 0]
+    if len(jaw0) < len(rows):
+        sim_key, gt_key = "grasp_sim", "grasp_gt"
+        scored = [r for r in jaw0 if np.isfinite(r["grasp_sim"])]
+    else:
+        sim_key, gt_key = "f_sim_n", "f_gt_n"
+        scored = [r for r in jaw0 if r["recording"]]
+    return (np.array([r[sim_key] for r in scored]), np.array([r[gt_key] for r in scored]),
+            scored)
+
+
+def _phase_rmse(sim: np.ndarray, gt: np.ndarray, rows: list[dict], phases) -> dict:
+    """``rmse_<phase>`` over the scored rows of each stage in ``phases`` that
+    has any."""
+    stage = np.array([r["stage"] for r in rows], dtype=object)
+    return {f"rmse_{p}": rmse_nrmsd(sim[stage == p], gt[stage == p])[0]
+            for p in phases if (stage == p).any()}
 
 
 def run_grid(cells: dict, settings_for: dict) -> dict:
@@ -195,42 +231,27 @@ def suite_static(out_dir: Path, seed: int = 0, ideal: bool = False,
     """3 diameters x 3 positions x N cycles; Table-style report with
     load/unload split."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    schedule = ScheduleConfig(kind="static", cycles=cycles,
-                              ramp_s=0.2, settle_s=0.2, record_s=0.3)
-    if quick:
-        schedule = replace(schedule, plateaus_mm=(0, 4, 10, 4, 0))
+    schedule = static_schedule(cycles, quick)
+    if ideal:
+        settings = EstimatorSettings(mount_mode="matched", epsilons=0.0)
+    else:
+        settings = EstimatorSettings(epsilons=load_epsilon_schedule())
     cells = {}
-    settings_for = {}
-    tuned = load_epsilon_schedule()
     for pos in POSITIONS:
         for d in DIAMETERS_MM:
-            label = f"{pos}-d{d}"
-            shape = ShapeSpec.cylinder(d * 1e-3)
-            if ideal:
-                cells[label] = default_ideal_scenario(
-                    shape=shape, contact_position=pos, schedule=schedule, seed=seed)
-                settings_for[label] = EstimatorSettings(mount_mode="matched", epsilons=0.0)
-            else:
-                cells[label] = default_noisy_scenario(
-                    shape=shape, contact_position=pos, schedule=schedule, seed=seed,
-                    contact=ContactModelConfig(model="distributed", viscous_gamma=0.25,
-                                               viscous_tau=8.0))
-                settings_for[label] = EstimatorSettings(epsilons=tuned)
-    results = run_grid(cells, settings_for)
+            kw = dict(shape=ShapeSpec.cylinder(d * 1e-3), contact_position=pos,
+                      schedule=schedule, seed=seed)
+            cells[f"{pos}-d{d}"] = default_ideal_scenario(**kw) if ideal else \
+                default_noisy_scenario(**kw, contact=ContactModelConfig(
+                    model="distributed", viscous_gamma=0.25, viscous_tau=8.0))
+    results = run_grid(cells, dict.fromkeys(cells, settings))
     conditions = []
     ok = True
     for label, res in results.items():
         _write_run(res, out_dir, f"static-{label}")
-        sims, gts = split_cycles(res)
-        stage = res.column("stage")
-        rec = res.recorded_mask()
-        extra = {}
-        for phase in ("load", "unload"):
-            m = rec & (stage == phase)
-            if m.any():
-                r, _ = rmse_nrmsd(res.column("f_sim_n")[m], res.column("f_gt_n")[m])
-                extra[f"rmse_{phase}"] = r
-        cm = ConditionMetrics.from_cycles(label, sims, gts, **extra)
+        sim, gt, rows = scored_series(res.frames)
+        cm = ConditionMetrics.from_cycles(label, np.split(sim, cycles), np.split(gt, cycles),
+                                          **_phase_rmse(sim, gt, rows, ("load", "unload")))
         conditions.append(cm)
         if ideal and cm.rmse_mean > 1e-5:
             ok = False
@@ -245,41 +266,34 @@ def suite_ablation(out_dir: Path, seeds=(0, 1, 2, 3, 4),
     """15 mm cylinder at three real positions; four actuator configs:
     fixed at each position plus the contact estimator."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    schedule = ScheduleConfig(kind="static", cycles=1, ramp_s=0.2, settle_s=0.2,
-                              record_s=0.3)
-    if quick:
-        schedule = replace(schedule, plateaus_mm=(0, 4, 10, 4, 0))
-    tuned = load_epsilon_schedule()
-    fixed_idx = {p: candidate_for_position(p) for p in POSITIONS}
+    schedule = static_schedule(1, quick)
+    settings_for_cfg = {"estimator": EstimatorSettings(epsilons=load_epsilon_schedule())}
+    for p in POSITIONS:
+        settings_for_cfg[p] = replace(settings_for_cfg["estimator"], mount_mode="fixed",
+                                      fixed_index=candidate_for_position(p))
     table: dict[str, dict[str, list[float]]] = {
-        p: {c: [] for c in ("estimator", *POSITIONS)} for p in POSITIONS}
+        p: {c: [] for c in settings_for_cfg} for p in POSITIONS}
     for seed in seeds:
         cells = {}
         settings_for = {}
         for real in POSITIONS:
-            shape = ShapeSpec.cylinder(0.015)
             base = default_noisy_scenario(
-                shape=shape, contact_position=real, schedule=schedule, seed=seed,
-                contact=ContactModelConfig(model="point"))
-            cells[f"{real}|estimator"] = base
-            settings_for[f"{real}|estimator"] = EstimatorSettings(
-                mount_mode="estimator", epsilons=tuned)
-            for sim_pos in POSITIONS:
-                cells[f"{real}|{sim_pos}"] = base
-                settings_for[f"{real}|{sim_pos}"] = EstimatorSettings(
-                    mount_mode="fixed", fixed_index=fixed_idx[sim_pos], epsilons=tuned)
+                shape=ShapeSpec.cylinder(0.015), contact_position=real, schedule=schedule,
+                seed=seed, contact=ContactModelConfig(model="point"))
+            for cfg, settings in settings_for_cfg.items():
+                cells[f"{real}|{cfg}"] = base
+                settings_for[f"{real}|{cfg}"] = settings
         results = run_grid(cells, settings_for)
         for label, res in results.items():
             real, cfg = label.split("|")
-            rec = res.recorded_mask()
-            r, _ = rmse_nrmsd(res.column("f_sim_n")[rec], res.column("f_gt_n")[rec])
-            table[real][cfg].append(r)
+            sim, gt, _ = scored_series(res.frames)
+            table[real][cfg].append(rmse_nrmsd(sim, gt)[0])
             _write_run(res, out_dir, f"ablation-{real}-{cfg}-s{seed}")
     conditions = []
     ok = True
     for real in POSITIONS:
         row = {}
-        for cfg in ("estimator", *POSITIONS):
+        for cfg in settings_for_cfg:
             vals = np.array(table[real][cfg])
             row[cfg] = vals
             conditions.append(ConditionMetrics(
@@ -300,49 +314,30 @@ def suite_ablation(out_dir: Path, seeds=(0, 1, 2, 3, 4),
     return report, ok
 
 
-def _onrobot_grid(quick: bool):
-    shapes = {
-        "cyl25": ShapeSpec.cylinder(0.025),
-        "cube30": ShapeSpec.cuboid((0.030, 0.080, 0.030)),
-        "asym": ShapeSpec.wedge(),
-    }
-    if quick:
-        return shapes, ("middle",), ("M",), 1
-    return shapes, POSITIONS, tuple(FORCE_LEVELS), 5
-
-
 def suite_onrobot(out_dir: Path, seed: int = 0, quick: bool = False) -> tuple[MetricsReport, bool]:
     """Dual-jaw grasp analog: three objects, contact positions, and force
     plateaus; the wedge's sloped face shifts contact during closure."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    shapes, positions, levels, repeats = _onrobot_grid(quick)
-    tuned = load_epsilon_schedule()
+    if quick:
+        positions, levels, repeats = ("middle",), ("M",), 1
+    else:
+        positions, levels, repeats = POSITIONS, tuple(FORCE_LEVELS), 5
+    settings = EstimatorSettings(epsilons=load_epsilon_schedule())
     conditions = []
     ok = True
-    for shape_name, shape in shapes.items():
+    for shape_name, shape in GRASP_OBJECTS.items():
         for pos in positions:
             for lvl in levels:
                 sims, gts, extras = [], [], {}
                 for rep in range(repeats):
-                    scenario = default_noisy_scenario(
-                        shape=shape, contact_position=pos, seed=seed * 997 + rep,
-                        dual_jaw=True,
-                        schedule=ScheduleConfig(
-                            kind="grasp", closing_speed_mm_s=4.0,
-                            target_force=FORCE_LEVELS[lvl], hold_s=2.0),
-                        contact=ContactModelConfig(model="point"))
-                    res = run_estimation(scenario, EstimatorSettings(epsilons=tuned))
+                    res = run_estimation(_grasp_cell(shape, pos, seed * 997 + rep, 4.0,
+                                                     FORCE_LEVELS[lvl], 2.0), settings)
                     _write_run(res, out_dir, f"onrobot-{shape_name}-{pos}-{lvl}-r{rep}")
-                    grasp_sim = res.column("grasp_sim")
-                    grasp_gt = res.column("grasp_gt")
-                    in_run = np.isfinite(grasp_sim)
-                    sims.append(grasp_sim[in_run])
-                    gts.append(grasp_gt[in_run])
-                    stages = res.column("stage")
-                    load_m = in_run & (stages == "load")
-                    if load_m.any():
-                        r_load, _ = rmse_nrmsd(grasp_sim[load_m], grasp_gt[load_m])
-                        extras.setdefault("rmse_load", []).append(r_load)
+                    sim, gt, rows = scored_series(res.frames)
+                    sims.append(sim)
+                    gts.append(gt)
+                    for key, r_load in _phase_rmse(sim, gt, rows, ("load",)).items():
+                        extras.setdefault(key, []).append(r_load)
                     if shape_name == "asym":
                         mounted = res.column("mounted")
                         contact = res.column("true_candidate") >= 0
@@ -359,32 +354,27 @@ def suite_onrobot(out_dir: Path, seed: int = 0, quick: bool = False) -> tuple[Me
     return report, ok
 
 
+def _onset(t: np.ndarray, force: np.ndarray) -> float:
+    """Time of the first scored frame above 0.05 N, or NaN."""
+    above = force > 0.05
+    return t[np.argmax(above)] if above.any() else np.nan
+
+
 def suite_sweep(out_dir: Path, seed: int = 0,
                 speeds_mm_s=(0.5, 1.0, 2.0, 4.0, 8.0)) -> tuple[MetricsReport, bool]:
     """Closing-speed sweep at one force level; reports onset delay and
     accuracy per speed."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    tuned = load_epsilon_schedule()
+    settings = EstimatorSettings(epsilons=load_epsilon_schedule())
     conditions = []
     for v in speeds_mm_s:
-        scenario = default_noisy_scenario(
-            shape=ShapeSpec.cylinder(0.025), contact_position="middle",
-            dual_jaw=True, seed=seed,
-            schedule=ScheduleConfig(kind="grasp", closing_speed_mm_s=v,
-                                    target_force=5.0, hold_s=1.0),
-            contact=ContactModelConfig(model="point"))
-        res = run_estimation(scenario, EstimatorSettings(epsilons=tuned))
+        res = run_estimation(_grasp_cell(GRASP_OBJECTS["cyl25"], "middle", seed, v, 5.0, 1.0),
+                             settings)
         _write_run(res, out_dir, f"sweep-v{v}")
-        grasp_sim = res.column("grasp_sim")
-        grasp_gt = res.column("grasp_gt")
-        t = res.column("t")
-        valid = np.isfinite(grasp_sim)
-        onset_gt = t[valid][np.argmax(grasp_gt[valid] > 0.05)] if (grasp_gt[valid] > 0.05).any() else np.nan
-        onset_sim = t[valid][np.argmax(grasp_sim[valid] > 0.05)] if (grasp_sim[valid] > 0.05).any() else np.nan
-        r, n = rmse_nrmsd(grasp_sim[valid], grasp_gt[valid])
-        conditions.append(ConditionMetrics(
-            f"speed-{v}mm_s", r, 0.0, n, 0.0, float(np.abs(grasp_sim[valid] - grasp_gt[valid]).max()),
-            1, extra={"onset_delay_s": float(onset_sim - onset_gt)}))
+        sim, gt, rows = scored_series(res.frames)
+        t = np.array([r["t"] for r in rows])
+        conditions.append(ConditionMetrics.from_cycles(
+            f"speed-{v}mm_s", [sim], [gt], onset_delay_s=float(_onset(t, sim) - _onset(t, gt))))
     report = MetricsReport("sweep", conditions, notes={"seed": seed})
     _write_report(out_dir, report)
     return report, True
@@ -392,17 +382,16 @@ def suite_sweep(out_dir: Path, seed: int = 0,
 
 def suite_chip(out_dir: Path, seed: int = 0, thresholds=(1.0, 2.0, 3.0, 4.0, 5.0),
                speed_mm_s: float = 4.0) -> tuple[dict, bool]:
-    """Force-threshold grasping: close until the estimated grasp force
-    crosses each threshold, then hold; stop latency is one frame."""
+    """Force-threshold grasping: close, no further than the schedule's
+    ``max_closure_mm``, until the estimated grasp force crosses each
+    threshold, then hold; stop latency is one frame."""
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     ok = True
     for thr in thresholds:
         scenario = default_ideal_scenario(
-            shape=ShapeSpec.cylinder(0.025), contact_position="middle",
-            dual_jaw=True, seed=seed,
-            schedule=ScheduleConfig(kind="grasp", closing_speed_mm_s=speed_mm_s,
-                                    target_force=1e9, max_closure_mm=12.0))
+            shape=GRASP_OBJECTS["cyl25"], contact_position="middle", dual_jaw=True, seed=seed,
+            schedule=ScheduleConfig(kind="grasp", closing_speed_mm_s=speed_mm_s))
         engine = SimEngine(scenario)
         # noiseless run: regularization off so the trigger sees the
         # unbiased estimate
@@ -413,6 +402,7 @@ def suite_chip(out_dir: Path, seed: int = 0, thresholds=(1.0, 2.0, 3.0, 4.0, 5.0
         closure = 0.0
         t = 0.0
         speed = speed_mm_s * 1e-3
+        max_closure = scenario.schedule.max_closure_mm * 1e-3
         history = []
         for k in range(1200):
             pkt = engine.frame(t, closure, "grasp", True, dt)
@@ -423,7 +413,7 @@ def suite_chip(out_dir: Path, seed: int = 0, thresholds=(1.0, 2.0, 3.0, 4.0, 5.0
             grasp_true = min(j.force_scalar for j in pkt.truth.jaws)
             history.append((t, grasp_est, grasp_true))
             if not trigger.update(grasp_est):
-                closure += speed * dt
+                closure = min(closure + speed * dt, max_closure)
             t += dt
             if trigger.fired and k >= trigger.fire_index + 15:
                 break
@@ -511,35 +501,14 @@ def _write_report(out_dir: Path, report: MetricsReport) -> None:
     (out_dir / f"report-{report.suite}.md").write_text(report.markdown())
 
 
-def scored_series(rows: list[dict]) -> tuple[np.ndarray, np.ndarray]:
-    """(estimate, truth) that one run is scored on, from its frame rows (a
-    ``RunResult``'s or a loaded CSV's): one jaw's force over its recorded
-    frames, or for a dual-jaw run the grasp force (``grasp_sim`` against
-    ``grasp_gt``) over the rows that hold it, as ``suite_onrobot`` scores
-    it."""
-    jaw0 = [r for r in rows if r["jaw"] == 0]
-    if len(jaw0) < len(rows):
-        sim = np.array([r["grasp_sim"] for r in jaw0])
-        gt = np.array([r["grasp_gt"] for r in jaw0])
-        keep = np.isfinite(sim)
-    else:
-        sim = np.array([r["f_sim_n"] for r in jaw0])
-        gt = np.array([r["f_gt_n"] for r in jaw0])
-        keep = np.array([r["recording"] for r in jaw0], dtype=bool)
-    return sim[keep], gt[keep]
-
-
 def rescore_runs(run_dir: Path, out_dir: Path) -> MetricsReport:
     """Re-aggregate metrics from existing run CSVs without re-simulation,
     each scored by ``scored_series``."""
     conditions = []
     for csv_path in sorted(run_dir.glob("*.csv")):
-        sim, gt = scored_series(load_run_csv(csv_path))
-        if not len(sim):
-            continue
-        r, n = rmse_nrmsd(sim, gt)
-        conditions.append(ConditionMetrics(csv_path.stem, r, 0.0, n, 0.0,
-                                           float(np.abs(sim - gt).max()), 1))
+        sim, gt, _ = scored_series(load_run_csv(csv_path))
+        if len(sim):
+            conditions.append(ConditionMetrics.from_cycles(csv_path.stem, [sim], [gt]))
     report = MetricsReport("rescore", conditions, notes={"source": str(run_dir)})
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir, report)
@@ -598,36 +567,34 @@ def cmd_calibrate_mesh(args) -> int:
     return 0
 
 
+# ``run --suite`` choices: each suite called with the output directory and
+# the parsed arguments
+_SUITES = {
+    "static": lambda out, a: suite_static(out, seed=a.seed, ideal=a.ideal, quick=a.quick),
+    "ablation": lambda out, a: suite_ablation(
+        out, seeds=tuple(range(a.seed, a.seed + (2 if a.quick else 5))), quick=a.quick),
+    "onrobot": lambda out, a: suite_onrobot(out, seed=a.seed, quick=a.quick),
+    "sweep": lambda out, a: suite_sweep(out, seed=a.seed),
+    "chip": lambda out, a: suite_chip(out, seed=a.seed),
+}
+
+
 def cmd_run(args) -> int:
-    seed = args.seed
     if args.suite:
         out = _out_dir(args, args.suite)
-        if args.suite == "static":
-            _, ok = suite_static(out, seed=seed, ideal=args.ideal, quick=args.quick)
-        elif args.suite == "ablation":
-            seeds = tuple(range(seed, seed + (2 if args.quick else 5)))
-            _, ok = suite_ablation(out, seeds=seeds, quick=args.quick)
-        elif args.suite == "onrobot":
-            _, ok = suite_onrobot(out, seed=seed, quick=args.quick)
-        elif args.suite == "sweep":
-            _, ok = suite_sweep(out, seed=seed)
-        elif args.suite == "chip":
-            _, ok = suite_chip(out, seed=seed)
-        else:
-            print(f"unknown suite {args.suite!r}", file=sys.stderr)
-            return 2
+        _, ok = _SUITES[args.suite](out, args)
         print(f"suite {args.suite}: {'ok' if ok else 'FAILED'} -> {out}")
         return 0 if ok else 1
     if not args.config:
         print("run requires --config or --suite", file=sys.stderr)
         return 2
-    scenario, settings = scenario_from_config(cfgmod.load_config(args.config), seed=seed)
+    scenario, settings = scenario_from_config(cfgmod.load_config(args.config), seed=args.seed)
     out = _out_dir(args, "run")
     out.mkdir(parents=True, exist_ok=True)
     res = run_estimation(scenario, settings)
     res.to_csv(out / "run.csv")
     res.write_manifest(out / "manifest.json")
-    sim, gt = scored_series(res.frames)
+    sim, gt, _ = scored_series(res.frames)
     if len(sim):
         r, n = rmse_nrmsd(sim, gt)
         print(f"frames={res.manifest.n_frames} rmse={r:.4f} N nrmsd={n:.2f}%")
@@ -672,7 +639,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="run a scenario config or an evaluation suite")
     p.add_argument("--config", help="scenario config file")
-    p.add_argument("--suite", choices=["static", "ablation", "onrobot", "sweep", "chip"])
+    p.add_argument("--suite", choices=list(_SUITES))
     p.add_argument("--ideal", action="store_true",
                    help="noiseless matched-mount mode (static suite)")
     p.add_argument("--quick", action="store_true", help="reduced grids")

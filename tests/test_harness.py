@@ -19,9 +19,12 @@ from finray.harness_cli import (
     load_epsilon_schedule,
     main,
     run_config_from_manifest,
+    rescore_runs,
     run_grid,
     scenario_from_config,
+    static_schedule,
     suite_chip,
+    suite_onrobot,
     suite_static,
     suite_sweep,
     tune_epsilon,
@@ -30,7 +33,7 @@ from finray.mesh_calibration import CameraModel
 from finray.mesh_model import SurfaceMesh, save_obj
 from finray.metrics_force import rmse_nrmsd
 from finray.pipeline import EstimatorSettings, run_estimation
-from finray.sensing_sim import ContactModelConfig, ScheduleConfig, synthetic_scan
+from finray.sensing_sim import ContactModelConfig, ScheduleConfig, SimEngine, synthetic_scan
 
 
 class TestConfigFormat:
@@ -161,6 +164,18 @@ class TestCLI:
             main(["run", "--suite", "tune-epsilon"])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_every_suite_choice_runs_its_suite(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("static", "ablation", "onrobot", "sweep", "chip"):
+            monkeypatch.setattr(harness_cli, f"suite_{name}",
+                                lambda out, name=name, **kw: calls.append((name, kw)) or (None, True))
+            assert main(["run", "--suite", name, "--quick", "--seed", "3",
+                         "--out", str(tmp_path)]) == 0
+        assert calls == [("static", {"seed": 3, "ideal": False, "quick": True}),
+                         ("ablation", {"seeds": (3, 4), "quick": True}),
+                         ("onrobot", {"seed": 3, "quick": True}),
+                         ("sweep", {"seed": 3}), ("chip", {"seed": 3})]
 
     def test_genmesh_with_config(self, tmp_path):
         cfg = tmp_path / "jaw.cfg"
@@ -319,6 +334,36 @@ class TestSuiteUtilities:
             # stop latency bounded by one frame of force growth
             assert r["overshoot"] <= r["max_frame_increment"] + 0.25
 
+    def test_chip_stops_closing_at_the_schedule_cap(self, tmp_path, monkeypatch):
+        # a threshold no grasp reaches: the jaws close to the schedule's
+        # max_closure_mm and hold there until the frame budget runs out
+        closures = []
+        frame = SimEngine.frame
+
+        def recording_frame(engine, t, closure, *args, **kw):
+            closures.append(closure)
+            return frame(engine, t, closure, *args, **kw)
+
+        monkeypatch.setattr(SimEngine, "frame", recording_frame)
+        report, ok = suite_chip(tmp_path, thresholds=(1000.0,))
+        assert not ok
+        assert report["rows"] == [{"threshold": 1000.0, "fired": False}]
+        assert len(closures) == 1200
+        assert max(closures) == ScheduleConfig().max_closure_mm * 1e-3
+
+    def test_reports_agree_with_rescoring_their_csvs(self, tmp_path):
+        # each run re-scored from its CSV alone gives the RMSE its suite
+        # reported for the run's condition
+        reports = [suite_onrobot(tmp_path / "onrobot", quick=True)[0],
+                   suite_static(tmp_path / "static", quick=True, cycles=1)[0]]
+        for report, n_runs in zip(reports, (3, 9)):
+            rescored = rescore_runs(tmp_path / report.suite, tmp_path / f"rescore-{report.suite}")
+            condition_of = {c.label: c.rmse_mean for c in report.conditions}
+            got = {c.label.removeprefix(f"{report.suite}-").removesuffix("-r0"): c.rmse_mean
+                   for c in rescored.conditions}
+            assert len(got) == n_runs
+            assert got == condition_of
+
     def test_ideal_static_suite_is_exact(self, tmp_path):
         # ideal sensing, matched mount, eps = 0: every cell within 1e-5 N
         report, ok = suite_static(tmp_path, ideal=True, quick=True, cycles=1)
@@ -330,10 +375,8 @@ class TestSuiteUtilities:
         # the ideal static cell upper-d25 as the quick suite runs it, with
         # the localizer choosing the mount: every recorded contact frame
         # mounts the true candidate and the estimate is exact
-        schedule = ScheduleConfig(kind="static", cycles=1, ramp_s=0.2, settle_s=0.2,
-                                  record_s=0.3, plateaus_mm=(0, 4, 10, 4, 0))
-        scenario = default_ideal_scenario(shape=ShapeSpec.cylinder(0.025),
-                                          contact_position="upper", schedule=schedule, seed=0)
+        scenario = default_ideal_scenario(shape=ShapeSpec.cylinder(0.025), contact_position="upper",
+                                          schedule=static_schedule(1, quick=True), seed=0)
         res = run_estimation(scenario, EstimatorSettings(mount_mode="estimator", epsilons=0.0))
         recorded = res.recorded_mask()
         true_c = res.column("true_candidate")
@@ -442,6 +485,16 @@ for name, scenario in cells.items():
         assert len(written[0]) == 4
         assert written[0] == written[1]
         assert len(written[0]["grasp.csv"].splitlines()) > 100
+
+
+class TestBenchmarkSelftest:
+    def test_perfbench_selftest_passes(self):
+        # the benchmark calls the harness and pipeline by name; its self-test
+        # runs every workload small and writes only under perfbench/out/
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=root,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
 
 
 class TestTraceTargets:
