@@ -113,43 +113,16 @@ class PoseTransform:
 
 
 def chain_pose(outer: PoseTransform, inner: PoseTransform) -> PoseTransform:
-    """Compose ``outer . inner``: inner maps a->b, outer maps b->c."""
+    """Compose ``outer . inner``: inner maps a->b, outer maps b->c. The
+    rotation is the product of the two checked rotations, which the
+    constructor checks in turn."""
     if inner.frame_to != outer.frame_from:
         raise FrameError(
             f"cannot chain {outer.frame_from}->{outer.frame_to} "
             f"after {inner.frame_from}->{inner.frame_to}")
-    r = outer.rotation @ inner.rotation
-    # re-orthonormalize against drift over long chains
-    u, _, vt = np.linalg.svd(r)
-    r = u @ vt
-    return PoseTransform(r, outer.rotation @ inner.translation + outer.translation,
+    return PoseTransform(outer.rotation @ inner.rotation,
+                         outer.rotation @ inner.translation + outer.translation,
                          inner.frame_from, outer.frame_to)
-
-
-class ChainMemo:
-    """``chain_pose(outer, inner)``, bit for bit, with its SVD run once per
-    run of calls with the same rotations and frame labels.
-
-    The estimator's jaw-from-camera rotation is fixed, and the pose gate
-    holds one sample over several camera frames. So the last result is
-    kept, keyed by the bytes of both rotations and the four labels; a
-    call with that key reuses its rotation and computes the translation
-    with ``chain_pose``'s expression. Any other call goes to
-    ``chain_pose``, the reference path, which checks the labels."""
-
-    def __init__(self):
-        self._key: Optional[tuple] = None
-        self._pose: Optional[PoseTransform] = None
-
-    def __call__(self, outer: PoseTransform, inner: PoseTransform) -> PoseTransform:
-        key = (outer.rotation.tobytes(), inner.rotation.tobytes(), outer.frame_from,
-               outer.frame_to, inner.frame_from, inner.frame_to)
-        if key != self._key:
-            self._key, self._pose = key, chain_pose(outer, inner)
-            return self._pose
-        return PoseTransform.trusted(
-            self._pose.rotation, outer.rotation @ inner.translation + outer.translation,
-            inner.frame_from, outer.frame_to)
 
 
 def rot_z(angle: float) -> np.ndarray:

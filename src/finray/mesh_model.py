@@ -187,7 +187,8 @@ _TET_FACES = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
 @dataclass(eq=False)
 class SurfaceMesh:
     """Triangle mesh; ``watertight`` is verified at construction. A mesh
-    is equal only to itself, so it can key a memo by identity."""
+    is equal only to itself; a memo keys it by the content of its arrays
+    (``content_key``)."""
 
     vertices: np.ndarray
     triangles: np.ndarray
@@ -253,7 +254,7 @@ class DeformableSurface:
         self.watertight = True
         self._bvh: Optional[TriangleBVH] = None
         self._stale = False
-        self._vertex_ids = np.unique(self.triangles)
+        self.vertex_ids = np.unique(self.triangles)
 
     def update(self, vertices: np.ndarray) -> None:
         self.vertices = np.asarray(vertices, dtype=np.float64)
@@ -270,7 +271,7 @@ class DeformableSurface:
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Box of the vertices the triangles use: the root box of a
         refit tree, without one."""
-        return _box(self.vertices, self._vertex_ids)
+        return _box(self.vertices, self.vertex_ids)
 
     def lattice(self, density: int) -> "SampleLattice":
         """The template's ``SampleLattice``: the topology never changes."""
@@ -603,8 +604,7 @@ class ContainmentGrid:
     (``_rows``); every query point, its cell clamped into that ring, reads
     its code in one gather, so no test for leaving the grid is needed.
 
-    The grid's arrays are read-only, and a query writes nothing into it
-    but ``fallback_casts``, the count of points tested by ``point_inside``.
+    The grid's arrays are read-only, and a query writes nothing into it.
     """
 
     def __init__(self, mesh: SurfaceMesh):
@@ -660,7 +660,6 @@ class ContainmentGrid:
         # a point of a triangle's columns and its first corner lie in the
         # same (y, z) cell range, so within its extent in y and in z
         self._forms, parallel = _crossing_forms(tv, extent.max(axis=1) * self.cell)
-        self.fallback_casts = 0
         logger.debug("containment grid: %d triangles (%d parallel to x), %s cells of %.3g m, "
                      "%.1f %% touched, %d components, %d column-triangle pairs, built in %.1f ms",
                      len(tv), int(parallel.sum()), "x".join(map(str, self.shape)), self.cell,
@@ -725,7 +724,6 @@ class ContainmentGrid:
             ins, on = point_inside(self.mesh, np.ascontiguousarray(cols[:, doubt].T),
                                    return_on_surface=True)
             crossed[doubt] = ins | on
-            self.fallback_casts += int(doubt.sum())
         return crossed
 
 

@@ -20,10 +20,10 @@ import numpy as np
 from . import __version__
 from .config import config_hash
 from .contact_localizer import (
-    ChainMemo,
     ContactState,
     PoseRateGate,
     PoseTransform,
+    chain_pose,
     checked_rotation,
     pre_estimate_translation,
     select_candidate,
@@ -140,11 +140,9 @@ class JawEstimator:
     mount, localization state, and last solution between frames.
 
     What a frame does not change is computed once: the jaw-from-camera
-    rotation is checked at construction, ``ChainMemo`` keeps the chained
-    pose's rotation while the pose sample's rotation repeats, and
-    ``snaps`` is the candidate snap memo that ``snap_memo`` shares, by
-    content, with every estimator of the same jaw mesh and candidate
-    positions in the process."""
+    rotation is checked at construction, and ``snaps`` is the candidate
+    snap memo that ``snap_memo`` shares, by content, with every estimator
+    of the same jaw mesh and candidate positions in the process."""
 
     def __init__(self, engine: SimEngine, jaw_index: int,
                  settings: EstimatorSettings,
@@ -162,11 +160,9 @@ class JawEstimator:
         self.rot_jaw_from_cam = checked_rotation(engine.jaw_cam_rotation(jaw_index))
         self.ref_jaw = rig.fixture.mesh.vertices[rig.fixture.reference_id]
         self.gate = PoseRateGate()
-        self.chain = ChainMemo()
         self.contact_state = ContactState(l0=rig.fixture.l0)
         template = rig.fixture.mesh.surface()
         self.jaw_surface = DeformableSurface(template)
-        self.surface_ids = np.unique(template.triangles)
         self.snaps = snap_memo(rig.fixture.mesh, self.candidates.positions)
         obj_mesh = twin_mesh if twin_mesh is not None else engine.object_mesh
         self.twin = RigidSurface(obj_mesh)
@@ -203,9 +199,9 @@ class JawEstimator:
             self.jaw_surface.update(self.fixture.mesh.vertices + estimate_deformation(
                 self.compliance, self.last_solution.lam, self.candidates.mounted_index))
             remount_to, pre_estimated = localize(
-                self.contact_state, self.chain(jaw_from_cam, pose_cam_from_obj),
+                self.contact_state, chain_pose(jaw_from_cam, pose_cam_from_obj),
                 self.jaw_surface, self.twin, self.fixture.mesh,
-                self.surface_ids, self.candidates, self.snaps)
+                self.jaw_surface.vertex_ids, self.candidates, self.snaps)
             if remount_to is not None and remount_to != self.candidates.mounted_index:
                 self.candidates = remount(self.candidates, remount_to)
             status = self.contact_state.status

@@ -127,9 +127,10 @@ class ContactModelConfig:
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    """Closure schedule: static plateaus, or a grasp that closes until
-    ``target_force`` (or ``max_closure_mm``), holds, and opens. A grasp's
-    stage boundaries at contact and release are ``RELEASE_THRESHOLD_N``."""
+    """Closure schedule: static plateaus, or a grasp that closes, no
+    further than ``max_closure_mm``, until ``target_force``, holds, and
+    opens. A grasp's stage boundaries at contact and release are
+    ``RELEASE_THRESHOLD_N``."""
 
     kind: str = "static"  # static | grasp
     plateaus_mm: tuple = (0, 2, 4, 6, 8, 10, 8, 6, 4, 2, 0)
@@ -195,11 +196,15 @@ class Observation:
 @dataclass
 class JawTruth:
     force: np.ndarray  # on the jaw, jaw frame
-    force_scalar: float  # component pressing into the inner surface
     candidate: int  # deepest-loaded candidate, -1 when free
     contact_point: Optional[np.ndarray]
     pose_jaw_from_obj: PoseTransform
     displacements: np.ndarray
+
+    @property
+    def force_scalar(self) -> float:
+        """The component of ``force`` pressing into the inner surface."""
+        return float(-self.force[0])
 
 
 @dataclass
@@ -498,18 +503,20 @@ class SimEngine:
     back to the same closures again and again: a static plateau repeats its
     closure on every frame, and every cycle repeats the plateaus.
 
+    The SDF (``sdf``) and the object mesh (``object_mesh``), the occluder
+    the rays are cast against, are made from the scenario's shape and are
+    fixed for the engine's life, so no memo key holds them.
+
     - ``_solves``, one ``LruMemo`` per rig, holds a ``SolvedContact`` per
-      pose, keyed by the SDF object (a function, equal only to itself)
-      and the bytes of the pose's rotation and translation. A solve starts cold, so it
-      is a pure function of pose and SDF.
+      pose, keyed by the bytes of the pose's translation: the rig's
+      rotation is fixed. A solve starts cold, so it is a pure function of
+      the pose.
     - ``_views``, one ``LruMemo`` per jaw, holds its
-      ``ObservationGeometry``, keyed by the SDF object, the object mesh
-      (also equal only to itself) and the bytes of the closure and the
+      ``ObservationGeometry``, keyed by the bytes of the closure and the
       object's grasp-axis position, which fix every jaw's pose and
-      deformation. The object mesh is the occluder the rays are cast
-      against. It is not keyed by the pose: distinct closures can share a
-      jaw pose, since ``world_from_jaw(closure)`` differs from them in the
-      last bits.
+      deformation. It is not keyed by the pose: distinct closures can
+      share a jaw pose, since ``world_from_jaw(closure)`` differs from
+      them in the last bits.
 
     Each memo keeps ``MEMO_CAPACITY`` entries and forgets the least
     recently used first. The memos live as long as their engine and are
@@ -577,7 +584,7 @@ class SimEngine:
 
     def _solve_contact(self, idx: int, closure: float, object_x: float) -> SolvedContact:
         """Object pose in the jaw frame and the jaw's penalty solve, from
-        the rig's memo when it holds that pose and SDF. The bisection,
+        the rig's memo when it holds that pose. The bisection,
         ``_jaw_truth``, every frame of a static plateau and every cycle of
         a static schedule ask for the same poses again; a hit returns the
         same objects without solving, so a half-step warning is not logged
@@ -586,7 +593,7 @@ class SimEngine:
         r = self._rot_jaw_from_obj[idx]
         t = rig.rot_world_from_jaw.T @ (
             _object_origin(self.scenario, object_x, self.z_contact) - rig.origin(closure))
-        key = (self.sdf, r.tobytes(), t.tobytes())
+        key = t.tobytes()
         solved = self._solves[idx].get(key)
         if solved is not None:
             self.work["solves_skipped"] += 1
@@ -605,7 +612,6 @@ class SimEngine:
                 self.rigs[idx].contact_model.full_displacement(forces))
         return JawTruth(
             force=net,
-            force_scalar=float(-net[0]),
             candidate=candidate,
             contact_point=contact_point,
             pose_jaw_from_obj=solved.pose,
@@ -680,23 +686,22 @@ class SimEngine:
         rho += dt * (cfg.viscous_gamma * in_contact - rho) / cfg.viscous_tau
         self._rho[idx] = rho
         force = (1.0 - rho) * jt.force
-        return replace(jt, force=force, force_scalar=float(-force[0]))
+        return replace(jt, force=force)
 
     # -- synthetic sensor ---------------------------------------------------
 
     def _observation_geometry(self, truth: GroundTruthFrame,
                               jaw_index: int) -> ObservationGeometry:
         """The jaw's ``ObservationGeometry`` under ``truth``, from the jaw's
-        memo when it holds this closure, object position, object mesh and
-        SDF. With occlusion on, rays to the keypoints are cast against the object and
-        the other jaw; the other jaw's surface is refit to its deformation,
-        not rebuilt. An occluder whose box the rays' box misses is not cast
-        at, so the other jaw's tree is only refit, or first built, on frames
-        whose rays can reach it."""
+        memo when it holds this closure and object position. With
+        occlusion on, rays to the keypoints are cast against the object
+        and the other jaw; the other jaw's surface is refit to its
+        deformation, not rebuilt. An occluder whose box the rays' box
+        misses is not cast at, so the other jaw's tree is only refit, or
+        first built, on frames whose rays can reach it."""
         sc = self.scenario
         n_occluders = len(self.rigs) if sc.occlusion_mode != "off" else 0
-        key = (self.sdf, self.object_mesh,
-               np.array((truth.closure, self._object_x)).tobytes())
+        key = np.array((truth.closure, self._object_x)).tobytes()
         geometry = self._views[jaw_index].get(key)
         if geometry is not None:
             self.work["casts_skipped"] += n_occluders
@@ -744,10 +749,9 @@ class SimEngine:
         engine's ``step_truth`` just returned. Everything before the first
         draw from the rng, the keypoints' world and camera positions and
         their occlusion, comes from ``_observation_geometry``, which the
-        jaw's memo answers for a closure, object position, object mesh and
-        SDF it has seen. The noise, the
-        confidences and the drift are drawn on every frame, in the same
-        order with or without the memo."""
+        jaw's memo answers for a closure and object position it has seen.
+        The noise, the confidences and the drift are drawn on every frame,
+        in the same order with or without the memo."""
         sc = self.scenario
         noise = sc.noise
         rng = self.rng
@@ -935,7 +939,7 @@ def run_scenario(scenario: Scenario, engine: SimEngine | None = None,
             obs = tuple(eng.render_observation(truth, i) for i in range(len(eng.rigs)))
             emit(FramePacket(truth, obs))
             if phase in ("pre", "load"):
-                closure += speed * dt
+                closure = min(closure + speed * dt, max_closure)
             elif phase in ("unload", "post"):
                 closure = max(0.0, closure - speed * dt)
             t += dt

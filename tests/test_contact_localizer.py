@@ -64,6 +64,17 @@ class TestPoseTransform:
         out = chain_pose(b, a)
         assert np.abs(out.matrix() - b.matrix() @ a.matrix()).max() <= 1e-12
 
+    def test_chain_is_the_product_of_the_rotations(self, rng):
+        # no re-orthonormalization: the chained pose is, bit for bit, the
+        # product of the two checked rotations and its translation
+        for _ in range(20):
+            a = PoseTransform(random_rotation(rng), rng.normal(size=3), "o", "c")
+            b = PoseTransform(random_rotation(rng), rng.normal(size=3), "c", "g")
+            out = chain_pose(b, a)
+            assert out.rotation.tobytes() == (b.rotation @ a.rotation).tobytes()
+            assert out.translation.tobytes() == \
+                (b.rotation @ a.translation + b.translation).tobytes()
+
     def test_inverse_round_trip(self, rng):
         p = PoseTransform(random_rotation(rng), rng.normal(size=3), "o", "g")
         q = chain_pose(p.inverse(), p)
