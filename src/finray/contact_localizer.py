@@ -207,12 +207,12 @@ def select_candidate(centroid: np.ndarray, deformed_vertices: np.ndarray,
     depends only on the vertex, so ``snaps`` keeps it per vertex id; one
     dict serves one (undeformed mesh, candidate positions) pair, and the
     estimator passes the shared one of ``snap_memo``. The surface
-    vertices are gathered by ``np.take``, several times faster than a
-    fancy index on (n, 3) rows, and their squared distances summed by
-    ``np.einsum``, whose order decides ties between vertices.
+    vertices are gathered by the ``take`` method, several times faster
+    than a fancy index on (n, 3) rows, and their squared distances summed
+    by ``np.einsum``, whose order decides ties between vertices.
     """
-    rel = np.take(deformed_vertices, surface_vertex_ids, axis=0) - centroid
-    j = int(surface_vertex_ids[int(np.argmin(np.einsum("ij,ij->i", rel, rel)))])
+    rel = deformed_vertices.take(surface_vertex_ids, axis=0) - centroid
+    j = int(surface_vertex_ids[np.einsum("ij,ij->i", rel, rel).argmin()])
     if j not in snaps:
         q_p = project_to_inner_surface(undeformed, undeformed.vertices[j])
         snaps[j] = int(np.argmin(np.linalg.norm(candidates.positions - q_p, axis=1)))

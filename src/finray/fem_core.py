@@ -177,10 +177,6 @@ class StiffnessSystem:
         """The bank's unit-load field at one vertex."""
         return self.unit_load_fields([vertex_id])[0]
 
-    def strain_energy(self, displacements: np.ndarray) -> float:
-        u = np.ravel(displacements)
-        return float(0.5 * u @ (self.k_full @ u))
-
 
 def assemble(mesh: TetMesh, material: MaterialModel) -> StiffnessSystem:
     return StiffnessSystem(mesh, material)
@@ -193,8 +189,8 @@ class ComplianceOperators:
     ``w_ea[i]`` maps a force at candidate i to effector displacement
     components (3E x 3); ``w_aa[i]`` is the candidate's own 3x3 compliance.
     ``fields[i]`` is candidate i's full (n_vertices, 3, 3) field, the bank's
-    read-only array itself, so deformation reconstruction is a single
-    matrix-vector product.
+    read-only C-ordered array itself, so deformation reconstruction is a
+    single matrix-vector product on its (3 n_vertices, 3) view.
     """
 
     def __init__(self, system: StiffnessSystem, effector_ids: np.ndarray,

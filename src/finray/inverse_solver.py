@@ -10,6 +10,7 @@ only) and eps the mounted candidate's weight. The stationarity system is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,8 +37,8 @@ class InsufficientEffectorsError(RuntimeError):
 class KeypointFilter:
     """Confidence thresholding at ``CONFIDENCE_THRESHOLD`` followed by
     filtering to the workspace box ``bbox_lo``..``bbox_hi`` in the jaw
-    frame, held as float64 arrays from construction on. The estimator
-    sizes the box from its fixture. The threshold is
+    frame, held as finite float64 arrays from construction on. The
+    estimator sizes the box from its fixture. The threshold is
     fixed: it lies between the confidence the simulated detector gives
     visible keypoints and the one it gives the occluded keypoints it flags,
     and those are constants too."""
@@ -46,12 +47,18 @@ class KeypointFilter:
     bbox_hi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bbox_lo", np.asarray(self.bbox_lo, dtype=np.float64))
-        object.__setattr__(self, "bbox_hi", np.asarray(self.bbox_hi, dtype=np.float64))
+        for name in ("bbox_lo", "bbox_hi"):
+            bound = np.asarray(getattr(self, name), dtype=np.float64)
+            if not np.isfinite(bound).all():
+                raise ValueError("the workspace box must be finite")
+            object.__setattr__(self, name, bound)
 
     def accept(self, positions_jaw: np.ndarray, confidence: np.ndarray) -> np.ndarray:
-        in_box = (np.isfinite(positions_jaw) & (positions_jaw >= self.bbox_lo)
-                  & (positions_jaw <= self.bbox_hi))
+        """Rows with enough confidence whose every coordinate lies in the
+        box, bounds included. The box is finite, so a NaN or infinite
+        coordinate fails one of its two comparisons and is rejected
+        without a separate finiteness test."""
+        in_box = (positions_jaw >= self.bbox_lo) & (positions_jaw <= self.bbox_hi)
         return (confidence >= CONFIDENCE_THRESHOLD) & in_box.all(axis=1)
 
 
@@ -107,8 +114,10 @@ class ContactCandidateSet:
         self.vertex_ids = np.asarray(self.vertex_ids, dtype=np.int64)
         self.positions = np.asarray(self.positions, dtype=np.float64)
         self.epsilons = np.asarray(self.epsilons, dtype=np.float64)
-        if np.any(self.epsilons < 0):
-            raise ValueError("epsilon weights must be non-negative")
+        # a NaN or infinite weight would otherwise first fail in the
+        # solve, as a LinAlgError from its eigenvalue guard
+        if not (np.isfinite(self.epsilons).all() and (self.epsilons >= 0).all()):
+            raise ValueError("epsilon weights must be finite and non-negative")
         if not 0 <= self.mounted_index < len(self.vertex_ids):
             raise ValueError("mounted index out of range")
 
@@ -161,14 +170,18 @@ def solve(compliance: ComplianceOperators, effectors: EffectorSet,
     The mismatch is measured from the effector rest positions (the
     zero-actuator-force configuration). Raises if fewer than three active
     effectors remain or the reduced system is numerically singular.
+
+    The active effectors' rows of ``w_ea`` and of the mismatch are one
+    ``compress`` each, and every norm is ``math.sqrt(v @ v)``, which is
+    what ``np.linalg.norm`` computes for a vector.
     """
     if effectors.n_active < MIN_ACTIVE_EFFECTORS:
         raise InsufficientEffectorsError(
             f"{effectors.n_active} active effectors (< {MIN_ACTIVE_EFFECTORS})")
     m = candidates.mounted_index
-    active = effectors.active
-    w = compliance.w_ea[m].reshape(compliance.n_effectors, 3, 3)[active].reshape(-1, 3)
-    delta = (effectors.rest_positions - effectors.targets)[active].ravel()
+    rows = effectors.active.repeat(3)
+    w = compliance.w_ea[m].compress(rows, axis=0)
+    delta = (effectors.rest_positions - effectors.targets).reshape(-1).compress(rows)
     w_aa = compliance.w_aa[m]
     a = w.T @ w + candidates.mounted_epsilon * w_aa
     b = w.T @ delta
@@ -180,8 +193,9 @@ def solve(compliance: ComplianceOperators, effectors: EffectorSet,
     lam = np.linalg.solve(a, -b)
     objective = float(0.5 * lam @ a @ lam + lam @ b)
     # relative form: ||A lam + b|| / max(1, ||b||)
-    resid_stat = float(np.linalg.norm(a @ lam + b) / max(1.0, np.linalg.norm(b)))
-    resid_eff = float(np.linalg.norm(w @ lam + delta))
+    r_stat, r_eff = a @ lam + b, w @ lam + delta
+    resid_stat = math.sqrt(r_stat @ r_stat) / max(1.0, math.sqrt(b @ b))
+    resid_eff = math.sqrt(r_eff @ r_eff)
     return ForceSolution(
         lam=lam,
         objective=objective,
@@ -193,5 +207,8 @@ def solve(compliance: ComplianceOperators, effectors: EffectorSet,
 def estimate_deformation(compliance: ComplianceOperators, lam: np.ndarray,
                          mounted_index: int) -> np.ndarray:
     """(n_vertices, 3) displacement under the solved point force, from the
-    precomputed unit-load fields."""
-    return compliance.fields[mounted_index] @ np.asarray(lam, dtype=np.float64)
+    precomputed unit-load fields: one (3 n_vertices, 3) matrix-vector
+    product on the field's rows, where numpy runs the (n_vertices, 3, 3)
+    form as n_vertices separate products, bit for bit the same."""
+    unit = compliance.fields[mounted_index]
+    return (unit.reshape(-1, 3) @ np.asarray(lam, dtype=np.float64)).reshape(unit.shape[:2])

@@ -617,17 +617,3 @@ def _load_ply(path: Path) -> PointCloud:
     cols = [props.index(c) for c in ("x", "y", "z")]
     data = np.array([[float(x) for x in lines[i + k].split()] for k in range(n)])
     return PointCloud(data[:, cols])
-
-
-def save_point_cloud(path: str | Path, points: np.ndarray) -> None:
-    path = Path(path)
-    points = np.asarray(points, dtype=np.float64)
-    if path.suffix.lower() == ".ply":
-        header = ["ply", "format ascii 1.0", f"element vertex {len(points)}",
-                  "property float x", "property float y", "property float z",
-                  "end_header"]
-        body = [f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}" for p in points]
-        path.write_text("\n".join(header + body) + "\n")
-    else:
-        path.write_text("\n".join(f"{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}"
-                                   for p in points) + "\n")

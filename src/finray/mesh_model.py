@@ -227,9 +227,10 @@ class SurfaceMesh:
 
 def _box(vertices: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Box of the rows ``ids`` of an (n, 3) array, reduced over a (3, m)
-    gather: numpy reduces an (m, 3) array over its first axis several
-    times slower."""
-    columns = np.take(vertices.T, ids, axis=1)
+    gather by the ``take`` method: numpy reduces an (m, 3) array over its
+    first axis several times slower, and the ``np.take`` wrapper adds a
+    microsecond a call."""
+    columns = vertices.T.take(ids, axis=1)
     return columns.min(axis=1), columns.max(axis=1)
 
 
@@ -419,7 +420,7 @@ class TriangleBVH:
     def refit(self, vertices: np.ndarray) -> None:
         """Recompute node boxes bottom-up for new vertex positions."""
         self.vertices = np.asarray(vertices, dtype=np.float64)
-        tv = np.take(self.vertices, self._sorted_triangles, axis=0)
+        tv = self.vertices.take(self._sorted_triangles, axis=0)
         c0, c1, c2 = tv[:, 0], tv[:, 1], tv[:, 2]
         tmin = np.minimum(np.minimum(c0, c1), c2)
         tmax = np.maximum(np.maximum(c0, c1), c2)
@@ -445,10 +446,10 @@ class TriangleBVH:
         rays = np.arange(len(origins))
         leaf_rows, leaf_rays = [], []
         while True:
-            o = np.take(origins, rays, axis=0)
-            iv = np.take(inv, rays, axis=0)
-            t1 = (np.take(node_min, nodes, axis=0) - o) * iv
-            t2 = (np.take(node_max, nodes, axis=0) - o) * iv
+            o = origins.take(rays, axis=0)
+            iv = inv.take(rays, axis=0)
+            t1 = (node_min.take(nodes, axis=0) - o) * iv
+            t2 = (node_max.take(nodes, axis=0) - o) * iv
             # fmin/fmax drop the NaNs from 0 * inf on degenerate axes
             near = np.fmin(t1, t2)
             far = np.fmax(t1, t2)
@@ -473,15 +474,15 @@ class TriangleBVH:
         rows, rays = self._leaf_pairs(origins, dirs, t_max)
         for lo in range(0, len(rays), _PAIR_CHUNK):
             r, k = rows[lo:lo + _PAIR_CHUNK], rays[lo:lo + _PAIR_CHUNK]
-            tris = np.take(self._leaf_slots, r, axis=0)
-            v0, e1, e2 = (np.take(x, tris, axis=0) for x in (self._tv0, self._e1, self._e2))
-            d = np.take(dirs, k, axis=0)
+            tris = self._leaf_slots.take(r, axis=0)
+            v0, e1, e2 = (x.take(tris, axis=0) for x in (self._tv0, self._e1, self._e2))
+            d = dirs.take(k, axis=0)
             h = _cross(d[:, None, :], e2)
             a = np.einsum("pij,pij->pi", e1, h)
-            det_ok = np.abs(a) > 1e-14 * np.maximum(np.take(self._scale, tris), 1e-300)
+            det_ok = np.abs(a) > 1e-14 * np.maximum(self._scale.take(tris), 1e-300)
             with np.errstate(divide="ignore", invalid="ignore"):
                 f = np.where(det_ok, 1.0 / a, 0.0)
-            srel = np.take(origins, k, axis=0)[:, None, :] - v0
+            srel = origins.take(k, axis=0)[:, None, :] - v0
             u = f * np.einsum("pij,pij->pi", srel, h)
             q = _cross(srel, e1)
             v = f * np.einsum("pj,pij->pi", d, q)
@@ -687,11 +688,11 @@ class ContainmentGrid:
         # every cell off the grid clamped into the outside ring
         cells = np.floor((cols - self.origin[:, None]) / self.cell)
         at = self._strides @ np.fmin(np.fmax(cells, -1.0), self.shape[:, None])
-        code = np.take(self._table, at.astype(np.intp) + self._offset)
+        code = self._table.take(at.astype(np.intp) + self._offset)
         hit = code == _INSIDE
-        touched = np.flatnonzero(code >= 0)
+        touched = (code >= 0).nonzero()[0]
         if touched.size:
-            hit[touched] = self._crossings(np.take(cols, touched, axis=1), np.take(code, touched))
+            hit[touched] = self._crossings(cols.take(touched, axis=1), code.take(touched))
         return hit
 
     def _crossings(self, cols: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -702,13 +703,13 @@ class ContainmentGrid:
         # every (point, listed triangle) pair, each point's pairs in a run
         # that starts at ``first``; a touched cell's column lists at least
         # the triangle whose box touches the cell, so no run is empty
-        starts = np.take(self._start, columns)
-        counts = np.take(self._start, columns + 1) - starts
-        first = np.cumsum(counts) - counts
-        pt = np.repeat(np.arange(len(columns)), counts)
-        tri = np.take(self._tris, np.arange(len(pt)) + np.repeat(starts - first, counts))
-        y0, z0, x0, x_y, x_z, near, b_y, b_z, c_y, c_z = np.take(self._forms, tri, axis=1)
-        x, y, z = np.take(cols, pt, axis=1)
+        starts = self._start.take(columns)
+        counts = self._start.take(columns + 1) - starts
+        first = counts.cumsum() - counts
+        pt = np.arange(len(columns)).repeat(counts)
+        tri = self._tris.take(np.arange(len(pt)) + (starts - first).repeat(counts))
+        y0, z0, x0, x_y, x_z, near, b_y, b_z, c_y, c_z = self._forms.take(tri, axis=1)
+        x, y, z = cols.take(pt, axis=1)
         dy, dz = y - y0, z - z0
         ahead = (x0 - x) + x_y * dy + x_z * dz  # the plane's x less the point's
         b = b_y * dy + b_z * dz
@@ -924,8 +925,8 @@ class SampleLattice:
     def points(self, vertices: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Coordinates of samples ``ids``: the rows of
         ``surface_sample_points`` at every slot of each id."""
-        return np.einsum("ub,ubx->ux", np.take(self.weights, ids, axis=0),
-                         np.take(vertices, np.take(self.corners, ids, axis=0), axis=0))
+        return np.einsum("ub,ubx->ux", self.weights.take(ids, axis=0),
+                         vertices.take(self.corners.take(ids, axis=0), axis=0))
 
 
 def sample_lattice(triangles: np.ndarray, density: int) -> SampleLattice:
@@ -982,10 +983,12 @@ def intersect_approx(jaw, twin: RigidSurface, density: int = 3,
     No pass uses numpy's slow forms on (n, 3) rows: the cull reads the
     jaw's coordinates as columns once and ANDs one word of face flags per
     vertex over each triangle's corners, the box test compares the
-    samples column by column, every gather is an ``np.take`` or
-    ``np.compress``, and the centroid is a sequential column sum, bit for
-    bit the ``mean(axis=0)`` of the kept points (``keep_points``, (n, 3)
-    in slot order).
+    samples column by column, every gather is the ndarray method
+    ``take`` or ``compress`` and every index list ``nonzero()[0]`` (the
+    ``np.take``, ``np.compress`` and ``np.flatnonzero`` wrappers add about
+    a microsecond a call), and the centroid is a sequential column sum,
+    bit for bit the ``mean(axis=0)`` of the kept points (``keep_points``,
+    (n, 3) in slot order).
     """
     for m, name in ((jaw, "jaw"), (twin, "twin")):
         if not m.watertight:
@@ -1005,27 +1008,27 @@ def intersect_approx(jaw, twin: RigidSurface, density: int = 3,
     beyond = np.zeros((8, len(jaw.vertices)), dtype=bool)
     np.less(cols, (box_lo - 1e-12)[:, None], out=beyond[:3])
     np.greater(cols, (box_hi + 1e-12)[:, None], out=beyond[3:6])
-    code = np.take(np.ascontiguousarray(beyond.T).view(np.uint64)[:, 0], jaw.triangles)
-    slots = np.compress((code[:, 0] & code[:, 1] & code[:, 2]) == 0, lattice.slot_ids,
-                        axis=0).reshape(-1)
+    code = np.ascontiguousarray(beyond.T).view(np.uint64)[:, 0].take(jaw.triangles)
+    slots = lattice.slot_ids.compress((code[:, 0] & code[:, 1] & code[:, 2]) == 0,
+                                      axis=0).reshape(-1)
     # each sample id of those triangles once, ascending
     at = np.zeros(lattice.n_ids, dtype=np.intp)
     at[slots] = 1
-    ids = np.flatnonzero(at)
+    ids = at.nonzero()[0]
     pts = lattice.points(jaw.vertices, ids)
     p = pts.T
-    keep = np.flatnonzero((p[0] >= box_lo[0]) & (p[0] <= box_hi[0]) & (p[1] >= box_lo[1])
-                          & (p[1] <= box_hi[1]) & (p[2] >= box_lo[2]) & (p[2] <= box_hi[2]))
-    ids, pts = np.take(ids, keep), np.take(pts, keep, axis=0)
-    hit = np.flatnonzero(twin.contains(pts))
+    keep = ((p[0] >= box_lo[0]) & (p[0] <= box_hi[0]) & (p[1] >= box_lo[1])
+            & (p[1] <= box_hi[1]) & (p[2] >= box_lo[2]) & (p[2] <= box_hi[2])).nonzero()[0]
+    ids, pts = ids.take(keep), pts.take(keep, axis=0)
+    hit = twin.contains(pts).nonzero()[0]
     if len(hit) == 0:
         return IntersectionResult(0, None)
     # the hits over their slots, in slot order: each hit id's position
     # among the hits, and -1 at every other id
     at[:] = -1
-    at[np.take(ids, hit)] = np.arange(len(hit))
-    at = np.take(at, slots)
-    pts = np.take(pts, np.take(hit, np.compress(at >= 0, at)), axis=0)
+    at[ids.take(hit)] = np.arange(len(hit))
+    at = at.take(slots)
+    pts = pts.take(hit.take(at.compress(at >= 0)), axis=0)
     return IntersectionResult(len(pts), _centroid(pts), pts if keep_points else None)
 
 

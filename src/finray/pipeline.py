@@ -80,6 +80,12 @@ class EstimatorSettings:
             raise ValueError(f"unknown mount mode {self.mount_mode!r}")
 
 
+def _bit_mask(flags: np.ndarray) -> int:
+    """The int with bit i set where ``flags[i]``: the flags packed
+    little-endian into bytes, read as one integer, at any length."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 @dataclass
 class FrameEstimate:
     lam: np.ndarray
@@ -225,7 +231,7 @@ class JawEstimator:
             pose_source=pose_source,
             degraded=degraded,
             n_active=self.effectors.n_active,
-            active_mask=sum(1 << int(i) for i in np.flatnonzero(self.effectors.active)),
+            active_mask=_bit_mask(self.effectors.active),
             objective=sol.objective,
             stationarity_residual=sol.stationarity_residual,
             effector_residual=sol.effector_residual,

@@ -191,12 +191,11 @@ class TestCLI:
         truth = SurfaceMesh(base.vertices * 1.2 + np.array([0, 0, 0.35]),
                             base.triangles)
         scan = synthetic_scan(truth, cam, depth_sigma=0.001, seed=4)
-        from finray.mesh_calibration import save_point_cloud
         mesh_path = tmp_path / "recon.obj"
         save_obj(mesh_path, base.vertices + np.array([0.01, 0.0, 0.355]),
                  base.triangles)
-        cloud_path = tmp_path / "scan.ply"
-        save_point_cloud(cloud_path, scan.points)
+        cloud_path = tmp_path / "scan.csv"
+        np.savetxt(cloud_path, scan.points, fmt="%.17g", delimiter=",")
         out = tmp_path / "out"
         rc = main(["calibrate-mesh", "--mesh", str(mesh_path), "--cloud",
                    str(cloud_path), "--out", str(out)])
@@ -509,3 +508,59 @@ class TestTraceTargets:
         missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                    for owner, attr in targets if attr not in owner.__dict__]
         assert missing == []
+
+
+def load_bench_pairs():
+    path = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+    module = types.ModuleType("bench_pairs")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+class TestBenchPairs:
+    def test_summary_of_synthetic_pairs(self):
+        tool = load_bench_pairs()
+        parent, change = [10.0, 12.0, 11.0, 13.0, 9.0], [12.0, 12.0, 14.0, 15.0, 8.0]
+        higher = tool.summarize(parent, change, "higher")
+        assert higher["parent"] == {"median": 11.0, "q1": 10.0, "q3": 12.0}
+        assert higher["change"] == {"median": 12.0, "q1": 12.0, "q3": 14.0}
+        assert (higher["change_wins"], higher["ties"]) == (3, 1)
+        assert higher["median_ratio"] == 12.0 / 11.0
+        assert higher["parent_iqr"] == 2.0
+        assert higher["parent_runs"] == parent and higher["change_runs"] == change
+        lower = tool.summarize(parent, change, "lower")
+        assert (lower["change_wins"], lower["ties"]) == (1, 1)
+        with pytest.raises(ValueError):
+            tool.summarize(parent, change[:-1], "higher")
+
+    def test_seed_ranges(self):
+        assert load_bench_pairs().parse_seeds("3101-3103,3110") == [3101, 3102, 3103, 3110]
+
+    def test_pairs_alternate_and_keep_each_run(self, monkeypatch):
+        # a fake run: the metric is the seed, plus one on the change side
+        tool = load_bench_pairs()
+        calls = []
+        benchmark = json.loads((Path(__file__).resolve().parents[1]
+                                / "BENCHMARK.json").read_text())
+
+        def fake_run(checkout, workload, seed, seconds):
+            calls.append((checkout.name, seed, seconds))
+            value = seed + (checkout.name == "change")
+            return {"failed": seed % 2, "attempted": 10, "metrics": {
+                spec["name"]: {"value": float(value), "unit": spec["unit"]}
+                for spec in benchmark["end_to_end"]}}
+
+        monkeypatch.setattr(tool, "run_once", fake_run)
+        entry = tool.run_pairs(Path("parent"), Path("change"), "twin_replay", [4, 5, 6],
+                               benchmark)
+        seconds = benchmark["run_seconds"]
+        assert calls == [("parent", 4, seconds), ("change", 4, seconds),
+                         ("change", 5, seconds), ("parent", 5, seconds),
+                         ("parent", 6, seconds), ("change", 6, seconds)]
+        assert entry["first_in_pair"] == ["parent", "change", "parent"]
+        assert entry["failed_attempted"]["parent"] == [[0, 10], [1, 10], [0, 10]]
+        fps = entry["metrics"]["frames_per_s"]
+        assert fps["parent_runs"] == [4.0, 5.0, 6.0] and fps["change_runs"] == [5.0, 6.0, 7.0]
+        assert (fps["change_wins"], entry["metrics"]["setup_s"]["change_wins"]) == (3, 0)
+        assert fps["bound"] == 0.2 and fps["unit"] == "1/s"

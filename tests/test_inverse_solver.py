@@ -75,6 +75,37 @@ class TestSetTargets:
         assert not out.active[0]
         assert out.n_active == 14
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_filter_rejects_non_finite_coordinates(self, jaw, bad):
+        # the box is finite, so a NaN or infinite coordinate fails one of
+        # its two comparisons
+        filt = self._filter(jaw)
+        rows = np.tile(jaw.mesh.vertices[jaw.keypoint_ids[:1]], (4, 1))
+        for axis in range(3):
+            rows[1 + axis, axis] = bad
+        accepted = filt.accept(rows, np.full(4, 0.95))
+        assert accepted.tolist() == [True, False, False, False]
+
+    def test_filter_accepts_rows_on_the_box(self, jaw):
+        filt = self._filter(jaw)
+        rows = np.array([filt.bbox_lo, filt.bbox_hi,
+                         [filt.bbox_lo[0], filt.bbox_hi[1], filt.bbox_lo[2]]])
+        assert filt.accept(rows, np.full(3, 0.95)).all()
+        # one ulp beyond the box in one coordinate each
+        outside = rows.copy()
+        outside[0, 0] = np.nextafter(filt.bbox_lo[0], -np.inf)
+        outside[1, 1] = np.nextafter(filt.bbox_hi[1], np.inf)
+        outside[2, 2] = np.nextafter(filt.bbox_lo[2], -np.inf)
+        assert not filt.accept(outside, np.full(3, 0.95)).any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_filter_box_must_be_finite(self, jaw, bad):
+        lo, hi = jaw.bbox(BBOX_MARGIN)
+        hi = np.array(hi, dtype=float)
+        hi[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            KeypointFilter(lo, hi)
+
     def test_rejected_keeps_previous_target(self, jaw):
         eff = make_effectors(jaw)
         prev = eff.targets.copy()
@@ -214,6 +245,17 @@ class TestSolve:
             solve(ZeroOps, eff, cands)
 
 
+class TestEpsilonWeights:
+    @pytest.mark.parametrize("bad", [-1e-4, np.nan, np.inf, -np.inf])
+    def test_invalid_weight_rejected(self, jaw, bad):
+        eps = np.full(len(jaw.candidate_ids), 1e-4)
+        eps[5] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            ContactCandidateSet.from_fixture(jaw, epsilons=eps)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            ContactCandidateSet.from_fixture(jaw, epsilons=bad)
+
+
 class TestRemount:
     def test_initial_mount_is_middle(self, jaw):
         cands = ContactCandidateSet.from_fixture(jaw)
@@ -262,3 +304,11 @@ class TestEstimateDeformation:
         loads[jaw.candidate_ids[11]] = lam
         truth = system.solve_displacement(loads)
         assert np.abs(u - truth).max() <= 1e-6
+
+    def test_matches_per_vertex_products_bit_for_bit(self, compliance, rng):
+        # the (3 n, 3) matrix-vector product gives the bits of numpy's
+        # (n, 3, 3) @ (3,) form, which runs one small product per vertex
+        for m in range(compliance.n_candidates):
+            for lam in rng.normal(scale=5.0, size=(20, 3)):
+                expected = compliance.fields[m] @ lam
+                assert np.array_equal(estimate_deformation(compliance, lam, m), expected)

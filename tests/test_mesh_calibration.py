@@ -26,11 +26,23 @@ from finray.mesh_calibration import (
     partial_view,
     point_to_plane_step,
     reverse_query,
-    save_point_cloud,
     umeyama_alignment,
 )
 from finray.mesh_model import MeshError, RigidSurface, SurfaceMesh, surface_sample_points
 from finray.sensing_sim import synthetic_scan
+
+
+def save_point_cloud(path, points):
+    """Write points as an ascii PLY or, for any other suffix, as CSV rows,
+    each coordinate in its shortest round-trip form."""
+    rows = [f"{float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in np.asarray(points)]
+    if path.suffix.lower() == ".ply":
+        rows = ["ply", "format ascii 1.0", f"element vertex {len(rows)}",
+                "property float x", "property float y", "property float z",
+                "end_header"] + rows
+    else:
+        rows = [r.replace(" ", ",") for r in rows]
+    path.write_text("\n".join(rows) + "\n")
 
 
 def posed_in_camera(mesh, distance=0.35, rotation=None, offset=(0.0, 0.0, 0.0)):

@@ -982,6 +982,111 @@ class TestParentPath:
         assert cast > 100 and parent.fallback_casts > 100
 
 
+def wrapper_box(vertices, ids):
+    columns = np.take(vertices.T, ids, axis=1)
+    return columns.min(axis=1), columns.max(axis=1)
+
+
+def wrapper_contains(grid, points):
+    """``ContainmentGrid.contains`` and its crossings pass written with
+    the ``np.take``, ``np.cumsum``, ``np.repeat`` and ``np.flatnonzero``
+    wrappers."""
+    eps = mesh_model._GRAZE_EPS
+    cols = np.ascontiguousarray(points.T)
+    cells = np.floor((cols - grid.origin[:, None]) / grid.cell)
+    at = grid._strides @ np.fmin(np.fmax(cells, -1.0), grid.shape[:, None])
+    code = np.take(grid._table, at.astype(np.intp) + grid._offset)
+    hit = code == mesh_model._INSIDE
+    touched = np.flatnonzero(code >= 0)
+    if touched.size == 0:
+        return hit
+    cols, columns = np.take(cols, touched, axis=1), np.take(code, touched)
+    starts = np.take(grid._start, columns)
+    counts = np.take(grid._start, columns + 1) - starts
+    first = np.cumsum(counts) - counts
+    pt = np.repeat(np.arange(len(columns)), counts)
+    tri = np.take(grid._tris, np.arange(len(pt)) + np.repeat(starts - first, counts))
+    y0, z0, x0, x_y, x_z, near, b_y, b_z, c_y, c_z = np.take(grid._forms, tri, axis=1)
+    x, y, z = np.take(cols, pt, axis=1)
+    dy, dz = y - y0, z - z0
+    ahead = (x0 - x) + x_y * dy + x_z * dz
+    b = b_y * dy + b_z * dz
+    c = c_y * dy + c_z * dz
+    least = np.minimum(np.minimum(1.0 - b - c, b), c)
+    forward = ahead > 0
+    crossed = np.logical_xor.reduceat(forward & (least > eps), first)
+    doubt = np.logical_or.reduceat((np.abs(ahead) <= near) | (forward & (np.abs(least) <= eps)),
+                                   first)
+    if doubt.any():
+        ins, on = point_inside(grid.mesh, np.ascontiguousarray(cols[:, doubt].T),
+                               return_on_surface=True)
+        crossed[doubt] = ins | on
+    hit[touched] = crossed
+    return hit
+
+
+def wrapper_intersect_approx(jaw, twin, density):
+    """``intersect_approx`` on a ``DeformableSurface`` jaw, written with the
+    ``np.take``, ``np.compress`` and ``np.flatnonzero`` wrappers in place
+    of the ndarray methods. Returns (sample count, centroid, points)."""
+    lo_g, hi_g = wrapper_box(jaw.vertices, jaw.vertex_ids)
+    lo_o, hi_o = wrapper_box(twin.template.vertices @ twin.rotation.T, np.unique(twin.triangles))
+    lo_o, hi_o = lo_o + twin.translation, hi_o + twin.translation
+    if (lo_g > hi_o).any() or (lo_o > hi_g).any():
+        return 0, None, None
+    box_lo = np.maximum(lo_g, lo_o) - 1e-12
+    box_hi = np.minimum(hi_g, hi_o) + 1e-12
+    lattice = jaw.lattice(density)
+    cols = np.ascontiguousarray(jaw.vertices.T)
+    beyond = np.zeros((8, len(jaw.vertices)), dtype=bool)
+    np.less(cols, (box_lo - 1e-12)[:, None], out=beyond[:3])
+    np.greater(cols, (box_hi + 1e-12)[:, None], out=beyond[3:6])
+    code = np.take(np.ascontiguousarray(beyond.T).view(np.uint64)[:, 0], jaw.triangles)
+    slots = np.compress((code[:, 0] & code[:, 1] & code[:, 2]) == 0, lattice.slot_ids,
+                        axis=0).reshape(-1)
+    at = np.zeros(lattice.n_ids, dtype=np.intp)
+    at[slots] = 1
+    ids = np.flatnonzero(at)
+    pts = np.einsum("ub,ubx->ux", np.take(lattice.weights, ids, axis=0),
+                    np.take(jaw.vertices, np.take(lattice.corners, ids, axis=0), axis=0))
+    p = pts.T
+    keep = np.flatnonzero((p[0] >= box_lo[0]) & (p[0] <= box_hi[0]) & (p[1] >= box_lo[1])
+                          & (p[1] <= box_hi[1]) & (p[2] >= box_lo[2]) & (p[2] <= box_hi[2]))
+    ids, pts = np.take(ids, keep), np.take(pts, keep, axis=0)
+    hit = np.flatnonzero(wrapper_contains(twin.grid(),
+                                          (pts - twin.translation) @ twin.rotation))
+    if len(hit) == 0:
+        return 0, None, None
+    at[:] = -1
+    at[np.take(ids, hit)] = np.arange(len(hit))
+    at = np.take(at, slots)
+    pts = np.take(pts, np.take(hit, np.compress(at >= 0, at)), axis=0)
+    return len(pts), pts.mean(axis=0), pts
+
+
+def test_intersections_match_wrapper_version(jaw, compliance):
+    """The ndarray-method gathers of ``intersect_approx`` and the twin's
+    grid give, bit for bit, the points and centroid of the same passes
+    written with numpy's function wrappers, on posed twins of the grasped
+    objects and of the benchmark's dense wedges."""
+    jaw_surface = DeformableSurface(jaw.mesh.surface())
+    hits = 0
+    for objects, n, seed in ((lattice_objects(), 90, 41), (wedge_twins(), 30, 42)):
+        for kind, twin, deformed, density in contact_poses(
+                jaw, compliance, objects, n, np.random.default_rng(seed)):
+            jaw_surface.update(deformed)
+            count, centroid, points = wrapper_intersect_approx(jaw_surface, twin, density)
+            got = intersect_approx(jaw_surface, twin, density=density, keep_points=True)
+            assert got.sample_count == count
+            if count:
+                assert np.array_equal(got.centroid, centroid)
+                assert np.array_equal(got.points, points)
+            else:
+                assert got.centroid is None and got.points is None
+            hits += count > 0
+    assert hits > 30
+
+
 # the nbytes of every array of the grids in the per-row layout (an int8
 # state per cell, int32 flat indices and int64 list starts per touched
 # cell, int32 list entries and six (t, 3) triangle arrays), on the twins

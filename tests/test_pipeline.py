@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import logging
@@ -399,3 +400,53 @@ class TestDerivedDeformation:
             assert steps[3].mounted_index != steps[2].mounted_index
         assert steps[3].degraded and not steps[2].degraded
         assert np.array_equal(steps[3].lam, steps[2].lam) and np.abs(steps[2].lam).max() > 0
+
+
+class TestStepOutputs:
+    """What a step returns or leaves on the estimator is a fresh object
+    that later steps never write into: the benchmark keeps references to
+    them for its per-frame solve check."""
+
+    def test_later_steps_leave_earlier_outputs_unchanged(self):
+        # a noisy dual-jaw grasp that remounts, with one starved frame per
+        # jaw whose step holds the previous solution
+        scenario = Scenario(
+            shape=ShapeSpec.cylinder(0.025), contact_position="lower", dual_jaw=True,
+            schedule=ScheduleConfig(kind="grasp", closing_speed_mm_s=8.0,
+                                    target_force=3.0, hold_s=0.2),
+            noise=NoiseConfig(), contact=ContactModelConfig(model="point"), seed=3)
+        engine = SimEngine(scenario)
+        ests = [JawEstimator(engine, jaw, EstimatorSettings()) for jaw in (0, 1)]
+        kept = []
+        for k in range(16):
+            pkt = engine.frame(k / 30.0, 0.0005 * k, "load", True, 1.0 / 30.0)
+            for jaw, est in enumerate(ests):
+                obs = pkt.observations[jaw]
+                if k == 5 + jaw:
+                    obs = dataclasses.replace(obs, confidence=np.zeros_like(obs.confidence))
+                fe = est.step(obs, pkt.truth.timestamp, pkt.truth.jaws[jaw].candidate)
+                refs = (fe.lam, est.effectors, est.candidates)
+                kept.append((refs, copy.deepcopy(refs)))
+        assert len({cand.mounted_index for (_, _, cand), _ in kept}) > 1
+        for (lam, eff, cand), (lam0, eff0, cand0) in kept:
+            assert lam.tobytes() == lam0.tobytes()
+            for name in ("vertex_ids", "rest_positions", "targets", "active"):
+                assert getattr(eff, name).tobytes() == getattr(eff0, name).tobytes(), name
+            for name in ("vertex_ids", "positions", "epsilons"):
+                assert getattr(cand, name).tobytes() == getattr(cand0, name).tobytes(), name
+            assert cand.mounted_index == cand0.mounted_index
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 15, 63, 64, 70])
+    def test_active_mask_sets_the_bit_of_each_active_effector(self, rng, n):
+        for _ in range(5):
+            flags = rng.random(n) < 0.7
+            assert pipeline._bit_mask(flags) == sum(1 << int(i) for i in np.flatnonzero(flags))
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf])
+def test_non_finite_epsilon_rejected_at_construction(eps):
+    # such a weight used to build an estimator whose first step died in
+    # the solve's eigenvalue guard
+    engine = SimEngine(quick_static())
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        JawEstimator(engine, 0, EstimatorSettings(epsilons=eps))
