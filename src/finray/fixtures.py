@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from . import config as cfgmod
-from .mesh_model import MeshError, SurfaceMesh, TetMesh, save_off, load_off
+from .mesh_model import MeshError, SurfaceMesh, TetMesh, save_off
 
 # local-corner paths of the six-tet split of a hexahedron; each tet walks
 # one axis order from corner (0,0,0) to (1,1,1)
@@ -65,10 +65,6 @@ class JawParams:
             solid_base_rows=self.solid_base_rows * factor,
             solid_tip_rows=self.solid_tip_rows * factor,
         )
-
-    @classmethod
-    def from_mapping(cls, mapping) -> "JawParams":
-        return cfgmod.apply_mapping(cls(), mapping)
 
 
 @dataclass
@@ -233,25 +229,6 @@ def save_fixture(fixture: JawFixture, stem: str | Path) -> tuple[Path, Path]:
     }
     cfgmod.save_config(mapping, cfg_path)
     return off_path, cfg_path
-
-
-def load_fixture(stem: str | Path) -> JawFixture:
-    stem = Path(stem)
-    verts, _, tets = load_off(stem.with_suffix(".off"))
-    if tets is None:
-        raise MeshError("fixture OFF file lacks the tet extension block")
-    raw = cfgmod.load_config(stem.with_suffix(".fixture.cfg"))
-    sec = cfgmod.section(raw, "fixture")
-    mesh = TetMesh(verts, tets, np.array(sec["fixed_ids"]), np.array(sec["inner_ids"]))
-    return JawFixture(
-        mesh=mesh,
-        params=JawParams(),
-        candidate_ids=np.array(sec["candidate_ids"]),
-        keypoint_ids=np.array(sec["keypoint_ids"]),
-        keypoint_is_outer=np.array([bool(b) for b in sec["keypoint_is_outer"]]),
-        reference_id=int(sec["reference_id"]),
-        l0=float(sec["l0"]),
-    )
 
 
 # ---------------------------------------------------------------------------

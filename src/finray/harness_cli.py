@@ -8,6 +8,11 @@ into the output directory. Its report scores each run on the series that
 ``report`` re-scores from the run's CSV (``scored_series``), so runs can
 be re-scored without re-simulation. Exit status is nonzero when a suite's
 pattern assertions fail.
+
+A run's manifest is its only scenario file: every CSV has a
+``<stem>.manifest.json`` beside it, and ``finray run --config
+<stem>.manifest.json --out <dir>`` reruns it into ``<dir>/run.csv`` and
+``<dir>/manifest.json`` with the same bytes (``--seed N`` replaces the seed).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +41,14 @@ from .metrics_force import (
     decompose,
     rmse_nrmsd,
 )
-from .pipeline import EstimatorSettings, JawEstimator, RunResult, load_run_csv, run_estimation
+from .pipeline import (
+    EstimatorSettings,
+    JawEstimator,
+    RunResult,
+    load_run_csv,
+    run_estimation,
+    run_settings,
+)
 from .sensing_sim import (
     ContactModelConfig,
     NoiseConfig,
@@ -92,70 +104,6 @@ def default_ideal_scenario(**kw) -> Scenario:
     )
     base.update(kw)
     return Scenario(**base)
-
-
-def shape_from_mapping(m: dict) -> ShapeSpec:
-    kind = m.get("kind", "cylinder")
-    if kind == "cylinder":
-        return ShapeSpec.cylinder(m.get("diameter_mm", 15.0) * 1e-3,
-                                  m.get("length_mm", 80.0) * 1e-3)
-    if kind == "cuboid":
-        size = m.get("size_mm", (30.0, 80.0, 30.0))
-        return ShapeSpec.cuboid(tuple(s * 1e-3 for s in size))
-    if kind == "wedge":
-        return ShapeSpec.wedge(
-            m.get("half_width_bottom_mm", 16.0) * 1e-3,
-            m.get("half_width_top_mm", 8.0) * 1e-3,
-            m.get("height_mm", 50.0) * 1e-3,
-            m.get("length_mm", 80.0) * 1e-3)
-    raise cfgmod.ConfigError(f"unknown shape kind {kind!r}")
-
-
-def scenario_from_config(mapping: dict, seed: int | None = None) -> tuple[Scenario, EstimatorSettings]:
-    shape = shape_from_mapping(cfgmod.section(mapping, "shape"))
-    schedule = cfgmod.apply_mapping(ScheduleConfig(), cfgmod.section(mapping, "schedule"))
-    noise = cfgmod.apply_mapping(NoiseConfig(), cfgmod.section(mapping, "noise"))
-    contact = cfgmod.apply_mapping(ContactModelConfig(), cfgmod.section(mapping, "contact"))
-    scen_kw = cfgmod.section(mapping, "scenario")
-    scenario = Scenario(shape=shape, schedule=schedule, noise=noise, contact=contact)
-    scenario = cfgmod.apply_mapping(scenario, scen_kw)
-    if seed is not None:
-        scenario = replace(scenario, seed=seed)
-    solver_kw = cfgmod.section(mapping, "solver")
-    settings = cfgmod.apply_mapping(EstimatorSettings(), solver_kw)
-    if settings.epsilons is None:
-        tuned = load_epsilon_schedule()
-        if tuned is not None:
-            settings = replace(settings, epsilons=tuned)
-    return scenario, settings
-
-
-def run_config_from_manifest(config: dict) -> tuple[Scenario, EstimatorSettings]:
-    """The run settings a manifest's ``config`` was written from: the
-    flattened SI keys ``scenario.*`` and ``solver.*`` that
-    ``pipeline.scenario_mapping`` makes, JSON lists read back as tuples.
-    Every field must be present and no other key; rerunning the settings
-    gives the same CSV and manifest bytes."""
-    remaining = dict(config)
-
-    def build(cls, prefix: str):
-        kwargs, defaults = {}, cls()
-        for f in fields(cls):
-            key = f"{prefix}.{f.name}"
-            default = getattr(defaults, f.name)
-            if is_dataclass(default):
-                kwargs[f.name] = build(type(default), key)
-            elif key in remaining:
-                value = remaining.pop(key)
-                kwargs[f.name] = tuple(value) if isinstance(value, list) else value
-            else:
-                raise cfgmod.ConfigError(f"manifest config lacks {key!r}")
-        return cls(**kwargs)
-
-    scenario, settings = build(Scenario, "scenario"), build(EstimatorSettings, "solver")
-    if remaining:
-        raise cfgmod.ConfigError(f"unknown manifest config key {min(remaining)!r}")
-    return scenario, settings
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +219,9 @@ def suite_ablation(out_dir: Path, seeds=(0, 1, 2, 3, 4),
     for p in POSITIONS:
         settings_for_cfg[p] = replace(settings_for_cfg["estimator"], mount_mode="fixed",
                                       fixed_index=candidate_for_position(p))
-    table: dict[str, dict[str, list[float]]] = {
-        p: {c: [] for c in settings_for_cfg} for p in POSITIONS}
+    # per (real position, config): each seed's scored (estimate, truth)
+    series: dict[tuple[str, str], list] = {
+        (p, c): [] for p in POSITIONS for c in settings_for_cfg}
     for seed in seeds:
         cells = {}
         settings_for = {}
@@ -286,21 +235,16 @@ def suite_ablation(out_dir: Path, seeds=(0, 1, 2, 3, 4),
         results = run_grid(cells, settings_for)
         for label, res in results.items():
             real, cfg = label.split("|")
-            sim, gt, _ = scored_series(res.frames)
-            table[real][cfg].append(rmse_nrmsd(sim, gt)[0])
+            series[real, cfg].append(scored_series(res.frames)[:2])
             _write_run(res, out_dir, f"ablation-{real}-{cfg}-s{seed}")
     conditions = []
     ok = True
     for real in POSITIONS:
         row = {}
         for cfg in settings_for_cfg:
-            vals = np.array(table[real][cfg])
-            row[cfg] = vals
-            conditions.append(ConditionMetrics(
-                f"real={real}|sim={cfg}", float(vals.mean()), float(vals.std()),
-                float(vals.mean() / NORMALIZATION_RANGE_N * 100.0),
-                float(vals.std() / NORMALIZATION_RANGE_N * 100.0),
-                float(vals.max()), len(vals)))
+            sims, gts = zip(*series[real, cfg])
+            conditions.append(ConditionMetrics.from_cycles(f"real={real}|sim={cfg}", sims, gts))
+            row[cfg] = [rmse_nrmsd(sim, gt)[0] for sim, gt in series[real, cfg]]
         matched = row[real]
         for seed_i in range(len(seeds)):
             if row["estimator"][seed_i] > 1.5 * matched[seed_i]:
@@ -537,8 +481,7 @@ def _load_mesh(path: str) -> SurfaceMesh:
 def cmd_genmesh(args) -> int:
     params = JawParams()
     if args.config:
-        params = JawParams.from_mapping(
-            cfgmod.section(cfgmod.load_config(args.config), "jaw"))
+        params = cfgmod.from_flat(params, cfgmod.load_config(args.config), "jaw")
     fixture = generate_jaw(params)
     out = _out_dir(args, "genmesh")
     out.mkdir(parents=True, exist_ok=True)
@@ -553,8 +496,7 @@ def cmd_calibrate_mesh(args) -> int:
     cloud = load_point_cloud(args.cloud)
     camera = CameraModel()
     if args.camera:
-        camera = cfgmod.apply_mapping(camera, cfgmod.section(
-            cfgmod.load_config(args.camera), "camera"))
+        camera = cfgmod.from_flat(camera, cfgmod.load_config(args.camera), "camera")
     truth = _load_mesh(args.truth) if args.truth else None
     result = calibrate(mesh, cloud, camera, truth_mesh=truth)
     out = _out_dir(args, "calibrate")
@@ -581,6 +523,8 @@ _SUITES = {
 
 def cmd_run(args) -> int:
     if args.suite:
+        if args.seed is None:
+            args.seed = 0
         out = _out_dir(args, args.suite)
         _, ok = _SUITES[args.suite](out, args)
         print(f"suite {args.suite}: {'ok' if ok else 'FAILED'} -> {out}")
@@ -588,7 +532,9 @@ def cmd_run(args) -> int:
     if not args.config:
         print("run requires --config or --suite", file=sys.stderr)
         return 2
-    scenario, settings = scenario_from_config(cfgmod.load_config(args.config), seed=args.seed)
+    scenario, settings = run_settings(json.loads(Path(args.config).read_text())["config"])
+    if args.seed is not None:
+        scenario = replace(scenario, seed=args.seed)
     out = _out_dir(args, "run")
     out.mkdir(parents=True, exist_ok=True)
     res = run_estimation(scenario, settings)
@@ -637,13 +583,16 @@ def main(argv=None) -> int:
     p.add_argument("--out")
     p.set_defaults(func=cmd_calibrate_mesh)
 
-    p = sub.add_parser("run", help="run a scenario config or an evaluation suite")
-    p.add_argument("--config", help="scenario config file")
+    p = sub.add_parser("run", help="rerun a run's manifest or run an evaluation suite")
+    p.add_argument("--config",
+                   help="a run's manifest JSON (<stem>.manifest.json or manifest.json): "
+                        "reruns the scenario and estimator settings of its config")
     p.add_argument("--suite", choices=list(_SUITES))
     p.add_argument("--ideal", action="store_true",
                    help="noiseless matched-mount mode (static suite)")
     p.add_argument("--quick", action="store_true", help="reduced grids")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="seed: a suite's, default 0; with --config, replaces the manifest's")
     p.add_argument("--out")
     p.set_defaults(func=cmd_run)
 

@@ -4,12 +4,13 @@ force solve, streamed over a scenario's synthetic observations.
 
 Run outputs are a per-frame CSV (force solution, residuals, activation
 mask, localization trace) plus a JSON manifest sufficient to reproduce the
-run byte-identically, at any BLAS thread count.
+run byte-identically, at any BLAS thread count: its ``config`` holds
+``scenario_mapping``'s flat keys, which ``run_settings`` reads back, and
+``finray run --config <stem>.manifest.json`` reruns it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import config_hash
+from .config import ConfigError, config_hash, flatten, from_flat
 from .contact_localizer import (
     ContactState,
     PoseRateGate,
@@ -305,27 +306,23 @@ class RunResult:
         Path(path).write_text(json.dumps(self.manifest_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def _flatten(prefix: str, obj) -> dict:
-    out = {}
-    for f in dataclasses.fields(obj):
-        v = getattr(obj, f.name)
-        key = f"{prefix}.{f.name}"
-        if dataclasses.is_dataclass(v) and not isinstance(v, type):
-            out.update(_flatten(key, v))
-        elif isinstance(v, tuple):
-            out[key] = list(v)
-        elif v is None or isinstance(v, (bool, int, float, str)):
-            out[key] = v
-        else:
-            out[key] = str(v)
-    return out
+def scenario_mapping(scenario: Scenario, settings: EstimatorSettings) -> dict:
+    """A run's settings as flat keys, ``scenario.*`` and ``solver.*``: the
+    manifest's ``config``."""
+    return {**flatten("scenario", scenario), **flatten("solver", settings)}
 
 
-def scenario_mapping(scenario: Scenario, settings: EstimatorSettings | None = None) -> dict:
-    out = _flatten("scenario", scenario)
-    if settings is not None:
-        out.update(_flatten("solver", settings))
-    return out
+def run_settings(config: dict) -> tuple[Scenario, EstimatorSettings]:
+    """The inverse of ``scenario_mapping``: the scenario and settings that a
+    manifest's ``config`` was written from. Every key must be present and no
+    other key; rerunning them writes the same CSV and manifest bytes."""
+    missing = set(scenario_mapping(Scenario(), EstimatorSettings())) - set(config)
+    if missing:
+        raise ConfigError(f"manifest config lacks {min(missing)!r}")
+    solver = {k: v for k, v in config.items() if k.startswith("solver.")}
+    scenario = from_flat(Scenario(), {k: v for k, v in config.items() if k not in solver},
+                         "scenario")
+    return scenario, from_flat(EstimatorSettings(), solver, "solver")
 
 
 def run_estimation(scenario: Scenario, settings: EstimatorSettings | None = None) -> RunResult:

@@ -4,25 +4,35 @@ import re
 import subprocess
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from finray import harness_cli, pipeline
-from finray.config import ConfigError, dump_config, load_config, parse_config, save_config, section
-from finray.fixtures import ShapeSpec, load_fixture, make_object_mesh
+from finray.config import (
+    ConfigError,
+    dump_config,
+    flatten,
+    from_flat,
+    load_config,
+    parse_config,
+    save_config,
+    section,
+)
+from finray.fixtures import JawFixture, JawParams, ShapeSpec, make_object_mesh
 from finray.harness_cli import (
     candidate_for_position,
     default_ideal_scenario,
     default_noisy_scenario,
     load_epsilon_schedule,
     main,
-    run_config_from_manifest,
     rescore_runs,
     run_grid,
-    scenario_from_config,
+    scored_series,
     static_schedule,
+    suite_ablation,
     suite_chip,
     suite_onrobot,
     suite_static,
@@ -30,10 +40,47 @@ from finray.harness_cli import (
     tune_epsilon,
 )
 from finray.mesh_calibration import CameraModel
-from finray.mesh_model import SurfaceMesh, save_obj
+from finray.mesh_model import MeshError, SurfaceMesh, TetMesh, load_off, save_obj
 from finray.metrics_force import rmse_nrmsd
-from finray.pipeline import EstimatorSettings, run_estimation
-from finray.sensing_sim import ContactModelConfig, ScheduleConfig, SimEngine, synthetic_scan
+from finray.pipeline import EstimatorSettings, run_estimation, run_settings, scenario_mapping
+from finray.sensing_sim import (
+    ContactModelConfig,
+    NoiseConfig,
+    Scenario,
+    ScheduleConfig,
+    SimEngine,
+    synthetic_scan,
+)
+
+# a one-cycle static schedule of three short plateaus
+SHORT_STATIC = ScheduleConfig(kind="static", plateaus_mm=(0, 6, 0), cycles=1, ramp_s=0.1,
+                              settle_s=0.1, record_s=0.1)
+
+
+def load_fixture(stem) -> JawFixture:
+    """The jaw that ``fixtures.save_fixture`` wrote to ``stem``; its params
+    are the defaults, which the files do not record."""
+    stem = Path(stem)
+    verts, _, tets = load_off(stem.with_suffix(".off"))
+    if tets is None:
+        raise MeshError("fixture OFF file lacks the tet extension block")
+    sec = section(load_config(stem.with_suffix(".fixture.cfg")), "fixture")
+    mesh = TetMesh(verts, tets, np.array(sec["fixed_ids"]), np.array(sec["inner_ids"]))
+    return JawFixture(
+        mesh=mesh,
+        params=JawParams(),
+        candidate_ids=np.array(sec["candidate_ids"]),
+        keypoint_ids=np.array(sec["keypoint_ids"]),
+        keypoint_is_outer=np.array([bool(b) for b in sec["keypoint_is_outer"]]),
+        reference_id=int(sec["reference_id"]),
+        l0=float(sec["l0"]),
+    )
+
+
+def write_run_config(path: Path, scenario: Scenario, settings: EstimatorSettings) -> Path:
+    """A manifest holding just the ``config`` that ``run --config`` reads."""
+    path.write_text(json.dumps({"config": scenario_mapping(scenario, settings)}))
+    return path
 
 
 class TestConfigFormat:
@@ -90,8 +137,66 @@ class TestConfigFormat:
         ("solver.stable_frames", 5),
     ])
     def test_removed_keys_rejected(self, key, value):
-        with pytest.raises(ConfigError, match=key.split(".")[1]):
-            scenario_from_config({key: value})
+        # each key in its manifest form, added to a complete config
+        if key.split(".")[0] in ("contact", "noise", "schedule"):
+            key = f"scenario.{key}"
+        config = scenario_mapping(Scenario(), EstimatorSettings())
+        with pytest.raises(ConfigError, match=re.escape(f"unknown config key {key!r}")):
+            run_settings({**config, key: value})
+
+
+class TestCodec:
+    """``config.flatten`` and ``config.from_flat``, the one codec between
+    settings dataclasses and flat keys."""
+
+    @pytest.mark.parametrize("key,value", [
+        ("scenario.dual_jaw", "no"),
+        ("scenario.schedule.cycles", 2.9),
+        ("scenario.seed", True),
+        ("scenario.contact_position", 1),
+        ("scenario.object_offset", [0.0, 0.001]),
+        ("scenario.shape", 0.01),
+        ("solver.epsilons", "0.002"),
+    ])
+    def test_wrong_type_rejected(self, key, value):
+        config = scenario_mapping(Scenario(), EstimatorSettings())
+        with pytest.raises(ConfigError, match=re.escape(repr(key))):
+            run_settings({**config, key: value})
+
+    def test_int_fills_float_and_one_value_or_a_list_fills_tuple(self):
+        scenario = from_flat(Scenario(), {"scenario.camera_hz": 60,
+                                          "scenario.schedule.plateaus_mm": 4,
+                                          "scenario.object_offset": [0, 0.001, 0]}, "scenario")
+        assert scenario.camera_hz == 60
+        assert scenario.schedule.plateaus_mm == (4,)
+        assert scenario.object_offset == (0, 0.001, 0)
+        # a float for `tuple | float | None` stays a float, a list is a tuple
+        assert from_flat(EstimatorSettings(), {"solver.epsilons": 0.002}, "solver").epsilons == 0.002
+        assert from_flat(EstimatorSettings(), {"solver.epsilons": [0.0, 0.1]},
+                         "solver").epsilons == (0.0, 0.1)
+
+    def test_flatten_rejects_what_from_flat_cannot_read(self):
+        with pytest.raises(ConfigError, match="solver.epsilons"):
+            flatten("solver", EstimatorSettings(epsilons=np.array([0.0, 0.1])))
+        with pytest.raises(ConfigError, match="scenario.shape.size"):
+            flatten("scenario", Scenario(shape=ShapeSpec(size=(np.int64(1), 2, 3))))
+
+    def test_jaw_config_value_of_wrong_type_rejected(self, tmp_path):
+        cfg = tmp_path / "jaw.cfg"
+        cfg.write_text("jaw.n_height = 35.7\n")
+        with pytest.raises(ConfigError, match="'jaw.n_height' takes int, not 35.7"):
+            main(["genmesh", "--config", str(cfg), "--out", str(tmp_path)])
+
+    def test_jaw_config_key_outside_prefix_rejected(self, tmp_path):
+        cfg = tmp_path / "jaw.cfg"
+        cfg.write_text("jaw.n_height = 20\ncamera.fx = 600.0\n")
+        with pytest.raises(ConfigError, match="unknown config key 'camera.fx'"):
+            main(["genmesh", "--config", str(cfg), "--out", str(tmp_path)])
+
+    def test_camera_config_key_outside_prefix_rejected(self):
+        assert from_flat(CameraModel(), {"camera.fx": 600}, "camera").fx == 600
+        with pytest.raises(ConfigError, match="unknown config key 'jaw.n_height'"):
+            from_flat(CameraModel(), {"camera.fx": 600.0, "jaw.n_height": 20}, "camera")
 
 
 class TestEpsilonSchedule:
@@ -208,39 +313,24 @@ class TestCLI:
         assert (out / "calibrated.obj").exists()
 
     def test_run_scenario_config(self, tmp_path):
-        cfg = tmp_path / "scenario.cfg"
-        cfg.write_text("\n".join([
-            "shape.kind = cylinder",
-            "shape.diameter_mm = 15",
-            "scenario.contact_position = middle",
-            "schedule.kind = static",
-            "schedule.plateaus_mm = 0, 6, 0",
-            "schedule.cycles = 1",
-            "schedule.ramp_s = 0.1",
-            "schedule.settle_s = 0.1",
-            "schedule.record_s = 0.1",
-            "scenario.occlusion_mode = confidence",
-            "noise.keypoint_sigma = 0.001",
-            "contact.model = point",
-        ]) + "\n")
+        # --seed replaces the manifest's seed and nothing else
+        scenario = Scenario(shape=ShapeSpec.cylinder(0.015), schedule=SHORT_STATIC,
+                            occlusion_mode="confidence", noise=NoiseConfig(),
+                            contact=ContactModelConfig(model="point"))
+        settings = EstimatorSettings(epsilons=load_epsilon_schedule())
+        cfg = write_run_config(tmp_path / "scenario.manifest.json", scenario, settings)
         out = tmp_path / "run"
         rc = main(["run", "--config", str(cfg), "--seed", "3", "--out", str(out)])
         assert rc == 0
         assert (out / "run.csv").exists()
-        assert (out / "manifest.json").exists()
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert run_settings(config) == (replace(scenario, seed=3), settings)
 
     def test_run_determinism_via_cli(self, tmp_path):
-        cfg = tmp_path / "scenario.cfg"
-        cfg.write_text("\n".join([
-            "shape.kind = cylinder",
-            "schedule.plateaus_mm = 0, 6, 0",
-            "schedule.cycles = 1",
-            "schedule.ramp_s = 0.1",
-            "schedule.settle_s = 0.1",
-            "schedule.record_s = 0.1",
-            "scenario.occlusion_mode = confidence",
-            "noise.keypoint_sigma = 0.001",
-        ]) + "\n")
+        scenario = Scenario(schedule=SHORT_STATIC, occlusion_mode="confidence",
+                            noise=NoiseConfig())
+        cfg = write_run_config(tmp_path / "scenario.manifest.json", scenario,
+                               EstimatorSettings(epsilons=load_epsilon_schedule()))
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
@@ -252,10 +342,9 @@ class TestCLI:
             (outs[1] / "manifest.json").read_bytes()
 
     def test_report_rescore(self, tmp_path):
-        cfg = tmp_path / "scenario.cfg"
-        cfg.write_text("schedule.plateaus_mm = 0, 6, 0\nschedule.cycles = 1\n"
-                       "schedule.ramp_s = 0.1\nschedule.settle_s = 0.1\n"
-                       "schedule.record_s = 0.1\n")
+        cfg = write_run_config(tmp_path / "scenario.manifest.json",
+                               Scenario(schedule=SHORT_STATIC, noise=NoiseConfig()),
+                               EstimatorSettings(epsilons=load_epsilon_schedule()))
         run_dir = tmp_path / "runs"
         assert main(["run", "--config", str(cfg), "--out", str(run_dir)]) == 0
         out = tmp_path / "report"
@@ -287,18 +376,13 @@ class TestCLI:
     def test_dual_jaw_run_prints_the_rmse_report_gives(self, tmp_path, capsys):
         # `run` and `report` score one dual-jaw CSV by the same rule, the
         # grasp force, not jaw 0's force
-        cfg = tmp_path / "grasp.cfg"
-        cfg.write_text("\n".join([
-            "shape.kind = cylinder",
-            "shape.diameter_mm = 25",
-            "scenario.dual_jaw = true",
-            "scenario.occlusion_mode = confidence",
-            "contact.model = point",
-            "schedule.kind = grasp",
-            "schedule.closing_speed_mm_s = 8.0",
-            "schedule.target_force = 2.0",
-            "schedule.hold_s = 0.2",
-        ]) + "\n")
+        scenario = Scenario(
+            shape=ShapeSpec.cylinder(0.025), dual_jaw=True, occlusion_mode="confidence",
+            noise=NoiseConfig(), contact=ContactModelConfig(model="point"),
+            schedule=ScheduleConfig(kind="grasp", closing_speed_mm_s=8.0, target_force=2.0,
+                                    hold_s=0.2))
+        cfg = write_run_config(tmp_path / "grasp.manifest.json", scenario,
+                               EstimatorSettings(epsilons=load_epsilon_schedule()))
         run_dir = tmp_path / "run"
         assert main(["run", "--config", str(cfg), "--seed", "3", "--out", str(run_dir)]) == 0
         printed = re.search(r"rmse=(\S+) N", capsys.readouterr().out).group(1)
@@ -393,6 +477,18 @@ class TestSuiteUtilities:
             manifest = json.loads(csv.with_suffix(".manifest.json").read_text())
             assert manifest["n_frames"] * 2 == len(csv.read_text().splitlines()) - 1
 
+    def test_ablation_max_error_is_the_largest_absolute_error(self, tmp_path):
+        # each condition's max error is the largest |sim - gt| over its
+        # runs' scored series, not the largest per-seed RMSE
+        report, _ = suite_ablation(tmp_path, seeds=(0,), quick=True)
+        assert len(report.conditions) == 12
+        for cm in report.conditions:
+            real, cfg = cm.label.removeprefix("real=").split("|sim=")
+            sim, gt, _ = scored_series(
+                pipeline.load_run_csv(tmp_path / f"ablation-{real}-{cfg}-s0.csv"))
+            assert cm.max_error == np.abs(sim - gt).max()
+            assert cm.rmse_mean == rmse_nrmsd(sim, gt)[0] < cm.max_error
+
     def test_run_grid_pairs_cells_with_settings_in_label_order(self, monkeypatch):
         monkeypatch.setattr(harness_cli, "run_estimation", lambda sc, st: (sc, st))
         out = run_grid({"b": "scen-b", "a": "scen-a"}, {"a": "set-a", "b": "set-b"})
@@ -400,27 +496,31 @@ class TestSuiteUtilities:
 
 
 
-class TestManifestRerun:
-    @pytest.mark.parametrize("cell", ["grasp", "static"])
-    def test_rerun_from_manifest_is_byte_identical(self, cell, tmp_path):
-        # a dual-jaw wedge grasp at seed 1 with the tuned schedule and a
-        # yawed, offset object, and a distributed static cell with a fixed
-        # mount and one epsilon: run, write, rebuild the run settings from
-        # the written manifest's config alone, run again, write again
-        if cell == "grasp":
-            scenario = default_noisy_scenario(
-                shape=ShapeSpec.wedge(), dual_jaw=True, seed=1, object_yaw_deg=3.0,
-                object_offset=(0.0, 0.001, 0.0), contact=ContactModelConfig(model="point"),
-                schedule=ScheduleConfig(kind="grasp", closing_speed_mm_s=8.0,
-                                        target_force=3.0, hold_s=0.2))
-            settings = EstimatorSettings(epsilons=load_epsilon_schedule())
-        else:
-            scenario = default_noisy_scenario(
+def rerun_cell(cell: str) -> tuple[Scenario, EstimatorSettings]:
+    """A dual-jaw wedge grasp at seed 1 with the tuned schedule and a yawed,
+    offset object, or a distributed static cell with a fixed mount and one
+    epsilon."""
+    if cell == "grasp":
+        return (default_noisy_scenario(
+                    shape=ShapeSpec.wedge(), dual_jaw=True, seed=1, object_yaw_deg=3.0,
+                    object_offset=(0.0, 0.001, 0.0), contact=ContactModelConfig(model="point"),
+                    schedule=ScheduleConfig(kind="grasp", closing_speed_mm_s=8.0,
+                                            target_force=3.0, hold_s=0.2)),
+                EstimatorSettings(epsilons=load_epsilon_schedule()))
+    return (default_noisy_scenario(
                 shape=ShapeSpec.cylinder(0.025), contact_position="lower",
                 schedule=ScheduleConfig(kind="static", cycles=1, plateaus_mm=(0, 4, 0)),
                 contact=ContactModelConfig(model="distributed", viscous_gamma=0.25,
-                                           viscous_tau=8.0))
-            settings = EstimatorSettings(mount_mode="fixed", fixed_index=3, epsilons=0.002)
+                                           viscous_tau=8.0)),
+            EstimatorSettings(mount_mode="fixed", fixed_index=3, epsilons=0.002))
+
+
+class TestManifestRerun:
+    @pytest.mark.parametrize("cell", ["grasp", "static"])
+    def test_rerun_from_manifest_is_byte_identical(self, cell, tmp_path):
+        # run, write, rebuild the run settings from the written manifest's
+        # config alone, run again, write again
+        scenario, settings = rerun_cell(cell)
         written = []
         for name in ("first", "rerun"):
             res = run_estimation(scenario, settings)
@@ -429,19 +529,31 @@ class TestManifestRerun:
             written.append(((tmp_path / f"{name}.csv").read_bytes(),
                             (tmp_path / f"{name}.manifest.json").read_bytes()))
             config = json.loads(written[-1][1])["config"]
-            scenario, settings = run_config_from_manifest(config)
+            scenario, settings = run_settings(config)
         assert written[0] == written[1]
         assert len(written[0][0].splitlines()) > 50
 
+    @pytest.mark.parametrize("cell", ["grasp", "static"])
+    def test_cli_rerun_of_a_suite_run_is_byte_identical(self, cell, tmp_path):
+        # a run written as the suites write it, rerun from its manifest
+        # through the command line
+        harness_cli._write_run(run_estimation(*rerun_cell(cell)), tmp_path, cell)
+        out = tmp_path / "rerun"
+        assert main(["run", "--config", str(tmp_path / f"{cell}.manifest.json"),
+                     "--out", str(out)]) == 0
+        assert (out / "run.csv").read_bytes() == (tmp_path / f"{cell}.csv").read_bytes()
+        assert (out / "manifest.json").read_bytes() == \
+            (tmp_path / f"{cell}.manifest.json").read_bytes()
+
     def test_incomplete_or_unknown_keys_rejected(self):
-        config = pipeline.scenario_mapping(default_noisy_scenario(), EstimatorSettings())
-        assert run_config_from_manifest(config) == (default_noisy_scenario(),
-                                                    EstimatorSettings())
+        config = scenario_mapping(default_noisy_scenario(), EstimatorSettings())
+        assert run_settings(config) == (default_noisy_scenario(), EstimatorSettings())
         with pytest.raises(ConfigError, match="lacks 'scenario.shape.radius'"):
-            run_config_from_manifest({k: v for k, v in config.items()
-                                      if k != "scenario.shape.radius"})
-        with pytest.raises(ConfigError, match="unknown manifest config key 'scenario.gap'"):
-            run_config_from_manifest({**config, "scenario.gap": 0.048})
+            run_settings({k: v for k, v in config.items() if k != "scenario.shape.radius"})
+        with pytest.raises(ConfigError, match="unknown config key 'scenario.gap'"):
+            run_settings({**config, "scenario.gap": 0.048})
+        with pytest.raises(ConfigError, match="unknown config key 'seed'"):
+            run_settings({**config, "seed": 3})
 
 
 class TestBlasThreads:

@@ -9,13 +9,14 @@ import pytest
 from finray import pipeline
 from finray.contact_localizer import FrameError, PoseTransform, select_candidate
 from finray.fixtures import ShapeSpec
-from finray.harness_cli import scenario_from_config
 from finray.mesh_model import TriangleBVH
 from finray.pipeline import (
     EstimatorSettings,
     JawEstimator,
     load_run_csv,
     run_estimation,
+    run_settings,
+    scenario_mapping,
 )
 from finray.sensing_sim import (
     ContactModelConfig,
@@ -44,8 +45,9 @@ def test_unknown_mount_mode_rejected():
     # a mistyped mode used to localize as "estimator"
     with pytest.raises(ValueError, match="fixd"):
         EstimatorSettings(mount_mode="fixd")
+    config = scenario_mapping(Scenario(), EstimatorSettings())
     with pytest.raises(ValueError, match="fixd"):
-        scenario_from_config({"solver.mount_mode": "fixd"})
+        run_settings({**config, "solver.mount_mode": "fixd"})
     for mode in ("estimator", "fixed", "matched"):
         assert EstimatorSettings(mount_mode=mode).mount_mode == mode
 

@@ -12,7 +12,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finray import harness_cli, mesh_model, sensing_sim
+from finray import harness_cli, mesh_model, pipeline, sensing_sim
 from finray.contact_localizer import FrameError, PoseTransform, rot_z
 from finray.fem_core import MaterialModel
 from finray.fixtures import JawParams, ShapeSpec, generate_jaw, make_object_mesh, make_sdf
@@ -483,8 +483,9 @@ def test_unknown_occlusion_mode_rejected():
     # a mistyped mode used to render drift occlusion
     with pytest.raises(ValueError, match="confidance"):
         Scenario(occlusion_mode="confidance")
+    config = pipeline.scenario_mapping(Scenario(), pipeline.EstimatorSettings())
     with pytest.raises(ValueError, match="confidance"):
-        harness_cli.scenario_from_config({"scenario.occlusion_mode": "confidance"})
+        pipeline.run_settings({**config, "scenario.occlusion_mode": "confidance"})
     for mode in ("off", "confidence", "drift"):
         assert Scenario(occlusion_mode=mode).occlusion_mode == mode
 
