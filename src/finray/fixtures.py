@@ -343,6 +343,19 @@ def make_object_mesh(spec: ShapeSpec, n_seg: int = 24, n_len: int = 4) -> Surfac
     raise ValueError(f"unknown shape kind {spec.kind!r}")
 
 
+def shape_box(spec: ShapeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) corners of the box of the solid that ``make_sdf(spec)``
+    describes, in the object's local frame: the SDF reads d < 0 only at
+    points inside this box. A cylinder's box comes from its radius and
+    length, not from its faceted mesh; a cuboid's and a wedge's from the
+    corners whose hull the SDF's planes bound."""
+    if spec.kind == "cylinder":
+        hi = np.array([spec.radius, spec.length / 2.0, spec.radius])
+        return -hi, hi
+    pts = box_points(spec.size) if spec.kind == "cuboid" else wedge_points(spec)
+    return pts.min(axis=0), pts.max(axis=0)
+
+
 def _convex_planes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hull = ConvexHull(points)
     normals = hull.equations[:, :3]

@@ -11,7 +11,7 @@ only) and eps the mounted candidate's weight. The stationarity system is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,7 +97,7 @@ def set_targets(effectors: EffectorSet, observation, cam_to_jaw: PoseTransform,
     pos_jaw = cam_to_jaw.apply(observation.keypoints)
     accepted = keypoint_filter.accept(pos_jaw, observation.confidence)
     targets = np.where(accepted[:, None], pos_jaw, effectors.targets)
-    return replace(effectors, targets=targets, active=accepted)
+    return EffectorSet(effectors.vertex_ids, effectors.rest_positions, targets, accepted)
 
 
 @dataclass
@@ -151,7 +151,8 @@ def remount(candidates: ContactCandidateSet, new_index: int) -> ContactCandidate
     refactorization happens."""
     if not 0 <= new_index < candidates.n_candidates:
         raise ValueError(f"candidate index {new_index} out of range")
-    return replace(candidates, mounted_index=new_index)
+    return ContactCandidateSet(candidates.vertex_ids, candidates.positions, candidates.epsilons,
+                               new_index)
 
 
 @dataclass(frozen=True)

@@ -240,10 +240,10 @@ class DeformableSurface:
     Watertightness is checked once at construction; ``update`` stores the
     new vertices. ``bvh`` builds the tree at its first call and refits it
     in place on the first call after each later update, so a surface
-    that nothing ray-casts never holds a tree. Duck-compatible with
-    SurfaceMesh for ``point_inside``, ray casts and as the sampled
-    surface of ``intersect_approx``. It has a single writer: the owner
-    that calls ``update``.
+    that nothing ray-casts never holds a tree; ``refits`` counts those
+    refits. Duck-compatible with SurfaceMesh for ``point_inside``, ray
+    casts and as the sampled surface of ``intersect_approx``. It has a
+    single writer: the owner that calls ``update``.
     """
 
     def __init__(self, template: SurfaceMesh):
@@ -255,6 +255,7 @@ class DeformableSurface:
         self.watertight = True
         self._bvh: Optional[TriangleBVH] = None
         self._stale = False
+        self.refits = 0
         self.vertex_ids = np.unique(self.triangles)
 
     def update(self, vertices: np.ndarray) -> None:
@@ -266,6 +267,7 @@ class DeformableSurface:
             self._bvh = TriangleBVH(self.vertices, self.triangles)
         elif self._stale:
             self._bvh.refit(self.vertices)
+            self.refits += 1
         self._stale = False
         return self._bvh
 
@@ -333,6 +335,37 @@ _FALLBACK_DIRECTIONS = _seeded_directions(4)
 # (leaf, ray) pairs per Moller-Trumbore batch: bounds the pass's
 # temporaries, each (pairs, leaf_size, 3) float array then under 100 kB
 _PAIR_CHUNK = 256
+
+# ``first_hit_fraction`` counts a hit only below this fraction of the
+# segment, so that the target's own face does not hide it
+_SEGMENT_T_MAX = 1.0 - 1e-6
+
+
+def _slab_hits(box_min, box_max, origins: np.ndarray, inv: np.ndarray,
+               t_max: float) -> np.ndarray:
+    """Which rays origin + t * dir meet their box at some t in [0, t_max],
+    given ``inv`` = 1 / dir: the slab test (Kay and Kajiya), one box per
+    ray or one for all. fmin/fmax drop the NaNs from 0 * inf on degenerate
+    axes."""
+    t1 = (box_min - origins) * inv
+    t2 = (box_max - origins) * inv
+    near = np.fmin(t1, t2)
+    far = np.fmax(t1, t2)
+    lo = np.fmax(np.fmax(near[:, 0], near[:, 1]), near[:, 2])
+    hi = np.fmin(np.fmin(far[:, 0], far[:, 1]), far[:, 2])
+    return (hi >= np.maximum(lo, 0.0)) & (lo <= t_max)
+
+
+def segments_entering(lo: np.ndarray, hi: np.ndarray, origins: np.ndarray,
+                      targets: np.ndarray) -> np.ndarray:
+    """Which segments origin -> target enter the box [lo, hi] widened by
+    ``_BOX_MARGIN`` before ``_SEGMENT_T_MAX``: for a tree's root box, the
+    test ``TriangleBVH.first_hit_fraction`` runs first, with the same
+    arithmetic, so a segment it rejects reads +inf there. For a box that
+    contains the root box it rejects no segment the tree would keep."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _slab_hits(lo - _BOX_MARGIN, hi + _BOX_MARGIN, origins,
+                          1.0 / (targets - origins), _SEGMENT_T_MAX)
 
 
 class TriangleBVH:
@@ -446,16 +479,8 @@ class TriangleBVH:
         rays = np.arange(len(origins))
         leaf_rows, leaf_rays = [], []
         while True:
-            o = origins.take(rays, axis=0)
-            iv = inv.take(rays, axis=0)
-            t1 = (node_min.take(nodes, axis=0) - o) * iv
-            t2 = (node_max.take(nodes, axis=0) - o) * iv
-            # fmin/fmax drop the NaNs from 0 * inf on degenerate axes
-            near = np.fmin(t1, t2)
-            far = np.fmax(t1, t2)
-            lo = np.fmax(np.fmax(near[:, 0], near[:, 1]), near[:, 2])
-            hi = np.fmin(np.fmin(far[:, 0], far[:, 1]), far[:, 2])
-            hit = (hi >= np.maximum(lo, 0.0)) & (lo <= t_max)
+            hit = _slab_hits(node_min.take(nodes, axis=0), node_max.take(nodes, axis=0),
+                             origins.take(rays, axis=0), inv.take(rays, axis=0), t_max)
             nodes, rays = nodes[hit], rays[hit]
             row = self._leaf_row[nodes]
             leaf = row >= 0
@@ -513,9 +538,9 @@ class TriangleBVH:
 
     def first_hit_fraction(self, origins: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Smallest hit parameter along each segment origin->target within
-        (1e-9, 1 - 1e-6), or +inf when unobstructed: a hit within 1e-6 of
-        the target, such as the target's own face, does not count."""
-        t_hi = 1.0 - 1e-6
+        (1e-9, _SEGMENT_T_MAX), or +inf when unobstructed: a hit within 1e-6
+        of the target, such as the target's own face, does not count."""
+        t_hi = _SEGMENT_T_MAX
         dirs = targets - origins
         best = np.full(len(origins), np.inf)
         for rays, t, u, v, det_ok, _ in self._leaf_hits(origins, dirs, t_hi):

@@ -25,9 +25,11 @@ import scipy.linalg
 
 from .contact_localizer import PoseTransform, checked_rotation, look_at, rot_z, rotation_about
 from .fem_core import MaterialModel, StiffnessSystem, assemble
-from .fixtures import JawFixture, ShapeSpec, canonical_jaw, make_object_mesh, make_sdf
+from .fixtures import (JawFixture, ShapeSpec, canonical_jaw, make_object_mesh, make_sdf,
+                       shape_box)
 from .mesh_calibration import CameraModel, PointCloud, partial_view
-from .mesh_model import _BOX_MARGIN, DeformableSurface, SurfaceMesh, content_key, registered
+from .mesh_model import (DeformableSurface, SurfaceMesh, content_key, registered,
+                         segments_entering)
 
 logger = logging.getLogger(__name__)
 
@@ -68,8 +70,8 @@ POSE_HZ = 10.0
 RELEASE_THRESHOLD_N = 0.02
 
 # entries in each of an engine's memos (one per rig for contact solves, one
-# per jaw for observation geometry); it must hold the 38 closures of one
-# cycle of the default 11-plateau static schedule
+# for the views of every jaw); it must hold the 38 closures of one cycle of
+# the default 11-plateau static schedule
 MEMO_CAPACITY = 64
 
 
@@ -330,11 +332,10 @@ class ForwardContactModel:
         """
         cfg = self.cfg
         obj_from_jaw = jaw_from_obj.inverse()
-        forces = np.zeros((len(self.node_ids), 3))
         d0, _ = sdf(obj_from_jaw.apply(self.rest))
         idx = np.flatnonzero(d0 < 0.0)
         if len(idx) == 0:
-            return forces, np.zeros(3), None, -1
+            return self.contact_free()
         if cfg.model == "point":
             idx = np.array([np.argmin(d0)])
 
@@ -369,6 +370,7 @@ class ForwardContactModel:
                 f"penalty fixed point did not converge in {PENALTY_MAX_ITERS} iterations: "
                 f"last residual {residual:.3g} N over {m} eligible nodes")
         block = lam[:, None] * normals
+        forces = np.zeros((len(self.node_ids), 3))
         forces[idx] = block
         net = block.sum(axis=0)
         candidate = -1
@@ -386,6 +388,10 @@ class ForwardContactModel:
                                    axis=1)))
         return forces, net, contact_point, candidate
 
+    def contact_free(self):
+        """What ``solve`` returns at a pose where no node penetrates."""
+        return np.zeros((len(self.node_ids), 3)), np.zeros(3), None, -1
+
     def full_displacement(self, forces: np.ndarray) -> np.ndarray:
         """Displacement of every jaw vertex under per-node ``forces``, from
         the ``load_fields`` rows of the nodes that carry force."""
@@ -400,6 +406,12 @@ def _dofs(nodes: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Scene and engine
+
+# how far (m) the object's box must stay from the box of a model's rest
+# nodes for a pose to be contact-free without a solve: far above the
+# rounding of the solve's pose and SDF arithmetic
+_CLEAR_MARGIN = 1e-6
+
 
 @dataclass
 class JawRig:
@@ -510,10 +522,14 @@ class SimEngine:
     - ``_solves``, one ``LruMemo`` per rig, holds a ``SolvedContact`` per
       pose, keyed by the bytes of the pose's translation: the rig's
       rotation is fixed. A solve starts cold, so it is a pure function of
-      the pose.
-    - ``_views``, one ``LruMemo`` per jaw, holds its
-      ``ObservationGeometry``, keyed by the bytes of the closure and the
-      object's grasp-axis position, which fix every jaw's pose and
+      the pose. A pose whose object box (``fixtures.shape_box``, held
+      rotated into each rig's jaw frame) stays ``_CLEAR_MARGIN`` clear of
+      the box of the model's rest nodes is settled by that certificate:
+      no node can read d < 0 there, so the memo takes what ``solve``
+      returns when no node penetrates, without running the SDF.
+    - ``_views``, one ``LruMemo`` for every jaw, holds a tuple with each
+      jaw's ``ObservationGeometry``, keyed by the bytes of the closure and
+      the object's grasp-axis position, which fix every jaw's pose and
       deformation. It is not keyed by the pose: distinct closures can
       share a jaw pose, since ``world_from_jaw(closure)`` differs from
       them in the last bits.
@@ -524,7 +540,9 @@ class SimEngine:
     fresh engine for each run, so separate runs share nothing. A hit
     returns the same arrays and draws nothing from the rng, so a run's
     outputs are those of the same run without the memos. ``work`` counts
-    the penalty solves and occluder casts run and those the memos skipped.
+    the penalty solves run, settled by the certificate and skipped by the
+    memo; the occluder casts run and skipped; the segments cast at a tree
+    and those stopped at its root box; and the occluder trees' refits.
     """
 
     def __init__(self, scenario: Scenario):
@@ -558,8 +576,16 @@ class SimEngine:
             for rig in self.rigs]
         self._rot_cam_from_obj = checked_rotation(
             self.cam_from_world.rotation @ self._rot_world_from_obj)
+        # the object's box in each jaw frame about the object's origin, as
+        # (centre, half extent), and the model's rest nodes' box widened
+        # by _CLEAR_MARGIN: the contact-free certificate of _solve_contact
+        box_lo, box_hi = shape_box(scenario.shape)
+        centre, half = 0.5 * (box_lo + box_hi), 0.5 * (box_hi - box_lo)
+        self._object_boxes = [(r @ centre, np.abs(r) @ half) for r in self._rot_jaw_from_obj]
+        self._node_box = (model.rest.min(axis=0) - _CLEAR_MARGIN,
+                          model.rest.max(axis=0) + _CLEAR_MARGIN)
         self._solves = [LruMemo() for _ in self.rigs]
-        self._views = [LruMemo() for _ in self.rigs]
+        self._views = LruMemo()
         self.work: Counter = Counter()
         self._rho = [0.0 for _ in self.rigs]  # viscous relaxation state
         self._object_x = self._initial_object_x()
@@ -588,7 +614,8 @@ class SimEngine:
         ``_jaw_truth``, every frame of a static plateau and every cycle of
         a static schedule ask for the same poses again; a hit returns the
         same objects without solving, so a half-step warning is not logged
-        again."""
+        again. A pose whose object box misses the rest nodes' box is
+        contact-free without a solve."""
         rig = self.rigs[idx]
         r = self._rot_jaw_from_obj[idx]
         t = rig.rot_world_from_jaw.T @ (
@@ -598,9 +625,16 @@ class SimEngine:
         if solved is not None:
             self.work["solves_skipped"] += 1
             return solved
-        self.work["solves_run"] += 1
         jaw_from_obj = PoseTransform.trusted(r, t, "o", "g")
-        forces, net, contact_point, candidate = rig.contact_model.solve(jaw_from_obj, self.sdf)
+        centre, half = self._object_boxes[idx]
+        node_lo, node_hi = self._node_box
+        if np.any(t + centre - half > node_hi) or np.any(t + centre + half < node_lo):
+            self.work["solves_certified"] += 1
+            forces, net, contact_point, candidate = rig.contact_model.contact_free()
+        else:
+            self.work["solves_run"] += 1
+            forces, net, contact_point, candidate = rig.contact_model.solve(
+                jaw_from_obj, self.sdf)
         return self._solves[idx].put(key, SolvedContact(
             jaw_from_obj, (_locked(forces), _locked(net), _locked(contact_point), candidate)))
 
@@ -690,72 +724,72 @@ class SimEngine:
 
     # -- synthetic sensor ---------------------------------------------------
 
-    def _observation_geometry(self, truth: GroundTruthFrame,
-                              jaw_index: int) -> ObservationGeometry:
-        """The jaw's ``ObservationGeometry`` under ``truth``, from the jaw's
-        memo when it holds this closure and object position. With
-        occlusion on, rays to the keypoints are cast against the object
-        and the other jaw; the other jaw's surface is refit to its
-        deformation, not rebuilt. An occluder whose box the rays' box
-        misses is not cast at, so the other jaw's tree is only refit, or
-        first built, on frames whose rays can reach it."""
-        sc = self.scenario
-        n_occluders = len(self.rigs) if sc.occlusion_mode != "off" else 0
+    def _observation_geometry(self, truth: GroundTruthFrame) -> tuple[ObservationGeometry, ...]:
+        """Every jaw's ``ObservationGeometry`` under ``truth``, from the
+        view memo when it holds this closure and object position. With
+        occlusion on, one cast of the object takes the rays to every jaw's
+        keypoints, and each jaw's surface, refit to its deformation rather
+        than rebuilt, is cast by the rays to the other jaws' keypoints.
+        ``_occluder_hits`` sends a tree only the rays that enter its box,
+        so a jaw's tree is only refit, or first built, on views whose rays
+        reach it."""
+        n_casts = 1 + len(self._occluders) if self.scenario.occlusion_mode != "off" else 0
         key = np.array((truth.closure, self._object_x)).tobytes()
-        geometry = self._views[jaw_index].get(key)
-        if geometry is not None:
-            self.work["casts_skipped"] += n_occluders
-            return geometry
-        self.work["casts_run"] += n_occluders
-        rig = self.rigs[jaw_index]
-        jt = truth.jaws[jaw_index]
-        world_from_jaw = rig.world_from_jaw(truth.closure)
-        kp_ids = rig.fixture.keypoint_ids
-        kp_jaw = rig.fixture.mesh.vertices[kp_ids] + jt.displacements[kp_ids]
-        kp_world = world_from_jaw.apply(kp_jaw)
-        ref_world = world_from_jaw.apply(rig.fixture.mesh.vertices[rig.fixture.reference_id])
+        views = self._views.get(key)
+        if views is not None:
+            self.work["casts_skipped"] += n_casts
+            return views
+        self.work["casts_run"] += n_casts
+        fixture = self.fixture
+        kp_ids = fixture.keypoint_ids
+        world_from_jaw = [rig.world_from_jaw(truth.closure) for rig in self.rigs]
+        kp_world = [pose.apply(fixture.mesh.vertices[kp_ids] + jt.displacements[kp_ids])
+                    for pose, jt in zip(world_from_jaw, truth.jaws)]
+        n_jaws, n_kp = len(self.rigs), len(kp_ids)
+        origins = np.broadcast_to(self.world_from_cam.translation, (n_kp, 3))
+        hit_t = np.full((n_jaws, n_kp), np.inf)
 
-        n_kp = len(kp_ids)
-        occluded = np.zeros(n_kp, dtype=bool)
-        drift_points = np.full((n_kp, 3), np.nan)
-        if n_occluders:
-            hit_t = np.full(n_kp, np.inf)
-            origins = np.broadcast_to(self.world_from_cam.translation, (n_kp, 3))
-            world_from_obj = PoseTransform.trusted(
-                self._rot_world_from_obj, _object_origin(sc, self._object_x, self.z_contact),
-                "o", "w")
-            occluder_meshes = [(world_from_obj, self.object_mesh)]
-            for other in range(len(self.rigs)):
-                if other == jaw_index:
-                    continue
-                other_rig = self.rigs[other]
-                surf = self._occluders[other]
-                surf.update(other_rig.fixture.mesh.vertices + truth.jaws[other].displacements)
-                occluder_meshes.append((other_rig.world_from_jaw(truth.closure), surf))
-            for world_from_frame, mesh in occluder_meshes:
-                frame_from_world = world_from_frame.inverse()
-                o_local = frame_from_world.apply(origins)
-                t_local = frame_from_world.apply(kp_world)
-                hit_t = np.minimum(hit_t, _occluder_hits(mesh, o_local, t_local))
-            occluded = np.isfinite(hit_t)
-            drift_points = origins + hit_t[:, None] * (kp_world - origins)
-        arrays = (kp_world, occluded, drift_points, self.cam_from_world.apply(kp_world),
-                  self.cam_from_world.apply(ref_world))
-        return self._views[jaw_index].put(
-            key, ObservationGeometry(*(_locked(a) for a in arrays)))
+        def cast(world_from_frame: PoseTransform, mesh, seen: list) -> None:
+            # each jaw's rays are moved into the occluder's frame on their
+            # own, as a cast for that jaw alone would, then cast together
+            frame_from_world = world_from_frame.inverse()
+            hits = _occluder_hits(
+                mesh, np.concatenate([frame_from_world.apply(origins)] * len(seen)),
+                np.concatenate([frame_from_world.apply(kp_world[j]) for j in seen]), self.work)
+            hit_t[seen] = np.minimum(hit_t[seen], hits.reshape(len(seen), n_kp))
+
+        if n_casts:
+            cast(PoseTransform.trusted(
+                self._rot_world_from_obj,
+                _object_origin(self.scenario, self._object_x, self.z_contact), "o", "w"),
+                self.object_mesh, list(range(n_jaws)))
+            for k, surf in enumerate(self._occluders):
+                surf.update(fixture.mesh.vertices + truth.jaws[k].displacements)
+                refits = surf.refits
+                cast(world_from_jaw[k], surf, [j for j in range(n_jaws) if j != k])
+                self.work["tree_refits"] += surf.refits - refits
+        views = []
+        ref_jaw = fixture.mesh.vertices[fixture.reference_id]
+        for pose, kp, t in zip(world_from_jaw, kp_world, hit_t):
+            occluded = np.isfinite(t)
+            drift_points = origins + np.where(occluded, t, np.nan)[:, None] * (kp - origins)
+            arrays = (kp, occluded, drift_points, self.cam_from_world.apply(kp),
+                      self.cam_from_world.apply(pose.apply(ref_jaw)))
+            views.append(ObservationGeometry(*(_locked(a) for a in arrays)))
+        return self._views.put(key, tuple(views))
 
     def render_observation(self, truth: GroundTruthFrame, jaw_index: int) -> Observation:
         """Synthetic camera frame for one jaw, for the ``truth`` this
         engine's ``step_truth`` just returned. Everything before the first
         draw from the rng, the keypoints' world and camera positions and
         their occlusion, comes from ``_observation_geometry``, which the
-        jaw's memo answers for a closure and object position it has seen.
+        view memo answers for a closure and object position it has seen.
         The noise, the confidences and the drift are drawn on every frame,
         in the same order with or without the memo."""
         sc = self.scenario
         noise = sc.noise
         rng = self.rng
-        geometry = self._observation_geometry(truth, jaw_index)
+        geometry = self._observation_geometry(truth)[jaw_index]
         kp_cam, ref_cam, occluded = geometry.kp_cam, geometry.ref_cam, geometry.occluded
         cam_pos = self.world_from_cam.translation
         n_kp = len(kp_cam)
@@ -821,19 +855,25 @@ class SimEngine:
         return FramePacket(truth, obs)
 
 
-def _occluder_hits(mesh, origins: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def _occluder_hits(mesh, origins: np.ndarray, targets: np.ndarray, work: Counter) -> np.ndarray:
     """First hit fraction of each segment origin -> target on ``mesh``
-    within (1e-9, 1 - 1e-6), +inf where it is unobstructed. When the
-    segments' box misses ``mesh.bounds()`` widened by ``_BOX_MARGIN``, no
-    segment can enter the tree's root box, which its slab test widens as
-    much, so every fraction is +inf without asking ``mesh.bvh()``, which
-    would build or refit the tree."""
-    lo, hi = mesh.bounds()
-    seg_lo = np.minimum(origins.min(axis=0), targets.min(axis=0))
-    seg_hi = np.maximum(origins.max(axis=0), targets.max(axis=0))
-    if np.any(seg_lo > hi + _BOX_MARGIN) or np.any(seg_hi < lo - _BOX_MARGIN):
-        return np.full(len(origins), np.inf)
-    return mesh.bvh().first_hit_fraction(origins, targets)
+    within (1e-9, 1 - 1e-6), +inf where it is unobstructed.
+
+    Only the segments that enter ``mesh.bounds()``, widened as the tree's
+    slab test widens its boxes, go to ``mesh.bvh()``, which would build or
+    refit the tree; the rest read +inf. That is exact: ``bounds()`` is the
+    tree's root box or contains it, and the tree's first step is this same
+    test (``mesh_model.segments_entering``) against its root box, so it
+    gives +inf to every segment dropped here. ``work`` counts the segments
+    cast at the tree (``segments_cast``) and those stopped at the box
+    (``segments_culled``)."""
+    enter = np.flatnonzero(segments_entering(*mesh.bounds(), origins, targets))
+    work["segments_cast"] += len(enter)
+    work["segments_culled"] += len(origins) - len(enter)
+    hits = np.full(len(origins), np.inf)
+    if len(enter):
+        hits[enter] = mesh.bvh().first_hit_fraction(origins[enter], targets[enter])
+    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -878,9 +918,8 @@ def run_scenario(scenario: Scenario, engine: SimEngine | None = None,
 
     ``packet_hook`` receives each frame as it is produced (streaming
     consumers); ``keep_frames`` defaults to False when a hook is given so
-    long runs do not hold every displacement field in memory. The penalty
-    solves and occluder casts the run made, and those the engine's memos
-    skipped, are logged at DEBUG level.
+    long runs do not hold every displacement field in memory. The engine's
+    ``work`` over the run is logged at DEBUG level.
     """
     eng = engine or SimEngine(scenario)
     work_before = Counter(eng.work)
@@ -951,9 +990,12 @@ def run_scenario(scenario: Scenario, engine: SimEngine | None = None,
     else:
         raise ValueError(f"unknown schedule kind {sched.kind!r}")
     work = eng.work - work_before
-    logger.debug("oracle work over %d frames: penalty solves %d run, %d skipped; "
-                  "occluder casts %d run, %d skipped", n_frames, work["solves_run"],
-                  work["solves_skipped"], work["casts_run"], work["casts_skipped"])
+    logger.debug("oracle work over %d frames: penalty solves %d run, %d certified "
+                  "contact-free, %d skipped; occluder casts %d run, %d skipped; segments %d "
+                  "cast, %d stopped at the root box; tree refits %d", n_frames,
+                  work["solves_run"], work["solves_certified"], work["solves_skipped"],
+                  work["casts_run"], work["casts_skipped"], work["segments_cast"],
+                  work["segments_culled"], work["tree_refits"])
     manifest = RunManifest(
         seed=scenario.seed,
         stage_times=stage_times,

@@ -676,3 +676,48 @@ class TestBenchPairs:
         assert fps["parent_runs"] == [4.0, 5.0, 6.0] and fps["change_runs"] == [5.0, 6.0, 7.0]
         assert (fps["change_wins"], entry["metrics"]["setup_s"]["change_wins"]) == (3, 0)
         assert fps["bound"] == 0.2 and fps["unit"] == "1/s"
+
+
+def load_reference_cells(monkeypatch):
+    # the tool pins the BLAS thread counts and puts src/ on the path as it
+    # loads; restore both after
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = Path(__file__).resolve().parents[1] / "tools" / "reference_cells.py"
+    module = types.ModuleType("reference_cells")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+class TestReferenceCells:
+    def test_expected_file_holds_every_cell(self, monkeypatch):
+        tool = load_reference_cells(monkeypatch)
+        root = Path(__file__).resolve().parents[1]
+        expected = tool.read_expected(root / "tools" / "reference_cells.sha256")
+        assert list(expected) == list(tool.reference_cells())
+        assert all(len(h) == 64 and int(h, 16) >= 0 for pair in expected.values() for h in pair)
+
+    def test_expect_names_every_label_that_differs(self, monkeypatch, tmp_path, capsys):
+        # two small static cells: the printed lines pass as their own
+        # expectation; a changed manifest digest and a missing label fail,
+        # and each is named
+        tool = load_reference_cells(monkeypatch)
+        cell = Scenario(shape=ShapeSpec.cylinder(0.015),
+                        schedule=ScheduleConfig(kind="static", plateaus_mm=(0, 4, 0), ramp_s=0.1,
+                                                settle_s=0.1, record_s=0.1, cycles=1))
+        monkeypatch.setattr(tool, "reference_cells",
+                            lambda: {"small": cell, "seeded": replace(cell, seed=4)})
+        out = tmp_path / "cells"
+        assert tool.main([str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["small", "seeded"]
+        good, bad = tmp_path / "good.sha256", tmp_path / "bad.sha256"
+        good.write_text("# a comment\n" + "\n".join(lines) + "\n")
+        label, csv, manifest = lines[1].split()
+        bad.write_text(f"{label} {csv} {manifest[::-1]}\n")
+        assert tool.main([str(out), "--expect", str(good)]) == 0
+        assert capsys.readouterr().err == ""
+        assert tool.main([str(out), "--expect", str(bad)]) == 1
+        assert capsys.readouterr().err == f"differs from {bad}: small, seeded\n"

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from finray import harness_cli, mesh_model, pipeline, sensing_sim
 from finray.contact_localizer import FrameError, PoseTransform, rot_z
 from finray.fem_core import MaterialModel
-from finray.fixtures import JawParams, ShapeSpec, generate_jaw, make_object_mesh, make_sdf
+from finray.fixtures import (JawParams, ShapeSpec, generate_jaw, make_object_mesh, make_sdf,
+                             shape_box)
 from finray.mesh_model import DeformableSurface, SurfaceMesh, TetMesh, TriangleBVH
 from finray.sensing_sim import (
     ContactModelConfig,
@@ -726,7 +728,7 @@ def dual_grasp_scenario(**kw):
 
 
 def clear_memos(eng):
-    for memo in (*eng._solves, *eng._views):
+    for memo in (*eng._solves, eng._views):
         memo.clear()
 
 
@@ -780,6 +782,27 @@ def assert_same_frames(mine, theirs):
                 same(oa.pose_sample.translation, ob.pose_sample.translation)
 
 
+def segments_meeting_box(lo, hi, origins, targets):
+    """Which segments origin -> target meet the box [lo, hi] at a fraction
+    in [0, 1 - 1e-6]: the reference the per-segment box rule must agree
+    with, clipping each segment to each slab by division."""
+    t_in, t_out = np.zeros(len(origins)), np.full(len(origins), 1.0 - 1e-6)
+    for axis in range(3):
+        o, d = origins[:, axis], targets[:, axis] - origins[:, axis]
+        moving = d != 0.0
+        step = np.where(moving, d, 1.0)
+        a, b = (lo[axis] - o) / step, (hi[axis] - o) / step
+        inside = (lo[axis] <= o) & (o <= hi[axis])
+        t_in = np.where(moving, np.maximum(t_in, np.minimum(a, b)),
+                        np.where(inside, t_in, np.inf))
+        t_out = np.where(moving, np.minimum(t_out, np.maximum(a, b)), t_out)
+    return t_in <= t_out
+
+
+GRASPED = [ShapeSpec.cylinder(0.025), ShapeSpec.cuboid((0.030, 0.080, 0.030)), ShapeSpec.wedge()]
+GRASPED_IDS = ["cyl25", "cube30", "wedge"]
+
+
 def touch_closure(eng):
     """Closure at which the jaws first reach the centred object."""
     return (eng.rigs[0].base_offset - eng.fixture.params.depth / 2.0
@@ -816,11 +839,14 @@ class TestOracleFastPaths:
 
     def test_occluder_bvh_built_once_per_rig(self, jaw, monkeypatch):
         # each rig's occluder tree is built at most once, and only for a
-        # rig whose box the other jaw's keypoint rays met on some frame,
-        # counted here from the frames' own geometry
-        eng = SimEngine(dual_grasp_scenario())
+        # rig whose widened box some single keypoint ray of the other jaw
+        # enters on some frame, counted here from the frames' own geometry.
+        # From the default camera no ray enters either jaw's box, although
+        # the rays' combined box meets one, so no jaw tree is built; from
+        # the left side only the left jaw's is, as the rays to the right
+        # jaw's keypoints pass it
         jaw_triangles = jaw.mesh.surface().triangles
-        builds = []
+        builds, eng = [], None
         build = TriangleBVH.__init__
 
         def counting_build(self, vertices, triangles, *args, **kwargs):
@@ -830,79 +856,194 @@ class TestOracleFastPaths:
             build(self, vertices, triangles, *args, **kwargs)
 
         monkeypatch.setattr(TriangleBVH, "__init__", counting_build)
-        result = run_scenario(eng.scenario, eng)
-        assert len(result.frames) > 20
-        surface_ids = np.unique(jaw_triangles)
-        cam = eng.world_from_cam.translation
-        met = set()
-        for pkt in result.frames:
-            truth = pkt.truth
-            for idx, other in ((0, 1), (1, 0)):
-                kp = jaw.keypoint_ids
-                kp_world = eng.rigs[idx].world_from_jaw(truth.closure).apply(
-                    jaw.mesh.vertices[kp] + truth.jaws[idx].displacements[kp])
-                segments = eng.rigs[other].world_from_jaw(truth.closure).inverse().apply(
-                    np.vstack([cam, kp_world]))
-                box = (jaw.mesh.vertices + truth.jaws[other].displacements)[surface_ids]
-                margin = mesh_model._BOX_MARGIN
-                if (np.all(segments.min(axis=0) <= box.max(axis=0) + margin)
-                        and np.all(segments.max(axis=0) >= box.min(axis=0) - margin)):
-                    met.add(other)
-        assert met
-        assert sorted(builds) == [[k] for k in sorted(met)]
+        margin, surface_ids = mesh_model._BOX_MARGIN, np.unique(jaw_triangles)
+        for side_view in (False, True):
+            kw = dict(occlusion_mode="drift", camera_eye=(-0.15, 0.02, 0.12)) if side_view else {}
+            eng = SimEngine(dual_grasp_scenario(**kw))
+            builds.clear()
+            result = run_scenario(eng.scenario, eng)
+            assert len(result.frames) > 20
+            cam = eng.world_from_cam.translation
+            met, combined = set(), set()
+            for pkt in result.frames:
+                truth = pkt.truth
+                for idx, other in ((0, 1), (1, 0)):
+                    kp = jaw.keypoint_ids
+                    kp_world = eng.rigs[idx].world_from_jaw(truth.closure).apply(
+                        jaw.mesh.vertices[kp] + truth.jaws[idx].displacements[kp])
+                    local = eng.rigs[other].world_from_jaw(truth.closure).inverse()
+                    targets = local.apply(kp_world)
+                    origins = np.broadcast_to(local.apply(cam), targets.shape)
+                    box = (jaw.mesh.vertices + truth.jaws[other].displacements)[surface_ids]
+                    lo, hi = box.min(axis=0) - margin, box.max(axis=0) + margin
+                    if segments_meeting_box(lo, hi, origins, targets).any():
+                        met.add(other)
+                    ends = np.vstack([origins[:1], targets])
+                    if np.all(ends.min(axis=0) <= hi) and np.all(ends.max(axis=0) >= lo):
+                        combined.add(other)
+            assert combined
+            assert met == ({0} if side_view else set())
+            assert sorted(builds) == [[k] for k in sorted(met)]
 
     def test_box_culled_cast_matches_refit_cast(self, jaw, monkeypatch):
-        # the occluder cast that skips a tree whose box the segments miss,
-        # against a surface refit and cast on every call: bitwise over
-        # random deformed jaws, with segments crossing the jaw and segment
-        # sets lying beyond one face of its box by -1e-9 m to 1 mm; a
-        # skipped cast refits no tree, and a set at the trees' box margin
-        # (2e-9 m) is still cast
+        # the occluder cast that sends a tree only the segments entering
+        # its widened box, against a tree cast with every segment on every
+        # call: bitwise over random deformed jaws, held in turn as a
+        # DeformableSurface refit on each cast and as a fresh SurfaceMesh.
+        # The segment sets cycle through four kinds: segments crossing the
+        # jaw; sets beyond one face of its box whose nearest origin lies
+        # -1e-9 m to 1 mm from it; segments parallel to an axis, a third
+        # of them on a widened face, so that the slab test meets an
+        # infinite inverse direction and 0 * inf; and segments past a
+        # corner of the box, whose combined box holds the jaw's though
+        # none enters. A tree is cast at exactly when a segment enters: a
+        # set at the box margin (2e-9 m) is cast, one at 3e-9 m is not,
+        # and a culled cast refits no tree
         model = SimEngine(dual_grasp_scenario()).rigs[1].contact_model
+        triangles = jaw.mesh.surface().triangles
         surf = DeformableSurface(jaw.mesh.surface())
         always = DeformableSurface(jaw.mesh.surface())
-        refits = []
-        refit = TriangleBVH.refit
+        casts = []
+        first_hit = TriangleBVH.first_hit_fraction
 
-        def counting_refit(self, vertices):
-            refits.append(self)
-            refit(self, vertices)
+        def counting_cast(self, origins, targets):
+            casts.append(len(origins))
+            return first_hit(self, origins, targets)
 
-        monkeypatch.setattr(TriangleBVH, "refit", counting_refit)
+        monkeypatch.setattr(TriangleBVH, "first_hit_fraction", counting_cast)
         rng = np.random.default_rng(17)
         gaps = (-1e-9, 0.0, 2e-9, 3e-9, 1e-8, 1e-6, 1e-3)
-        n_rays, hits, skipped = 100, 0, 0
+        margin = mesh_model._BOX_MARGIN
+        n_rays, hits, n_cast = 100, 0, 0
+        culled = {"gap": 0, "corner": 0}
         for trial in range(140):
             forces = np.zeros((len(model.node_ids), 3))
             loaded = rng.choice(len(forces), size=int(rng.integers(1, 4)), replace=False)
             forces[loaded] = rng.normal(scale=30.0, size=(len(loaded), 3))
             vertices = jaw.mesh.vertices + model.full_displacement(forces)
-            surf.update(vertices)
+            deformable = (trial // 4) % 2 == 0
+            if deformable:
+                surf.update(vertices)
+                mesh = surf
+            else:
+                mesh = SurfaceMesh(vertices, triangles)
             always.update(vertices)
-            lo, hi = surf.bounds()
-            gap = gaps[trial % len(gaps)] if trial % 2 else None
-            if gap is None:  # rays from outside to targets in the box
+            lo, hi = always.bounds()
+            rows = np.arange(n_rays)
+            segment_kind = ("crossing", "gap", "parallel", "corner")[trial % 4]
+            origins, targets = (rng.uniform(lo - 0.02, hi + 0.02, (n_rays, 3)) for _ in range(2))
+            if segment_kind == "crossing":  # from outside to targets in the box
                 dirs = rng.normal(size=(n_rays, 3))
                 origins = 0.5 * (lo + hi) + 0.1 * dirs / np.linalg.norm(
                     dirs, axis=1, keepdims=True)
                 targets = rng.uniform(lo, hi, (n_rays, 3))
-            else:  # every endpoint beyond one face, the nearest at ``gap``
+            elif segment_kind == "gap":  # every end beyond one face
+                gap = gaps[(trial // 4) % len(gaps)]
                 axis, side = int(rng.integers(3)), rng.choice([-1.0, 1.0])
                 face = hi[axis] if side > 0 else lo[axis]
-                origins, targets = (rng.uniform(lo - 0.02, hi + 0.02, (n_rays, 3))
-                                    for _ in range(2))
                 for ends in (origins, targets):
-                    ends[:, axis] = face + side * (gap + rng.uniform(0.0, 0.02, n_rays))
-                targets[0, axis] = face + side * gap
-            before = len(refits)
-            got = sensing_sim._occluder_hits(surf, origins, targets)
-            cast = len(refits) > before
-            assert cast == (gap is None or gap <= 2e-9)
-            expect = always.bvh().first_hit_fraction(origins, targets)
+                    ends[:, axis] = face + side * (gap + rng.uniform(1e-6, 0.02, n_rays))
+                origins[0] = rng.uniform(lo, hi)
+                origins[0, axis] = face + side * gap
+            elif segment_kind == "parallel":  # each along one axis
+                axis = rng.integers(3, size=n_rays)
+                targets = origins.copy()
+                targets[rows, axis] = rng.uniform(lo[axis] - 0.02, hi[axis] + 0.02)
+                on_face = rows[::3]
+                other = (axis[on_face] + 1) % 3
+                origins[on_face, other] = np.where(rng.random(len(on_face)) < 0.5,
+                                                   lo[other] - margin, hi[other] + margin)
+                targets[on_face, other] = origins[on_face, other]
+            else:  # past a corner, outside the box by at least 7e-6 m
+                i = rng.integers(3, size=n_rays)
+                j = (i + rng.integers(1, 3, size=n_rays)) % 3
+                si, sj = (rng.choice([-1.0, 1.0], n_rays) for _ in range(2))
+                fi, fj = np.where(si > 0, hi[i], lo[i]), np.where(sj > 0, hi[j], lo[j])
+                a = rng.uniform(0.0, 0.01, n_rays)
+                d = a + rng.uniform(1e-5, 0.01, n_rays)
+                origins, targets = (rng.uniform(lo, hi, (n_rays, 3)) for _ in range(2))
+                origins[rows, i], origins[rows, j] = fi + si * d, fj - sj * a
+                targets[rows, i], targets[rows, j] = fi - si * a, fj + sj * d
+            work = Counter()
+            before, refits = len(casts), surf.refits
+            with np.errstate(invalid="ignore"):  # the trees' slab tests meet 0 * inf
+                got = sensing_sim._occluder_hits(mesh, origins, targets, work)
+                cast_sizes = casts[before:]
+                expect = always.bvh().first_hit_fraction(origins, targets)
+            cast = bool(cast_sizes)
+            assert work["segments_cast"] + work["segments_culled"] == n_rays
+            assert cast_sizes == ([work["segments_cast"]] if cast else [])
+            if segment_kind == "crossing":
+                assert work["segments_cast"] == n_rays
+            elif segment_kind == "gap":
+                assert work["segments_cast"] == (gap <= 2e-9)
+            elif segment_kind == "parallel":
+                assert cast
+            else:
+                ends = np.vstack([origins, targets])
+                assert np.all(ends.min(axis=0) < lo) and np.all(ends.max(axis=0) > hi)
+                assert not cast
+            if not cast:
+                assert surf.refits == refits
+                culled[segment_kind] += 1
             assert np.array_equal(got, expect)
             hits += int(np.isfinite(got).sum())
-            skipped += not cast
-        assert hits > 2000 and skipped == 40
+            n_cast += cast and deformable
+        # gaps -1e-9, 0 and 2e-9 are cast, 5 times each of 35 gap sets
+        assert hits > 1500 and culled == {"gap": 35 - 3 * 5, "corner": 35}
+        assert surf.refits == n_cast - 1  # built on the first cast, refit on every later one
+
+    def test_one_pass_views_match_per_jaw_casts(self, jaw):
+        # each view of a wedge grasp from the default camera and of a
+        # cylinder grasp from the side, against each jaw's geometry made on
+        # its own as the renderer once did: its rays cast at the object and
+        # at a fresh tree of each other jaw, every ray at every occluder.
+        # Bitwise equal, with keypoints hidden by the object and by a jaw
+        triangles = jaw.mesh.surface().triangles
+        kp, ref = jaw.keypoint_ids, jaw.mesh.vertices[jaw.reference_id]
+        hidden = {"object": 0, "jaw": 0}
+        for scenario in (dual_grasp_scenario(shape=ShapeSpec.wedge()),
+                         dual_grasp_scenario(occlusion_mode="drift",
+                                             camera_eye=(-0.15, 0.02, 0.12))):
+            eng = SimEngine(scenario)
+            geometry, views = eng._observation_geometry, []
+
+            def recording(truth):
+                views.append((truth, eng._object_x, geometry(truth)))
+                return views[-1][2]
+
+            eng._observation_geometry = recording
+            run_scenario(scenario, eng)
+            cam = eng.world_from_cam.translation
+            for truth, x, mine in views:
+                world_from_obj = PoseTransform.trusted(
+                    eng._rot_world_from_obj,
+                    sensing_sim._object_origin(scenario, x, eng.z_contact), "o", "w")
+                poses = [rig.world_from_jaw(truth.closure) for rig in eng.rigs]
+                for j, geo in enumerate(mine):
+                    kp_world = poses[j].apply(
+                        jaw.mesh.vertices[kp] + truth.jaws[j].displacements[kp])
+                    origins = np.broadcast_to(cam, kp_world.shape)
+                    occluders = [("object", world_from_obj, eng.object_mesh)] + [
+                        ("jaw", poses[k],
+                         SurfaceMesh(jaw.mesh.vertices + truth.jaws[k].displacements, triangles))
+                        for k in range(len(eng.rigs)) if k != j]
+                    hit = np.full(len(kp), np.inf)
+                    for name, pose, mesh in occluders:
+                        local = pose.inverse()
+                        t = mesh.bvh().first_hit_fraction(local.apply(origins),
+                                                          local.apply(kp_world))
+                        hidden[name] += int(np.isfinite(t).sum())
+                        hit = np.minimum(hit, t)
+                    occluded = np.isfinite(hit)
+                    drift = np.where(occluded, hit, np.nan)[:, None] * (kp_world - origins)
+                    expect = (kp_world, occluded, origins + drift,
+                              eng.cam_from_world.apply(kp_world),
+                              eng.cam_from_world.apply(poses[j].apply(ref)))
+                    for name, array in zip(("kp_world", "occluded", "drift_points", "kp_cam",
+                                            "ref_cam"), expect):
+                        assert getattr(geo, name).tobytes() == array.tobytes()
+        assert hidden["object"] > 100 and hidden["jaw"] > 100
 
     def test_culled_render_matches_unculled(self, monkeypatch):
         # a drift-mode grasp seen from the side, where one jaw hides the
@@ -942,7 +1083,8 @@ class TestOracleFastPaths:
         # a dual-jaw wedge grasp with each rig's solve memo, against the
         # same grasp with every memo cleared before every _solve_contact:
         # every call gives the same pose and solve bits, and fewer penalty
-        # solves run
+        # solves run; without the memo every call not settled by the
+        # contact-free certificate solves
         def run(clear):
             eng = SimEngine(dual_grasp_scenario(shape=ShapeSpec.wedge()))
             model = eng.rigs[0].contact_model
@@ -966,10 +1108,10 @@ class TestOracleFastPaths:
             model.solve = counting_solve
             eng._solve_contact = recording
             run_scenario(eng.scenario, eng)
-            return calls, len(solves)
+            return calls, len(solves), eng.work["solves_certified"]
 
-        (memo, n_memo), (cleared, n_cleared) = run(False), run(True)
-        assert n_cleared == len(cleared) > 500
+        (memo, n_memo, _), (cleared, n_cleared, n_certified) = run(False), run(True)
+        assert n_cleared + n_certified == len(cleared) > 500 and n_certified > 100
         assert memo == cleared
         assert n_memo < n_cleared
         assert sum(c[3] >= 0 for c in memo) > 100
@@ -977,9 +1119,10 @@ class TestOracleFastPaths:
     def test_static_truth_is_a_function_of_closure(self, monkeypatch):
         # a distributed static d25 cell stepped through its schedule on one
         # engine, against each of its closures stepped on a fresh engine:
-        # bitwise equal truth, and one penalty solve per distinct jaw pose,
-        # none for the repeated frames of a plateau or a closure the
-        # unloading half of the cycle comes back to
+        # bitwise equal truth, and one penalty solve per distinct jaw pose
+        # but the contact-free one at closure 0, which the certificate
+        # settles, none for the repeated frames of a plateau or a closure
+        # the unloading half of the cycle comes back to
         scenario = harness_cli.default_noisy_scenario(
             shape=ShapeSpec.cylinder(0.025), contact_position="middle",
             schedule=ScheduleConfig(kind="static", cycles=1, plateaus_mm=(0, 4, 10, 4, 0)),
@@ -1001,7 +1144,8 @@ class TestOracleFastPaths:
             stepped.setdefault(closure, []).append((truth, forces))
             poses.add((truth.pose_jaw_from_obj.rotation.tobytes(),
                        truth.pose_jaw_from_obj.translation.tobytes()))
-        assert len(solves) == len(poses) < len(closures) // 2
+        assert len(solves) == len(poses) - 1 < len(closures) // 2
+        assert eng.work["solves_certified"] == 1
         in_contact = 0
         for closure, runs in stepped.items():
             fresh = SimEngine(scenario)
@@ -1017,6 +1161,51 @@ class TestOracleFastPaths:
                 assert mine.displacements.tobytes() == truth.displacements.tobytes()
             in_contact += truth.candidate >= 0
         assert len(stepped) > 10 and in_contact == len(stepped) - 1  # all but closure 0
+
+    @pytest.mark.parametrize("model", ["point", "distributed"])
+    @pytest.mark.parametrize("shape", GRASPED, ids=GRASPED_IDS)
+    def test_contact_free_certificate_matches_solve(self, shape, model):
+        # each rig's pose from 2 mm short of the touch closure to 2 mm past
+        # it, with the object centred and moved along the grasp axis,
+        # through the engine, whose box certificate settles the poses that
+        # keep the object's box off the rest nodes' box, against a plain
+        # ForwardContactModel.solve of the same pose: bitwise equal
+        eng = SimEngine(dual_grasp_scenario(shape=shape,
+                                            contact=ContactModelConfig(model=model)))
+        c0 = touch_closure(eng)
+        in_contact = 0
+        for closure in c0 + np.linspace(-0.002, 0.002, 21):
+            for x in (0.0, 3e-4):
+                for idx, rig in enumerate(eng.rigs):
+                    solved = eng._solve_contact(idx, closure, x)
+                    expect = rig.contact_model.solve(solved.pose, eng.sdf)
+                    for mine, theirs in zip(solved.result[:3], expect[:3]):
+                        assert (mine is None) == (theirs is None)
+                        assert mine is None or mine.tobytes() == theirs.tobytes()
+                    assert solved.result[3] == expect[3]
+                    in_contact += expect[3] >= 0
+        work = eng.work
+        assert work["solves_certified"] > 10 and in_contact > 10
+        assert work["solves_certified"] + work["solves_run"] == 21 * 2 * 2
+
+    @pytest.mark.parametrize("shape", GRASPED, ids=GRASPED_IDS)
+    def test_sdf_positive_outside_shape_box(self, shape):
+        # random points 1e-6 m outside shape_box in one coordinate, up to
+        # 1 cm outside or anywhere inside its range in the others: the SDF
+        # reads d > 0 at every one; the object's mesh lies in the box and
+        # reaches each of its faces
+        lo, hi = shape_box(shape)
+        rng = np.random.default_rng(5)
+        n = 3000
+        pts = rng.uniform(lo - 0.01, hi + 0.01, (n, 3))
+        axis = rng.integers(3, size=n)
+        pts[np.arange(n), axis] = np.where(rng.random(n) < 0.5, lo[axis] - 1e-6,
+                                           hi[axis] + 1e-6)
+        assert np.all(make_sdf(shape)(pts)[0] > 0.0)
+        vertices = make_object_mesh(shape).vertices
+        assert np.all(vertices >= lo) and np.all(vertices <= hi)
+        assert np.allclose(vertices.min(axis=0), lo, rtol=0, atol=1e-15)
+        assert np.allclose(vertices.max(axis=0), hi, rtol=0, atol=1e-15)
 
     def test_net_force_matches_jaw_truth(self):
         # the bisection's net-force-only evaluation against the full
@@ -1050,7 +1239,7 @@ class TestOracleFastPaths:
         engines = [SimEngine(scenario) for _ in range(2)]
         for eng in engines:
             run_scenario(scenario, eng)
-        mine, theirs = ([list(memo._entries) for memo in (*eng._solves, *eng._views)]
+        mine, theirs = ([list(memo._entries) for memo in (*eng._solves, eng._views)]
                         for eng in engines)
         assert mine == theirs
         assert all(len(keys) > 10 for keys in mine)
@@ -1059,7 +1248,8 @@ class TestOracleFastPaths:
         # a two-cycle distributed static d25 cell with the memos, against
         # the same cell with every memo cleared before every call: bitwise
         # equal frames and solves; the second cycle, whose closures the
-        # first already visited, runs no penalty solve and no occluder cast
+        # first already visited, runs no penalty solve and no occluder
+        # cast, and the contact-free poses are settled without a solve
         scenario = harness_cli.default_noisy_scenario(
             shape=ShapeSpec.cylinder(0.025), contact_position="middle",
             schedule=ScheduleConfig(kind="static", cycles=2, plateaus_mm=(0, 4, 10, 4, 0)),
@@ -1071,9 +1261,9 @@ class TestOracleFastPaths:
             work["solve"] += 1
             return solve(self, jaw_from_obj, sdf)
 
-        def counting_hits(mesh, origins, targets):
+        def counting_hits(*args):
             work["cast"] += 1
-            return hits(mesh, origins, targets)
+            return hits(*args)
 
         monkeypatch.setattr(ForwardContactModel, "solve", counting_solve)
         monkeypatch.setattr(sensing_sim, "_occluder_hits", counting_hits)
@@ -1081,16 +1271,25 @@ class TestOracleFastPaths:
         eng, memo, memo_forces = recorded_run(
             scenario, False, lambda idx, pkt: after_frame.append(dict(work)))
         n_memo = dict(work)
-        _, cleared, cleared_forces = recorded_run(scenario, True)
+        ref, cleared, cleared_forces = recorded_run(scenario, True)
         assert_same_frames(memo, cleared)
         assert memo_forces == cleared_forces
         n_cycle = len(memo) // 2
         assert after_frame[n_cycle - 1] == after_frame[-1] == n_memo
-        assert 0 < n_memo["solve"] <= n_memo["cast"] < n_cycle // 5
-        assert work["solve"] - n_memo["solve"] == work["cast"] - n_memo["cast"] == len(memo)
-        assert eng.work == {"solves_run": n_memo["solve"], "casts_run": n_memo["cast"],
-                            "solves_skipped": len(memo) - n_memo["solve"],
-                            "casts_skipped": len(memo) - n_memo["cast"]}
+        certified = eng.work["solves_certified"]
+        assert 0 < n_memo["solve"] and 0 < certified
+        assert n_memo["solve"] + certified <= n_memo["cast"] < n_cycle // 5
+        assert work["cast"] - n_memo["cast"] == len(memo)
+        assert work["solve"] - n_memo["solve"] == ref.work["solves_run"]
+        assert ref.work["solves_run"] + ref.work["solves_certified"] == len(memo)
+        n_kp = len(eng.fixture.keypoint_ids)
+        assert eng.work == {"solves_run": n_memo["solve"], "solves_certified": certified,
+                            "casts_run": n_memo["cast"],
+                            "solves_skipped": len(memo) - n_memo["solve"] - certified,
+                            "casts_skipped": len(memo) - n_memo["cast"],
+                            "segments_cast": eng.work["segments_cast"],
+                            "segments_culled": n_kp * n_memo["cast"] - eng.work["segments_cast"]}
+        assert eng.work["segments_cast"] > 0
         assert sum(pkt.truth.jaws[0].candidate >= 0 for pkt in memo) > n_cycle
 
     def test_drift_side_view_matches_cleared_memos(self, monkeypatch):
@@ -1101,9 +1300,9 @@ class TestOracleFastPaths:
         casts = []
         hits = sensing_sim._occluder_hits
 
-        def counting_hits(mesh, origins, targets):
+        def counting_hits(*args):
             casts.append(1)
-            return hits(mesh, origins, targets)
+            return hits(*args)
 
         monkeypatch.setattr(sensing_sim, "_occluder_hits", counting_hits)
         eng, memo, memo_forces = recorded_run(scenario, False)
@@ -1111,10 +1310,15 @@ class TestOracleFastPaths:
         _, cleared, cleared_forces = recorded_run(scenario, True)
         assert_same_frames(memo, cleared)
         assert memo_forces == cleared_forces
-        # two jaws, each seen past the object and the other jaw
-        assert len(casts) - n_memo == 4 * len(memo) > 4 * 40
+        # each view casts at the object and at both jaws, and the cleared
+        # run renders it once per jaw
+        assert len(casts) - n_memo == 6 * len(memo) > 6 * 40
         assert eng.work["casts_run"] == n_memo < len(casts) - n_memo
-        assert eng.work["casts_run"] + eng.work["casts_skipped"] == 4 * len(memo)
+        assert eng.work["casts_run"] + eng.work["casts_skipped"] == 6 * len(memo)
+        # one object cast takes both jaws' rays, a jaw's only the other's
+        n_kp = len(eng.fixture.keypoint_ids)
+        assert eng.work["segments_cast"] + eng.work["segments_culled"] == 4 * n_kp * n_memo // 3
+        assert 0 < eng.work["tree_refits"] < n_memo // 3
         assert sum(int((~obs.visible).sum()) for pkt in memo for obs in pkt.observations) > 100
 
     def test_evicted_pose_is_solved_again(self, monkeypatch):
@@ -1162,25 +1366,26 @@ class TestOracleFastPaths:
         scenario = dual_grasp_scenario(shape=ShapeSpec.wedge())
         eng, other = SimEngine(scenario), SimEngine(scenario)
         truth = eng.step_truth(0.0, touch_closure(eng) + 0.002)
-        geometry = eng._observation_geometry(truth, 0)
-        assert eng._observation_geometry(truth, 0) is geometry
+        views = eng._observation_geometry(truth)
+        assert eng._observation_geometry(truth) is views and len(views) == 2
         eng._object_x += 1e-4
         other._object_x = eng._object_x
-        moved = eng._observation_geometry(truth, 0)
-        assert moved is not geometry
-        expect = other._observation_geometry(truth, 0)
-        for name in ("kp_world", "occluded", "drift_points", "kp_cam", "ref_cam"):
-            assert getattr(moved, name).tobytes() == getattr(expect, name).tobytes()
-        assert eng.work["casts_run"] == 4
+        moved = eng._observation_geometry(truth)
+        assert moved is not views
+        for mine, theirs in zip(moved, other._observation_geometry(truth), strict=True):
+            for name in ("kp_world", "occluded", "drift_points", "kp_cam", "ref_cam"):
+                assert getattr(mine, name).tobytes() == getattr(theirs, name).tobytes()
+        assert eng.work["casts_run"] == 6
 
     def test_memo_arrays_are_write_locked(self):
         eng = SimEngine(dual_grasp_scenario(occlusion_mode="drift"))
         truth = eng.step_truth(0.0, touch_closure(eng) + 0.002)
-        geometry = eng._observation_geometry(truth, 0)
         solved = eng._solve_contact(0, truth.closure, eng._object_x)
-        for array in (*solved.result[:3], solved.displacements, geometry.kp_world,
-                      geometry.occluded, geometry.drift_points, geometry.kp_cam,
-                      geometry.ref_cam):
+        arrays = [*solved.result[:3], solved.displacements]
+        for geometry in eng._observation_geometry(truth):
+            arrays += [geometry.kp_world, geometry.occluded, geometry.drift_points,
+                       geometry.kp_cam, geometry.ref_cam]
+        for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
@@ -1195,15 +1400,21 @@ class TestOracleFastPaths:
             first = dict(eng.work)
             n_frames = run_scenario(scenario, eng).manifest.n_frames
         w = eng.work
-        assert w["solves_run"] + w["solves_skipped"] == 2 * n_frames
+        assert w["solves_run"] + w["solves_certified"] + w["solves_skipped"] == 2 * n_frames
         assert 0 < first["solves_run"] == w["solves_run"] < first["solves_skipped"]
+        assert 0 < first["solves_certified"] == w["solves_certified"]
+        n_kp = len(eng.fixture.keypoint_ids)
+        assert first["segments_cast"] + first["segments_culled"] == n_kp * first["casts_run"]
         messages = [r.getMessage() for r in caplog.records]
         assert messages == [
             f"oracle work over {n_frames} frames: penalty solves {first['solves_run']} run, "
-            f"{first['solves_skipped']} skipped; occluder casts {first['casts_run']} run, "
-            f"{first['casts_skipped']} skipped",
-            f"oracle work over {n_frames} frames: penalty solves 0 run, {n_frames} skipped; "
-            f"occluder casts 0 run, {n_frames} skipped"]
+            f"{first['solves_certified']} certified contact-free, {first['solves_skipped']} "
+            f"skipped; occluder casts {first['casts_run']} run, {first['casts_skipped']} "
+            f"skipped; segments {first['segments_cast']} cast, {first['segments_culled']} "
+            f"stopped at the root box; tree refits 0",
+            f"oracle work over {n_frames} frames: penalty solves 0 run, 0 certified "
+            f"contact-free, {n_frames} skipped; occluder casts 0 run, {n_frames} skipped; "
+            f"segments 0 cast, 0 stopped at the root box; tree refits 0"]
 
     def test_equilibrium_without_bracket_warns(self, monkeypatch, caplog):
         eng = SimEngine(dual_grasp_scenario())

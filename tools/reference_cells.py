@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/reference_cells.py [OUT_DIR]
+    python3 tools/reference_cells.py [OUT_DIR] [--expect FILE]
 
 Runs each cell with the tuned epsilon schedule and writes its run CSV and
 manifest into ``OUT_DIR`` (default ``runs/reference``), then prints one
@@ -10,6 +10,13 @@ line per cell: its label, the CSV's sha256 and the manifest's sha256. A
 change that must keep the run outputs compares these lines with those of
 its parent. OpenBLAS, OpenMP and MKL are pinned to one thread before
 numpy loads, so the bytes do not depend on the host's core count.
+
+With ``--expect FILE`` the printed lines are also checked against FILE,
+which holds lines of the same form (``#`` starts a comment): the command
+exits 1 and names every label whose CSV or manifest sha256 differs, or
+that FILE lacks. ``tools/reference_cells.sha256`` holds the values, with
+the Python, numpy and scipy versions that gave them; other versions may
+round differently.
 
 - ``grasp-s{0,1}-{cyl25,cube30,asym}``: the noisy dual-jaw point-contact
   grasp of ``onrobot`` at the middle position, 4 mm/s to 5 N, 2 s hold.
@@ -28,6 +35,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse
 import hashlib
 import sys
 from dataclasses import replace
@@ -65,17 +73,39 @@ def reference_cells() -> dict:
     return cells
 
 
+def read_expected(path: Path) -> dict:
+    """(CSV sha256, manifest sha256) by label, from lines of the printed form."""
+    expected = {}
+    for line in path.read_text().splitlines():
+        fields = line.split("#", 1)[0].split()
+        if fields:
+            label, csv, manifest = fields
+            expected[label] = (csv, manifest)
+    return expected
+
+
 def main(argv: list[str]) -> int:
-    out_dir = Path(argv[0] if argv else "runs/reference")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", nargs="?", default="runs/reference", type=Path)
+    parser.add_argument("--expect", type=Path, metavar="FILE",
+                        help="exit 1 naming every label whose sha256 differs from FILE's")
+    args = parser.parse_args(argv)
+    expected = read_expected(args.expect) if args.expect else None
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     settings = EstimatorSettings(epsilons=load_epsilon_schedule())
+    differ = []
     for label, scenario in reference_cells().items():
         res = run_estimation(scenario, settings)
-        csv, manifest = out_dir / f"{label}.csv", out_dir / f"{label}.manifest.json"
+        csv, manifest = args.out_dir / f"{label}.csv", args.out_dir / f"{label}.manifest.json"
         res.to_csv(csv)
         res.write_manifest(manifest)
-        print(label, *(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv, manifest)),
-              flush=True)
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv, manifest))
+        print(label, *digests, flush=True)
+        if expected is not None and expected.get(label) != digests:
+            differ.append(label)
+    if differ:
+        print(f"differs from {args.expect}: {', '.join(differ)}", file=sys.stderr)
+        return 1
     return 0
 
 
